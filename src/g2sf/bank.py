@@ -3,8 +3,13 @@
 The bank stores full-dimensional prototype vectors selected by farthest-point
 (greedy k-center) sampling. Selection starts at index 0 for reproducibility;
 an optional seeded Gaussian random projection accelerates the *selection*
-distances only. Queries are exact brute-force scans with ties broken toward
-the lower prototype index.
+distances only.
+
+Queries are exact. A float64 GEMM expansion ||q||^2 - 2 q.p + ||p||^2
+shortlists each query's candidates, widened by a per-query rounding bound so
+that no prototype that could tie or beat the (2k+1)-th is dropped; the
+shortlist is then re-ranked on exact float64 differences, with ties broken
+toward the lower prototype index.
 """
 from __future__ import annotations
 
@@ -72,7 +77,7 @@ class NeighborSet:
 
 
 def _sq_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    diff = points.astype(np.float64) - query.astype(np.float64)
+    diff = np.asarray(points, dtype=np.float64) - np.asarray(query, dtype=np.float64)
     return np.einsum("ij,ij->i", diff, diff)
 
 
@@ -100,11 +105,11 @@ def build_bank(
     n = points.shape[0]
     budget = min(n, math.ceil(fraction * n))
 
-    space = points
+    space = points.astype(np.float64)  # cast once, not on every greedy step
     if projection_dim is not None and projection_dim < points.shape[1]:
         rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
         proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
-        space = points.astype(np.float64) @ proj
+        space = space @ proj
 
     selected = np.empty(budget, dtype=np.int64)
     selected[0] = 0
@@ -140,7 +145,20 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     """Vectorized :func:`query_neighbors` over rows of ``queries`` (N, D).
 
     Returns (indices (N, n), distances (N, n), truncated) with
-    n = min(2k+1, bank size).
+    n = min(2k+1, bank size); indices and distances equal the scalar query's
+    bit for bit.
+
+    Per chunk of rows, one float64 GEMM gives approximate squared distances
+    ||q||^2 - 2 q.p + ||p||^2. Each row keeps every prototype whose
+    approximate value is within 8 (D + 4) eps (||q||^2 + max ||p||^2) of the
+    row's n-th smallest; that bound exceeds the rounding error of both the
+    expansion and the exact distance, so every prototype that could tie or
+    beat the n-th in exact arithmetic stays. The kept candidates are sorted
+    by index, their distances recomputed from float64 differences exactly as
+    :func:`query_neighbors` does, and ordered by a stable sort, so ties go to
+    the lower index and a bank member sits at distance exactly 0. Scratch is
+    O(chunk * P) for the GEMM plus O(chunk * width * D) for the re-rank, with
+    width close to n.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != bank.dim:
@@ -150,12 +168,31 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     out_idx = np.empty((queries.shape[0], n), dtype=np.int64)
     out_dist = np.empty((queries.shape[0], n), dtype=np.float64)
     protos = bank.prototypes.astype(np.float64)
+    protos_sq = np.einsum("pd,pd->p", protos, protos)
+    max_sq = protos_sq.max()
+    # The expansion and the exact re-rank together err by at most about
+    # 4 (D + 4) eps (||q||^2 + max ||p||^2); the shortlist keeps twice that.
+    rel_slack = 8.0 * (bank.dim + 4) * np.finfo(np.float64).eps
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk].astype(np.float64)
-        diff = block[:, None, :] - protos[None, :, :]
+        block_sq = np.einsum("bd,bd->b", block, block)
+        approx = block @ protos.T
+        approx *= -2.0
+        approx += block_sq[:, None]
+        approx += protos_sq[None, :]
+        # .copy() lets the partitioned block go before the argpartition below.
+        nth = np.partition(approx, n - 1, axis=1)[:, n - 1].copy()
+        limit = nth + rel_slack * (block_sq + max_sq)
+        if np.all(np.isfinite(limit)):
+            width = int((approx <= limit[:, None]).sum(axis=1).max())
+        else:  # non-finite queries: rank the whole bank
+            width = bank.size
+        cand = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
+        diff = protos[cand]
+        np.subtract(block[:, None, :], diff, out=diff)
         d = np.sqrt(np.einsum("bpd,bpd->bp", diff, diff))
         order = np.argsort(d, axis=1, kind="stable")[:, :n]
-        out_idx[start : start + block.shape[0]] = order
+        out_idx[start : start + block.shape[0]] = np.take_along_axis(cand, order, axis=1)
         out_dist[start : start + block.shape[0]] = np.take_along_axis(d, order, axis=1)
     return out_idx, out_dist, bank.size < want
 

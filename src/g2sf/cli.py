@@ -2,10 +2,11 @@
 
 Every stage writes a manifest carrying the merged config hash, the seed, and
 the SHA-256 of each upstream manifest it consumed. Before running, a stage
-re-hashes the upstream chain one link back; a mismatch means an upstream
-artifact was regenerated after its consumer, and the stage refuses with exit
-code 3. Exit codes: 0 success, 1 I/O or runtime failure, 2 configuration
-error, 3 stale upstream artifact.
+re-hashes the upstream manifests recorded by what it reads, including the
+dataset's ``gen`` manifest for every stage that reads the test split; a
+mismatch means an upstream artifact was regenerated after its consumer, and
+the stage refuses with exit code 3. Exit codes: 0 success, 1 I/O or runtime
+failure, 2 configuration error, 3 stale upstream artifact.
 
 All artifacts are reproducible from (command, config, seed): file contents
 are canonical, and ``--deterministic`` (default) nulls wall-clock fields so
@@ -101,9 +102,19 @@ def _verify_link(manifest: dict, upstream_name: str, upstream_path: Path):
     if current != recorded:
         raise StaleArtifactError(
             f"stale upstream artifact: {manifest['stage']} was built against "
-            f"{upstream_name} {recorded[:12]}, but the current file hashes to "
-            f"{current[:12]}; rerun the downstream stages"
+            f"{upstream_name} {recorded[:12]}, but {upstream_path} now hashes to "
+            f"{current[:12]}; rerun {manifest['stage']} and the stages after it"
         )
+
+
+def _verify_gen(data: Path, run: Path) -> str:
+    """Check that ``data`` still holds the dataset the banks were built from.
+
+    Returns the current ``gen`` manifest hash, for the caller to record.
+    """
+    gen_path = _stage_manifest_path(data, "gen")
+    _verify_link(_read_stage_manifest(run, "bank"), "gen", gen_path)
+    return _sha256(gen_path)
 
 
 def _check_rerun(root, stage, cfg_hash, force):
@@ -263,6 +274,7 @@ def cmd_score(cfg, args):
     train_manifest_doc = _read_stage_manifest(run, "train")
     _verify_link(train_manifest_doc, "synth", _stage_manifest_path(run, "synth"))
     _verify_link(train_manifest_doc, "bank", _stage_manifest_path(run, "bank"))
+    gen_hash = _verify_gen(data, run)
     _check_rerun(run, "score", config_hash(cfg), args.force)
     checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
@@ -288,7 +300,7 @@ def cmd_score(cfg, args):
                            "grid": grid_path, "pixel": pixel_path})
     _write_stage_manifest(
         run, "score", config_hash(cfg), cfg.seed,
-        {"train": _sha256(_stage_manifest_path(run, "train"))},
+        {"gen": gen_hash, "train": _sha256(_stage_manifest_path(run, "train"))},
         outputs,
         extra={"samples": per_sample, "agg": cfg.eval.agg, "upsample_factor": factor},
     )
@@ -299,6 +311,7 @@ def cmd_score(cfg, args):
 def cmd_eval(cfg, args):
     data, run = Path(args.data), Path(args.run)
     score_manifest = _read_stage_manifest(run, "score")
+    _verify_link(score_manifest, "gen", _stage_manifest_path(data, "gen"))
     _verify_link(score_manifest, "train", _stage_manifest_path(run, "train"))
     _check_rerun(run, "eval", config_hash(cfg), args.force)
     test_manifest = load_manifest(data / "test_manifest.json")
@@ -341,6 +354,7 @@ def cmd_ablate(cfg, args):
     data, run = Path(args.data), Path(args.run)
     train_manifest_doc = _read_stage_manifest(run, "train")
     _verify_link(train_manifest_doc, "synth", _stage_manifest_path(run, "synth"))
+    gen_hash = _verify_gen(data, run)
     _check_rerun(run, "ablate", config_hash(cfg), args.force)
     checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
@@ -352,7 +366,7 @@ def cmd_ablate(cfg, args):
                                 cfg.eval.aupro_limits)
     _write_stage_manifest(
         run, "ablate", config_hash(cfg), cfg.seed,
-        {"train": _sha256(_stage_manifest_path(run, "train"))},
+        {"gen": gen_hash, "train": _sha256(_stage_manifest_path(run, "train"))},
         ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"],
     )
     fused = next(r for r in variants if r["variant"] == "fused")

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2sf.bank import (
     MemoryBank,
@@ -33,6 +35,19 @@ def optimal_radius(points, budget):
     for combo in itertools.combinations(range(len(points)), budget):
         best = min(best, brute_force_radius(points, combo))
     return best
+
+
+def assert_batch_equals_oracle(bank, queries, k, chunk=1024):
+    """The batched query must reproduce the scalar oracle bit for bit."""
+    idx, dist, truncated = query_neighbors_batch(bank, queries, k, chunk)
+    n = min(2 * k + 1, bank.size)
+    assert idx.shape == dist.shape == (len(queries), n)
+    assert truncated == (bank.size < 2 * k + 1)
+    for i, q in enumerate(queries):
+        single = query_neighbors(bank, q, k)
+        np.testing.assert_array_equal(idx[i], single.indices)
+        np.testing.assert_array_equal(dist[i], single.distances)
+    return idx, dist, truncated
 
 
 class TestBuildBank:
@@ -149,12 +164,8 @@ class TestQuery:
         rng = np.random.default_rng(12)
         bank = MemoryBank("pc", rng.standard_normal((25, 5)).astype(np.float32))
         queries = rng.standard_normal((8, 5)).astype(np.float32)
-        idx, dist, truncated = query_neighbors_batch(bank, queries, 2)
+        _, _, truncated = assert_batch_equals_oracle(bank, queries, 2)
         assert not truncated
-        for i in range(8):
-            single = query_neighbors(bank, queries[i], 2)
-            np.testing.assert_array_equal(idx[i], single.indices)
-            np.testing.assert_allclose(dist[i], single.distances, rtol=1e-9)
 
     def test_order_invariance_up_to_tiebreak(self):
         rng = np.random.default_rng(21)
@@ -167,6 +178,92 @@ class TestQuery:
         qb = query_neighbors(b, f, 3)
         np.testing.assert_allclose(qa.distances, qb.distances, rtol=1e-12)
         np.testing.assert_array_equal(protos[qa.indices], b.prototypes[qb.indices])
+
+
+class TestBatchEqualsOracle:
+    """Adversarial inputs for the GEMM shortlist and its exact re-rank."""
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40), d=st.integers(1, 12),
+           n=st.integers(0, 30), k=st.integers(0, 5), chunk=st.sampled_from([1, 4, 7, 1024]),
+           offset=st.sampled_from([0.0, 1e3]), scale=st.sampled_from([1e-3, 1.0, 1e2]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_banks(self, seed, p, d, n, k, chunk, offset, scale):
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank("pc", (rng.standard_normal((p, d)) * scale + offset)
+                          .astype(np.float32))
+        queries = rng.standard_normal((n, d)) * scale + offset
+        assert_batch_equals_oracle(bank, queries, k, chunk)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_thin_shell_at_large_offset(self, seed):
+        # Prototypes on a radius-0.01 sphere around a +1e3 centre: their exact
+        # distances lie closer together than the rounding error of the GEMM
+        # expansion, so the right top 2k+1 survives only a widened shortlist.
+        rng = np.random.default_rng(seed)
+        centre = np.float32(1e3) + rng.uniform(0, 1, 64).astype(np.float32)
+        u = rng.standard_normal((200, 64))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        bank = MemoryBank("pc", (centre + 0.01 * u).astype(np.float32))
+        queries = (centre + 1e-4 * rng.standard_normal((16, 64))).astype(np.float32)
+        assert_batch_equals_oracle(bank, queries, 2)
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 30), d=st.integers(1, 6),
+           k=st.integers(0, 4), offset=st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicates_and_integer_ties(self, seed, p, d, k, offset):
+        # Few distinct integer points, many duplicates: most distances tie.
+        rng = np.random.default_rng(seed)
+        grid = rng.integers(-2, 3, size=(p, d)).astype(np.float32)
+        bank = MemoryBank("pc", np.repeat(grid, 3, axis=0) + np.float32(offset))
+        queries = rng.integers(-2, 3, size=(16, d)).astype(np.float64) + offset
+        assert_batch_equals_oracle(bank, queries, k, chunk=5)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_all_tied_row_takes_lowest_indices(self, offset):
+        unit = np.vstack([np.eye(3), -np.eye(3), np.eye(3)]).astype(np.float32)
+        bank = MemoryBank("pc", unit + np.float32(offset))
+        idx, dist, _ = assert_batch_equals_oracle(bank, np.full((2, 3), offset), 3)
+        np.testing.assert_array_equal(idx, np.tile(np.arange(7), (2, 1)))
+        np.testing.assert_array_equal(dist, np.ones((2, 7)))
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 40), d=st.integers(1, 12),
+           k=st.integers(0, 4), offset=st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=40, deadline=None)
+    def test_members_sit_at_zero(self, seed, p, d, k, offset):
+        rng = np.random.default_rng(seed)
+        protos = (rng.standard_normal((p, d)) + offset).astype(np.float32)
+        protos = np.vstack([protos, protos[: p // 2]])  # duplicated members too
+        bank = MemoryBank("pc", protos)
+        members = rng.integers(0, len(protos), size=9)
+        idx, dist, _ = assert_batch_equals_oracle(bank, protos[members], k, chunk=4)
+        assert np.all(dist[:, 0] == 0.0)
+        first_copy = [np.flatnonzero((protos == protos[m]).all(axis=1))[0] for m in members]
+        np.testing.assert_array_equal(idx[:, 0], first_copy)  # lowest duplicate wins
+
+    @pytest.mark.parametrize("p,k", [(1, 0), (1, 3), (4, 2), (6, 5)])
+    def test_bank_smaller_than_window_is_truncated(self, p, k):
+        rng = np.random.default_rng(p + k)
+        bank = MemoryBank("rgb", rng.standard_normal((p, 3)).astype(np.float32))
+        assert_batch_equals_oracle(bank, rng.standard_normal((5, 3)), k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_query_ranks_whole_bank(self, bad):
+        rng = np.random.default_rng(3)
+        bank = MemoryBank("pc", rng.standard_normal((9, 3)).astype(np.float32))
+        queries = rng.standard_normal((4, 3))
+        queries[1, 0] = bad
+        assert_batch_equals_oracle(bank, queries, 2, chunk=2)
+
+    @pytest.mark.parametrize("n,chunk", [(0, 4), (1, 1), (13, 1), (13, 4), (13, 13),
+                                         (13, 1024)])
+    def test_chunk_boundaries(self, n, chunk):
+        rng = np.random.default_rng(n * 31 + chunk)
+        bank = MemoryBank("pc", rng.standard_normal((11, 4)).astype(np.float32))
+        queries = rng.standard_normal((n, 4)).astype(np.float32)
+        for k in (0, 2):
+            assert_batch_equals_oracle(bank, queries, k, chunk)
 
 
 class TestNearestDistance:

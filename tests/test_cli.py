@@ -144,6 +144,23 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg_path), "--data", str(data),
                      "--run", str(run)]) == 3
 
+    def test_stale_gen_reaches_score_and_eval(self, tmp_path, cfg_path, capsys):
+        codes, data, run = run_chain(tmp_path, cfg_path, stages=STAGES[:5])
+        assert all(c == 0 for c in codes.values())
+        # Regenerate the dataset after scoring: the score maps belong to the
+        # old test split, so eval must not pair them with the new ground
+        # truth, and neither score nor ablate may mix old banks with new data.
+        assert main(["gen", "--config", str(cfg_path), "--out", str(data),
+                     "--seed", "99", "--force"]) == 0
+        capsys.readouterr()
+        for stage, stale in (("eval", "score"), ("score", "bank"), ("ablate", "bank")):
+            assert main([stage, "--config", str(cfg_path), "--data", str(data),
+                         "--run", str(run), "--force"]) == 3
+            err = capsys.readouterr().err
+            assert f"{stale} was built against gen" in err, err
+            assert "gen_manifest.json" in err, err
+        assert not (run / "reports" / "eval.json").exists()
+
     def test_selftest_clean_run(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
