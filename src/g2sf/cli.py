@@ -32,14 +32,12 @@ from .features import (
     gen_synthetic_dataset,
     iter_samples,
     load_manifest,
-    load_sample,
     read_feature_map,
     read_mask,
     write_feature_map,
     write_mask,
 )
 from .geometry import DistanceNormalizer, fit_normalizer
-from .scoring import score_sample, upsample_smooth
 from .selftest import run_all
 from .tensorio import read_tensor, write_tensor
 from .trainer import load_checkpoint, save_checkpoint, train
@@ -281,21 +279,14 @@ def cmd_score(cfg, args):
     factor = cfg.eval.upsample_factor or test_manifest.gt_upscale
     outputs = []
     per_sample = []
-
-    def one(ref):
-        pair = load_sample(test_manifest, ref)
-        smap = score_sample(checkpoint.model, pair, checkpoint.banks,
-                            checkpoint.normalizer, cfg.eval.k, cfg.eval.agg)
-        return ref, upsample_smooth(smap, factor, cfg.eval.smooth_sigma)
-
-    results = eval_mod._run_samples(one, list(test_manifest.samples), args.threads)
-    for ref, smap in results:
-        grid_path = f"scores/{ref.sample_id}_grid.g2t"
-        pixel_path = f"scores/{ref.sample_id}_pixel.g2t"
+    for scored in eval_mod.score_split(checkpoint, test_manifest, cfg.eval):
+        smap = scored.maps[cfg.eval.agg]
+        grid_path = f"scores/{scored.sample_id}_grid.g2t"
+        pixel_path = f"scores/{scored.sample_id}_pixel.g2t"
         write_tensor(run / grid_path, smap.grid, {"kind": "score_map"})
         write_tensor(run / pixel_path, smap.upsampled, {"kind": "score_map_pixel"})
         outputs.extend([grid_path, pixel_path])
-        per_sample.append({"sample_id": ref.sample_id,
+        per_sample.append({"sample_id": scored.sample_id,
                            "score": float(smap.sample_score),
                            "grid": grid_path, "pixel": pixel_path})
     _write_stage_manifest(
@@ -325,16 +316,11 @@ def cmd_eval(cfg, args):
         sample_ids.append(ref.sample_id)
         scores.append(entry["score"])
         gt = read_mask(test_manifest.root / ref.pixel_gt) if ref.pixel_gt else None
-        if ref.image_label is not None:
-            labels.append(int(ref.image_label))
-        elif gt is not None:
-            labels.append(int(gt.any()))
-        else:
-            raise ConfigError(f"sample {ref.sample_id} has neither label nor ground truth")
+        labels.append(eval_mod.sample_label(ref.sample_id, ref.image_label, gt))
         pixel_maps.append(pixel.astype(np.float64))
         gt_masks.append(gt)
     report = eval_mod.report_from_maps(sample_ids, scores, labels, pixel_maps, gt_masks,
-                                       cfg.eval.aupro_limits, cfg.eval.max_curve_points)
+                                       cfg.eval.aupro_limits)
     report_path = run / "reports" / "eval.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(report.to_json() + "\n")
@@ -354,6 +340,7 @@ def cmd_ablate(cfg, args):
     data, run = Path(args.data), Path(args.run)
     train_manifest_doc = _read_stage_manifest(run, "train")
     _verify_link(train_manifest_doc, "synth", _stage_manifest_path(run, "synth"))
+    _verify_link(train_manifest_doc, "bank", _stage_manifest_path(run, "bank"))
     gen_hash = _verify_gen(data, run)
     _check_rerun(run, "ablate", config_hash(cfg), args.force)
     checkpoint = _load_trained(run)

@@ -1,10 +1,17 @@
 """Detection and segmentation metrics: AUROC, AUPRO, and dataset evaluation.
 
-AUROC is rank-based (Mann-Whitney) with ties contributing one half. AUPRO
-sweeps every distinct score value across the whole test split, tracks the
-false-positive rate over normal pixels and the mean per-region overlap over
-8-connected ground-truth components, and integrates PRO against FPR up to a
-configurable limit (normalized by the limit).
+AUROC is rank-based (Mann-Whitney) with tied scores sharing their average
+rank, so ties contribute one half. AUPRO sorts every pixel of the test split
+once by descending score. Each normal pixel adds 1/#normal to the
+false-positive rate and each anomalous pixel adds 1/(|region| * #regions) to
+the mean per-region overlap (8-connected ground-truth components), so both
+axes are cumulative sums read at the ends of tied-score runs. PRO is set to
+exactly 1 once every anomalous pixel is covered. The curve is integrated
+against FPR up to a limit and normalized by the limit.
+
+:func:`report_from_maps` is the one place that turns per-sample scores and
+pixel maps into metrics; :func:`eval_dataset`, :func:`ablation_scores` and
+the CLI's eval stage all build their reports through it.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -23,16 +31,25 @@ from .scoring import AGGREGATIONS, sample_maps, score_sample, upsample_smooth
 __all__ = [
     "EvalConfig",
     "EvalReport",
+    "ScoredSample",
     "auroc",
-    "connected_components",
     "aupro",
     "aupro_curve",
+    "sample_label",
+    "report_from_maps",
+    "score_split",
     "eval_dataset",
     "ablation_scores",
     "write_ablation_csv",
 ]
 
 _EIGHT = np.ones((3, 3), dtype=bool)
+MAX_CURVE_POINTS = 512  # the report keeps about this many (fpr, pro) points
+
+
+def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], True))
 
 
 def auroc(scores, labels) -> float:
@@ -52,110 +69,74 @@ def auroc(scores, labels) -> float:
     if scores.min() == scores.max():
         raise UndefinedMetricError("AUROC is undefined for constant scores")
     order = np.argsort(scores, kind="stable")
+    ends = _run_ends(scores[order])
+    starts = np.append(0, ends[:-1] + 1)
     ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # 1-based
     rank_sum = ranks[labels == 1].sum()
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
-def connected_components(mask: np.ndarray):
-    """8-connected components of a boolean mask: (labels, count)."""
-    return ndimage.label(np.asarray(mask, dtype=bool), structure=_EIGHT)
-
-
-def aupro_curve(score_maps, gt_masks, bins=None):
+def aupro_curve(score_maps, gt_masks):
     """(fpr, pro) curve points over all distinct scores, threshold descending.
 
     The curve starts at (0, 0) (threshold above every score) and ends at
-    (1, 1) (threshold at the minimum score, everything predicted). With
-    ``bins`` set, scores are quantized to that many levels first: a fast
-    approximate path for very large maps, excluded from exactness tests.
+    (1, 1) (threshold at the minimum score, everything predicted).
     """
     if len(score_maps) != len(gt_masks) or not score_maps:
         raise ConfigError("need equally many score maps and ground-truth masks")
-    comp_ids = []
-    comp_sizes = []
-    scores = []
+    comp_ids, comp_sizes, scores = [], [], []
     next_comp = 0
     for smap, gt in zip(score_maps, gt_masks):
         smap = np.asarray(smap, dtype=np.float64)
         gt = np.asarray(gt, dtype=bool)
         if smap.shape != gt.shape:
             raise ConfigError(f"score map {smap.shape} and mask {gt.shape} disagree")
-        labels, count = connected_components(gt)
-        ids = np.where(gt, labels + next_comp - 1, -1)  # -1 marks normal pixels
-        for c in range(1, count + 1):
-            comp_sizes.append(int((labels == c).sum()))
+        labels, count = ndimage.label(gt, structure=_EIGHT)
+        comp_ids.append(np.where(gt, labels + next_comp - 1, -1).reshape(-1))  # -1: normal
+        comp_sizes.append(np.bincount(labels.reshape(-1), minlength=count + 1)[1:])
         next_comp += count
-        comp_ids.append(ids.reshape(-1))
         scores.append(smap.reshape(-1))
     comp_ids = np.concatenate(comp_ids)
     scores = np.concatenate(scores)
-    comp_sizes = np.asarray(comp_sizes, dtype=np.float64)
+    comp_sizes = np.concatenate(comp_sizes).astype(np.float64)
     if comp_sizes.size == 0:
         raise UndefinedMetricError("AUPRO needs at least one anomalous region")
-    n_normal = int((comp_ids < 0).sum())
+    normal = comp_ids < 0
+    n_normal = int(normal.sum())
     if n_normal == 0:
         raise UndefinedMetricError("AUPRO needs normal pixels for the FPR axis")
-    if bins is not None:
-        lo, hi = scores.min(), scores.max()
-        if hi > lo:
-            scores = np.floor((scores - lo) / (hi - lo) * bins).clip(0, bins - 1)
 
     order = np.argsort(scores, kind="stable")[::-1]
-    sorted_scores = scores[order]
-    sorted_comps = comp_ids[order]
-    fprs = [0.0]
-    pros = [0.0]
-    fp = 0
-    tp = np.zeros(comp_sizes.size)
-    i = 0
-    total = scores.size
-    while i < total:
-        j = i
-        while j + 1 < total and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        block = sorted_comps[i : j + 1]
-        fp += int((block < 0).sum())
-        anom = block[block >= 0]
-        if anom.size:
-            np.add.at(tp, anom, 1.0)
-        fprs.append(fp / n_normal)
-        pros.append(float((tp / comp_sizes).mean()))
-        i = j + 1
-    return np.asarray(fprs), np.asarray(pros)
+    ends = _run_ends(scores[order])
+    normal = normal[order]
+    region_weight = 1.0 / (comp_sizes * comp_sizes.size)
+    weight = np.where(normal, 0.0, region_weight[comp_ids[order]])  # -1 rows are masked
+    fpr = np.cumsum(normal)[ends] / n_normal
+    pro = np.cumsum(weight)[ends]
+    # The summed weights only approximate 1; PRO is exactly 1 once every
+    # anomalous pixel is above the threshold.
+    pro[np.cumsum(~normal)[ends] == normal.size - n_normal] = 1.0
+    return np.append(0.0, fpr), np.append(0.0, pro)
 
 
 def _clip_integrate(x: np.ndarray, y: np.ndarray, limit: float) -> float:
     """Trapezoidal integral of the piecewise-linear curve on [0, limit]."""
-    area = 0.0
-    for i in range(1, x.size):
-        x0, x1 = x[i - 1], x[i]
-        y0, y1 = y[i - 1], y[i]
-        if x0 >= limit:
-            break
-        if x1 <= limit:
-            area += (x1 - x0) * (y0 + y1) / 2.0
-        else:
-            y_at = y0 + (y1 - y0) * (limit - x0) / (x1 - x0)
-            area += (limit - x0) * (y0 + y_at) / 2.0
-            break
-    return area
+    n = int(np.searchsorted(x, limit, side="right"))  # points with x <= limit
+    xs, ys = x[:n], y[:n]
+    if n < x.size:  # end the last segment at the limit
+        x0, x1, y0, y1 = x[n - 1], x[n], y[n - 1], y[n]
+        xs = np.append(xs, limit)
+        ys = np.append(ys, y0 + (y1 - y0) * (limit - x0) / (x1 - x0))
+    return float(np.sum(np.diff(xs) * (ys[1:] + ys[:-1]) / 2.0))
 
 
-def aupro(score_maps, gt_masks, limit: float, bins=None) -> float:
+def aupro(score_maps, gt_masks, limit: float) -> float:
     """Area under the PRO-vs-FPR curve on [0, limit], normalized by the limit."""
     if not (0.0 < limit <= 1.0):
         raise ConfigError(f"integration limit {limit} outside (0, 1]")
-    fprs, pros = aupro_curve(score_maps, gt_masks, bins=bins)
+    fprs, pros = aupro_curve(score_maps, gt_masks)
     return _clip_integrate(fprs, pros, limit) / limit
 
 
@@ -172,7 +153,6 @@ class EvalConfig:
     upsample_factor: int | None = None  # default: the manifest's gt upscale
     aupro_limits: tuple = (0.30, 0.01)
     threads: int = 1
-    max_curve_points: int = 512
 
     def validate(self):
         if self.agg not in AGGREGATIONS:
@@ -216,29 +196,17 @@ class EvalReport:
         )
 
 
-def _sample_label(pair) -> int:
-    if pair.image_label is not None:
-        return int(pair.image_label)
-    if pair.pixel_gt is not None:
-        return int(pair.pixel_gt.any())
-    raise UndefinedMetricError(f"sample {pair.sample_id} has neither label nor ground truth")
-
-
-def _pixel_map(score_map, pair, cfg, factor):
-    return upsample_smooth(score_map, factor, cfg.smooth_sigma).upsampled
-
-
-def _run_samples(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # ordered collection keeps determinism
+def sample_label(sample_id, image_label, pixel_gt) -> int:
+    """Image label of a sample: its recorded label, else whether its mask is non-empty."""
+    if image_label is not None:
+        return int(image_label)
+    if pixel_gt is not None:
+        return int(np.any(pixel_gt))
+    raise ConfigError(f"sample {sample_id} has neither label nor ground truth")
 
 
 def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks,
-                     aupro_limits=(0.30, 0.01), max_curve_points=512) -> EvalReport:
+                     aupro_limits=(0.30, 0.01)) -> EvalReport:
     """Assemble an EvalReport from precomputed per-sample scores and maps.
 
     ``gt_masks`` entries may be None; any missing mask omits the pixel
@@ -264,9 +232,68 @@ def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks,
     fprs, pros = aupro_curve(pixel_maps, gt_masks)
     for limit in aupro_limits:
         report.aupro[limit] = _clip_integrate(fprs, pros, limit) / limit
-    stride = max(1, fprs.size // max_curve_points)
-    report.curve = [[float(f), float(p)] for f, p in zip(fprs[::stride], pros[::stride])]
+    stride = max(1, fprs.size // MAX_CURVE_POINTS)
+    report.curve = np.column_stack([fprs[::stride], pros[::stride]]).tolist()
     return report
+
+
+# ---------------------------------------------------------------------------
+# Scoring the test split
+# ---------------------------------------------------------------------------
+
+
+class ScoredSample(NamedTuple):
+    sample_id: str
+    image_label: int | None
+    pixel_gt: np.ndarray | None
+    maps: dict  # name -> ScoreMap, each with its upsampled, smoothed map
+
+
+def _run_samples(fn, items, threads):
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))  # ordered collection keeps determinism
+
+
+def _score_each(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig, maps_of):
+    """Load every test sample in manifest order, score it with ``maps_of(pair)``
+    (a dict of ScoreMaps) and upsample and smooth each map."""
+    cfg.validate()
+    if checkpoint.banks is None:
+        raise ConfigError("checkpoint has no banks attached; load them first")
+    factor = cfg.upsample_factor or test_manifest.gt_upscale
+
+    def one(ref):
+        pair = load_sample(test_manifest, ref)
+        maps = {name: upsample_smooth(m, factor, cfg.smooth_sigma)
+                for name, m in maps_of(pair).items()}
+        return ScoredSample(pair.sample_id, pair.image_label, pair.pixel_gt, maps)
+
+    return _run_samples(one, list(test_manifest.samples), cfg.threads)
+
+
+def score_split(checkpoint, test_manifest: DatasetManifest,
+                cfg: EvalConfig) -> list[ScoredSample]:
+    """Score every test sample with the ``cfg.agg`` aggregation; the ScoreMap
+    is ``maps[cfg.agg]`` of each returned sample."""
+    model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
+    return _score_each(checkpoint, test_manifest, cfg, lambda pair: {
+        cfg.agg: score_sample(model, pair, banks, normalizer, cfg.k, cfg.agg)})
+
+
+def _report(scored, key: str, aupro_limits) -> EvalReport:
+    maps = [s.maps[key] for s in scored]
+    return report_from_maps(
+        [s.sample_id for s in scored],
+        [m.sample_score for m in maps],
+        [sample_label(s.sample_id, s.image_label, s.pixel_gt) for s in scored],
+        [m.upsampled for m in maps],
+        [s.pixel_gt for s in scored],
+        aupro_limits,
+    )
 
 
 def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) -> EvalReport:
@@ -276,29 +303,7 @@ def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) ->
     the per-sample max over foreground grid cells. When any sample lacks a
     pixel ground-truth mask the pixel metrics are omitted with a flag.
     """
-    cfg.validate()
-    if checkpoint.banks is None:
-        raise ConfigError("checkpoint has no banks attached; load them first")
-    factor = cfg.upsample_factor or test_manifest.gt_upscale
-
-    def one(ref):
-        pair = load_sample(test_manifest, ref)
-        smap = score_sample(
-            checkpoint.model, pair, checkpoint.banks, checkpoint.normalizer, cfg.k, cfg.agg
-        )
-        pixel = _pixel_map(smap, pair, cfg, factor)
-        return pair, smap, pixel
-
-    results = _run_samples(one, list(test_manifest.samples), cfg.threads)
-    return report_from_maps(
-        sample_ids=[pair.sample_id for pair, _, _ in results],
-        sample_scores=[float(smap.sample_score) for _, smap, _ in results],
-        labels=[_sample_label(pair) for pair, _, _ in results],
-        pixel_maps=[pixel for _, _, pixel in results],
-        gt_masks=[pair.pixel_gt for pair, _, _ in results],
-        aupro_limits=cfg.aupro_limits,
-        max_curve_points=cfg.max_curve_points,
-    )
+    return _report(score_split(checkpoint, test_manifest, cfg), cfg.agg, cfg.aupro_limits)
 
 
 # ---------------------------------------------------------------------------
@@ -316,38 +321,17 @@ def ablation_scores(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig)
     Returns (variant_rows, aggregation_rows); each row maps
     variant -> i_auroc / p_auroc / aupro@limit values.
     """
-    cfg.validate()
-    if checkpoint.banks is None:
-        raise ConfigError("checkpoint has no banks attached; load them first")
-    factor = cfg.upsample_factor or test_manifest.gt_upscale
+    model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
+    scored = _score_each(checkpoint, test_manifest, cfg, lambda pair: sample_maps(
+        model, pair, banks, normalizer, cfg.k))
 
-    def one(ref):
-        pair = load_sample(test_manifest, ref)
-        maps = sample_maps(checkpoint.model, pair, checkpoint.banks,
-                           checkpoint.normalizer, cfg.k)
-        pixels = {name: _pixel_map(m, pair, cfg, factor) for name, m in maps.items()}
-        return pair, maps, pixels
+    def row(variant, key):
+        report = _report(scored, key, cfg.aupro_limits)
+        return {"variant": variant, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc,
+                **{f"aupro@{limit}": v for limit, v in report.aupro.items()}}
 
-    results = _run_samples(one, list(test_manifest.samples), cfg.threads)
-    labels = [_sample_label(pair) for pair, _, _ in results]
-    have_gt = all(pair.pixel_gt is not None for pair, _, _ in results)
-    gt_masks = [pair.pixel_gt for pair, _, _ in results] if have_gt else None
-
-    def metrics_for(key):
-        row = {}
-        row["i_auroc"] = auroc([maps[key].sample_score for _, maps, _ in results], labels)
-        if have_gt:
-            pixel_maps = [pixels[key] for _, _, pixels in results]
-            flat = np.concatenate([m.reshape(-1) for m in pixel_maps])
-            flat_gt = np.concatenate([g.reshape(-1) for g in gt_masks])
-            row["p_auroc"] = auroc(flat, flat_gt)
-            fprs, pros = aupro_curve(pixel_maps, gt_masks)
-            for limit in cfg.aupro_limits:
-                row[f"aupro@{limit}"] = _clip_integrate(fprs, pros, limit) / limit
-        return row
-
-    variant_rows = [{"variant": v, **metrics_for(_VARIANT_MAP_KEY[v])} for v in SCORE_VARIANTS]
-    agg_rows = [{"variant": agg, **metrics_for(agg)} for agg in AGGREGATIONS]
+    variant_rows = [row(v, _VARIANT_MAP_KEY[v]) for v in SCORE_VARIANTS]
+    agg_rows = [row(agg, agg) for agg in AGGREGATIONS]
     return variant_rows, agg_rows
 
 

@@ -277,12 +277,3 @@ def weight_flags(model: LspnModel):
     flags.append(False)
     return flags
 
-
-def set_parameters(model: LspnModel, values):
-    params = parameters(model)
-    if len(values) != len(params):
-        raise ShapeError("parameter list length mismatch")
-    for dst, src in zip(params, values):
-        if dst.shape != np.asarray(src).shape:
-            raise ShapeError(f"parameter shape {np.asarray(src).shape} != {dst.shape}")
-        dst[...] = src

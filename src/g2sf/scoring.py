@@ -97,7 +97,7 @@ def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int, chunk=8192)
             outs.append(w_chunk.astype(np.float64))
         w_factors[rows] = np.concatenate(outs).reshape(rows.size, n_use, 2)
 
-    l = (w_factors * s * sigma).sum(axis=2)
+    l = lspn_mod.metric_values(w_factors, s, sigma)
     return (
         l.reshape(h, w, n_use),
         w_factors.reshape(h, w, n_use, 2)[:, :, 0, :],

@@ -191,7 +191,7 @@ def _objective(model, problem: GradCheckProblem, want_grads: bool):
     w_neg = w_all[n_pos:]
     sigma = np.exp(model.log_sigma)
     s = problem.s.astype(dtype)
-    l = (w * s * sigma).sum(axis=2)
+    l = lspn_mod.metric_values(w, s, sigma)
     batch = LossBatch(y=problem.y, l=l, s=s, w0=w[:, 0, :])
     margin = problem.margin
     if margin is None:

@@ -156,7 +156,7 @@ def _forward_rows(model, pool, banks, rows, neg, training, rng):
 
 def _metric_batch(pool, rows, w, sigma):
     s = np.stack([pool.s_pc[rows], pool.s_rgb[rows]], axis=2)
-    l = (w * s * sigma).sum(axis=2)
+    l = lspn_mod.metric_values(w, s, sigma)
     return s, l
 
 

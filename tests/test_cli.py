@@ -161,6 +161,21 @@ class TestExitCodes:
             assert "gen_manifest.json" in err, err
         assert not (run / "reports" / "eval.json").exists()
 
+    def test_rebuilt_bank_reaches_ablate(self, tmp_path, cfg_path, capsys):
+        codes, data, run = run_chain(tmp_path, cfg_path, stages=STAGES[:4])
+        assert all(c == 0 for c in codes.values())
+        # A rebuilt bank leaves the trained model behind: ablate must not
+        # score the old model against prototypes it was never trained on.
+        assert main(["bank", "--config", str(cfg_path), "--data", str(data),
+                     "--run", str(run), "--force", "--fraction", "0.3"]) == 0
+        capsys.readouterr()
+        assert main(["ablate", "--config", str(cfg_path), "--data", str(data),
+                     "--run", str(run)]) == 3
+        err = capsys.readouterr().err
+        assert "train was built against bank" in err, err
+        assert "bank_manifest.json" in err, err
+        assert not (run / "reports").exists()
+
     def test_selftest_clean_run(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

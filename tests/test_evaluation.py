@@ -1,5 +1,8 @@
 """AUROC/AUPRO metric tests and dataset-level evaluation tests."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,8 +90,15 @@ class TestAupro:
         gt = np.zeros((8, 8), dtype=bool)
         gt[2:4, 2:5] = True
         gt[6, 6] = True
-        for limit in (0.3, 0.01, 1.0):
-            assert aupro([gt.astype(float)], [gt], limit) == 1.0
+        masks = [gt]
+        rng = np.random.default_rng(12)
+        for fill in (0.1, 0.3, 0.5, 0.7, 0.9):
+            mask = rng.random((9, 7)) < fill
+            mask[0, 0], mask[-1, -1] = True, False  # both classes present
+            masks.append(mask)
+        for mask in masks:
+            for limit in (0.3, 0.01, 1.0):
+                assert aupro([mask.astype(float)], [mask], limit) == 1.0
 
     def test_anticorrelated_worst_case(self):
         gt = np.zeros((8, 8), dtype=bool)
@@ -104,10 +114,14 @@ class TestAupro:
             gts = [rng.random((8, 8)) < 0.25 for _ in range(2)]
             if not any(g.any() for g in gts):
                 gts[0][0, 0] = True
-            for limit in (0.30, 0.01):
-                fast = aupro(maps, gts, limit)
-                slow = aupro_bruteforce(maps, gts, limit)
-                assert abs(fast - slow) <= 1e-9
+            # Quantized copies put many pixels on each threshold, so the
+            # curve is read at the ends of tied-score runs.
+            tied = [np.floor(m * (2 + trial % 4)) for m in maps]
+            for scores, limits in ((maps, (0.30, 0.01)), (tied, (0.30, 0.01, 1.0))):
+                for limit in limits:
+                    fast = aupro(scores, gts, limit)
+                    slow = aupro_bruteforce(scores, gts, limit)
+                    assert abs(fast - slow) <= 1e-9
 
     def test_area_nondecreasing_in_limit(self):
         rng = np.random.default_rng(5)
@@ -121,14 +135,6 @@ class TestAupro:
     def test_no_anomalous_region_undefined(self):
         with pytest.raises(UndefinedMetricError):
             aupro([np.random.rand(4, 4)], [np.zeros((4, 4), dtype=bool)], 0.3)
-
-    def test_binned_fast_path_approximates_exact(self):
-        rng = np.random.default_rng(11)
-        maps = [rng.random((16, 16)) for _ in range(3)]
-        gts = [rng.random((16, 16)) < 0.2 for _ in range(3)]
-        exact = aupro(maps, gts, 0.3)
-        binned = aupro(maps, gts, 0.3, bins=1000)
-        assert abs(exact - binned) < 0.01
 
     def test_curve_endpoints(self):
         rng = np.random.default_rng(8)
@@ -258,3 +264,13 @@ class TestAblation:
         fused_first = maps["first"].grid
         want = 0.5 * (maps["s_pc"].grid + maps["s_rgb"].grid)
         np.testing.assert_allclose(fused_first, want, rtol=1e-6)
+
+
+class TestImportCost:
+    def test_package_does_not_import_scipy_stats(self):
+        # Importing scipy.stats adds about 44 MB of resident memory to every
+        # CLI stage; the rank statistics here are plain numpy.
+        code = "import sys, g2sf, g2sf.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False"
