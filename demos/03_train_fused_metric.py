@@ -14,9 +14,9 @@ from g2sf.bank import build_bank
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
 from g2sf.geometry import fit_normalizer
 from g2sf.losses import LossConfig
-from g2sf.lspn import LspnConfig, forward_batch
+from g2sf.lspn import LspnConfig
 from g2sf.synthesis import SynthesisConfig, build_training_pool
-from g2sf.trainer import TrainConfig, train
+from g2sf.trainer import TrainConfig, scale_factors, train
 
 out = tempfile.mkdtemp(prefix="g2sf_demo_")
 train_manifest, _ = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
@@ -49,10 +49,7 @@ for row in log_rows[:: max(1, len(log_rows) // 6)]:
 # the scales stay close to uniform; on real extractor features with
 # systematic defect directions the scales themselves become discriminative.
 rows = pool.train_indices
-protos = np.concatenate([banks["pc"].prototypes[pool.idx_pc[rows, 0]],
-                         banks["rgb"].prototypes[pool.idx_rgb[rows, 0]]], axis=1)
-dirs = np.concatenate([pool.dir_pc[rows, 0], pool.dir_rgb[rows, 0]], axis=1)
-w, _ = forward_batch(checkpoint.model, protos, dirs)
+w = scale_factors(checkpoint.model, pool, banks, rows)[:, 0]
 y = pool.y[rows]
 print(f"\nmean predicted scale on normal cells:    {w[y == 0].mean():.3f}")
 print(f"mean predicted scale on corrupted cells:  {w[y == 1].mean():.3f} "

@@ -17,9 +17,9 @@ from g2sf.evaluation import EvalConfig, ablation_scores
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
 from g2sf.geometry import fit_normalizer
 from g2sf.losses import LossConfig
-from g2sf.lspn import LspnConfig, forward_batch
+from g2sf.lspn import LspnConfig
 from g2sf.synthesis import SynthesisConfig, build_training_pool
-from g2sf.trainer import TrainConfig, train
+from g2sf.trainer import TrainConfig, scale_factors, train
 
 out = tempfile.mkdtemp(prefix="g2sf_demo_")
 train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
@@ -58,10 +58,7 @@ collapsed, _, _ = train(plain_pool, banks, normalizer, lspn_cfg,
                         TrainConfig(epochs=40, batch_size=32, seed=7, sigma_lr=0.0),
                         loss_cfg)
 rows = plain_pool.train_indices[:2048]
-protos = np.concatenate([banks["pc"].prototypes[plain_pool.idx_pc[rows, 0]],
-                         banks["rgb"].prototypes[plain_pool.idx_rgb[rows, 0]]], axis=1)
-dirs = np.concatenate([plain_pool.dir_pc[rows, 0], plain_pool.dir_rgb[rows, 0]], axis=1)
-w, _ = forward_batch(collapsed.model, protos, dirs)
+w = scale_factors(collapsed.model, plain_pool, banks, rows)[:, 0]
 print(f"  mean predicted scale after 40 epochs: {w.mean():.4f} "
       f"(lower bound 1/e = {np.exp(-1):.4f})")
 print("  -> without negatives the metric degenerates; the synthesis and "

@@ -31,8 +31,8 @@ from .features import (
 )
 from .geometry import DistanceNormalizer, GeometricEncoding, encode, encode_map, fit_normalizer
 from .losses import LossBatch, LossConfig, total_loss
-from .lspn import LspnConfig, LspnModel, fused_metric, init_model, lspn_forward
-from .scoring import ScoreMap, score_cell, score_sample, upsample_smooth
+from .lspn import LspnConfig, LspnModel, init_model
+from .scoring import ScoreMap, score_sample, upsample_smooth
 from .synthesis import (
     PerlinParams,
     SynthesisConfig,

@@ -5,6 +5,12 @@ A feature f is rewritten, per neighbor prototype m_j, as the triplet
 ||f - m_j|| / mean). The encoding is seamless: f reconstructs exactly from
 any one triplet, so no information is lost before metric learning.
 
+:func:`encode` builds the triplets of one feature explicitly. The batched
+:func:`encode_map` returns only neighbor ids and distances: a direction is
+(f - m_j) / r_j, so the scale network's first layer can read it as
+(W f - W m_j) / r_j from the cell's features and the bank, and no
+(cells, 2k+1, D) direction block is ever built.
+
 Distances are normalized per modality by the mean nearest-prototype distance
 over the training foreground, so both modalities score in comparable units.
 """
@@ -28,6 +34,7 @@ __all__ = [
     "encode",
     "decode",
     "encode_map",
+    "inverse_distances",
     "fit_normalizer",
 ]
 
@@ -93,15 +100,18 @@ def decode(enc: GeometricEncoding, bank: MemoryBank, normalizer: DistanceNormali
 class MapEncoding:
     """Vectorized encoding of a whole feature map against one bank.
 
-    ``indices`` (H, W, n) prototype ids, ``directions`` (H, W, n, D) unit
-    offsets, ``distances`` (H, W, n) normalized distances, where
-    n = min(2k+1, bank size).
+    ``indices`` (H, W, n) prototype ids, ``distances`` (H, W, n) normalized
+    float32 distances and ``raw_distances`` (H, W, n) float64 distances in
+    feature units, where n = min(2k+1, bank size). Directions are not
+    stored: with the map's features and the bank, each one is
+    ``(f - prototypes[idx]) * inverse_distances(raw)``, and the scale
+    network reads them in that factored form.
     """
 
     modality: str
     indices: np.ndarray
-    directions: np.ndarray
     distances: np.ndarray
+    raw_distances: np.ndarray
     truncated: bool = False
 
     @property
@@ -109,23 +119,27 @@ class MapEncoding:
         return self.indices.shape[2]
 
 
+def inverse_distances(raw: np.ndarray) -> np.ndarray:
+    """Float64 ``1 / raw``, and 0 where the direction is degenerate (raw < eps)."""
+    raw = np.asarray(raw, dtype=np.float64)
+    out = np.zeros_like(raw)
+    live = raw >= DEGENERATE_EPS
+    out[live] = 1.0 / raw[live]
+    return out
+
+
 def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceNormalizer):
     h, w, d = fmap.data.shape
     if d != bank.dim:
         raise ShapeError(f"feature dim {d} != bank dim {bank.dim}")
-    flat = fmap.data.reshape(h * w, d)
-    idx, dist, truncated = query_neighbors_batch(bank, flat, k)
+    idx, dist, truncated = query_neighbors_batch(bank, fmap.data.reshape(h * w, d), k)
     n = idx.shape[1]
-    offsets = flat[:, None, :].astype(np.float64) - bank.prototypes[idx].astype(np.float64)
-    safe = np.maximum(dist, DEGENERATE_EPS)
-    directions = offsets / safe[:, :, None]
-    directions[dist < DEGENERATE_EPS] = 0.0
     mean = normalizer.mean_for(bank.modality)
     return MapEncoding(
         modality=bank.modality,
         indices=idx.reshape(h, w, n),
-        directions=directions.reshape(h, w, n, d).astype(np.float32),
         distances=(dist / mean).reshape(h, w, n).astype(np.float32),
+        raw_distances=dist.reshape(h, w, n),
         truncated=truncated,
     )
 

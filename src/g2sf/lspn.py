@@ -1,34 +1,55 @@
 """Local scale prediction network and the fused anisotropic metric.
 
-The network maps the concatenated prototypes of both modalities and the
-concatenated unit directions through two parallel MLP branches, fuses them,
-and emits a pair of scaling factors (w_pc, w_rgb) through exp(tanh(.)), so
-every factor lies in [1/e, e] and is symmetric around the Euclidean
-baseline w = 1. The metric for one (feature, neighbor-rank) pair is
+The network reads, for each (cell, neighbor-rank) row, the prototypes of
+both modalities and the unit directions from them to the cell's features.
+Two parallel MLP branches (prototypes, directions) are fused and emit a pair
+of scaling factors (w_pc, w_rgb) through exp(tanh(.)), so every factor lies
+in [1/e, e] and is symmetric around the Euclidean baseline w = 1. The metric
+for one (feature, neighbor-rank) pair is
 
     l = w_pc * s_pc * sigma_pc + w_rgb * s_rgb * sigma_rgb
 
 with trainable positive global scales sigma (stored as log sigma).
+
+Factored input layers. No row's joint-width prototype or direction vector
+(1920 wide at the paper's dims) is ever built. A row names its prototypes by id, and its directions by
+(cell, prototype id, 1/r): the encoding is seamless, f = m + r d, so
+W d = (W f - W m) / r. The first pre-activations are
+
+    prototype branch   T_pc[id_pc] + T_rgb[id_rgb] + b,          T_m = M_m W_m^T
+    direction branch   sum_m (A_m[cell] - B_m[id_m]) / r_m + b,   A_m = F_m W_m^T,
+                                                                   B_m = M_m W_m^T
+
+where M_m are the bank prototypes, F_m the cells' features and W_m the
+layer's columns for modality m. A row with r < DEGENERATE_EPS has 1/r = 0,
+so its direction term is zero, as a zero direction would give. A and B are
+float64 (at least): W f and W m nearly cancel when f sits close to its
+prototype, and dividing their float32 difference by a small r multiplies its
+rounding error by |f| / r (at r / |f| = 1e-6 that is a few percent of the
+pre-activation, against about 1e-10 in float64). The backward pass sums
+each row's first-layer gradient onto its cell and onto its prototype and
+forms the weight gradient as G_cell^T F - G_proto^T M, again in float64 for
+the direction branch. It never forms a gradient with respect to the inputs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
 from .errors import ConfigError, ShapeError
-from .geometry import GeometricEncoding
 
 __all__ = [
     "LspnConfig",
     "LspnModel",
-    "MetricValue",
+    "Directions",
+    "Sources",
     "init_model",
-    "lspn_forward",
+    "rank_rows",
     "forward_batch",
     "backward_batch",
-    "fused_metric",
     "metric_values",
     "parameters",
     "parameter_names",
@@ -128,8 +149,41 @@ def init_model(cfg: LspnConfig, seed: int) -> LspnModel:
 # ---------------------------------------------------------------------------
 
 
+class Directions(NamedTuple):
+    """Direction-branch inputs of R rows; each field is (R, 2), modality order
+    (pc, rgb). Row i's direction in modality m is
+    ``(features[m][cells[i, m]] - prototypes[m][anchors[i, m]]) * inv_r[i, m]``
+    with ``inv_r`` from :func:`g2sf.geometry.inverse_distances`."""
+
+    cells: np.ndarray
+    anchors: np.ndarray
+    inv_r: np.ndarray
+
+
+class Sources(NamedTuple):
+    """What row ids point into: (pc, rgb) pairs of bank prototypes (P_m, D_m)
+    and of cell features (C, D_m)."""
+
+    prototypes: tuple
+    features: tuple
+
+
+def rank_rows(ids: np.ndarray, inv_r: np.ndarray):
+    """(protos, :class:`Directions`) of every (cell, rank) row of C cells.
+
+    ``ids`` (C, n, 2) are neighbor prototype ids and ``inv_r`` (C, n, 2) the
+    inverse distances to them; rows run cell-major and cell ids are 0..C-1.
+    """
+    cells = np.broadcast_to(np.arange(ids.shape[0])[:, None, None], ids.shape)
+    protos = ids.reshape(-1, 2)
+    return protos, Directions(cells.reshape(-1, 2), protos, inv_r.reshape(-1, 2))
+
+
 @dataclass
 class _Cache:
+    protos: np.ndarray
+    dirs: Directions
+    sources: Sources
     proto: list
     direc: list
     fusion: list
@@ -137,63 +191,180 @@ class _Cache:
     final_pre: np.ndarray
 
 
-def _stack_forward(blocks, x, training, rng):
+# Elements of one float64 scratch block in the direction branch's first
+# layer: rows are processed a block at a time so the gathered table rows stay
+# in cache (256 KB), which runs the layer about three times faster than
+# whole-batch temporaries.
+_SCRATCH = 1 << 15
+
+
+def _columns(cfg: LspnConfig):
+    return slice(0, cfg.dim_pc), slice(cfg.dim_pc, cfg.joint_dim)
+
+
+def _table_dtype(dtype):
+    return np.promote_types(dtype, np.float64)
+
+
+def _segment_sum(ids: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, H) float64 sums of the rows of ``values`` that share an id.
+
+    One bincount over flattened ``id * H + column`` indices: it adds in row
+    order, so the sums are deterministic.
+    """
+    h = values.shape[1]
+    flat = (ids[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=size * h).reshape(size, h)
+
+
+def _proto_pre(model, protos, sources):
+    block = model.proto_branch[0]
+    dtype = block.weight.dtype
+    pre = None
+    for m, cols in enumerate(_columns(model.cfg)):
+        table = sources.prototypes[m].astype(dtype, copy=False) @ block.weight[:, cols].T
+        part = np.take(table, protos[:, m], axis=0)
+        pre = part if pre is None else np.add(pre, part, out=pre)
+    pre += block.bias
+    return pre
+
+
+def _direction_pre(model, dirs: Directions, sources):
+    block = model.dir_branch[0]
+    acc = _table_dtype(block.weight.dtype)
+    tables = []  # (A_m, B_m, 1/r) per modality
+    for m, cols in enumerate(_columns(model.cfg)):
+        weight = block.weight[:, cols].astype(acc)
+        tables.append((sources.features[m].astype(acc) @ weight.T,
+                       sources.prototypes[m].astype(acc) @ weight.T,
+                       np.ascontiguousarray(dirs.inv_r[:, m])))
+    rows = dirs.cells.shape[0]
+    pre = np.empty((rows, block.out_dim), block.weight.dtype)
+    step = max(1, _SCRATCH // block.out_dim)
+    for start in range(0, rows, step):
+        part = slice(start, start + step)
+        total = None
+        for m, (a, b, inv_r) in enumerate(tables):
+            term = np.take(a, dirs.cells[part, m], axis=0)
+            term -= np.take(b, dirs.anchors[part, m], axis=0)
+            term *= inv_r[part, None]
+            total = term if total is None else np.add(total, term, out=total)
+        pre[part] = total
+    pre += block.bias
+    return pre
+
+
+def _proto_first_backward(model, cache: _Cache, g):
+    block = model.proto_branch[0]
+    grad_w = np.empty_like(block.weight)
+    for m, cols in enumerate(_columns(model.cfg)):
+        protos = cache.sources.prototypes[m]
+        g_proto = _segment_sum(cache.protos[:, m], g, protos.shape[0])
+        grad_w[:, cols] = g_proto.T @ protos.astype(g_proto.dtype)
+    return grad_w, g.sum(axis=0)
+
+
+def _direction_first_backward(model, cache: _Cache, g):
+    block = model.dir_branch[0]
+    acc = _table_dtype(block.weight.dtype)
+    dirs, sources = cache.dirs, cache.sources
+    grad_w = np.empty_like(block.weight)
+    for m, cols in enumerate(_columns(model.cfg)):
+        protos, feats = sources.prototypes[m], sources.features[m]
+        g_row = g.astype(acc)
+        g_row *= np.ascontiguousarray(dirs.inv_r[:, m])[:, None]
+        g_cell = _segment_sum(dirs.cells[:, m], g_row, feats.shape[0])
+        g_proto = _segment_sum(dirs.anchors[:, m], g_row, protos.shape[0])
+        grad_w[:, cols] = g_cell.T @ feats.astype(acc) - g_proto.T @ protos.astype(acc)
+    return grad_w, g.sum(axis=0)
+
+
+def _stack_forward(blocks, x, training, rng, pre=None):
+    """Run ``blocks`` on input ``x``. A factored branch passes its first
+    pre-activation as ``pre`` instead (and ``x`` None). Caches (input,
+    pre-activation, dropout mask) per block only when training."""
     caches = []
     h = x
-    for block in blocks:
-        pre = nn.linear_forward(block, h)
-        act = nn.relu(pre)
-        out, mask = nn.dropout_forward(act, block.dropout_rate, rng, training)
-        caches.append((h, pre, mask))
+    for i, block in enumerate(blocks):
+        if i or pre is None:
+            pre = nn.linear_forward(block, h)
+        out, mask = nn.dropout_forward(nn.relu(pre), block.dropout_rate, rng, training)
+        if training:
+            caches.append((h, pre, mask))
         h = out
     return h, caches
 
 
 def _stack_backward(blocks, caches, grad):
-    grads = [None] * len(blocks)
+    """Backpropagate through ``blocks`` down to the first pre-activation.
+
+    Returns (gradient of the first pre-activation, [(grad_w, grad_b)] of
+    blocks[1:])."""
+    grads = []
     for i in range(len(blocks) - 1, -1, -1):
         x, pre, mask = caches[i]
-        g = nn.dropout_backward(mask, grad)
-        g = nn.relu_backward(pre, g)
+        g = nn.relu_backward(pre, nn.dropout_backward(mask, grad))
+        if i == 0:
+            return g, grads[::-1]
         grad, gw, gb = nn.linear_backward(blocks[i], x, g)
-        grads[i] = (gw, gb)
-    return grad, grads
+        grads.append((gw, gb))
 
 
-def forward_batch(model: LspnModel, protos: np.ndarray, dirs: np.ndarray,
+def _check_inputs(model: LspnModel, protos, dirs: Directions, sources: Sources):
+    rows = protos.shape[0]
+    if protos.ndim != 2 or protos.shape[1] != 2:
+        raise ShapeError(f"protos must be (rows, 2) prototype ids, got {protos.shape}")
+    for name, arr in zip(Directions._fields, dirs):
+        if np.shape(arr) != (rows, 2):
+            raise ShapeError(f"dirs.{name} has shape {np.shape(arr)}, expected ({rows}, 2)")
+    dims = (model.cfg.dim_pc, model.cfg.dim_rgb)
+    for kind, pair in zip(Sources._fields, sources):
+        got = tuple(np.shape(a)[1] if np.ndim(a) == 2 else None for a in pair)
+        if got != dims:
+            raise ShapeError(f"{kind} widths {got} != model dims {dims}")
+
+
+def forward_batch(model: LspnModel, protos: np.ndarray, dirs: Directions, sources: Sources,
                   training: bool = False, rng=None):
-    """Scaling factors for a batch: returns (w (B, 2), cache).
+    """Scaling factors for R rows: returns (w (R, 2), cache).
 
-    ``protos`` rows are concat(m_pc, m_rgb), ``dirs`` rows concat(d_pc, d_rgb).
+    ``protos`` (R, 2) holds each row's (pc, rgb) prototype ids into
+    ``sources.prototypes``; ``dirs`` names each row's directions. With
+    ``training`` dropout is active (when the rate is nonzero) and the cache
+    for :func:`backward_batch` is kept; otherwise the cache is None.
     """
-    protos = np.atleast_2d(protos)
-    dirs = np.atleast_2d(dirs)
-    if protos.shape[1] != model.cfg.joint_dim or dirs.shape[1] != model.cfg.joint_dim:
-        raise ShapeError(
-            f"expected joint width {model.cfg.joint_dim}, got "
-            f"{protos.shape[1]} (protos) / {dirs.shape[1]} (dirs)"
-        )
-    if protos.shape[0] != dirs.shape[0]:
-        raise ShapeError("protos and dirs must have matching batch sizes")
-    p_out, p_cache = _stack_forward(model.proto_branch, protos, training, rng)
-    d_out, d_cache = _stack_forward(model.dir_branch, dirs, training, rng)
+    protos = np.asarray(protos)
+    _check_inputs(model, protos, dirs, sources)
+    p_out, p_cache = _stack_forward(model.proto_branch, None, training, rng,
+                                    pre=_proto_pre(model, protos, sources))
+    d_out, d_cache = _stack_forward(model.dir_branch, None, training, rng,
+                                    pre=_direction_pre(model, dirs, sources))
     h = np.concatenate([p_out, d_out], axis=1)
+    del p_out, d_out
     f_out, f_cache = _stack_forward(model.fusion_head[:-1], h, training, rng)
-    final = model.fusion_head[-1]
-    pre = nn.linear_forward(final, f_out)
+    pre = nn.linear_forward(model.fusion_head[-1], f_out)
     w = nn.exp_tanh(pre)
-    return w, _Cache(p_cache, d_cache, f_cache, f_out, pre)
+    if not training:
+        return w, None
+    return w, _Cache(protos, dirs, sources, p_cache, d_cache, f_cache, f_out, pre)
 
 
 def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
     """Backpropagate dLoss/dw; returns gradients aligned with :func:`parameters`
     (network parameters only; sigma gradients are chained by the caller)."""
+    if cache is None:
+        raise ConfigError("backward_batch needs the cache of a training-mode forward")
     g = nn.exp_tanh_backward(cache.final_pre, grad_w)
     grad_h, gw_final, gb_final = nn.linear_backward(model.fusion_head[-1], cache.final_input, g)
-    grad_h, fusion_grads = _stack_backward(model.fusion_head[:-1], cache.fusion, grad_h)
+    hidden = model.fusion_head[:-1]
+    g_first, fusion_grads = _stack_backward(hidden, cache.fusion, grad_h)
+    grad_h, gw, gb = nn.linear_backward(hidden[0], cache.fusion[0][0], g_first)
+    fusion_grads = [(gw, gb)] + fusion_grads
     split = model.proto_branch[-1].out_dim
-    _, proto_grads = _stack_backward(model.proto_branch, cache.proto, grad_h[:, :split])
-    _, dir_grads = _stack_backward(model.dir_branch, cache.direc, grad_h[:, split:])
+    g_first, proto_grads = _stack_backward(model.proto_branch, cache.proto, grad_h[:, :split])
+    proto_grads = [_proto_first_backward(model, cache, g_first)] + proto_grads
+    g_first, dir_grads = _stack_backward(model.dir_branch, cache.direc, grad_h[:, split:])
+    dir_grads = [_direction_first_backward(model, cache, g_first)] + dir_grads
     out = []
     for gw, gb in proto_grads + dir_grads + fusion_grads:
         out.extend((gw, gb))
@@ -201,40 +372,14 @@ def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
     return out
 
 
-def lspn_forward(model: LspnModel, m_pc, m_rgb, d_pc, d_rgb, training=False, rng=None):
-    """Single-pair convenience wrapper; returns (w_pc, w_rgb) floats."""
-    protos = np.concatenate([np.asarray(m_pc), np.asarray(m_rgb)])[None, :]
-    dirs = np.concatenate([np.asarray(d_pc), np.asarray(d_rgb)])[None, :]
-    w, _ = forward_batch(model, protos, dirs, training=training, rng=rng)
-    return float(w[0, 0]), float(w[0, 1])
-
-
 # ---------------------------------------------------------------------------
 # Fused metric
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MetricValue:
-    l: float
-    w_pc: float
-    w_rgb: float
-    s_pc: float
-    s_rgb: float
-
-
 def metric_values(w: np.ndarray, s: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Batched metric: (w * s * sigma).sum over the modality axis (last)."""
     return (w * s * sigma).sum(axis=-1)
-
-
-def fused_metric(model: LspnModel, enc_pc: GeometricEncoding, enc_rgb: GeometricEncoding,
-                 banks: dict) -> MetricValue:
-    m_pc = banks["pc"].prototypes[enc_pc.prototype_idx]
-    m_rgb = banks["rgb"].prototypes[enc_rgb.prototype_idx]
-    w_pc, w_rgb = lspn_forward(model, m_pc, m_rgb, enc_pc.direction, enc_rgb.direction)
-    l = w_pc * enc_pc.distance * model.sigma_pc + w_rgb * enc_rgb.distance * model.sigma_rgb
-    return MetricValue(float(l), w_pc, w_rgb, enc_pc.distance, enc_rgb.distance)
 
 
 # ---------------------------------------------------------------------------

@@ -112,14 +112,15 @@ def exp_tanh_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def dropout_forward(x, rate, rng=None, training=False):
     """Inverted dropout: zero entries w.p. ``rate``, scale survivors by 1/(1-rate).
 
-    At inference (``training=False``) this is the identity with an all-ones
-    mask, so deployed forwards need no rescaling.
+    At inference (``training=False``) and at rate 0 this is the identity and
+    the mask is None: nothing is drawn and nothing is allocated, so deployed
+    forwards need no rescaling.
     """
     x = np.asarray(x)
     if not (0.0 <= rate <= 1.0):
         raise ConfigError(f"dropout rate {rate} outside [0, 1]")
     if not training or rate == 0.0:
-        return x, np.ones_like(x)
+        return x, None
     if rate >= 1.0:
         raise ConfigError("dropout rate 1.0 would zero every activation")
     if rng is None:
@@ -129,8 +130,8 @@ def dropout_forward(x, rate, rng=None, training=False):
     return x * mask, mask
 
 
-def dropout_backward(mask: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * mask
+def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
+    return grad_out if mask is None else grad_out * mask
 
 
 @dataclass

@@ -18,11 +18,11 @@ from scipy.ndimage import gaussian_filter
 from . import lspn as lspn_mod
 from .errors import ConfigError, ShapeError
 from .features import SamplePair
-from .geometry import encode_map
+from .geometry import encode_map, inverse_distances
 
 AGGREGATIONS = ("min", "max", "mean", "first")
 
-__all__ = ["ScoreMap", "AGGREGATIONS", "score_cell", "score_sample", "sample_maps",
+__all__ = ["ScoreMap", "AGGREGATIONS", "score_sample", "sample_maps",
            "bilinear_upsample", "gaussian_smooth", "upsample_smooth"]
 
 
@@ -46,26 +46,7 @@ def _aggregate(l: np.ndarray, agg: str) -> np.ndarray:
     raise ConfigError(f"unknown aggregation {agg!r}; choose from {AGGREGATIONS}")
 
 
-def score_cell(model, encodings_pc, encodings_rgb, k: int, banks, foreground=True) -> float:
-    """Min over ranks 0..k of the fused metric for one cell.
-
-    ``encodings_*`` are the per-rank :class:`~g2sf.geometry.GeometricEncoding`
-    lists of the cell; background cells use the unit-scale bypass.
-    """
-    if len(encodings_pc) < k + 1 or len(encodings_rgb) < k + 1:
-        raise ShapeError(f"need encodings for ranks 0..{k}, got "
-                         f"{len(encodings_pc)}/{len(encodings_rgb)}")
-    values = []
-    for j in range(k + 1):
-        e_pc, e_rgb = encodings_pc[j], encodings_rgb[j]
-        if foreground:
-            values.append(lspn_mod.fused_metric(model, e_pc, e_rgb, banks).l)
-        else:
-            values.append(e_pc.distance * model.sigma_pc + e_rgb.distance * model.sigma_rgb)
-    return float(min(values))
-
-
-def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int, chunk=8192):
+def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int):
     """Fused metric values l (H, W, k+1) for every cell, plus the rank-0
     scale factors (H, W, 2) and normalized distances (H, W, k+1, 2)."""
     enc_pc = encode_map(pair.pc, banks["pc"], k, normalizer)
@@ -83,19 +64,16 @@ def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int, chunk=8192)
     w_factors = np.ones((h * w, n_use, 2))
     rows = np.flatnonzero(fg)
     if rows.size:
-        m_pc = banks["pc"].prototypes[enc_pc.indices.reshape(h * w, -1)[rows, :n_use]]
-        m_rgb = banks["rgb"].prototypes[enc_rgb.indices.reshape(h * w, -1)[rows, :n_use]]
-        d_pc = enc_pc.directions.reshape(h * w, enc_pc.n_neighbors, -1)[rows, :n_use]
-        d_rgb = enc_rgb.directions.reshape(h * w, enc_rgb.n_neighbors, -1)[rows, :n_use]
-        protos = np.concatenate([m_pc, m_rgb], axis=2).reshape(rows.size * n_use, -1)
-        dirs = np.concatenate([d_pc, d_rgb], axis=2).reshape(rows.size * n_use, -1)
-        outs = []
-        for start in range(0, protos.shape[0], chunk):
-            w_chunk, _ = lspn_mod.forward_batch(
-                model, protos[start : start + chunk], dirs[start : start + chunk]
-            )
-            outs.append(w_chunk.astype(np.float64))
-        w_factors[rows] = np.concatenate(outs).reshape(rows.size, n_use, 2)
+        encs = (enc_pc, enc_rgb)
+        ids = np.stack([e.indices.reshape(h * w, -1)[rows, :n_use] for e in encs], axis=2)
+        raw = np.stack([e.raw_distances.reshape(h * w, -1)[rows, :n_use] for e in encs],
+                       axis=2)
+        protos, dirs = lspn_mod.rank_rows(ids, inverse_distances(raw))
+        sources = lspn_mod.Sources(
+            (banks["pc"].prototypes, banks["rgb"].prototypes),
+            tuple(f.data.reshape(h * w, -1)[rows] for f in (pair.pc, pair.rgb)))
+        w_rows, _ = lspn_mod.forward_batch(model, protos, dirs, sources)
+        w_factors[rows] = w_rows.reshape(rows.size, n_use, 2)
 
     l = lspn_mod.metric_values(w_factors, s, sigma)
     return (

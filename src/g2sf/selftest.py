@@ -3,9 +3,10 @@
 Each check returns (name, passed, detail). The oracles here deliberately
 avoid the production code paths they validate: AUPRO is recomputed per
 threshold from scratch with a hand-rolled component labeler, the coreset
-bound is verified against exhaustive subset enumeration, and gradients are
-compared against central finite differences evaluated above the precision
-of the gradients under test.
+bound is verified against exhaustive subset enumeration, and the gradients
+of the trainer's own objective (:func:`g2sf.trainer.batch_objective`, so the
+factored production path) are compared against central finite differences
+evaluated above the precision of the gradients under test.
 """
 from __future__ import annotations
 
@@ -17,10 +18,13 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import lspn as lspn_mod
-from .bank import build_bank, covering_radius
+from .bank import MemoryBank, build_bank, covering_radius
+from .features import FeatureMap, SamplePair
+from .geometry import fit_normalizer
 from .losses import LossBatch, LossConfig
 from .nn import backprop_check
-from .trainer import NegativeBatch, _sattolo
+from .synthesis import TrainingPool, pool_from_samples
+from .trainer import NegativeBatch, _sattolo, batch_objective, scale_factors
 
 __all__ = [
     "aupro_bruteforce",
@@ -106,72 +110,43 @@ def aupro_bruteforce(score_maps, gt_masks, limit):
 
 @dataclass
 class GradCheckProblem:
-    """A frozen random batch plus fixed negatives and margin bounds."""
+    """A frozen batch in the trainer's own form: random banks, a one-sample
+    pool of cell features with their neighbor ids and raw distances, fixed
+    negatives, and margin bounds once frozen."""
 
     lspn_cfg: lspn_mod.LspnConfig
     loss_cfg: LossConfig
     seed: int
-    y: np.ndarray
-    m_pc: np.ndarray
-    m_rgb: np.ndarray
-    d_pc: np.ndarray
-    d_rgb: np.ndarray
-    s: np.ndarray          # (B, n, 2) sorted per modality
+    banks: dict
+    pool: TrainingPool
     neg: NegativeBatch
     margin: tuple | None = None
 
 
 def build_gradcheck_problem(batch=8, k=5, dims=(8, 8), widths=((8, 8), (8,)),
                             seed=0) -> GradCheckProblem:
+    """Cells alternate normal / anomalous; cell 0's pc feature is a bank
+    member, so one rank-0 direction is degenerate (zero)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x6C]))
-    n = 2 * k + 1
-    d_pc, d_rgb = dims
-
-    def unit(shape):
-        v = rng.standard_normal(shape)
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
-    s = np.sort(rng.uniform(0.3, 2.0, size=(batch, n, 2)), axis=1)
+    n_protos = 2 * k + 5
+    banks, maps = {}, {}
+    for modality, dim in zip(("pc", "rgb"), dims):
+        banks[modality] = MemoryBank(
+            modality, rng.standard_normal((n_protos, dim)).astype(np.float32))
+        maps[modality] = FeatureMap(
+            modality, rng.standard_normal((1, batch, dim)).astype(np.float32))
+    maps["pc"].data[0, 0] = banks["pc"].prototypes[0]
+    pair = SamplePair("gradcheck", maps["pc"], maps["rgb"])
     y = np.arange(batch) % 2
+    pool = pool_from_samples([(pair, y.reshape(1, batch).astype(bool))], banks,
+                             fit_normalizer([pair], banks), k)
     normals = np.flatnonzero(y == 0)
     perm = _sattolo(normals.size, rng)
     neg = NegativeBatch(normals, normals[perm], rng.integers(0, 2, normals.size))
-    lspn_cfg = lspn_mod.LspnConfig(dim_pc=d_pc, dim_rgb=d_rgb, branch_widths=widths[0],
+    lspn_cfg = lspn_mod.LspnConfig(dim_pc=dims[0], dim_rgb=dims[1], branch_widths=widths[0],
                                    fusion_widths=widths[1], dropout=0.0)
-    loss_cfg = LossConfig(k=k, m0=2.0 * float(s[:, 0, :].max()))
-    return GradCheckProblem(
-        lspn_cfg=lspn_cfg,
-        loss_cfg=loss_cfg,
-        seed=seed,
-        y=y,
-        m_pc=rng.standard_normal((batch, n, d_pc)).astype(np.float32),
-        m_rgb=rng.standard_normal((batch, n, d_rgb)).astype(np.float32),
-        d_pc=unit((batch, n, d_pc)).astype(np.float32),
-        d_rgb=unit((batch, n, d_rgb)).astype(np.float32),
-        s=s,
-        neg=neg,
-    )
-
-
-def _problem_rows(problem: GradCheckProblem, dtype):
-    b, n = problem.y.shape[0], problem.s.shape[1]
-    protos = np.concatenate([problem.m_pc, problem.m_rgb], axis=2)
-    dirs = np.concatenate([problem.d_pc, problem.d_rgb], axis=2)
-    pos_p = protos.reshape(b * n, -1).astype(dtype)
-    pos_d = dirs.reshape(b * n, -1).astype(dtype)
-    neg = problem.neg
-    m_rgb0 = problem.m_rgb[:, 0]
-    d_rgb0 = problem.d_rgb[:, 0]
-    proto_swap = (neg.kinds == 0)[:, None]
-    neg_p = np.concatenate(
-        [problem.m_pc[neg.rows, 0],
-         np.where(proto_swap, m_rgb0[neg.partners], m_rgb0[neg.rows])], axis=1
-    ).astype(dtype)
-    neg_d = np.concatenate(
-        [problem.d_pc[neg.rows, 0],
-         np.where(~proto_swap, d_rgb0[neg.partners], d_rgb0[neg.rows])], axis=1
-    ).astype(dtype)
-    return np.concatenate([pos_p, neg_p]), np.concatenate([pos_d, neg_d]), b * n
+    loss_cfg = LossConfig(k=k, m0=losses_mod.compute_m0(pool.s0()))
+    return GradCheckProblem(lspn_cfg, loss_cfg, seed, banks, pool, neg)
 
 
 def _model_from_params(problem: GradCheckProblem, values):
@@ -183,38 +158,10 @@ def _model_from_params(problem: GradCheckProblem, values):
 
 
 def _objective(model, problem: GradCheckProblem, want_grads: bool):
-    dtype = model.log_sigma.dtype
-    all_p, all_d, n_pos = _problem_rows(problem, dtype)
-    b, n = problem.y.shape[0], problem.s.shape[1]
-    w_all, cache = lspn_mod.forward_batch(model, all_p, all_d)
-    w = w_all[:n_pos].reshape(b, n, 2)
-    w_neg = w_all[n_pos:]
-    sigma = np.exp(model.log_sigma)
-    s = problem.s.astype(dtype)
-    l = lspn_mod.metric_values(w, s, sigma)
-    batch = LossBatch(y=problem.y, l=l, s=s, w0=w[:, 0, :])
-    margin = problem.margin
-    if margin is None:
-        margin = losses_mod.margin_bounds(batch)
-    if not want_grads:
-        value, _ = losses_mod.total_loss(batch, w_neg, problem.loss_cfg, model, margin)
-        return value
-    value, parts, dl, dw0, dneg = losses_mod.total_loss_with_grads(
-        batch, w_neg, problem.loss_cfg, model, margin
-    )
-    grad_w = dl[:, :, None] * s * sigma
-    grad_w[:, 0, :] += dw0
-    grad_rows = np.concatenate([grad_w.reshape(n_pos, 2), dneg], axis=0)
-    grads = lspn_mod.backward_batch(model, cache, grad_rows.astype(dtype))
-    for g, p, is_weight in zip(grads, lspn_mod.parameters(model),
-                               lspn_mod.weight_flags(model)):
-        if is_weight and problem.loss_cfg.l1_weight > 0:
-            g += problem.loss_cfg.l1_weight * np.sign(p)
-    d_log_sigma = (dl[:, :, None] * np.asarray(w, dtype=np.float64)
-                   * np.asarray(s, dtype=np.float64)).sum(axis=(0, 1)) * \
-        np.asarray(sigma, dtype=np.float64)
-    grads.append(d_log_sigma.astype(dtype))
-    return value, grads, margin
+    value, _, margin, grads = batch_objective(
+        model, problem.pool, problem.banks, problem.pool.train_indices, problem.neg,
+        problem.loss_cfg, margin=problem.margin, grads=want_grads)
+    return (value, grads, margin) if want_grads else value
 
 
 def objective_value(problem: GradCheckProblem, values):
@@ -338,12 +285,10 @@ def _check_checkpoint(path):
         ckpt = load_checkpoint(path)
     except Exception as exc:  # surfaced as a named failure, not a crash
         return False, f"unloadable checkpoint: {exc}"
-    rng = np.random.default_rng(0)
-    joint = ckpt.model.cfg.joint_dim
-    protos = rng.standard_normal((32, joint)).astype(np.float32)
-    dirs = rng.standard_normal((32, joint)).astype(np.float32)
-    a, _ = lspn_mod.forward_batch(ckpt.model, protos, dirs)
-    b, _ = lspn_mod.forward_batch(ckpt.model, protos, dirs)
+    cfg = ckpt.model.cfg
+    probe = build_gradcheck_problem(batch=32, dims=(cfg.dim_pc, cfg.dim_rgb))
+    a = scale_factors(ckpt.model, probe.pool, probe.banks, probe.pool.train_indices)
+    b = scale_factors(ckpt.model, probe.pool, probe.banks, probe.pool.train_indices)
     if a.tobytes() != b.tobytes():
         return False, "forward pass not deterministic"
     if a.min() < np.exp(-1) - 1e-6 or a.max() > math.e + 1e-6:

@@ -209,18 +209,25 @@ def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):
 class TrainingPool:
     """Precomputed per-cell encodings for LSPN training.
 
-    Arrays are indexed by pooled cell; ``n`` is 2k+1 neighbor ranks. The
-    train/validation split is by source-sample parity so both halves carry
-    mixed labels.
+    Arrays are indexed by pooled cell; ``n`` is 2k+1 neighbor ranks. Each
+    cell keeps its raw features once, not one direction per rank: with the
+    banks, neighbor ids and raw distances, the scale network reads every
+    direction (f - m) / r in factored form (see :mod:`g2sf.lspn`). At the
+    built-in defaults (48 augmented 56x56 samples, 1152 + 768 dims) that is
+    about 1.2 GB of features where per-rank directions took about 12 GB.
+    The train/validation split is by source-sample parity so both halves
+    carry mixed labels.
     """
 
     k: int
     y: np.ndarray          # (N,) uint8 labels
-    idx_pc: np.ndarray     # (N, n) prototype ids
-    dir_pc: np.ndarray     # (N, n, D_pc) unit directions
+    feat_pc: np.ndarray    # (N, D_pc) float32 cell features
+    idx_pc: np.ndarray     # (N, n) prototype ids, nearest first
+    r_pc: np.ndarray       # (N, n) float64 raw distances
     s_pc: np.ndarray       # (N, n) normalized distances
+    feat_rgb: np.ndarray
     idx_rgb: np.ndarray
-    dir_rgb: np.ndarray
+    r_rgb: np.ndarray
     s_rgb: np.ndarray
     sample_index: np.ndarray  # (N,) source augmented-sample index
     positions: np.ndarray     # (N, 2) grid row/col
@@ -242,45 +249,48 @@ class TrainingPool:
 
 def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> TrainingPool:
     """Encode every foreground cell of each (SamplePair, labels) item."""
-    rows = {key: [] for key in
-            ("y", "idx_pc", "dir_pc", "s_pc", "idx_rgb", "dir_rgb", "s_rgb", "si", "pos")}
+    rows = {key: [] for key in ("y", "si", "pos")}
+    for modality in ("pc", "rgb"):
+        rows.update({f"{key}_{modality}": [] for key in ("feat", "idx", "r", "s")})
     for sample_idx, (pair, labels) in enumerate(samples_with_labels):
         fg = pair.foreground
         if not fg.any():
             raise EmptyBankError(f"sample {pair.sample_id} has no foreground cells")
-        enc_pc = encode_map(pair.pc, banks["pc"], k, normalizer)
-        enc_rgb = encode_map(pair.rgb, banks["rgb"], k, normalizer)
-        if enc_pc.n_neighbors != 2 * k + 1 or enc_rgb.n_neighbors != 2 * k + 1:
+        enc = {m: encode_map(getattr(pair, m), banks[m], k, normalizer) for m in ("pc", "rgb")}
+        if enc["pc"].n_neighbors != 2 * k + 1 or enc["rgb"].n_neighbors != 2 * k + 1:
             raise EmptyBankError(
                 f"banks too small for 2k+1={2 * k + 1} neighbors "
-                f"(pc {enc_pc.n_neighbors}, rgb {enc_rgb.n_neighbors})"
+                f"(pc {enc['pc'].n_neighbors}, rgb {enc['rgb'].n_neighbors})"
             )
         labels = np.asarray(labels, dtype=bool)
         sel = fg.reshape(-1)
-        pos = np.argwhere(fg)
+        n = 2 * k + 1
         rows["y"].append(labels.reshape(-1)[sel].astype(np.uint8))
-        rows["idx_pc"].append(enc_pc.indices.reshape(-1, enc_pc.n_neighbors)[sel])
-        rows["dir_pc"].append(enc_pc.directions.reshape(-1, enc_pc.n_neighbors, pair.pc.dim)[sel])
-        rows["s_pc"].append(enc_pc.distances.reshape(-1, enc_pc.n_neighbors)[sel])
-        rows["idx_rgb"].append(enc_rgb.indices.reshape(-1, enc_rgb.n_neighbors)[sel])
-        rows["dir_rgb"].append(enc_rgb.directions.reshape(-1, enc_rgb.n_neighbors, pair.rgb.dim)[sel])
-        rows["s_rgb"].append(enc_rgb.distances.reshape(-1, enc_rgb.n_neighbors)[sel])
+        for m in ("pc", "rgb"):
+            fmap = getattr(pair, m)
+            rows[f"feat_{m}"].append(fmap.data.reshape(-1, fmap.dim)[sel])
+            rows[f"idx_{m}"].append(enc[m].indices.reshape(-1, n)[sel])
+            rows[f"r_{m}"].append(enc[m].raw_distances.reshape(-1, n)[sel])
+            rows[f"s_{m}"].append(enc[m].distances.reshape(-1, n)[sel])
         rows["si"].append(np.full(sel.sum(), sample_idx, dtype=np.int64))
-        rows["pos"].append(pos)
+        rows["pos"].append(np.argwhere(fg))
     sample_index = np.concatenate(rows["si"])
     train_mask = (sample_index % 2) == 0
     indices = np.arange(sample_index.shape[0])
+    cat = {key: np.concatenate(parts) for key, parts in rows.items()}
     return TrainingPool(
         k=k,
-        y=np.concatenate(rows["y"]),
-        idx_pc=np.concatenate(rows["idx_pc"]),
-        dir_pc=np.concatenate(rows["dir_pc"]),
-        s_pc=np.concatenate(rows["s_pc"]).astype(np.float64),
-        idx_rgb=np.concatenate(rows["idx_rgb"]),
-        dir_rgb=np.concatenate(rows["dir_rgb"]),
-        s_rgb=np.concatenate(rows["s_rgb"]).astype(np.float64),
+        y=cat["y"],
+        feat_pc=cat["feat_pc"],
+        idx_pc=cat["idx_pc"],
+        r_pc=cat["r_pc"],
+        s_pc=cat["s_pc"].astype(np.float64),
+        feat_rgb=cat["feat_rgb"],
+        idx_rgb=cat["idx_rgb"],
+        r_rgb=cat["r_rgb"],
+        s_rgb=cat["s_rgb"].astype(np.float64),
         sample_index=sample_index,
-        positions=np.concatenate(rows["pos"]),
+        positions=cat["pos"],
         train_indices=indices[train_mask],
         val_indices=indices[~train_mask],
     )

@@ -6,6 +6,15 @@ log-sigma globals at their own higher rate. Banks, the distance normalizer
 and the m0 threshold are frozen preprocessing: no optimizer step touches
 them. The loop is single-threaded and fully deterministic under a fixed
 seed.
+
+A batch is a set of pooled cells. :func:`batch_rows` turns it into the
+network's factored inputs (every neighbor rank of each cell, then the
+cross-modal negatives, which swap the rgb (cell, prototype) pair rather than
+copying feature rows), and :func:`batch_objective` is the one objective:
+forward, the five losses, and the chain rule down to every parameter. The
+training step, validation and the gradient check in :mod:`g2sf.selftest` all
+call it. A step's cache and gradients are released before validation, and
+validation keeps no training state.
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ import numpy as np
 from . import losses as losses_mod
 from . import lspn as lspn_mod
 from .errors import ConfigError, DivergenceError
-from .geometry import DistanceNormalizer
+from .geometry import DistanceNormalizer, inverse_distances
 from .nn import Adam, LinearBlock
 from .synthesis import TrainingPool
 from .tensorio import read_tensor, write_tensor
@@ -30,6 +39,9 @@ __all__ = [
     "Checkpoint",
     "NegativeBatch",
     "make_negatives",
+    "batch_rows",
+    "batch_objective",
+    "scale_factors",
     "train",
     "save_checkpoint",
     "load_checkpoint",
@@ -113,59 +125,84 @@ def make_negatives(y: np.ndarray, rng) -> NegativeBatch:
     return NegativeBatch(normal_rows, normal_rows[perm], kinds)
 
 
-def _batch_inputs(pool: TrainingPool, banks, rows):
-    """Gather concatenated prototype and direction inputs for batch rows."""
-    m_pc = banks["pc"].prototypes[pool.idx_pc[rows]]
-    m_rgb = banks["rgb"].prototypes[pool.idx_rgb[rows]]
-    protos = np.concatenate([m_pc, m_rgb], axis=2)
-    dirs = np.concatenate([pool.dir_pc[rows], pool.dir_rgb[rows]], axis=2)
-    n = pool.n_neighbors
-    joint = protos.shape[2]
-    return protos.reshape(-1, joint), dirs.reshape(-1, joint), n
+def batch_rows(pool: TrainingPool, banks, rows, neg: NegativeBatch | None = None):
+    """Network inputs of pooled cells ``rows``: every neighbor rank of each
+    cell, then one rank-0 row per negative with its rgb half taken from the
+    partner cell (the prototype for kind 0, the direction for kind 1).
 
-
-def _negative_inputs(pool: TrainingPool, banks, rows, neg: NegativeBatch):
-    """Rank-0 inputs with the rgb half swapped in from the partner rows."""
-    own = rows[neg.rows]
-    partner = rows[neg.partners]
-    m_pc = banks["pc"].prototypes[pool.idx_pc[own, 0]]
-    d_pc = pool.dir_pc[own, 0]
-    m_rgb_own = banks["rgb"].prototypes[pool.idx_rgb[own, 0]]
-    d_rgb_own = pool.dir_rgb[own, 0]
-    m_rgb_alt = banks["rgb"].prototypes[pool.idx_rgb[partner, 0]]
-    d_rgb_alt = pool.dir_rgb[partner, 0]
-    proto_swap = (neg.kinds == 0)[:, None]
-    m_rgb = np.where(proto_swap, m_rgb_alt, m_rgb_own)
-    d_rgb = np.where(~proto_swap, d_rgb_alt, d_rgb_own)
-    return np.concatenate([m_pc, m_rgb], axis=1), np.concatenate([d_pc, d_rgb], axis=1)
-
-
-def _forward_rows(model, pool, banks, rows, neg, training, rng):
-    """Joint forward over batch positives (all ranks) and negatives (rank 0)."""
-    protos, dirs, n = _batch_inputs(pool, banks, rows)
-    n_pos = protos.shape[0]
+    Returns (protos (R, 2), :class:`~g2sf.lspn.Directions`,
+    :class:`~g2sf.lspn.Sources`, number of positive rows). Cell ids are
+    positions in ``rows``, whose features are the only ones gathered.
+    """
+    rows = np.asarray(rows)
+    b, n = rows.size, pool.n_neighbors
+    ids = np.stack([pool.idx_pc[rows], pool.idx_rgb[rows]], axis=2)
+    inv_r = np.stack([inverse_distances(pool.r_pc[rows]),
+                      inverse_distances(pool.r_rgb[rows])], axis=2)
+    protos, dirs = lspn_mod.rank_rows(ids, inv_r)
     if neg is not None and len(neg):
-        neg_p, neg_d = _negative_inputs(pool, banks, rows, neg)
-        protos = np.concatenate([protos, neg_p.astype(protos.dtype)], axis=0)
-        dirs = np.concatenate([dirs, neg_d.astype(dirs.dtype)], axis=0)
-    w_all, cache = lspn_mod.forward_batch(model, protos, dirs, training=training, rng=rng)
-    w = w_all[:n_pos].astype(np.float64).reshape(len(rows), n, 2)
-    w_neg = w_all[n_pos:].astype(np.float64)
-    return w, w_neg, cache, n_pos
+        own, partner = neg.rows, neg.partners
+        proto_swap = neg.kinds == 0
+        neg_protos = ids[own, 0].copy()
+        neg_protos[proto_swap, 1] = ids[partner[proto_swap], 0, 1]
+        rgb = np.where(proto_swap, own, partner)  # whose rgb direction the row reads
+        neg_dirs = (np.stack([own, rgb], axis=1),
+                    np.stack([ids[own, 0, 0], ids[rgb, 0, 1]], axis=1),
+                    np.stack([inv_r[own, 0, 0], inv_r[rgb, 0, 1]], axis=1))
+        protos = np.concatenate([protos, neg_protos])
+        dirs = lspn_mod.Directions(*map(np.concatenate, zip(dirs, neg_dirs)))
+    sources = lspn_mod.Sources((banks["pc"].prototypes, banks["rgb"].prototypes),
+                               (pool.feat_pc[rows], pool.feat_rgb[rows]))
+    return protos, dirs, sources, b * n
 
 
-def _metric_batch(pool, rows, w, sigma):
-    s = np.stack([pool.s_pc[rows], pool.s_rgb[rows]], axis=2)
-    l = lspn_mod.metric_values(w, s, sigma)
-    return s, l
+def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
+                    margin=None, grads=False, rng=None):
+    """The training objective on pooled cells ``rows`` plus negatives ``neg``.
+
+    Returns (value, parts, margin, gradients). With ``grads`` the forward runs
+    in training mode (dropout from ``rng`` when the model has any) and the
+    gradients are aligned with :func:`g2sf.lspn.parameters`: network
+    gradients from the loss, the L1 sign term on weight matrices, and
+    dLoss/dlog sigma last. Without ``grads`` the last item is None. The loss
+    runs in float64 or wider; ``margin`` None takes the batch's own bounds.
+    """
+    protos, dirs, sources, n_pos = batch_rows(pool, banks, rows, neg)
+    w_all, cache = lspn_mod.forward_batch(model, protos, dirs, sources, training=grads, rng=rng)
+    dtype = model.log_sigma.dtype
+    acc = np.promote_types(dtype, np.float64)
+    w = w_all[:n_pos].astype(acc).reshape(len(rows), pool.n_neighbors, 2)
+    w_neg = w_all[n_pos:].astype(acc)
+    sigma = np.exp(model.log_sigma).astype(acc)
+    s = np.stack([pool.s_pc[rows], pool.s_rgb[rows]], axis=2).astype(acc)
+    batch = losses_mod.LossBatch(y=pool.y[rows], l=lspn_mod.metric_values(w, s, sigma),
+                                 s=s, w0=w[:, 0, :])
+    if margin is None:
+        margin = losses_mod.margin_bounds(batch)
+    if not grads:
+        value, parts = losses_mod.total_loss(batch, w_neg, loss_cfg, model, margin)
+        return value, parts, margin, None
+    value, parts, dl, dw0, dneg = losses_mod.total_loss_with_grads(
+        batch, w_neg, loss_cfg, model, margin)
+    grad_w = dl[:, :, None] * s * sigma
+    grad_w[:, 0, :] += dw0
+    grad_rows = np.concatenate([grad_w.reshape(n_pos, 2), dneg], axis=0)
+    out = lspn_mod.backward_batch(model, cache, grad_rows.astype(dtype))
+    if loss_cfg.l1_weight > 0:
+        for g, p, is_weight in zip(out, lspn_mod.parameters(model),
+                                   lspn_mod.weight_flags(model)):
+            if is_weight:
+                g += loss_cfg.l1_weight * np.sign(p)
+    d_log_sigma = (dl[:, :, None] * w * s).sum(axis=(0, 1)) * sigma
+    out.append(d_log_sigma.astype(dtype))
+    return value, parts, margin, out
 
 
-def _loss_on_rows(model, pool, banks, rows, neg, loss_cfg, training, rng):
-    w, w_neg, cache, n_pos = _forward_rows(model, pool, banks, rows, neg, training, rng)
-    sigma = model.sigma.astype(np.float64)
-    s, l = _metric_batch(pool, rows, w, sigma)
-    batch = losses_mod.LossBatch(y=pool.y[rows], l=l, s=s, w0=w[:, 0, :])
-    return batch, w, w_neg, cache, n_pos, sigma
+def scale_factors(model, pool: TrainingPool, banks, rows) -> np.ndarray:
+    """Inference scaling factors (len(rows), 2k+1, 2) of pooled cells ``rows``."""
+    protos, dirs, sources, _ = batch_rows(pool, banks, rows)
+    w, _ = lspn_mod.forward_batch(model, protos, dirs, sources)
+    return w.reshape(len(rows), pool.n_neighbors, 2)
 
 
 def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfig,
@@ -195,7 +232,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     adam = Adam(specs, train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
-    weight_flags = lspn_mod.weight_flags(model)
     log_rows = []
     snapshots = []
     last_good = Checkpoint(model.copy(), normalizer, loss_cfg.m0, 0, None, config_hash,
@@ -212,29 +248,14 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                 continue
             neg = make_negatives(pool.y[rows], rng)
             try:
-                batch, w, w_neg, cache, n_pos, sigma = _loss_on_rows(
-                    model, pool, banks, rows, neg, loss_cfg, True, rng
-                )
-                value, parts, dl, dw0, dneg = losses_mod.total_loss_with_grads(
-                    batch, w_neg, loss_cfg, model
-                )
-                grad_w = dl[:, :, None] * batch.s * sigma
-                grad_w[:, 0, :] += dw0
-                grad_rows = np.concatenate([grad_w.reshape(n_pos, 2), dneg], axis=0)
-                grads = lspn_mod.backward_batch(model, cache,
-                                                grad_rows.astype(np.float32))
-                if loss_cfg.l1_weight > 0:
-                    for g, p, is_weight in zip(grads, lspn_mod.parameters(model),
-                                               weight_flags):
-                        if is_weight:
-                            g += loss_cfg.l1_weight * np.sign(p)
-                d_log_sigma = (dl[:, :, None] * w * batch.s).sum(axis=(0, 1)) * sigma
-                grads.append(d_log_sigma.astype(np.float32))
+                value, parts, _, grads = batch_objective(
+                    model, pool, banks, rows, neg, loss_cfg, grads=True, rng=rng)
                 adam.step(lspn_mod.parameters(model), grads)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"training diverged at epoch {epoch}: {exc}", checkpoint=last_good
                 ) from exc
+            del grads  # the step's gradients are not kept through validation
 
             sums["total"] += value
             for name in ("sep", "mar", "cns", "sc", "cma", "l1"):
@@ -246,10 +267,8 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
             val_rng = np.random.default_rng(
                 np.random.SeedSequence([int(train_cfg.seed), 0xA1, epoch]))
             neg = make_negatives(pool.y[pool.val_indices], val_rng)
-            batch, _, w_neg, _, _, _ = _loss_on_rows(
-                model, pool, banks, pool.val_indices, neg, loss_cfg, False, None
-            )
-            val_total, _ = losses_mod.total_loss(batch, w_neg, loss_cfg, model)
+            val_total, _, _, _ = batch_objective(model, pool, banks, pool.val_indices, neg,
+                                                 loss_cfg)
             val_total /= pool.val_indices.size
 
         denom = max(1, n_batches)

@@ -30,7 +30,8 @@ from g2sf.lspn import LspnConfig, forward_batch, init_model, parameters
 from g2sf.scoring import sample_maps
 from g2sf.selftest import aupro_bruteforce, full_gradient_check, run_all
 from g2sf.synthesis import SynthesisConfig, build_training_pool
-from g2sf.trainer import TrainConfig, train
+from g2sf.trainer import TrainConfig, scale_factors, train
+from tests.oracles import random_inputs
 
 E = math.e
 BENCH_SEEDS = (11, 22, 33)
@@ -182,9 +183,8 @@ class TestCriterion4ActivationRange:
         total = 0
         for scale in (1.0, 10.0, 1000.0):
             for _ in range(4):
-                protos = scale * rng.standard_normal((100_000, 16)).astype(np.float32)
-                dirs = rng.standard_normal((100_000, 16)).astype(np.float32)
-                w, _ = forward_batch(model, protos, dirs)
+                inputs = random_inputs(rng, cfg, 100_000, scale=scale, n_protos=256)
+                w, _ = forward_batch(model, *inputs)
                 lo, hi = min(lo, float(w.min())), max(hi, float(w.max()))
                 total += w.size
         # At float32 the bound is the activation's own saturation values,
@@ -278,12 +278,8 @@ class TestCriterion8Collapse:
             BENCH_SEEDS[0], epochs=40, n_aug=0, loss_cfg=loss_cfg,
             train_overrides={"batch_size": 32, "sigma_lr": 0.0},
         )
-        banks = checkpoint.banks
         rows = pool.train_indices[:2048]
-        protos = np.concatenate([banks["pc"].prototypes[pool.idx_pc[rows, 0]],
-                                 banks["rgb"].prototypes[pool.idx_rgb[rows, 0]]], axis=1)
-        dirs = np.concatenate([pool.dir_pc[rows, 0], pool.dir_rgb[rows, 0]], axis=1)
-        w, _ = forward_batch(checkpoint.model, protos, dirs)
+        w = scale_factors(checkpoint.model, pool, checkpoint.banks, rows)[:, 0]
         mean_w = float(w.mean())
         report(8, mean_w < 0.6, f"mean scale after 40 all-normal epochs {mean_w:.4f} "
                                 f"(<0.6; limit 1/e={np.exp(-1):.4f})")

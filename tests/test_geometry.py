@@ -13,6 +13,7 @@ from g2sf.geometry import (
     encode,
     encode_map,
     fit_normalizer,
+    inverse_distances,
 )
 
 UNIT_NORM = DistanceNormalizer(1.0, 1.0)
@@ -63,6 +64,12 @@ class TestEncode:
                                    rtol=1e-12)
 
 
+def map_directions(fmap, bank, enc):
+    """Directions of an encoded map in the factored form the network reads."""
+    offsets = fmap.data[:, :, None, :].astype(np.float64) - bank.prototypes[enc.indices]
+    return offsets * inverse_distances(enc.raw_distances)[..., None]
+
+
 class TestEncodeMap:
     def test_matches_single_encode(self):
         rng = np.random.default_rng(7)
@@ -70,6 +77,7 @@ class TestEncodeMap:
         bank = MemoryBank("pc", rng.standard_normal((15, 5)).astype(np.float32))
         norm = DistanceNormalizer(1.7, 1.0)
         enc = encode_map(fmap, bank, 1, norm)
+        directions = map_directions(fmap, bank, enc)
         for r in range(3):
             for c in range(4):
                 singles = encode(fmap.data[r, c], bank, 1, norm)
@@ -77,17 +85,20 @@ class TestEncodeMap:
                     assert enc.indices[r, c, j] == single.prototype_idx
                     np.testing.assert_allclose(enc.distances[r, c, j], single.distance,
                                                rtol=1e-5)
-                    np.testing.assert_allclose(enc.directions[r, c, j], single.direction,
-                                               rtol=1e-4, atol=1e-6)
+                    assert enc.raw_distances[r, c, j] == pytest.approx(
+                        single.distance * 1.7, rel=1e-12)
+                    np.testing.assert_allclose(directions[r, c, j], single.direction,
+                                               rtol=1e-12, atol=1e-15)
 
     def test_directions_unit_or_zero(self):
         rng = np.random.default_rng(8)
         fmap = FeatureMap("rgb", rng.standard_normal((4, 4, 3)).astype(np.float32))
         bank = MemoryBank("rgb", fmap.data.reshape(-1, 3)[:6].copy())
         enc = encode_map(fmap, bank, 1, UNIT_NORM)
-        norms = np.linalg.norm(enc.directions, axis=-1)
-        degenerate = enc.distances == 0.0
-        assert np.all(np.abs(norms[~degenerate] - 1.0) < 1e-5)
+        norms = np.linalg.norm(map_directions(fmap, bank, enc), axis=-1)
+        degenerate = enc.raw_distances == 0.0
+        assert degenerate.sum() == 6  # the six bank members
+        assert np.all(np.abs(norms[~degenerate] - 1.0) < 1e-12)
         assert np.all(norms[degenerate] == 0.0)
 
 

@@ -10,11 +10,11 @@ from g2sf.scoring import (
     bilinear_upsample,
     gaussian_smooth,
     sample_maps,
-    score_cell,
     score_sample,
     upsample_smooth,
 )
 from tests.conftest import DESK_K
+from tests.oracles import fused_metric, score_cell
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +34,6 @@ class TestScoreCell:
         encs_pc = encode(f_pc, banks["pc"], DESK_K, normalizer)
         encs_rgb = encode(f_rgb, banks["rgb"], DESK_K, normalizer)
         got = score_cell(ckpt.model, encs_pc, encs_rgb, DESK_K, banks)
-        from g2sf.lspn import fused_metric
-
         values = [fused_metric(ckpt.model, encs_pc[j], encs_rgb[j], banks).l
                   for j in range(DESK_K + 1)]
         assert got == pytest.approx(min(values), rel=1e-9)
@@ -45,8 +43,6 @@ class TestScoreCell:
         ckpt, banks, normalizer, pair = scored_sample
         encs_pc = encode(pair.pc.data[3, 5], banks["pc"], 0, normalizer)
         encs_rgb = encode(pair.rgb.data[3, 5], banks["rgb"], 0, normalizer)
-        from g2sf.lspn import fused_metric
-
         got = score_cell(ckpt.model, encs_pc, encs_rgb, 0, banks)
         want = fused_metric(ckpt.model, encs_pc[0], encs_rgb[0], banks).l
         assert got == pytest.approx(want, rel=1e-9)

@@ -131,7 +131,8 @@ class TestTrainingPool:
         b = build_training_pool(train_manifest, banks, normalizer, cfg, 9)
         np.testing.assert_array_equal(a.y, b.y)
         np.testing.assert_array_equal(a.idx_pc, b.idx_pc)
-        np.testing.assert_array_equal(a.dir_rgb, b.dir_rgb)
+        np.testing.assert_array_equal(a.feat_rgb, b.feat_rgb)
+        np.testing.assert_array_equal(a.r_rgb, b.r_rgb)
         np.testing.assert_array_equal(a.s_pc, b.s_pc)
 
     def test_label_balance_matches_mask_coverage(self, desk_dataset, desk_banks):
@@ -151,6 +152,14 @@ class TestTrainingPool:
         for part in (desk_pool.train_indices, desk_pool.val_indices):
             y = desk_pool.y[part]
             assert y.min() == 0 and y.max() == 1
+
+    def test_no_per_rank_feature_axis(self, desk_pool):
+        # Features are stored once per cell: no array is (cell, rank, dim).
+        arrays = [v for v in vars(desk_pool).values() if isinstance(v, np.ndarray)]
+        assert all(v.ndim <= 2 for v in arrays)
+        assert desk_pool.feat_pc.shape == desk_pool.feat_rgb.shape == (desk_pool.size, 6)
+        ranks = (desk_pool.size, desk_pool.n_neighbors)
+        assert desk_pool.r_pc.shape == desk_pool.r_rgb.shape == desk_pool.idx_pc.shape == ranks
 
     def test_neighbor_ranks_sorted(self, desk_pool):
         assert np.all(np.diff(desk_pool.s_pc, axis=1) >= 0)

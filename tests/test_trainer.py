@@ -15,12 +15,15 @@ def init_model_for(lspn_cfg, train_cfg):
 from g2sf.synthesis import SynthesisConfig, build_training_pool
 from g2sf.trainer import (
     TrainConfig,
+    batch_rows,
     load_checkpoint,
     make_negatives,
     save_checkpoint,
+    scale_factors,
     train,
 )
 from tests.conftest import DESK_K, DESK_SEED
+from tests.oracles import dense_forward, dense_pool_rows
 
 
 class TestMakeNegatives:
@@ -53,6 +56,24 @@ class TestMakeNegatives:
         with pytest.warns(UserWarning):
             neg = make_negatives(np.array([0, 1, 1]), np.random.default_rng(0))
         assert len(neg) == 0
+
+
+class TestBatchRows:
+    def test_negatives_match_dense_assembly(self, desk_pool, desk_banks, desk_checkpoint):
+        # Factored rows (every rank, then rank-0 negatives with the rgb
+        # prototype or direction swapped in) against dense rows built the
+        # way the trainer assembled them before its inputs were factored.
+        banks, _ = desk_banks
+        ckpt, _ = desk_checkpoint
+        rows = desk_pool.train_indices[:96]
+        neg = make_negatives(desk_pool.y[rows], np.random.default_rng(3))
+        assert set(neg.kinds.tolist()) == {0, 1}
+        protos, dirs, sources, n_pos = batch_rows(desk_pool, banks, rows, neg)
+        assert n_pos == rows.size * desk_pool.n_neighbors
+        assert protos.shape[0] == n_pos + len(neg)
+        w, _ = forward_batch(ckpt.model, protos, dirs, sources)
+        w_dense, _ = dense_forward(ckpt.model, *dense_pool_rows(desk_pool, banks, rows, neg))
+        assert np.abs(w - w_dense).max() <= 1e-6 * np.abs(w_dense).max()
 
 
 @pytest.fixture(scope="module")
@@ -150,12 +171,10 @@ class TestTrain:
         loss_cfg = dataclasses.replace(loss_cfg, mu=0.0, alpha=0.0)
         cfg = TrainConfig(epochs=40, batch_size=16, seed=1, sigma_lr=0.0)
         ckpt, _, _ = train(pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
-        protos = np.concatenate([banks["pc"].prototypes[pool.idx_pc[:512, 0]],
-                                 banks["rgb"].prototypes[pool.idx_rgb[:512, 0]]], axis=1)
-        dirs = np.concatenate([pool.dir_pc[:512, 0], pool.dir_rgb[:512, 0]], axis=1)
+        rows = np.arange(min(512, pool.size))
         init = init_model_for(lspn_cfg, cfg)
-        w_init, _ = forward_batch(init, protos, dirs)
-        w, _ = forward_batch(ckpt.model, protos, dirs)
+        w_init = scale_factors(init, pool, banks, rows)[:, 0]
+        w = scale_factors(ckpt.model, pool, banks, rows)[:, 0]
         assert w.mean() < 0.9
         assert w.mean() < w_init.mean() - 0.05
 
@@ -206,13 +225,9 @@ class TestCheckpoint:
         assert back.epoch == ckpt.epoch
         assert back.m0 == ckpt.m0
         assert back.normalizer.to_dict() == ckpt.normalizer.to_dict()
-        protos = np.concatenate([banks["pc"].prototypes[desk_pool.idx_pc[:64, 0]],
-                                 banks["rgb"].prototypes[desk_pool.idx_rgb[:64, 0]]],
-                                axis=1)
-        dirs = np.concatenate([desk_pool.dir_pc[:64, 0], desk_pool.dir_rgb[:64, 0]],
-                              axis=1)
-        w_a, _ = forward_batch(ckpt.model, protos, dirs)
-        w_b, _ = forward_batch(back.model, protos, dirs)
+        rows = np.arange(64)
+        w_a = scale_factors(ckpt.model, desk_pool, banks, rows)
+        w_b = scale_factors(back.model, desk_pool, banks, rows)
         assert w_a.tobytes() == w_b.tobytes()
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
