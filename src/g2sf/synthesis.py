@@ -5,6 +5,10 @@ cells receive donor features from another training sample plus a random
 perturbation (affine jitter for the rgb modality, a constant offset vector
 for the pc modality). Cell labels follow the mask only: a cell is anomalous
 iff its center lies inside the binarized mask, regardless of feature values.
+
+The training pool keeps each foreground cell's features once, with its
+neighbor ids and raw and normalized distances per rank; it stores no
+directions (see :class:`TrainingPool`).
 """
 from __future__ import annotations
 
