@@ -27,9 +27,16 @@ float64 (at least): W f and W m nearly cancel when f sits close to its
 prototype, and dividing their float32 difference by a small r multiplies its
 rounding error by |f| / r (at r / |f| = 1e-6 that is a few percent of the
 pre-activation, against about 1e-10 in float64). The backward pass sums
-each row's first-layer gradient onto its cell and onto its prototype and
-forms the weight gradient as G_cell^T F - G_proto^T M, again in float64 for
-the direction branch. It never forms a gradient with respect to the inputs.
+each row's first-layer gradient onto its cell and onto its prototype, each
+sum one product of a sparse (ids, rows) one-hot matrix with the row
+gradients (weighted by 1/r in the direction branch), and forms the weight
+gradient as G_cell^T F - G_proto^T M, in float64. It never forms a gradient
+with respect to the inputs.
+
+A training-mode forward caches one array per hidden block: its output
+(ReLU and dropout applied), which the next layer reads anyway. The backward
+recovers the activation's gradient from it (see :func:`g2sf.nn.relu_dropout_backward`),
+so no pre-activation or dropout mask is kept.
 """
 from __future__ import annotations
 
@@ -181,13 +188,20 @@ def rank_rows(ids: np.ndarray, inv_r: np.ndarray):
 
 @dataclass
 class _Cache:
+    """Inputs of a training-mode forward plus each hidden block's output.
+
+    ``proto``, ``direc`` and ``fusion`` list the outputs of the hidden
+    blocks of each stack. The branches' last outputs are the two halves of
+    ``head_input``, the fusion head's input, and are cached as views of it.
+    ``final_pre`` is the last linear layer's pre-activation (R, 2)."""
+
     protos: np.ndarray
     dirs: Directions
     sources: Sources
     proto: list
     direc: list
+    head_input: np.ndarray
     fusion: list
-    final_input: np.ndarray
     final_pre: np.ndarray
 
 
@@ -206,15 +220,22 @@ def _table_dtype(dtype):
     return np.promote_types(dtype, np.float64)
 
 
-def _segment_sum(ids: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """(size, H) float64 sums of the rows of ``values`` that share an id.
+def _segment_sum(ids: np.ndarray, values: np.ndarray, size: int, scale=None) -> np.ndarray:
+    """(size, H) float64 sums of the rows of ``values`` that share an id,
+    each row first multiplied by ``scale[row]`` when a scale is given.
 
-    One bincount over flattened ``id * H + column`` indices: it adds in row
+    One product of the (size, R) one-hot matrix of ``ids`` with ``values``.
+    CSR keeps each id's rows in row order and the product adds them in that
     order, so the sums are deterministic.
     """
-    h = values.shape[1]
-    flat = (ids[:, None] * h + np.arange(h)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=size * h).reshape(size, h)
+    # Imported here, where training needs it: the import costs every other
+    # process (each CLI stage, scoring) about 17 ms and 1.6 MB of RSS.
+    import scipy.sparse
+
+    rows = len(ids)
+    weights = np.ones(rows) if scale is None else np.asarray(scale, np.float64)
+    onehot = scipy.sparse.csr_matrix((weights, (ids, np.arange(rows))), shape=(size, rows))
+    return onehot @ values
 
 
 def _proto_pre(model, protos, sources):
@@ -256,11 +277,13 @@ def _direction_pre(model, dirs: Directions, sources):
 
 def _proto_first_backward(model, cache: _Cache, g):
     block = model.proto_branch[0]
+    acc = _table_dtype(block.weight.dtype)
+    g_acc = g.astype(acc, copy=False)
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
         protos = cache.sources.prototypes[m]
-        g_proto = _segment_sum(cache.protos[:, m], g, protos.shape[0])
-        grad_w[:, cols] = g_proto.T @ protos.astype(g_proto.dtype)
+        g_proto = _segment_sum(cache.protos[:, m], g_acc, protos.shape[0])
+        grad_w[:, cols] = g_proto.T @ protos.astype(acc)
     return grad_w, g.sum(axis=0)
 
 
@@ -268,45 +291,43 @@ def _direction_first_backward(model, cache: _Cache, g):
     block = model.dir_branch[0]
     acc = _table_dtype(block.weight.dtype)
     dirs, sources = cache.dirs, cache.sources
+    g_acc = g.astype(acc, copy=False)
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
         protos, feats = sources.prototypes[m], sources.features[m]
-        g_row = g.astype(acc)
-        g_row *= np.ascontiguousarray(dirs.inv_r[:, m])[:, None]
-        g_cell = _segment_sum(dirs.cells[:, m], g_row, feats.shape[0])
-        g_proto = _segment_sum(dirs.anchors[:, m], g_row, protos.shape[0])
+        inv_r = dirs.inv_r[:, m]
+        g_cell = _segment_sum(dirs.cells[:, m], g_acc, feats.shape[0], inv_r)
+        g_proto = _segment_sum(dirs.anchors[:, m], g_acc, protos.shape[0], inv_r)
         grad_w[:, cols] = g_cell.T @ feats.astype(acc) - g_proto.T @ protos.astype(acc)
     return grad_w, g.sum(axis=0)
 
 
 def _stack_forward(blocks, x, training, rng, pre=None):
     """Run ``blocks`` on input ``x``. A factored branch passes its first
-    pre-activation as ``pre`` instead (and ``x`` None). Caches (input,
-    pre-activation, dropout mask) per block only when training."""
-    caches = []
+    pre-activation as ``pre`` instead (and ``x`` None). When training,
+    returns each block's output as its cache; otherwise the list is empty."""
+    outputs = []
     h = x
     for i, block in enumerate(blocks):
         if i or pre is None:
             pre = nn.linear_forward(block, h)
-        out, mask = nn.dropout_forward(nn.relu(pre), block.dropout_rate, rng, training)
+        h = nn.relu_dropout(pre, block.dropout_rate, rng, training)
         if training:
-            caches.append((h, pre, mask))
-        h = out
-    return h, caches
+            outputs.append(h)
+    return h, outputs
 
 
-def _stack_backward(blocks, caches, grad):
+def _stack_backward(blocks, outputs, grad):
     """Backpropagate through ``blocks`` down to the first pre-activation.
 
-    Returns (gradient of the first pre-activation, [(grad_w, grad_b)] of
-    blocks[1:])."""
+    ``outputs`` are the blocks' cached outputs. Returns (gradient of the
+    first pre-activation, [(grad_w, grad_b)] of blocks[1:])."""
     grads = []
     for i in range(len(blocks) - 1, -1, -1):
-        x, pre, mask = caches[i]
-        g = nn.relu_backward(pre, nn.dropout_backward(mask, grad))
+        g = nn.relu_dropout_backward(outputs[i], grad, blocks[i].dropout_rate)
         if i == 0:
             return g, grads[::-1]
-        grad, gw, gb = nn.linear_backward(blocks[i], x, g)
+        grad, gw, gb = nn.linear_backward(blocks[i], outputs[i - 1], g)
         grads.append((gw, gb))
 
 
@@ -340,13 +361,17 @@ def forward_batch(model: LspnModel, protos: np.ndarray, dirs: Directions, source
     d_out, d_cache = _stack_forward(model.dir_branch, None, training, rng,
                                     pre=_direction_pre(model, dirs, sources))
     h = np.concatenate([p_out, d_out], axis=1)
+    split = p_out.shape[1]
     del p_out, d_out
+    if training:
+        # The branch outputs live on as views of the fusion head's input.
+        p_cache[-1], d_cache[-1] = h[:, :split], h[:, split:]
     f_out, f_cache = _stack_forward(model.fusion_head[:-1], h, training, rng)
     pre = nn.linear_forward(model.fusion_head[-1], f_out)
     w = nn.exp_tanh(pre)
     if not training:
         return w, None
-    return w, _Cache(protos, dirs, sources, p_cache, d_cache, f_cache, f_out, pre)
+    return w, _Cache(protos, dirs, sources, p_cache, d_cache, h, f_cache, pre)
 
 
 def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
@@ -355,10 +380,10 @@ def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
     if cache is None:
         raise ConfigError("backward_batch needs the cache of a training-mode forward")
     g = nn.exp_tanh_backward(cache.final_pre, grad_w)
-    grad_h, gw_final, gb_final = nn.linear_backward(model.fusion_head[-1], cache.final_input, g)
+    grad_h, gw_final, gb_final = nn.linear_backward(model.fusion_head[-1], cache.fusion[-1], g)
     hidden = model.fusion_head[:-1]
     g_first, fusion_grads = _stack_backward(hidden, cache.fusion, grad_h)
-    grad_h, gw, gb = nn.linear_backward(hidden[0], cache.fusion[0][0], g_first)
+    grad_h, gw, gb = nn.linear_backward(hidden[0], cache.head_input, g_first)
     fusion_grads = [(gw, gb)] + fusion_grads
     split = model.proto_branch[-1].out_dim
     g_first, proto_grads = _stack_backward(model.proto_branch, cache.proto, grad_h[:, :split])

@@ -3,6 +3,12 @@
 Everything here operates on plain numpy arrays. Parameters live in float32
 for the production path; every forward/backward function is dtype-polymorphic
 so gradient checks can run the same code in float64.
+
+A hidden block's activation is ReLU followed by inverted dropout, run as one
+in-place pass (:func:`relu_dropout`). Its backward (:func:`relu_dropout_backward`)
+reads only the block's output: a kept, positive pre-activation is exactly a
+positive output, so training needs to keep neither the pre-activation nor the
+dropout mask.
 """
 from __future__ import annotations
 
@@ -16,12 +22,10 @@ __all__ = [
     "LinearBlock",
     "linear_forward",
     "linear_backward",
-    "relu",
-    "relu_backward",
+    "relu_dropout",
+    "relu_dropout_backward",
     "exp_tanh",
     "exp_tanh_backward",
-    "dropout_forward",
-    "dropout_backward",
     "AdamState",
     "Adam",
     "adam_step",
@@ -73,7 +77,9 @@ def linear_forward(block: LinearBlock, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape[-1] != block.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} != layer width {block.in_dim}")
-    return x @ block.weight.T + block.bias
+    out = x @ block.weight.T
+    out += block.bias
+    return out
 
 
 def linear_backward(block: LinearBlock, x: np.ndarray, grad_out: np.ndarray):
@@ -90,15 +96,6 @@ def linear_backward(block: LinearBlock, x: np.ndarray, grad_out: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    # Subgradient at 0 is taken as 0.
-    return np.where(x > 0, grad_out, 0)
-
-
 def exp_tanh(x: np.ndarray) -> np.ndarray:
     """``exp(tanh(x))``, bounded to [1/e, e] and equal to 1 at x = 0."""
     return np.exp(np.tanh(x))
@@ -109,29 +106,64 @@ def exp_tanh_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * np.exp(t) * (1.0 - t * t)
 
 
-def dropout_forward(x, rate, rng=None, training=False):
-    """Inverted dropout: zero entries w.p. ``rate``, scale survivors by 1/(1-rate).
+# Entries per block of dropout draws: the float64 draws and the keep mask of
+# a block stay in cache (256 KB), where whole-array temporaries would cost a
+# fresh allocation of 8 bytes per activation.
+_DRAW_BLOCK = 1 << 15
 
-    At inference (``training=False``) and at rate 0 this is the identity and
-    the mask is None: nothing is drawn and nothing is allocated, so deployed
-    forwards need no rescaling.
+
+def _dropout_scale(rate, dtype):
+    return dtype.type(1) / dtype.type(1.0 - rate)
+
+
+def relu_dropout(pre: np.ndarray, rate: float, rng=None, training: bool = False) -> np.ndarray:
+    """ReLU then inverted dropout, in place on ``pre``; returns the activation.
+
+    When training at a nonzero rate, entries are dropped where
+    ``rng.random(pre.shape) < rate`` (one float64 draw per entry, drawn a
+    block at a time in C order, which is the same stream) and survivors are
+    scaled by 1/(1-rate). At inference and at rate 0 nothing is drawn and the
+    result is the ReLU alone, so deployed forwards need no rescaling. ``pre``
+    must be C-contiguous and is overwritten: pass a pre-activation nothing
+    else reads.
     """
-    x = np.asarray(x)
     if not (0.0 <= rate <= 1.0):
         raise ConfigError(f"dropout rate {rate} outside [0, 1]")
-    if not training or rate == 0.0:
-        return x, None
-    if rate >= 1.0:
+    if not pre.flags.c_contiguous:
+        raise ShapeError("relu_dropout works in place on a C-contiguous array")
+    drop = training and rate != 0.0
+    if drop and rate >= 1.0:
         raise ConfigError("dropout rate 1.0 would zero every activation")
-    if rng is None:
+    if drop and rng is None:
         raise ConfigError("training-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= rate
-    mask = keep.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
-    return x * mask, mask
+    out = np.maximum(pre, 0, out=pre)
+    if not drop:
+        return out
+    scale = _dropout_scale(rate, out.dtype)
+    flat = out.reshape(-1)
+    draws = np.empty(min(_DRAW_BLOCK, flat.size))
+    keep = np.empty(draws.shape, bool)
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        part = flat[start:start + _DRAW_BLOCK]
+        n = part.size
+        rng.random(out=draws[:n])
+        np.greater_equal(draws[:n], rate, out=keep[:n])
+        part *= scale
+        part *= keep[:n]
+    return out
 
 
-def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out if mask is None else grad_out * mask
+def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) -> np.ndarray:
+    """Gradient through :func:`relu_dropout` from the block's output ``out``.
+
+    An entry passes (times 1/(1-rate)) iff its output is positive: dropped
+    entries and non-positive pre-activations both give 0 there. The ReLU
+    subgradient at 0 is taken as 0.
+    """
+    grad = grad_out * (out > 0)
+    if rate:
+        grad *= _dropout_scale(rate, out.dtype)
+    return grad
 
 
 @dataclass

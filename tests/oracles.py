@@ -6,6 +6,11 @@ vector; it reads prototype ids, cell ids and inverse distances (see
 first written: directions in float64 as :func:`g2sf.geometry.encode` makes
 them, then cast to the model dtype, and every layer a dense GEMM. Tests
 compare the factored production path against them.
+
+The dense network runs ReLU and dropout as separate passes that keep the
+pre-activation and a float mask (:func:`relu`, :func:`dropout_forward` and
+their backwards), so it stays independent of the fused
+:func:`g2sf.nn.relu_dropout` it checks.
 """
 from __future__ import annotations
 
@@ -14,9 +19,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from g2sf import nn
-from g2sf.errors import ShapeError
+from g2sf.errors import ConfigError, ShapeError
 from g2sf.geometry import DEGENERATE_EPS, GeometricEncoding, inverse_distances
 from g2sf.lspn import Directions, Sources
+
+
+# ---------------------------------------------------------------------------
+# Unfused activations
+# ---------------------------------------------------------------------------
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0)
+
+
+def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    # Subgradient at 0 is taken as 0.
+    return np.where(x > 0, grad_out, 0)
+
+
+def dropout_forward(x, rate, rng=None, training=False):
+    """Inverted dropout: zero entries w.p. ``rate``, scale survivors by 1/(1-rate).
+
+    Returns (output, mask); the mask is None (nothing drawn) at inference
+    and at rate 0.
+    """
+    x = np.asarray(x)
+    if not (0.0 <= rate <= 1.0):
+        raise ConfigError(f"dropout rate {rate} outside [0, 1]")
+    if not training or rate == 0.0:
+        return x, None
+    if rate >= 1.0:
+        raise ConfigError("dropout rate 1.0 would zero every activation")
+    if rng is None:
+        raise ConfigError("training-mode dropout needs an rng")
+    keep = rng.random(x.shape) >= rate
+    mask = keep.astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+    return x * mask, mask
+
+
+def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
+    return grad_out if mask is None else grad_out * mask
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +81,7 @@ def _stack_forward(blocks, x, training, rng):
     h = x
     for block in blocks:
         pre = nn.linear_forward(block, h)
-        out, mask = nn.dropout_forward(nn.relu(pre), block.dropout_rate, rng, training)
+        out, mask = dropout_forward(relu(pre), block.dropout_rate, rng, training)
         caches.append((h, pre, mask))
         h = out
     return h, caches
@@ -48,7 +91,7 @@ def _stack_backward(blocks, caches, grad):
     grads = [None] * len(blocks)
     for i in range(len(blocks) - 1, -1, -1):
         x, pre, mask = caches[i]
-        g = nn.relu_backward(pre, nn.dropout_backward(mask, grad))
+        g = relu_backward(pre, dropout_backward(mask, grad))
         grad, gw, gb = nn.linear_backward(blocks[i], x, g)
         grads[i] = (gw, gb)
     return grad, grads
@@ -141,6 +184,18 @@ def random_inputs(rng, cfg, n, scale=1.0, n_protos=6):
                                    axis=1) for m in range(2)], axis=1)
     cells = np.stack([np.arange(n)] * 2, axis=1)
     return ids, Directions(cells, ids, inverse_distances(raw)), Sources(prototypes, features)
+
+
+def bincount_segment_sum(ids, values, size, scale=None):
+    """(size, H) float64 sums of the rows of ``values`` (times ``scale``) that
+    share an id, as one bincount over flattened ``id * H + column`` bins: the
+    scatter :func:`g2sf.lspn._segment_sum` computes with a sparse product."""
+    h = values.shape[1]
+    weights = values.astype(np.float64)
+    if scale is not None:
+        weights = weights * scale[:, None]
+    flat = (ids[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=size * h).reshape(size, h)
 
 
 # ---------------------------------------------------------------------------

@@ -274,3 +274,11 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_package_does_not_import_scipy_sparse(self):
+        # Only the training backward needs scipy.sparse (its scatters); every
+        # other process, each CLI stage and scoring, stays without it.
+        code = "import sys, g2sf, g2sf.cli; print('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert proc.stdout.strip() == "False"

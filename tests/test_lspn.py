@@ -1,5 +1,6 @@
 """Scale-network architecture, initialization, and backprop tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ from g2sf.lspn import (
     Directions,
     LspnConfig,
     Sources,
+    _direction_pre,
+    _proto_pre,
+    _segment_sum,
     backward_batch,
     forward_batch,
     init_model,
@@ -25,6 +29,7 @@ from g2sf.lspn import (
 )
 from g2sf.nn import backprop_check
 from tests.oracles import (
+    bincount_segment_sum,
     dense_backward,
     dense_forward,
     dense_rows,
@@ -173,8 +178,8 @@ class TestFactoredMatchesDense:
         dense_p, dense_d = dense_rows(protos, dirs.cells, dirs.anchors, raw,
                                       sources.prototypes, sources.features, np.float64)
         w_dense, dense_cache = dense_forward(reference, dense_p, dense_d, training=True)
-        assert self._close(cache.proto[0][1], dense_cache.proto[0][1], tol)
-        assert self._close(cache.direc[0][1], dense_cache.direc[0][1], tol)
+        assert self._close(_proto_pre(model, protos, sources), dense_cache.proto[0][1], tol)
+        assert self._close(_direction_pre(model, dirs, sources), dense_cache.direc[0][1], tol)
         assert self._close(w, w_dense, tol)
 
         coeffs = np.random.default_rng(seed).standard_normal(w.shape).astype(dtype)
@@ -191,13 +196,12 @@ class TestFactoredMatchesDense:
         # factored path stays within float32 rounding of the dense one.
         model = init_model(self.CFG, seed=0)
         protos, dirs, sources, raw = _factored_problem(3, "near")
-        _, cache = forward_batch(model, protos, dirs, sources, training=True)
         dense_p, dense_d = dense_rows(protos, dirs.cells, dirs.anchors, raw,
                                       sources.prototypes, sources.features, np.float64)
         _, dense_cache = dense_forward(model.astype(np.float64), dense_p, dense_d,
                                        training=True)
         want = dense_cache.direc[0][1]
-        assert self._close(cache.direc[0][1], want, 1e-6)
+        assert self._close(_direction_pre(model, dirs, sources), want, 1e-6)
         w32 = model.dir_branch[0].weight
         lossy = model.dir_branch[0].bias.copy() + sum(
             (sources.features[m][dirs.cells[:, m]] @ w32[:, cols].T
@@ -205,6 +209,80 @@ class TestFactoredMatchesDense:
             * dirs.inv_r[:, m, None].astype(np.float32)
             for m, cols in enumerate((slice(0, 5), slice(5, 8))))
         assert not self._close(lossy, want, 1e-3)
+
+    def test_dropout_step_matches_dense(self):
+        # With dropout on, both networks draw the same masks in the same
+        # order, so every gradient of the fused, output-cached backward
+        # matches the dense network's unfused one.
+        cfg = dataclasses.replace(self.CFG, dropout=0.5)
+        model = init_model(cfg, seed=4).astype(np.float64)
+        protos, dirs, sources, raw = _factored_problem(11, "random")
+        w, cache = forward_batch(model, protos, dirs, sources, training=True,
+                                 rng=np.random.default_rng(3))
+        dense_p, dense_d = dense_rows(protos, dirs.cells, dirs.anchors, raw,
+                                      sources.prototypes, sources.features, np.float64)
+        w_dense, dense_cache = dense_forward(model, dense_p, dense_d, training=True,
+                                             rng=np.random.default_rng(3))
+        assert self._close(w, w_dense, 1e-12)
+        coeffs = np.random.default_rng(5).standard_normal(w.shape)
+        got = backward_batch(model, cache, coeffs)
+        want = dense_backward(model, dense_cache, coeffs)
+        for name, g, ref in zip(parameter_names(model), got, want):
+            assert self._close(g, ref, 1e-10), name
+
+
+class TestSegmentSum:
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
+           width=st.integers(1, 6), n_ids=st.integers(1, 8), extra=st.integers(0, 3),
+           zero_rows=st.booleans(), scaled=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_bincount(self, seed, rows, width, n_ids, extra, zero_rows,
+                                   scaled, dtype):
+        # Few ids over many rows: repeated ids, and ids that no row names
+        # (empty segments); ``extra`` puts ``size`` above the largest id.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, n_ids, size=rows)
+        size = n_ids + extra
+        values = (rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
+        if zero_rows and rows:
+            values[rng.random(rows) < 0.3] = 0.0
+        scale = rng.uniform(0.0, 50.0, size=rows) if scaled else None
+        if scaled and rows:
+            scale[rng.random(rows) < 0.2] = 0.0  # degenerate rows have 1/r = 0
+        got = _segment_sum(ids, values, size, scale)
+        want = bincount_segment_sum(ids, values, size, scale)
+        assert got.shape == (size, width) and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+class TestTrainingCache:
+    def test_one_output_per_hidden_block(self):
+        # The training cache holds each hidden block's output and nothing
+        # else that grows with the widths: no pre-activations, no masks.
+        rows = 40
+        model = init_model(SMALL, seed=0)  # dropout 0.5
+        protos, dirs, sources = random_inputs(np.random.default_rng(0), SMALL, rows)
+        _, cache = forward_batch(model, protos, dirs, sources, training=True,
+                                 rng=np.random.default_rng(1))
+        for outputs, blocks in ((cache.proto, model.proto_branch),
+                                (cache.direc, model.dir_branch),
+                                (cache.fusion, model.fusion_head[:-1])):
+            assert [a.shape for a in outputs] == [(rows, b.out_dim) for b in blocks]
+        buffers = {}
+        for f in dataclasses.fields(cache):
+            if f.name in ("protos", "dirs", "sources"):
+                continue  # the caller's inputs
+            value = getattr(cache, f.name)
+            for arr in value if isinstance(value, list) else [value]:
+                while arr.base is not None:
+                    arr = arr.base
+                buffers[id(arr)] = arr
+        hidden = model.proto_branch + model.dir_branch + model.fusion_head[:-1]
+        itemsize = np.dtype(np.float32).itemsize
+        expected = sum(rows * b.out_dim for b in hidden) * itemsize
+        expected += rows * 2 * itemsize  # the final linear layer's pre-activation
+        assert sum(a.nbytes for a in buffers.values()) == expected
 
 
 class TestInit:

@@ -11,14 +11,14 @@ from g2sf.nn import (
     LinearBlock,
     adam_step,
     backprop_check,
-    dropout_forward,
     exp_tanh,
     exp_tanh_backward,
     linear_backward,
     linear_forward,
-    relu,
-    relu_backward,
+    relu_dropout,
+    relu_dropout_backward,
 )
+from tests import oracles
 
 
 def naive_matvec(weight, bias, x):
@@ -66,17 +66,23 @@ class TestLinear:
 
 class TestActivations:
     def test_relu_values(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+        out = relu_dropout(np.array([-1.0, 0.0, 2.0]), 0.0)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 2.0])
+
+    def test_relu_in_place(self):
+        pre = np.array([-1.0, 0.5])
+        assert relu_dropout(pre, 0.5) is pre
+        np.testing.assert_array_equal(pre, [0.0, 0.5])
 
     def test_relu_backward_tie_at_zero(self):
-        grad = relu_backward(np.array([-1.0, 0.0, 2.0]), np.ones(3))
+        grad = relu_dropout_backward(np.array([0.0, 0.0, 2.0]), np.ones(3), 0.0)
         np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_relu_idempotent(self, values):
-        x = np.asarray(values)
-        np.testing.assert_array_equal(relu(relu(x)), relu(x))
+        once = relu_dropout(np.asarray(values), 0.0)
+        np.testing.assert_array_equal(relu_dropout(once.copy(), 0.0), once)
 
     def test_exp_tanh_at_zero(self):
         assert exp_tanh(np.float64(0.0)) == 1.0
@@ -102,28 +108,81 @@ class TestActivations:
 
 class TestDropout:
     def test_inference_identity(self):
-        x = np.arange(5.0)
-        out, mask = dropout_forward(x, 0.7, training=False)
-        np.testing.assert_array_equal(out, x)
-        assert mask is None
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = relu_dropout(np.arange(5.0), 0.7, rng, training=False)
+        np.testing.assert_array_equal(out, np.arange(5.0))
+        assert rng.bit_generator.state == before  # nothing drawn
 
     def test_rate_zero(self):
-        x = np.arange(5.0)
-        out, mask = dropout_forward(x, 0.0, np.random.default_rng(0), training=True)
-        np.testing.assert_array_equal(out, x)
-        assert mask is None
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = relu_dropout(np.arange(5.0), 0.0, rng, training=True)
+        np.testing.assert_array_equal(out, np.arange(5.0))
+        assert rng.bit_generator.state == before
 
     def test_rate_one_rejected(self):
+        pre = -np.ones(3)
         with pytest.raises(ConfigError):
-            dropout_forward(np.ones(3), 1.0, np.random.default_rng(0), training=True)
+            relu_dropout(pre, 1.0, np.random.default_rng(0), training=True)
+        np.testing.assert_array_equal(pre, -np.ones(3))  # rejected before any write
+
+    def test_training_needs_rng(self):
+        with pytest.raises(ConfigError):
+            relu_dropout(np.ones(3), 0.5, None, training=True)
+
+    def test_strided_input_rejected(self):
+        # In place means writing through ``pre``; a strided view would need
+        # a copy whose writes are lost.
+        with pytest.raises(ShapeError):
+            relu_dropout(np.ones((4, 4))[:, ::2], 0.5, np.random.default_rng(0), training=True)
 
     def test_survivor_statistics(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(1.0, 2.0, size=100_000)
-        out, mask = dropout_forward(x, 0.5, rng, training=True)
+        out = relu_dropout(x.copy(), 0.5, rng, training=True)
         survivors = (out != 0).mean()
         assert 0.48 <= survivors <= 0.52
         assert abs(out.mean() - x.mean()) / x.mean() < 0.02
+
+
+def _pre_activations(rng, shape, dtype):
+    """Random pre-activations with exact zeros of both signs."""
+    pre = rng.standard_normal(shape).astype(dtype)
+    flat = pre.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::11] = -0.0
+    return pre
+
+
+class TestReluDropoutMatchesOracle:
+    """The fused pair against the unfused oracle (ReLU, then dropout with a
+    float mask, backward through both from the pre-activation)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("shape", [(1,), (37,), (64, 33), (2, 129, 257)])
+    def test_bit_equal(self, shape, rate, training, dtype):
+        rng = np.random.default_rng(len(shape) * 100 + int(rate * 10))
+        pre = _pre_activations(rng, shape, dtype)
+        grad = rng.standard_normal(shape).astype(dtype)
+        fused_rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        want, mask = oracles.dropout_forward(oracles.relu(pre), rate, oracle_rng, training)
+        got = relu_dropout(pre.copy(), rate, fused_rng, training)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        # The same draws, so every later draw of the training run is unchanged.
+        assert fused_rng.bit_generator.state == oracle_rng.bit_generator.state
+        if not training:
+            assert mask is None
+            return
+        want_grad = oracles.relu_backward(pre, oracles.dropout_backward(mask, grad))
+        got_grad = relu_dropout_backward(got, grad, rate)
+        assert got_grad.dtype == want_grad.dtype
+        # Equal bits up to the sign of zero: the product writes -0.0 where a
+        # negative gradient is blocked, the oracle's np.where writes 0.0.
+        assert (got_grad + 0.0).tobytes() == (want_grad + 0.0).tobytes()
 
 
 class TestAdam:
