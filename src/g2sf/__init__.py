@@ -7,7 +7,7 @@ network predicts per-modality scaling factors in [1/e, e], and the fused
 metric replaces the isotropic Euclidean anomaly score of each modality.
 """
 
-from .bank import MemoryBank, NeighborSet, build_bank, nearest_distance, query_neighbors
+from .bank import MemoryBank, NeighborSet, build_bank, query_neighbors
 from .errors import (
     ConfigError,
     DivergenceError,

@@ -29,7 +29,6 @@ __all__ = [
     "build_bank",
     "query_neighbors",
     "query_neighbors_batch",
-    "nearest_distance",
     "covering_radius",
     "save_bank",
     "load_bank",
@@ -195,10 +194,6 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
         out_idx[start : start + block.shape[0]] = np.take_along_axis(cand, order, axis=1)
         out_dist[start : start + block.shape[0]] = np.take_along_axis(d, order, axis=1)
     return out_idx, out_dist, bank.size < want
-
-
-def nearest_distance(bank: MemoryBank, f: np.ndarray) -> float:
-    return float(query_neighbors(bank, f, 0).distances[0])
 
 
 def covering_radius(bank: MemoryBank, features: np.ndarray) -> float:

@@ -1,16 +1,21 @@
 """Command-line pipeline: gen, bank, synth, train, score, eval, ablate, selftest.
 
-Every stage writes a manifest carrying the merged config hash, the seed, and
-the SHA-256 of each upstream manifest it consumed. Before running, a stage
-re-hashes the upstream manifests recorded by what it reads, including the
-dataset's ``gen`` manifest for every stage that reads the test split; a
-mismatch means an upstream artifact was regenerated after its consumer, and
-the stage refuses with exit code 3. Exit codes: 0 success, 1 I/O or runtime
-failure, 2 configuration error, 3 stale upstream artifact.
+The stages form one declared graph, ``_READS``: each stage lists the upstream
+stages whose artifacts it reads. One runner, ``_run_stage``, runs each stage:
+it walks ``_READS`` breadth-first back to ``gen`` and, at every stage it
+reaches, re-hashes the upstream manifests and the output files that stage
+recorded; it refuses to overwrite the manifest of an identical configuration
+without ``--force``; it runs the stage's work; and it writes the stage's
+manifest: config hash, seed, and the SHA-256 of each manifest the stage reads
+and of every file it wrote. A hash mismatch means an artifact was rebuilt or
+edited after a stage built on it, and the stage refuses with exit code 3,
+naming the stage and the file. Exit codes: 0 success, 1 I/O or runtime
+failure, 2 configuration error, 3 stale or edited upstream artifact.
 
 All artifacts are reproducible from (command, config, seed): file contents
-are canonical, and ``--deterministic`` (default) nulls wall-clock fields so
-two identical runs produce byte-identical trees.
+are canonical and carry no wall-clock fields, so two identical runs produce
+byte-identical trees. ``--threads`` spreads per-sample scoring over a thread
+pool and changes no result.
 """
 from __future__ import annotations
 
@@ -47,6 +52,21 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_STALE = 3
 
+STAGE_FORMAT = "g2sf-stage-v2"
+
+# For each stage, the upstream stages whose artifacts it reads, in pipeline
+# order. ``gen`` lives in the dataset directory, every other stage in the run
+# directory.
+_READS = {
+    "gen": (),
+    "bank": ("gen",),
+    "synth": ("gen", "bank"),
+    "train": ("bank", "synth"),
+    "score": ("gen", "train"),
+    "eval": ("gen", "score"),
+    "ablate": ("gen", "train"),
+}
+
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -66,22 +86,12 @@ def _np_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
+def _root(stage, data: Path, run: Path) -> Path:
+    return data if stage == "gen" else run
+
+
 def _stage_manifest_path(root: Path, stage: str) -> Path:
     return Path(root) / f"{stage}_manifest.json"
-
-
-def _write_stage_manifest(root, stage, cfg_hash, seed, upstream, outputs, extra=None):
-    doc = {
-        "format": "g2sf-stage-v1",
-        "stage": stage,
-        "config_hash": cfg_hash,
-        "seed": seed,
-        "upstream": upstream,
-        "outputs": sorted(outputs),
-    }
-    if extra:
-        doc.update(extra)
-    _write_json(_stage_manifest_path(root, stage), doc)
 
 
 def _read_stage_manifest(root, stage) -> dict:
@@ -91,28 +101,51 @@ def _read_stage_manifest(root, stage) -> dict:
     return json.loads(path.read_text())
 
 
-def _verify_link(manifest: dict, upstream_name: str, upstream_path: Path):
-    """Check one recorded upstream hash against the file on disk now."""
-    recorded = manifest.get("upstream", {}).get(upstream_name)
-    if recorded is None:
-        return
-    current = _sha256(upstream_path)
-    if current != recorded:
-        raise StaleArtifactError(
-            f"stale upstream artifact: {manifest['stage']} was built against "
-            f"{upstream_name} {recorded[:12]}, but {upstream_path} now hashes to "
-            f"{current[:12]}; rerun {manifest['stage']} and the stages after it"
-        )
+def _write_manifest(stage, cfg, data, run, outputs, extra):
+    """Stamp ``stage``'s manifest: config, seed, upstream and output hashes."""
+    root = _root(stage, data, run)
+    upstream = {up: _sha256(_stage_manifest_path(_root(up, data, run), up))
+                for up in _READS[stage]}
+    doc = {
+        "format": STAGE_FORMAT,
+        "stage": stage,
+        "config_hash": config_hash(cfg),
+        "seed": cfg.seed,
+        "upstream": upstream,
+        "outputs": {rel: _sha256(root / rel) for rel in outputs},
+        **extra,
+    }
+    _write_json(_stage_manifest_path(root, stage), doc)
 
 
-def _verify_gen(data: Path, run: Path) -> str:
-    """Check that ``data`` still holds the dataset the banks were built from.
+def _check_upstream(stage, data, run):
+    """Re-hash every manifest and output recorded upstream of ``stage``.
 
-    Returns the current ``gen`` manifest hash, for the caller to record.
+    The walk is breadth-first through ``_READS``, nearest stage first and
+    parents in table order, so the stale link reported is the one closest to
+    ``stage``.
     """
-    gen_path = _stage_manifest_path(data, "gen")
-    _verify_link(_read_stage_manifest(run, "bank"), "gen", gen_path)
-    return _sha256(gen_path)
+    queue = list(_READS[stage])
+    for name in queue:
+        root = _root(name, data, run)
+        doc = _read_stage_manifest(root, name)
+        if doc.get("format") != STAGE_FORMAT:
+            raise StaleArtifactError(
+                f"{_stage_manifest_path(root, name)} has format {doc.get('format')!r}, "
+                f"not {STAGE_FORMAT}; rerun {name} and the stages after it")
+        recorded = [(f"{name} was built against {up}",
+                     _stage_manifest_path(_root(up, data, run), up), digest)
+                    for up, digest in doc["upstream"].items()]
+        recorded += [(f"{name} recorded its output as", root / rel, digest)
+                     for rel, digest in doc["outputs"].items()]
+        for what, path, digest in recorded:
+            current = _sha256(path) if path.is_file() else None
+            if current != digest:
+                now = f"now hashes to {current[:12]}" if current else "is missing"
+                raise StaleArtifactError(
+                    f"stale upstream artifact: {what} {digest[:12]}, but {path} {now}; "
+                    f"rerun {name} and the stages after it")
+        queue += [up for up in _READS[name] if up not in queue]
 
 
 def _check_rerun(root, stage, cfg_hash, force):
@@ -125,30 +158,25 @@ def _check_rerun(root, stage, cfg_hash, force):
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations
+# Stage work: each returns (outputs relative to its root, extra manifest
+# keys, summary line)
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen(cfg, args):
-    out = Path(args.out)
-    _check_rerun(out, "gen", config_hash(cfg), args.force)
-    gen_synthetic_dataset(cfg.gen, cfg.seed, out)
-    _write_stage_manifest(
-        out, "gen", config_hash(cfg), cfg.seed, {},
-        ["train_manifest.json", "test_manifest.json"],
-    )
-    print(f"gen: wrote dataset ({cfg.gen.n_train} train / {cfg.gen.n_test} test) to {out}")
-    return EXIT_OK
+def cmd_gen(cfg, data, run):
+    outputs = ["train_manifest.json", "test_manifest.json"]
+    for manifest in gen_synthetic_dataset(cfg.gen, cfg.seed, data):
+        for ref in manifest.samples:
+            outputs += [p for p in (ref.pc, ref.rgb, ref.foreground, ref.pixel_gt) if p]
+    return outputs, {}, (f"gen: wrote dataset ({cfg.gen.n_train} train / "
+                         f"{cfg.gen.n_test} test) to {data}")
 
 
 def _load_banks(run_dir: Path):
     return {m: load_bank(Path(run_dir) / "banks" / f"{m}.g2t") for m in ("pc", "rgb")}
 
 
-def cmd_bank(cfg, args):
-    data, run = Path(args.data), Path(args.run)
-    gen_manifest = _read_stage_manifest(data, "gen")
-    _check_rerun(run, "bank", config_hash(cfg), args.force)
+def cmd_bank(cfg, data, run):
     train_manifest = load_manifest(data / "train_manifest.json")
     feats = {"pc": [], "rgb": []}
     refs = {"pc": [], "rgb": []}
@@ -165,23 +193,13 @@ def cmd_bank(cfg, args):
                               source_refs=refs[m])
         save_bank(banks[m], run / "banks" / f"{m}.g2t")
     normalizer = fit_normalizer(iter_samples(train_manifest), banks)
-    _write_stage_manifest(
-        run, "bank", config_hash(cfg), cfg.seed,
-        {"gen": _sha256(_stage_manifest_path(data, "gen"))},
-        [f"banks/{m}.g2t" for m in ("pc", "rgb")],
-        extra={"normalizer": normalizer.to_dict(),
-               "sizes": {m: banks[m].size for m in banks}},
-    )
-    print(f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb prototypes "
-          f"(fraction {cfg.bank.fraction})")
-    return EXIT_OK
+    outputs = [f"banks/{m}.g2t{ext}" for m in ("pc", "rgb") for ext in ("", ".json")]
+    extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks}}
+    return outputs, extra, (f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb "
+                            f"prototypes (fraction {cfg.bank.fraction})")
 
 
-def cmd_synth(cfg, args):
-    data, run = Path(args.data), Path(args.run)
-    bank_manifest = _read_stage_manifest(run, "bank")
-    _verify_link(bank_manifest, "gen", _stage_manifest_path(data, "gen"))
-    _check_rerun(run, "synth", config_hash(cfg), args.force)
+def cmd_synth(cfg, data, run):
     train_manifest = load_manifest(data / "train_manifest.json")
     samples = synth_mod.augment_dataset(train_manifest, cfg.synth, cfg.seed)
     outputs = []
@@ -194,15 +212,8 @@ def cmd_synth(cfg, args):
         write_mask(labels, pool_dir / f"{stem}_labels.g2t", "labels")
         outputs.extend(f"pool/{stem}_{suffix}.g2t"
                        for suffix in ("pc", "rgb", "fg", "labels"))
-    _write_stage_manifest(
-        run, "synth", config_hash(cfg), cfg.seed,
-        {"gen": _sha256(_stage_manifest_path(data, "gen")),
-         "bank": _sha256(_stage_manifest_path(run, "bank"))},
-        outputs,
-        extra={"n_aug": len(samples)},
-    )
-    print(f"synth: wrote {len(samples)} augmented samples to {pool_dir}")
-    return EXIT_OK
+    return outputs, {"n_aug": len(samples)}, (f"synth: wrote {len(samples)} augmented "
+                                              f"samples to {pool_dir}")
 
 
 def _load_pool_samples(run: Path):
@@ -220,12 +231,7 @@ def _load_pool_samples(run: Path):
     return samples
 
 
-def cmd_train(cfg, args):
-    data, run = Path(args.data), Path(args.run)
-    synth_manifest = _read_stage_manifest(run, "synth")
-    _verify_link(synth_manifest, "gen", _stage_manifest_path(data, "gen"))
-    _verify_link(synth_manifest, "bank", _stage_manifest_path(run, "bank"))
-    _check_rerun(run, "train", config_hash(cfg), args.force)
+def cmd_train(cfg, data, run):
     banks = _load_banks(run)
     bank_manifest = _read_stage_manifest(run, "bank")
     normalizer = DistanceNormalizer.from_dict(bank_manifest["normalizer"])
@@ -239,26 +245,16 @@ def cmd_train(cfg, args):
     train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
     checkpoint, log_rows, snapshots = train(pool, banks, normalizer, lspn_cfg,
                                             train_cfg, cfg.loss, config_hash(cfg))
-    outputs = ["checkpoints/final/manifest.json", "train_log.jsonl"]
-    save_checkpoint(checkpoint, run / "checkpoints" / "final")
+    written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
     for epoch, snap in snapshots:
-        save_checkpoint(snap, run / "checkpoints" / f"epoch_{epoch:04d}")
-        outputs.append(f"checkpoints/epoch_{epoch:04d}/manifest.json")
+        written += save_checkpoint(snap, run / "checkpoints" / f"epoch_{epoch:04d}")
     with open(run / "train_log.jsonl", "w") as fh:
         for row in log_rows:
-            if args.deterministic:
-                row = dict(row, wall_time=None)
             fh.write(json.dumps(row, sort_keys=True, default=_np_default) + "\n")
-    _write_stage_manifest(
-        run, "train", config_hash(cfg), cfg.seed,
-        {"synth": _sha256(_stage_manifest_path(run, "synth")),
-         "bank": _sha256(_stage_manifest_path(run, "bank"))},
-        outputs,
-        extra={"epochs": train_cfg.epochs, "m0": checkpoint.m0},
-    )
-    print(f"train: {train_cfg.epochs} epochs on {pool.size} pooled cells; "
-          f"final sigma ({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
-    return EXIT_OK
+    outputs = ["train_log.jsonl"] + [p.relative_to(run).as_posix() for p in written]
+    return outputs, {"epochs": train_cfg.epochs, "m0": checkpoint.m0}, (
+        f"train: {train_cfg.epochs} epochs on {pool.size} pooled cells; final sigma "
+        f"({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
 
 
 def _load_trained(run: Path):
@@ -267,13 +263,7 @@ def _load_trained(run: Path):
     return checkpoint
 
 
-def cmd_score(cfg, args):
-    data, run = Path(args.data), Path(args.run)
-    train_manifest_doc = _read_stage_manifest(run, "train")
-    _verify_link(train_manifest_doc, "synth", _stage_manifest_path(run, "synth"))
-    _verify_link(train_manifest_doc, "bank", _stage_manifest_path(run, "bank"))
-    gen_hash = _verify_gen(data, run)
-    _check_rerun(run, "score", config_hash(cfg), args.force)
+def cmd_score(cfg, data, run):
     checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
     factor = cfg.eval.upsample_factor or test_manifest.gt_upscale
@@ -289,22 +279,12 @@ def cmd_score(cfg, args):
         per_sample.append({"sample_id": scored.sample_id,
                            "score": float(smap.sample_score),
                            "grid": grid_path, "pixel": pixel_path})
-    _write_stage_manifest(
-        run, "score", config_hash(cfg), cfg.seed,
-        {"gen": gen_hash, "train": _sha256(_stage_manifest_path(run, "train"))},
-        outputs,
-        extra={"samples": per_sample, "agg": cfg.eval.agg, "upsample_factor": factor},
-    )
-    print(f"score: wrote {len(per_sample)} score maps (agg={cfg.eval.agg})")
-    return EXIT_OK
+    extra = {"samples": per_sample, "agg": cfg.eval.agg, "upsample_factor": factor}
+    return outputs, extra, f"score: wrote {len(per_sample)} score maps (agg={cfg.eval.agg})"
 
 
-def cmd_eval(cfg, args):
-    data, run = Path(args.data), Path(args.run)
+def cmd_eval(cfg, data, run):
     score_manifest = _read_stage_manifest(run, "score")
-    _verify_link(score_manifest, "gen", _stage_manifest_path(data, "gen"))
-    _verify_link(score_manifest, "train", _stage_manifest_path(run, "train"))
-    _check_rerun(run, "eval", config_hash(cfg), args.force)
     test_manifest = load_manifest(data / "test_manifest.json")
     by_id = {ref.sample_id: ref for ref in test_manifest.samples}
     sample_ids, scores, labels, pixel_maps, gt_masks = [], [], [], [], []
@@ -324,41 +304,44 @@ def cmd_eval(cfg, args):
     report_path = run / "reports" / "eval.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(report.to_json() + "\n")
-    _write_stage_manifest(
-        run, "eval", config_hash(cfg), cfg.seed,
-        {"score": _sha256(_stage_manifest_path(run, "score"))},
-        ["reports/eval.json"],
-    )
     aupro_txt = ", ".join(f"AUPRO@{int(l * 100)}%={v:.4f}" for l, v in report.aupro.items())
     pixel_txt = f"P-AUROC={report.p_auroc:.4f}, {aupro_txt}" if report.p_auroc is not None \
         else "pixel metrics omitted (no ground truth)"
-    print(f"eval: I-AUROC={report.i_auroc:.4f}, {pixel_txt}")
-    return EXIT_OK
+    return ["reports/eval.json"], {}, f"eval: I-AUROC={report.i_auroc:.4f}, {pixel_txt}"
 
 
-def cmd_ablate(cfg, args):
-    data, run = Path(args.data), Path(args.run)
-    train_manifest_doc = _read_stage_manifest(run, "train")
-    _verify_link(train_manifest_doc, "synth", _stage_manifest_path(run, "synth"))
-    _verify_link(train_manifest_doc, "bank", _stage_manifest_path(run, "bank"))
-    gen_hash = _verify_gen(data, run)
-    _check_rerun(run, "ablate", config_hash(cfg), args.force)
+def cmd_ablate(cfg, data, run):
     checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
-    eval_cfg = dataclasses.replace(cfg.eval, threads=args.threads)
-    variants, aggregations = eval_mod.ablation_scores(checkpoint, test_manifest, eval_cfg)
-    eval_mod.write_ablation_csv(variants, run / "reports" / "ablation_scores.csv",
-                                cfg.eval.aupro_limits)
-    eval_mod.write_ablation_csv(aggregations, run / "reports" / "ablation_aggregation.csv",
-                                cfg.eval.aupro_limits)
-    _write_stage_manifest(
-        run, "ablate", config_hash(cfg), cfg.seed,
-        {"gen": gen_hash, "train": _sha256(_stage_manifest_path(run, "train"))},
-        ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"],
-    )
+    variants, aggregations = eval_mod.ablation_scores(checkpoint, test_manifest, cfg.eval)
+    outputs = ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"]
+    for rows, rel in zip((variants, aggregations), outputs):
+        eval_mod.write_ablation_csv(rows, run / rel, cfg.eval.aupro_limits)
     fused = next(r for r in variants if r["variant"] == "fused")
-    print(f"ablate: fused I-AUROC={fused['i_auroc']:.4f} "
-          f"(tables under {run / 'reports'})")
+    return outputs, {}, (f"ablate: fused I-AUROC={fused['i_auroc']:.4f} "
+                         f"(tables under {run / 'reports'})")
+
+
+_WORK = {
+    "gen": cmd_gen,
+    "bank": cmd_bank,
+    "synth": cmd_synth,
+    "train": cmd_train,
+    "score": cmd_score,
+    "eval": cmd_eval,
+    "ablate": cmd_ablate,
+}
+
+
+def _run_stage(stage, cfg, args):
+    """Check the chain upstream of ``stage``, run its work, stamp its manifest."""
+    data = Path(args.out if stage == "gen" else args.data)
+    run = None if stage == "gen" else Path(args.run)
+    _check_upstream(stage, data, run)
+    _check_rerun(_root(stage, data, run), stage, config_hash(cfg), args.force)
+    outputs, extra, message = _WORK[stage](cfg, data, run)
+    _write_manifest(stage, cfg, data, run, outputs, extra)
+    print(message)
     return EXIT_OK
 
 
@@ -387,12 +370,8 @@ def _add_common(parser):
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override one config key (repeatable)")
     parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-sample stages")
-    parser.add_argument("--deterministic", action="store_true", default=True,
-                        help="single-threaded ordered reductions (default)")
-    parser.add_argument("--no-deterministic", dest="deterministic",
-                        action="store_false")
+    parser.add_argument("--threads", type=int,
+                        help="worker threads for per-sample scoring (eval.threads)")
     parser.add_argument("--force", action="store_true",
                         help="overwrite artifacts from an identical configuration")
 
@@ -449,6 +428,7 @@ _FLAG_KEYS = {
     "batch_size": ("train.batch_size", None),
     "eval_every": ("train.eval_every", None),
     "agg": ("eval.agg", None),
+    "threads": ("eval.threads", None),
 }
 
 
@@ -461,23 +441,8 @@ def _config_from_args(args) -> "RunConfig":
             apply_setting(cfg, key, text)
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-    if args.deterministic:
-        args.threads = 1
-    cfg.eval.threads = max(1, args.threads)
     cfg.validate()
     return cfg
-
-
-_COMMANDS = {
-    "gen": cmd_gen,
-    "bank": cmd_bank,
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "score": cmd_score,
-    "eval": cmd_eval,
-    "ablate": cmd_ablate,
-    "selftest": cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -488,7 +453,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg, args)
+        if args.command == "selftest":
+            return cmd_selftest(cfg, args)
+        return _run_stage(args.command, cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -126,6 +126,9 @@ def _coerce(key, text, current):
 
 def apply_setting(cfg: RunConfig, key: str, value: str):
     """Apply one dotted override like ``train.epochs = 40`` in place."""
+    if key in ("synth.k", "eval.k"):
+        raise ConfigError(f"{key} cannot be set: synthesis, the losses and scoring "
+                          "share one neighbor count; set loss.k instead")
     parts = key.split(".")
     target = cfg
     for attr in parts[:-1]:

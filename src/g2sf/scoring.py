@@ -157,20 +157,3 @@ def upsample_smooth(score_map: ScoreMap, factor: int, sigma: float = 4.0) -> Sco
     """Bilinear upsample then blur; identity when factor=1 and sigma=0."""
     up = gaussian_smooth(bilinear_upsample(score_map.grid, factor), sigma)
     return ScoreMap(score_map.grid, score_map.sample_score, upsampled=up)
-
-
-def export_csv(grid: np.ndarray, path):
-    """Plain-text inspection dump, one row of scores per grid row."""
-    np.savetxt(path, np.asarray(grid, dtype=np.float64), delimiter=",", fmt="%.9g")
-
-
-def export_pgm(grid: np.ndarray, path):
-    """8-bit PGM (P2) rendering with scores min-max scaled to 0..255."""
-    grid = np.asarray(grid, dtype=np.float64)
-    span = grid.max() - grid.min()
-    scaled = np.zeros_like(grid) if span == 0 else (grid - grid.min()) / span
-    pixels = np.round(255.0 * scaled).astype(int)
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(v) for v in row) + "\n")

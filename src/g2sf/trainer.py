@@ -19,7 +19,6 @@ validation keeps no training state.
 from __future__ import annotations
 
 import json
-import time
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -238,7 +237,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                            loss_cfg, train_cfg, banks)
 
     for epoch in range(train_cfg.epochs):
-        t0 = time.perf_counter()
         order = rng.permutation(pool.train_indices)
         sums = {name: 0.0 for name in ("total", "sep", "mar", "cns", "sc", "cma", "l1")}
         n_batches = 0
@@ -274,8 +272,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
         denom = max(1, n_batches)
         row = {"epoch": epoch + 1,
                "val_total": None if val_total is None else float(val_total),
-               "sigma_pc": model.sigma_pc, "sigma_rgb": model.sigma_rgb,
-               "wall_time": time.perf_counter() - t0}
+               "sigma_pc": model.sigma_pc, "sigma_rgb": model.sigma_rgb}
         row.update({f"train_{k}": float(v) / denom for k, v in sums.items()})
         log_rows.append(row)
         last_good = Checkpoint(model.copy(), normalizer, loss_cfg.m0, epoch + 1, None,
@@ -302,15 +299,20 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(ckpt: Checkpoint, out_dir):
-    """Persist a checkpoint as a JSON manifest plus one container per tensor."""
+def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
+    """Persist a checkpoint as a JSON manifest plus one container per tensor.
+
+    Returns the paths written, the manifest first.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = ckpt.model
     names = lspn_mod.parameter_names(model)[:-1]
     params = lspn_mod.parameters(model)[:-1]
+    written = [out_dir / "manifest.json"]
     for name, param in zip(names, params):
-        write_tensor(out_dir / "weights" / f"{name}.g2t", param, {"kind": "weights"})
+        written.append(out_dir / "weights" / f"{name}.g2t")
+        write_tensor(written[-1], param, {"kind": "weights"})
     doc = {
         "format": "g2sf-checkpoint-v1",
         "epoch": ckpt.epoch,
@@ -330,7 +332,8 @@ def save_checkpoint(ckpt: Checkpoint, out_dir):
         },
         "weights": names,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    written[0].write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    return written
 
 
 def _jsonable_rng_state(state):

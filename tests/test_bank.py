@@ -12,7 +12,6 @@ from g2sf.bank import (
     build_bank,
     covering_radius,
     load_bank,
-    nearest_distance,
     query_neighbors,
     query_neighbors_batch,
     save_bank,
@@ -264,31 +263,6 @@ class TestBatchEqualsOracle:
         queries = rng.standard_normal((n, 4)).astype(np.float32)
         for k in (0, 2):
             assert_batch_equals_oracle(bank, queries, k, chunk)
-
-
-class TestNearestDistance:
-    def test_member_zero(self):
-        bank = MemoryBank("pc", np.array([[1.0, 2.0]], dtype=np.float32))
-        assert nearest_distance(bank, np.array([1.0, 2.0])) == 0.0
-
-    def test_matches_allpairs_oracle(self):
-        rng = np.random.default_rng(6)
-        protos = rng.standard_normal((40, 7)).astype(np.float32)
-        bank = MemoryBank("pc", protos)
-        for _ in range(10):
-            f = rng.standard_normal(7)
-            oracle = min(np.linalg.norm(f - p) for p in protos)
-            assert nearest_distance(bank, f) == pytest.approx(oracle, rel=1e-9)
-
-    def test_monotone_under_prototype_addition(self):
-        rng = np.random.default_rng(8)
-        protos = rng.standard_normal((10, 3)).astype(np.float32)
-        grown = np.vstack([protos, rng.standard_normal((5, 3)).astype(np.float32)])
-        small = MemoryBank("pc", protos)
-        big = MemoryBank("pc", grown)
-        for _ in range(20):
-            f = rng.standard_normal(3)
-            assert nearest_distance(big, f) <= nearest_distance(small, f) + 1e-12
 
 
 class TestPersistence:

@@ -48,6 +48,11 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def run_stage(stage, cfg_path, data, run, *extra):
+    return main([stage, "--config", str(cfg_path), "--data", str(data),
+                 "--run", str(run), *extra])
+
+
 @pytest.fixture(scope="module")
 def cfg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "mini.cfg"
@@ -113,7 +118,7 @@ class TestChain:
                 (run / "train_log.jsonl").read_text().splitlines()]
         assert len(rows) == 1
         assert rows[0]["epoch"] == 1
-        assert rows[0]["wall_time"] is None  # deterministic default
+        assert "wall_time" not in rows[0]  # wall-clock fields break reruns
         assert {"train_sep", "train_mar", "train_cns", "train_sc",
                 "train_cma", "train_l1"} <= set(rows[0])
 
@@ -176,6 +181,11 @@ class TestExitCodes:
         assert "bank_manifest.json" in err, err
         assert not (run / "reports").exists()
 
+    def test_derived_k_is_config_error(self, tmp_path, capsys):
+        for key in ("synth.k", "eval.k"):
+            assert main(["gen", "--out", str(tmp_path / "d"), "--set", f"{key}=3"]) == 2
+            assert "loss.k" in capsys.readouterr().err
+
     def test_selftest_clean_run(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -188,6 +198,75 @@ class TestExitCodes:
         assert main(["selftest", "--checkpoint", str(ckpt_dir)]) == 1
         out = capsys.readouterr().out
         assert "checkpoint_integrity" in out and "FAIL" in out
+
+
+@pytest.fixture
+def chain_copy(chain, tmp_path):
+    """A private copy of the module chain, safe to edit."""
+    _, data, run = chain
+    shutil.copytree(data, tmp_path / "data")
+    shutil.copytree(run, tmp_path / "run")
+    return tmp_path / "data", tmp_path / "run"
+
+
+class TestEditedArtifacts:
+    """Every stage re-hashes the whole chain above it, outputs included."""
+
+    def assert_stale(self, capsys, stage, cfg_path, data, run, *names):
+        capsys.readouterr()
+        assert run_stage(stage, cfg_path, data, run, "--force") == 3
+        err = capsys.readouterr().err
+        for name in names:
+            assert name in err, err
+
+    def test_edited_test_manifest_reaches_eval(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        report = (run / "reports" / "eval.json").read_bytes()
+        doc = json.loads((data / "test_manifest.json").read_text())
+        for entry in doc["samples"]:
+            entry["image_label"] = 1 - entry["image_label"]
+        (data / "test_manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
+        self.assert_stale(capsys, "eval", cfg_path, data, run,
+                          "gen recorded its output", "test_manifest.json", "rerun gen")
+        assert (run / "reports" / "eval.json").read_bytes() == report
+
+    def test_edited_score_map_reaches_eval(self, chain_copy, cfg_path, capsys):
+        from g2sf.tensorio import read_tensor, write_tensor
+
+        data, run = chain_copy
+        path = run / "scores" / "test_0000_pixel.g2t"
+        pixel, header = read_tensor(path)
+        write_tensor(path, np.zeros_like(pixel), {"kind": header["kind"]})
+        self.assert_stale(capsys, "eval", cfg_path, data, run,
+                          "score recorded its output", "test_0000_pixel.g2t")
+
+    def test_rebuilt_bank_after_score_reaches_eval(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        assert run_stage("bank", cfg_path, data, run, "--force", "--fraction", "0.3") == 0
+        self.assert_stale(capsys, "eval", cfg_path, data, run,
+                          "train was built against bank", "bank_manifest.json")
+
+    def test_edited_pool_tensor_reaches_train(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        path = run / "pool" / "aug_0000_pc.g2t"
+        path.write_bytes(path.read_bytes()[:-4] + b"\0\0\0\0")
+        self.assert_stale(capsys, "train", cfg_path, data, run,
+                          "synth recorded its output", "aug_0000_pc.g2t")
+
+    def test_edited_weights_reach_score(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        path = next((run / "checkpoints" / "final" / "weights").iterdir())
+        path.write_bytes(path.read_bytes()[:-4] + b"\0\0\0\0")
+        self.assert_stale(capsys, "score", cfg_path, data, run,
+                          "train recorded its output", path.name)
+
+    def test_old_format_manifest_exits_3(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        doc = json.loads((run / "score_manifest.json").read_text())
+        doc.update(format="g2sf-stage-v1", outputs=sorted(doc["outputs"]))
+        (run / "score_manifest.json").write_text(json.dumps(doc))
+        self.assert_stale(capsys, "eval", cfg_path, data, run,
+                          "score_manifest.json", "rerun score")
 
 
 class TestSpecialModes:
@@ -211,18 +290,22 @@ class TestSpecialModes:
             np.testing.assert_array_equal(a, b)
 
     def test_eval_without_gt_flags_and_succeeds(self, chain, cfg_path, tmp_path):
-        _, data, run = chain
+        from g2sf.cli import _write_manifest
+        from g2sf.config import build_config
+
+        _, data, _ = chain
         data2 = tmp_path / "data"
-        run2 = tmp_path / "run"
         shutil.copytree(data, data2)
-        shutil.copytree(run, run2)
         doc = json.loads((data2 / "test_manifest.json").read_text())
         for entry in doc["samples"]:
             entry["pixel_gt"] = None
         (data2 / "test_manifest.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
-        (run2 / "eval_manifest.json").unlink()
-        assert main(["eval", "--config", str(cfg_path), "--data", str(data2),
-                     "--run", str(run2), "--force"]) == 0
+        # Re-stamp the edited dataset as gen would, then rebuild on top of it.
+        gen_doc = json.loads((data2 / "gen_manifest.json").read_text())
+        _write_manifest("gen", build_config(cfg_path), data2, None,
+                        list(gen_doc["outputs"]), {})
+        codes, _, run2 = run_chain(tmp_path, cfg_path, stages=STAGES[1:6])
+        assert all(c == 0 for c in codes.values()), codes
         report = json.loads((run2 / "reports" / "eval.json").read_text())
         assert report["p_auroc"] is None
         assert any(f.startswith("pixel_metrics_omitted") for f in report["flags"])
@@ -234,6 +317,20 @@ class TestSpecialModes:
         assert all(c == 0 for c in codes_b.values())
         assert tree_bytes(data_a) == tree_bytes(data_b)
         assert tree_bytes(run_a) == tree_bytes(run_b)
+
+    def test_threads_flag_sets_eval_threads(self, chain_copy, cfg_path):
+        from g2sf.cli import _config_from_args, build_parser
+
+        base = ["score", "--data", "d", "--run", "r", "--set", "eval.threads=3"]
+        parse = build_parser().parse_args
+        assert _config_from_args(parse(base)).eval.threads == 3
+        assert _config_from_args(parse(base + ["--threads", "2"])).eval.threads == 2
+        assert main(base + ["--threads", "0"]) == 2
+        # Threads spread the scoring loop and change no score map.
+        data, run = chain_copy
+        before = tree_bytes(run / "scores")
+        assert run_stage("score", cfg_path, data, run, "--threads", "2", "--force") == 0
+        assert tree_bytes(run / "scores") == before
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "g2sf.cli", "--help"],

@@ -48,6 +48,16 @@ class TestParsing:
         cfg = build_config(overrides=["loss.k=3"])
         assert cfg.synth.k == 3 and cfg.eval.k == 3
 
+    def test_derived_k_rejected(self, tmp_path):
+        # synth.k and eval.k follow loss.k; setting them must not be ignored.
+        path = tmp_path / "c.cfg"
+        for key in ("synth.k", "eval.k"):
+            with pytest.raises(ConfigError, match="loss.k"):
+                build_config(overrides=[f"{key}=3"])
+            path.write_text(f"{key} = 3\n")
+            with pytest.raises(ConfigError, match="loss.k"):
+                build_config(path)
+
 
 class TestHash:
     def test_stable_and_sensitive(self):

@@ -147,25 +147,3 @@ class TestUpsampleSmooth:
 
         with pytest.raises(ConfigError):
             bilinear_upsample(np.zeros((2, 2)), 0)
-
-
-class TestExports:
-    def test_csv_roundtrip(self, tmp_path):
-        from g2sf.scoring import export_csv
-
-        grid = np.arange(6.0).reshape(2, 3) / 7.0
-        path = tmp_path / "m.csv"
-        export_csv(grid, path)
-        back = np.loadtxt(path, delimiter=",")
-        np.testing.assert_allclose(back, grid, rtol=1e-8)
-
-    def test_pgm_header_and_range(self, tmp_path):
-        from g2sf.scoring import export_pgm
-
-        grid = np.array([[0.0, 0.5], [1.0, 0.25]])
-        path = tmp_path / "m.pgm"
-        export_pgm(grid, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "P2" and lines[1] == "2 2" and lines[2] == "255"
-        values = [int(v) for line in lines[3:] for v in line.split()]
-        assert min(values) == 0 and max(values) == 255
