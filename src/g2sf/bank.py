@@ -7,9 +7,12 @@ distances only.
 
 Queries are exact. A float64 GEMM expansion ||q||^2 - 2 q.p + ||p||^2
 shortlists each query's candidates, widened by a per-query rounding bound so
-that no prototype that could tie or beat the (2k+1)-th is dropped; the
-shortlist is then re-ranked on exact float64 differences, with ties broken
-toward the lower prototype index.
+that no prototype that could tie or beat the last requested rank is dropped;
+the shortlist is then re-ranked on exact float64 differences, with ties
+broken toward the lower prototype index. A query asks for 2k+1 ranks by
+default (the local spaces synthesis and training read) or for any smaller
+count (scoring reads ranks 0..k); the first ranks of a query are the same,
+tie order included, whatever the count.
 """
 from __future__ import annotations
 
@@ -140,19 +143,25 @@ def query_neighbors(bank: MemoryBank, f: np.ndarray, k: int) -> NeighborSet:
     return NeighborSet(order, d[order], truncated=bank.size < want)
 
 
-def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 1024):
+def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 1024,
+                          ranks: int | None = None):
     """Vectorized :func:`query_neighbors` over rows of ``queries`` (N, D).
 
     Returns (indices (N, n), distances (N, n), truncated) with
-    n = min(2k+1, bank size); indices and distances equal the scalar query's
-    bit for bit.
+    n = min(ranks, bank size); ``ranks`` defaults to the 2k+1 of
+    :func:`query_neighbors`, and ``truncated`` is whether the bank holds fewer
+    than ``ranks`` prototypes. Indices and distances equal the first n of the
+    scalar query bit for bit, so a query for fewer ranks is a prefix of one
+    for more.
 
     Per chunk of rows, one float64 GEMM gives approximate squared distances
     ||q||^2 - 2 q.p + ||p||^2. Each row keeps every prototype whose
     approximate value is within 8 (D + 4) eps (||q||^2 + max ||p||^2) of the
     row's n-th smallest; that bound exceeds the rounding error of both the
     expansion and the exact distance, so every prototype that could tie or
-    beat the n-th in exact arithmetic stays. The kept candidates are sorted
+    beat the n-th in exact arithmetic stays. One ``argpartition`` at n - 1
+    finds the n-th smallest and, unless the bound admits more than n
+    prototypes in some row, the shortlist too. The kept candidates are sorted
     by index, their distances recomputed from float64 differences exactly as
     :func:`query_neighbors` does, and ordered by a stable sort, so ties go to
     the lower index and a bank member sits at distance exactly 0. Scratch is
@@ -162,7 +171,9 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != bank.dim:
         raise ShapeError(f"queries shape {queries.shape} incompatible with bank dim {bank.dim}")
-    want = 2 * k + 1
+    want = 2 * k + 1 if ranks is None else ranks
+    if want < 1:
+        raise ConfigError(f"a query needs at least one rank, got {want}")
     n = min(want, bank.size)
     out_idx = np.empty((queries.shape[0], n), dtype=np.int64)
     out_dist = np.empty((queries.shape[0], n), dtype=np.float64)
@@ -179,14 +190,18 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
         approx *= -2.0
         approx += block_sq[:, None]
         approx += protos_sq[None, :]
-        # .copy() lets the partitioned block go before the argpartition below.
-        nth = np.partition(approx, n - 1, axis=1)[:, n - 1].copy()
+        part = np.argpartition(approx, n - 1, axis=1)
+        nth = np.take_along_axis(approx, part[:, n - 1 : n], axis=1)[:, 0]
         limit = nth + rel_slack * (block_sq + max_sq)
         if np.all(np.isfinite(limit)):
             width = int((approx <= limit[:, None]).sum(axis=1).max())
         else:  # non-finite queries: rank the whole bank
             width = bank.size
-        cand = np.sort(np.argpartition(approx, width - 1, axis=1)[:, :width], axis=1)
+        if width > n:
+            del part  # one (chunk, P) index block at a time
+            part = np.argpartition(approx, width - 1, axis=1)
+        cand = np.sort(part[:, :width], axis=1)
+        del part
         diff = protos[cand]
         np.subtract(block[:, None, :], diff, out=diff)
         d = np.sqrt(np.einsum("bpd,bpd->bp", diff, diff))

@@ -4,7 +4,9 @@ One RunConfig drives every pipeline stage. Settings come from three layers
 with increasing precedence: built-in defaults, a config file of
 ``section.key = value`` lines, then command-line ``--set`` overrides and
 dedicated flags. The SHA-256 hash of the canonical merged configuration is
-stamped into every stage manifest so downstream stages can detect drift.
+stamped into every stage manifest so downstream stages can detect drift;
+execution settings (``eval.threads``) are left out of it, since they change
+no artifact.
 """
 from __future__ import annotations
 
@@ -65,8 +67,11 @@ class RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
-    doc = json.dumps(cfg.to_dict(), sort_keys=True, default=_jsonable,
-                     separators=(",", ":"))
+    """SHA-256 of the canonical configuration without ``eval.threads``, an
+    execution setting that changes how a stage runs but nothing it writes."""
+    settings = cfg.to_dict()
+    del settings["eval"]["threads"]
+    doc = json.dumps(settings, sort_keys=True, default=_jsonable, separators=(",", ":"))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 

@@ -102,7 +102,7 @@ class MapEncoding:
 
     ``indices`` (H, W, n) prototype ids, ``distances`` (H, W, n) normalized
     float32 distances and ``raw_distances`` (H, W, n) float64 distances in
-    feature units, where n = min(2k+1, bank size). Directions are not
+    feature units, where n = min(ranks, bank size). Directions are not
     stored: with the map's features and the bank, each one is
     ``(f - prototypes[idx]) * inverse_distances(raw)``, and the scale
     network reads them in that factored form.
@@ -128,11 +128,20 @@ def inverse_distances(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceNormalizer):
+def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceNormalizer,
+               ranks: int | None = None) -> MapEncoding:
+    """Encode every cell of ``fmap`` against its nearest prototypes.
+
+    ``ranks`` is how many nearest prototypes each cell keeps, 2k+1 by default
+    (the local spaces synthesis and training read); scoring asks for the k+1
+    it aggregates. The first ranks are the same whatever the count (see
+    :func:`g2sf.bank.query_neighbors_batch`).
+    """
     h, w, d = fmap.data.shape
     if d != bank.dim:
         raise ShapeError(f"feature dim {d} != bank dim {bank.dim}")
-    idx, dist, truncated = query_neighbors_batch(bank, fmap.data.reshape(h * w, d), k)
+    idx, dist, truncated = query_neighbors_batch(bank, fmap.data.reshape(h * w, d), k,
+                                                 ranks=ranks)
     n = idx.shape[1]
     mean = normalizer.mean_for(bank.modality)
     return MapEncoding(

@@ -33,6 +33,17 @@ gradients (weighted by 1/r in the direction branch), and forms the weight
 gradient as G_cell^T F - G_proto^T M, in float64. It never forms a gradient
 with respect to the inputs.
 
+Prototype tables of frozen weights. T_m, and B_m with the float64 copy of
+W_m it is built from, depend only on the first-layer weight and the bank.
+When both arrays are read-only (a checkpoint from
+:func:`g2sf.trainer.load_checkpoint` and every :class:`g2sf.bank.MemoryBank`
+are), the tables are built once and kept on the model, keyed by those two
+arrays, so scoring a test split pays for them once per checkpoint and bank
+rather than once per sample. Weights that are being trained are writable,
+so training and validation rebuild the tables on every forward and can never
+read a stale one. A_m depends on the sample's features and is built on every
+call.
+
 A training-mode forward caches one array per hidden block: its output
 (ReLU and dropout applied), which the next layer reads anyway. The backward
 recovers the activation's gradient from it (see :func:`g2sf.nn.relu_dropout_backward`),
@@ -40,6 +51,7 @@ so no pre-activation or dropout mask is kept.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -96,6 +108,9 @@ class LspnModel:
     dir_branch: list = field(default_factory=list)
     fusion_head: list = field(default_factory=list)
     log_sigma: np.ndarray = None  # (2,): log sigma_pc, log sigma_rgb
+    # First-layer prototype tables of frozen weights, (branch, modality) ->
+    # _Tables; see _prototype_tables. Copies start with an empty cache.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def sigma_pc(self) -> float:
@@ -238,12 +253,61 @@ def _segment_sum(ids: np.ndarray, values: np.ndarray, size: int, scale=None) -> 
     return onehot @ values
 
 
+class _Tables(NamedTuple):
+    """Cached tables of one (branch, modality) and the two arrays they were
+    built from; held so that neither array's id can be reused while cached."""
+
+    weight: np.ndarray
+    prototypes: np.ndarray
+    value: tuple
+
+
+_TABLES_LOCK = threading.Lock()  # serializes fills from scoring's thread pool
+
+
+def _frozen(array: np.ndarray) -> bool:
+    """True when neither ``array`` nor any array whose memory it views is writable."""
+    while isinstance(array, np.ndarray):
+        if array.flags.writeable:
+            return False
+        array = array.base
+    return array is None or isinstance(array, bytes)
+
+
+def _build_tables(model, branch: str, m: int, prototypes):
+    cols = _columns(model.cfg)[m]
+    if branch == "proto":
+        weight = model.proto_branch[0].weight
+        return (prototypes.astype(weight.dtype, copy=False) @ weight[:, cols].T,)
+    weight = model.dir_branch[0].weight
+    weight = weight[:, cols].astype(_table_dtype(weight.dtype))
+    return weight, prototypes.astype(weight.dtype) @ weight.T
+
+
+def _prototype_tables(model, branch: str, m: int, prototypes):
+    """First-layer tables of modality ``m`` in ``branch``: (T_m,) for the
+    prototype branch, (W_m as float64 (H, D_m), B_m) for the direction branch.
+
+    Built on every call unless the branch's first-layer weight and
+    ``prototypes`` are both frozen; then the tables are cached on ``model``
+    and rebuilt only when either array is replaced.
+    """
+    weight = (model.proto_branch if branch == "proto" else model.dir_branch)[0].weight
+    if not (_frozen(weight) and _frozen(prototypes)):
+        return _build_tables(model, branch, m, prototypes)
+    with _TABLES_LOCK:
+        hit = model._tables.get((branch, m))
+        if hit is None or hit.weight is not weight or hit.prototypes is not prototypes:
+            hit = _Tables(weight, prototypes, _build_tables(model, branch, m, prototypes))
+            model._tables[(branch, m)] = hit
+        return hit.value
+
+
 def _proto_pre(model, protos, sources):
     block = model.proto_branch[0]
-    dtype = block.weight.dtype
     pre = None
-    for m, cols in enumerate(_columns(model.cfg)):
-        table = sources.prototypes[m].astype(dtype, copy=False) @ block.weight[:, cols].T
+    for m in range(2):
+        (table,) = _prototype_tables(model, "proto", m, sources.prototypes[m])
         part = np.take(table, protos[:, m], axis=0)
         pre = part if pre is None else np.add(pre, part, out=pre)
     pre += block.bias
@@ -252,12 +316,10 @@ def _proto_pre(model, protos, sources):
 
 def _direction_pre(model, dirs: Directions, sources):
     block = model.dir_branch[0]
-    acc = _table_dtype(block.weight.dtype)
     tables = []  # (A_m, B_m, 1/r) per modality
-    for m, cols in enumerate(_columns(model.cfg)):
-        weight = block.weight[:, cols].astype(acc)
-        tables.append((sources.features[m].astype(acc) @ weight.T,
-                       sources.prototypes[m].astype(acc) @ weight.T,
+    for m in range(2):
+        weight, b = _prototype_tables(model, "dir", m, sources.prototypes[m])
+        tables.append((sources.features[m].astype(weight.dtype) @ weight.T, b,
                        np.ascontiguousarray(dirs.inv_r[:, m])))
     rows = dirs.cells.shape[0]
     pre = np.empty((rows, block.out_dim), block.weight.dtype)

@@ -2,6 +2,10 @@
 
 The per-cell score aggregates the metric values of the k+1 nearest local
 spaces with a min operator (alternatives: the rank-0 value, max, mean).
+Scoring queries the banks for exactly those k+1 ranks; synthesis and
+training encode 2k+1, and the first k+1 of those are the same neighbors in
+the same order. Scoring a model loaded from a checkpoint reuses its
+first-layer prototype tables across samples (see :mod:`g2sf.lspn`).
 Background cells bypass the network with unit scaling factors, reducing to
 the sigma-weighted sum of normalized Euclidean distances. The sample-level
 score is the max over foreground cells of the pre-smoothing grid; smoothing
@@ -49,25 +53,23 @@ def _aggregate(l: np.ndarray, agg: str) -> np.ndarray:
 def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int):
     """Fused metric values l (H, W, k+1) for every cell, plus the rank-0
     scale factors (H, W, 2) and normalized distances (H, W, k+1, 2)."""
-    enc_pc = encode_map(pair.pc, banks["pc"], k, normalizer)
-    enc_rgb = encode_map(pair.rgb, banks["rgb"], k, normalizer)
     n_use = k + 1
-    if enc_pc.n_neighbors < n_use or enc_rgb.n_neighbors < n_use:
+    enc_pc = encode_map(pair.pc, banks["pc"], k, normalizer, ranks=n_use)
+    enc_rgb = encode_map(pair.rgb, banks["rgb"], k, normalizer, ranks=n_use)
+    if enc_pc.truncated or enc_rgb.truncated:
         raise ShapeError(f"banks hold too few prototypes for ranks 0..{k}")
     h, w = pair.grid
     fg = pair.foreground.reshape(-1)
-    s = np.stack(
-        [enc_pc.distances[..., :n_use], enc_rgb.distances[..., :n_use]], axis=-1
-    ).reshape(h * w, n_use, 2).astype(np.float64)
+    s = np.stack([enc_pc.distances, enc_rgb.distances], axis=-1
+                 ).reshape(h * w, n_use, 2).astype(np.float64)
     sigma = model.sigma.astype(np.float64)
 
     w_factors = np.ones((h * w, n_use, 2))
     rows = np.flatnonzero(fg)
     if rows.size:
         encs = (enc_pc, enc_rgb)
-        ids = np.stack([e.indices.reshape(h * w, -1)[rows, :n_use] for e in encs], axis=2)
-        raw = np.stack([e.raw_distances.reshape(h * w, -1)[rows, :n_use] for e in encs],
-                       axis=2)
+        ids = np.stack([e.indices.reshape(h * w, n_use)[rows] for e in encs], axis=2)
+        raw = np.stack([e.raw_distances.reshape(h * w, n_use)[rows] for e in encs], axis=2)
         protos, dirs = lspn_mod.rank_rows(ids, inverse_distances(raw))
         sources = lspn_mod.Sources(
             (banks["pc"].prototypes, banks["rgb"].prototypes),

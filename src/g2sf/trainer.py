@@ -343,6 +343,10 @@ def _jsonable_rng_state(state):
 
 
 def load_checkpoint(in_dir) -> Checkpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The model's parameter arrays are read-only; ``model.copy()`` is writable.
+    """
     in_dir = Path(in_dir)
     try:
         doc = json.loads((in_dir / "manifest.json").read_text())
@@ -374,6 +378,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
             bias = tensors[f"{prefix}_{i}_b"]
             final = prefix == "fusion" and i == count - 1
             blocks.append(LinearBlock(weight, bias, 0.0 if final else cfg.dropout))
+    # Frozen as banks are, so scoring builds its first-layer tables once (g2sf.lspn).
+    for param in lspn_mod.parameters(model):
+        param.setflags(write=False)
     loss_cfg = losses_mod.LossConfig(**doc["loss"]) if doc.get("loss") else None
     train_cfg = TrainConfig(**doc["train"]) if doc.get("train") else None
     return Checkpoint(

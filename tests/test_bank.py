@@ -255,6 +255,55 @@ class TestBatchEqualsOracle:
         queries[1, 0] = bad
         assert_batch_equals_oracle(bank, queries, 2, chunk=2)
 
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 30), d=st.integers(1, 6),
+           k=st.integers(0, 5), ranks=st.integers(1, 11), ties=st.booleans(),
+           offset=st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=60, deadline=None)
+    def test_fewer_ranks_are_a_prefix(self, seed, p, d, k, ranks, ties, offset):
+        # Scoring asks for k+1 ranks and synthesis for 2k+1: the shorter
+        # query must be the longer one's first ranks bit for bit, tie order
+        # included, and the scalar oracle's.
+        rng = np.random.default_rng(seed)
+        if ties:
+            grid = rng.integers(-2, 3, size=(p, d)).astype(np.float32)
+            protos = np.repeat(grid, 3, axis=0)
+            queries = rng.integers(-2, 3, size=(16, d)).astype(np.float64)
+        else:
+            protos = rng.standard_normal((p, d)).astype(np.float32)
+            queries = rng.standard_normal((16, d))
+        bank = MemoryBank("pc", protos + np.float32(offset))
+        queries += offset
+        short = query_neighbors_batch(bank, queries, k, chunk=5, ranks=k + 1)
+        full = query_neighbors_batch(bank, queries, k, chunk=5)
+        n = min(k + 1, bank.size)
+        assert short[0].tobytes() == full[0][:, :n].tobytes()
+        assert short[1].tobytes() == full[1][:, :n].tobytes()
+        assert short[2] == (bank.size < k + 1)
+        idx, dist, truncated = query_neighbors_batch(bank, queries, k, ranks=ranks)
+        n = min(ranks, bank.size)
+        assert idx.shape == dist.shape == (16, n) and truncated == (bank.size < ranks)
+        for i, q in enumerate(queries):
+            single = query_neighbors(bank, q, ranks)  # 2 ranks + 1 >= ranks
+            np.testing.assert_array_equal(idx[i], single.indices[:n])
+            np.testing.assert_array_equal(dist[i], single.distances[:n])
+
+    def test_tied_ranks_prefix(self):
+        # Nine prototypes at distance 1: every count takes the lowest indices.
+        unit = np.vstack([np.eye(3), -np.eye(3), np.eye(3)]).astype(np.float32)
+        bank = MemoryBank("pc", unit)
+        full_idx, _, _ = query_neighbors_batch(bank, np.zeros((2, 3)), 3)
+        for want in range(1, 10):
+            idx, dist, _ = query_neighbors_batch(bank, np.zeros((2, 3)), 3, ranks=want)
+            np.testing.assert_array_equal(idx, np.tile(np.arange(want), (2, 1)))
+            np.testing.assert_array_equal(dist, np.ones((2, want)))
+            if want <= 7:
+                np.testing.assert_array_equal(idx, full_idx[:, :want])
+
+    def test_zero_ranks_rejected(self):
+        bank = MemoryBank("pc", np.eye(3, dtype=np.float32))
+        with pytest.raises(ConfigError):
+            query_neighbors_batch(bank, np.zeros((1, 3)), 2, ranks=0)
+
     @pytest.mark.parametrize("n,chunk", [(0, 4), (1, 1), (13, 1), (13, 4), (13, 13),
                                          (13, 1024)])
     def test_chunk_boundaries(self, n, chunk):

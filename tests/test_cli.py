@@ -332,6 +332,15 @@ class TestSpecialModes:
         assert run_stage("score", cfg_path, data, run, "--threads", "2", "--force") == 0
         assert tree_bytes(run / "scores") == before
 
+    def test_threads_rerun_needs_force(self, chain_copy, cfg_path, capsys):
+        # The thread count is not part of the config hash: a rerun at another
+        # count is a rerun of the same configuration.
+        data, run = chain_copy
+        before = tree_bytes(run)
+        assert run_stage("score", cfg_path, data, run, "--threads", "2") == 1
+        assert "pass --force" in capsys.readouterr().err
+        assert tree_bytes(run) == before
+
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "g2sf.cli", "--help"],
                               capture_output=True, text=True)

@@ -66,3 +66,9 @@ class TestHash:
         assert config_hash(a) == config_hash(b)
         c = build_config(overrides=["train.epochs=81"])
         assert config_hash(c) != config_hash(a)
+
+    def test_threads_not_hashed(self):
+        a = build_config()
+        b = build_config(overrides=["eval.threads=2"])
+        assert b.eval.threads == 2
+        assert config_hash(b) == config_hash(a)

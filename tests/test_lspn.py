@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from g2sf.bank import MemoryBank, query_neighbors_batch
 from g2sf.errors import ShapeError
 from g2sf.geometry import GeometricEncoding, inverse_distances
+from g2sf import lspn
 from g2sf.lspn import (
     Directions,
     LspnConfig,
@@ -283,6 +288,134 @@ class TestTrainingCache:
         expected = sum(rows * b.out_dim for b in hidden) * itemsize
         expected += rows * 2 * itemsize  # the final linear layer's pre-activation
         assert sum(a.nbytes for a in buffers.values()) == expected
+
+
+def frozen(model):
+    """``model`` with every parameter read-only, as a loaded checkpoint's."""
+    for p in parameters(model):
+        p.setflags(write=False)
+    return model
+
+
+def frozen_sources(sources):
+    """``sources`` with read-only prototypes, as a bank's."""
+    for protos in sources.prototypes:
+        protos.setflags(write=False)
+    return sources
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts the prototype tables the forward builds, one per call."""
+    calls = []
+    build = lspn._build_tables
+
+    def counted(model, branch, m, prototypes):
+        calls.append((branch, m))
+        return build(model, branch, m, prototypes)
+
+    monkeypatch.setattr(lspn, "_build_tables", counted)
+    return calls
+
+
+class TestFrozenTables:
+    """First-layer prototype tables are cached for frozen weights only."""
+
+    def test_built_once_and_bit_identical_to_writable_copy(self, table_builds):
+        rng = np.random.default_rng(20)
+        model = frozen(init_model(SMALL, seed=5))
+        protos, dirs, sources = random_inputs(rng, SMALL, 64)
+        sources = frozen_sources(sources)
+        want, _ = forward_batch(model.copy(), protos, dirs, sources)
+        assert len(table_builds) == 4  # writable copy: both branches, both modalities
+        first, _ = forward_batch(model, protos, dirs, sources)
+        second, _ = forward_batch(model, protos, dirs, sources)
+        assert len(table_builds) == 8  # the frozen model built its tables once
+        assert first.tobytes() == want.tobytes() == second.tobytes()
+
+    def test_writable_weights_never_read_a_stale_table(self, table_builds):
+        rng = np.random.default_rng(21)
+        model = init_model(SMALL, seed=6)
+        protos, dirs, sources = random_inputs(rng, SMALL, 32)
+        sources = frozen_sources(sources)
+        before, _ = forward_batch(model, protos, dirs, sources)
+        for block in (model.proto_branch[0], model.dir_branch[0]):
+            block.weight *= 2.0
+        after, _ = forward_batch(model, protos, dirs, sources)
+        fresh, _ = forward_batch(model.copy(), protos, dirs, sources)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == fresh.tobytes()
+        assert len(table_builds) == 12 and model._tables == {}
+
+    def test_writable_prototypes_are_not_cached(self, table_builds):
+        # A read-only view of a writable array can still change under it.
+        rng = np.random.default_rng(22)
+        model = frozen(init_model(SMALL, seed=7))
+        protos, dirs, sources = random_inputs(rng, SMALL, 16)
+        bases = sources.prototypes
+        views = tuple(b[:] for b in bases)
+        for view in views:
+            view.setflags(write=False)
+        sources = sources._replace(prototypes=views)
+        before, _ = forward_batch(model, protos, dirs, sources)
+        bases[0][...] += 1.0
+        after, _ = forward_batch(model, protos, dirs, sources)
+        fresh, _ = forward_batch(model.copy(), protos, dirs, sources)
+        assert not np.array_equal(after, before)
+        assert after.tobytes() == fresh.tobytes()
+        assert model._tables == {}
+
+    def test_other_bank_rebuilds(self, table_builds):
+        rng = np.random.default_rng(23)
+        model = frozen(init_model(SMALL, seed=8))
+        protos, dirs, sources = random_inputs(rng, SMALL, 16)
+        other = frozen_sources(sources._replace(
+            prototypes=tuple(p + np.float32(0.5) for p in sources.prototypes)))
+        sources = frozen_sources(sources)
+        for src in (sources, other, sources):
+            got, _ = forward_batch(model, protos, dirs, src)
+            want, _ = forward_batch(model.copy(), protos, dirs, src)
+            assert got.tobytes() == want.tobytes()
+        assert len(model._tables) == 4  # one entry per branch and modality
+
+    def test_cache_holds_no_reference_to_the_model(self):
+        rng = np.random.default_rng(24)
+        model = frozen(init_model(SMALL, seed=9))
+        protos, dirs, sources = random_inputs(rng, SMALL, 8)
+        forward_batch(model, protos, dirs, frozen_sources(sources))
+        assert len(model._tables) == 4
+        ref = weakref.ref(model)
+        del model
+        assert ref() is None
+
+    def test_concurrent_fills_build_once(self, table_builds):
+        # More threads than cores on the first forward of fresh frozen models,
+        # with a short switch interval: each model builds its tables once and
+        # every thread reads whole, equal tables.
+        rng = np.random.default_rng(25)
+        protos, dirs, sources = random_inputs(rng, SMALL, 256)
+        sources = frozen_sources(sources)
+        writable = init_model(SMALL, seed=10)
+        want, _ = forward_batch(writable, protos, dirs, sources)
+        rounds, threads = 4, 8
+        start = threading.Barrier(threads)
+
+        def one(model):
+            start.wait(timeout=60)
+            return forward_batch(model, protos, dirs, sources)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                for _ in range(rounds):
+                    model = frozen(writable.copy())
+                    futures = [pool.submit(one, model) for _ in range(threads)]
+                    results = [f.result(timeout=60) for f in futures]
+                    assert all(r.tobytes() == want.tobytes() for r in results)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(table_builds) == 4 * (1 + rounds)  # the writable model's, then each frozen one's
 
 
 class TestInit:

@@ -116,6 +116,50 @@ class TestScoreSample:
         assert smap.sample_score == 0.0
 
 
+@pytest.fixture(scope="module")
+def loaded_checkpoint(tmp_path_factory, desk_checkpoint):
+    from g2sf.trainer import load_checkpoint, save_checkpoint
+
+    ckpt, _ = desk_checkpoint
+    path = tmp_path_factory.mktemp("ckpt") / "final"
+    save_checkpoint(ckpt, path)
+    return load_checkpoint(path)
+
+
+class TestLoadedCheckpoint:
+    def test_parameters_are_read_only(self, loaded_checkpoint):
+        from g2sf.lspn import parameters
+
+        model = loaded_checkpoint.model
+        for param in parameters(model):
+            assert not param.flags.writeable
+        with pytest.raises(ValueError):
+            model.proto_branch[0].weight[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            model.dir_branch[0].bias[...] = 0.0
+        assert all(p.flags.writeable for p in parameters(model.copy()))
+
+    def test_maps_bit_identical_to_writable_copy(self, loaded_checkpoint, desk_dataset,
+                                                 desk_banks):
+        _, _, test_manifest = desk_dataset
+        banks, normalizer = desk_banks
+        frozen, writable = loaded_checkpoint.model, loaded_checkpoint.model.copy()
+        for ref in test_manifest.samples[:4]:
+            pair = load_sample(test_manifest, ref)
+            got = sample_maps(frozen, pair, banks, normalizer, DESK_K)
+            want = sample_maps(writable, pair, banks, normalizer, DESK_K)
+            assert got.keys() == want.keys()
+            for name in got:
+                assert got[name].grid.tobytes() == want[name].grid.tobytes(), name
+                assert got[name].sample_score == want[name].sample_score
+            for agg in ("min", "first"):
+                a = score_sample(frozen, pair, banks, normalizer, DESK_K, agg)
+                b = score_sample(writable, pair, banks, normalizer, DESK_K, agg)
+                assert a.grid.tobytes() == b.grid.tobytes()
+                assert a.grid.tobytes() == got[agg].grid.tobytes()
+        assert len(frozen._tables) == 4 and writable._tables == {}
+
+
 class TestUpsampleSmooth:
     def test_identity(self):
         grid = np.arange(12.0).reshape(3, 4)
