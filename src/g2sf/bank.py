@@ -5,6 +5,16 @@ The bank stores full-dimensional prototype vectors selected by farthest-point
 an optional seeded Gaussian random projection accelerates the *selection*
 distances only.
 
+Selection keeps every point's exact squared distance to its nearest chosen
+center. Each greedy step prices the new center against all points with one
+float64 GEMV, ||x||^2 - 2 x.c + ||c||^2, and recomputes exact differences
+only for the points whose lower rounding bound does not already exceed their
+current minimum, so the minima, and with them the selected indices, are
+those of a full exact scan. When the last step ends, those minima are each
+input point's exact nearest-prototype distance: the bank hands them back as
+``coverage``, and the bank stage takes the distance normalizer from them
+without a second k-NN pass.
+
 Queries are exact. A float64 GEMM expansion ||q||^2 - 2 q.p + ||p||^2
 shortlists each query's candidates, widened by a per-query rounding bound so
 that no prototype that could tie or beat the last requested rank is dropped;
@@ -40,10 +50,18 @@ __all__ = [
 
 @dataclass
 class MemoryBank:
+    """Read-only prototypes of one modality.
+
+    ``coverage`` is set only by :func:`build_bank` when selection ran in the
+    feature space: the exact distance of each input point, in input order,
+    to its nearest prototype. It is not persisted.
+    """
+
     modality: str
     prototypes: np.ndarray
     source_refs: list = field(default_factory=list)
     coreset_fraction: float = 1.0
+    coverage: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.prototypes = np.ascontiguousarray(self.prototypes, dtype=np.float32)
@@ -52,6 +70,8 @@ class MemoryBank:
         if not np.all(np.isfinite(self.prototypes)):
             raise ConfigError("bank prototypes must be finite")
         self.prototypes.setflags(write=False)  # banks are immutable after build
+        if self.coverage is not None:
+            self.coverage.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -83,6 +103,26 @@ def _sq_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _rel_slack(dim: int) -> float:
+    """Relative rounding slack of a float64 GEMM distance in ``dim`` dimensions.
+
+    The expansion ||x||^2 - 2 x.c + ||c||^2 and the exact difference form
+    together err by at most about 4 (D + 4) eps (||x||^2 + ||c||^2); the
+    slack is twice that, and it scales the same sum.
+    """
+    return 8.0 * (dim + 4) * np.finfo(np.float64).eps
+
+
+def _selection_space(points: np.ndarray, seed, projection_dim) -> np.ndarray:
+    """Float64 points in which greedy selection measures distances."""
+    space = points.astype(np.float64)  # cast once, not on every greedy step
+    if projection_dim is not None and projection_dim < points.shape[1]:
+        rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
+        proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
+        space = space @ proj
+    return space
+
+
 def build_bank(
     features,
     modality: str,
@@ -94,9 +134,24 @@ def build_bank(
     """Greedy k-center selection of ``ceil(fraction * N)`` prototypes.
 
     ``features`` is any iterable of D-vectors (foreground features of the
-    training split). When ``projection_dim`` is set, selection distances are
-    computed in a seeded Gaussian random-projection space for speed, but the
-    stored prototypes are always full-dimensional.
+    training split). When ``projection_dim`` is below D, selection distances
+    are computed in a seeded Gaussian random-projection space for speed, but
+    the stored prototypes are always full-dimensional.
+
+    Each point's squared distance to its nearest center, ``min_sq``, is the
+    one a full scan of exact float64 differences would hold. A step computes
+    approximate distances to the new center c with one GEMV and skips every
+    point whose lower bound ``approx - slack (||x||^2 + ||c||^2)`` exceeds
+    its ``min_sq``: its exact distance cannot lower the minimum. The other
+    points (non-finite ones included) get exact differences and a minimum.
+    The argmax, with ties to the lowest index, thus picks what the full scan
+    picks, whatever the BLAS summation order.
+
+    The returned bank's ``coverage`` is ``sqrt(min_sq)`` after the last
+    step, with selected points at exactly 0: each input point's nearest-
+    prototype distance, bit-equal to rank 0 of
+    :func:`query_neighbors_batch`. It is None when selection ran in a
+    projected space.
     """
     points = np.asarray(list(features) if not isinstance(features, np.ndarray) else features,
                         dtype=np.float32)
@@ -107,21 +162,33 @@ def build_bank(
     n = points.shape[0]
     budget = min(n, math.ceil(fraction * n))
 
-    space = points.astype(np.float64)  # cast once, not on every greedy step
-    if projection_dim is not None and projection_dim < points.shape[1]:
-        rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
-        proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
-        space = space @ proj
+    space = _selection_space(points, seed, projection_dim)
 
     selected = np.empty(budget, dtype=np.int64)
     selected[0] = 0
     min_sq = _sq_distances(space, space[0])
     min_sq[0] = -np.inf  # selected rows can never win the argmax again
+    space_sq = np.einsum("nd,nd->n", space, space)
+    # lower = approx - slack (||x||^2 + ||c||^2), with the slack folded into
+    # the squared norms once per build.
+    keep = 1.0 - _rel_slack(space.shape[1])
+    space_sq_lo = space_sq * keep
+    lower = np.empty(n)
     for i in range(1, budget):
         nxt = int(np.argmax(min_sq))  # argmax takes the lowest index on ties
         selected[i] = nxt
-        np.minimum(min_sq, _sq_distances(space, space[nxt]), out=min_sq)
+        centre = space[nxt]
+        np.matmul(space, centre, out=lower)
+        lower *= -2.0
+        lower += space_sq_lo
+        lower += space_sq[nxt] * keep
+        rows = np.flatnonzero(~(lower > min_sq))  # NaN bounds take the exact path
+        min_sq[rows] = np.minimum(min_sq[rows], _sq_distances(space[rows], centre))
         min_sq[nxt] = -np.inf
+    coverage = None
+    if space.shape[1] == points.shape[1]:  # not a projected space
+        min_sq[selected] = 0.0
+        coverage = np.sqrt(min_sq)
 
     refs = None
     if source_refs is not None:
@@ -129,7 +196,7 @@ def build_bank(
         if len(source_refs) != n:
             raise ShapeError("source_refs length must match the feature count")
         refs = [source_refs[i] for i in selected]
-    return MemoryBank(modality, points[selected], refs or [], fraction)
+    return MemoryBank(modality, points[selected], refs or [], fraction, coverage)
 
 
 def query_neighbors(bank: MemoryBank, f: np.ndarray, k: int) -> NeighborSet:
@@ -180,9 +247,7 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     protos = bank.prototypes.astype(np.float64)
     protos_sq = np.einsum("pd,pd->p", protos, protos)
     max_sq = protos_sq.max()
-    # The expansion and the exact re-rank together err by at most about
-    # 4 (D + 4) eps (||q||^2 + max ||p||^2); the shortlist keeps twice that.
-    rel_slack = 8.0 * (bank.dim + 4) * np.finfo(np.float64).eps
+    rel_slack = _rel_slack(bank.dim)
     for start in range(0, queries.shape[0], chunk):
         block = queries[start : start + chunk].astype(np.float64)
         block_sq = np.einsum("bd,bd->b", block, block)

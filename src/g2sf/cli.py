@@ -30,7 +30,7 @@ import numpy as np
 
 from . import evaluation as eval_mod
 from . import synthesis as synth_mod
-from .bank import build_bank, load_bank, save_bank
+from .bank import build_bank, load_bank, query_neighbors_batch, save_bank
 from .config import apply_setting, build_config, config_hash
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
@@ -42,7 +42,7 @@ from .features import (
     write_feature_map,
     write_mask,
 )
-from .geometry import DistanceNormalizer, fit_normalizer
+from .geometry import DistanceNormalizer, normalizer_from_distances
 from .selftest import run_all
 from .tensorio import read_tensor, write_tensor
 from .trainer import load_checkpoint, save_checkpoint, train
@@ -186,15 +186,24 @@ def cmd_bank(cfg, data, run):
         for m in ("pc", "rgb"):
             feats[m].append(getattr(pair, m).data[fg])
             refs[m].extend((pair.sample_id, int(r), int(c)) for r, c in coords)
-    banks = {}
+    # The normalizer sums nearest-prototype distances sample by sample.
+    splits = np.cumsum([len(f) for f in feats["pc"]])[:-1]
+    banks, nearest, radius = {}, {}, {}
     for m in ("pc", "rgb"):
-        banks[m] = build_bank(np.concatenate(feats[m]), m, cfg.bank.fraction,
+        points = np.concatenate(feats[m])
+        banks[m] = build_bank(points, m, cfg.bank.fraction,
                               seed=cfg.seed, projection_dim=cfg.bank.projection_dim,
                               source_refs=refs[m])
         save_bank(banks[m], run / "banks" / f"{m}.g2t")
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+        dist = banks[m].coverage
+        if dist is None:  # selected in a projected space
+            dist = query_neighbors_batch(banks[m], points, 0)[1][:, 0]
+        nearest[m] = np.split(dist, splits)
+        radius[m] = float(dist.max())
+    normalizer, means = normalizer_from_distances(nearest)
     outputs = [f"banks/{m}.g2t{ext}" for m in ("pc", "rgb") for ext in ("", ".json")]
-    extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks}}
+    extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks},
+             "coverage": {m: {"radius": radius[m], "mean": means[m]} for m in banks}}
     return outputs, extra, (f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb "
                             f"prototypes (fraction {cfg.bank.fraction})")
 

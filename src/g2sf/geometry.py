@@ -13,6 +13,10 @@ any one triplet, so no information is lost before metric learning.
 
 Distances are normalized per modality by the mean nearest-prototype distance
 over the training foreground, so both modalities score in comparable units.
+:func:`normalizer_from_distances` is the one place that mean is summed. The
+bank stage feeds it the coverage its coreset build already computed (see
+:func:`g2sf.bank.build_bank`); :func:`fit_normalizer` feeds it rank-0 k-NN
+distances of samples read again, and both give the same bits.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ __all__ = [
     "encode_map",
     "inverse_distances",
     "fit_normalizer",
+    "normalizer_from_distances",
 ]
 
 
@@ -156,12 +161,11 @@ def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceN
 def fit_normalizer(train_pairs, banks: dict) -> DistanceNormalizer:
     """Mean nearest-prototype distance per modality over training foreground.
 
-    ``train_pairs`` is an iterable of :class:`SamplePair`. A zero mean (all
-    features sit in the bank, e.g. fraction 1.0) is replaced by 1.0 with a
-    warning so downstream divisions stay defined.
+    ``train_pairs`` is an iterable of :class:`SamplePair`; each sample's
+    foreground is queried against ``banks`` and the rank-0 distances go to
+    :func:`normalizer_from_distances`.
     """
-    totals = {"pc": 0.0, "rgb": 0.0}
-    counts = {"pc": 0, "rgb": 0}
+    nearest = {"pc": [], "rgb": []}
     for pair in train_pairs:
         if not isinstance(pair, SamplePair):
             raise ShapeError("fit_normalizer expects SamplePair items")
@@ -172,19 +176,36 @@ def fit_normalizer(train_pairs, banks: dict) -> DistanceNormalizer:
             if flat.shape[0] == 0:
                 continue
             _, dist, _ = query_neighbors_batch(banks[modality], flat, 0)
-            totals[modality] += float(dist[:, 0].sum())
-            counts[modality] += flat.shape[0]
-    if counts["pc"] == 0 or counts["rgb"] == 0:
-        raise EmptyBankError("no foreground features to fit the distance normalizer")
+            nearest[modality].append(dist[:, 0])
+    return normalizer_from_distances(nearest)[0]
+
+
+def normalizer_from_distances(nearest: dict):
+    """Normalizer from per-sample nearest-prototype distances.
+
+    ``nearest`` maps "pc" and "rgb" to sequences of 1-D distance arrays, one
+    per training sample in sample order; each sample's sum is added in that
+    order. Returns (normalizer, raw means). A zero mean (all features sit in
+    the bank, e.g. fraction 1.0) is replaced by 1.0 in the normalizer, with
+    a warning, so downstream divisions stay defined; the raw means keep it.
+    """
     means = {}
     for modality in ("pc", "rgb"):
-        mean = totals[modality] / counts[modality]
+        total, count = 0.0, 0
+        for dist in nearest[modality]:
+            total += float(dist.sum())
+            count += dist.shape[0]
+        if count == 0:
+            raise EmptyBankError("no foreground features to fit the distance normalizer")
+        means[modality] = total / count
+    fitted = {}
+    for modality, mean in means.items():
         if mean <= 0.0:
             warnings.warn(
                 f"mean {modality} nearest distance is 0 (bank covers the training set); "
                 "using 1.0 instead",
-                stacklevel=2,
+                stacklevel=3,
             )
             mean = 1.0
-        means[modality] = mean
-    return DistanceNormalizer(mean_pc=means["pc"], mean_rgb=means["rgb"])
+        fitted[modality] = mean
+    return DistanceNormalizer(mean_pc=fitted["pc"], mean_rgb=fitted["rgb"]), means

@@ -13,6 +13,7 @@ C-order arrays, for interoperability with external feature extractors.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -51,50 +52,61 @@ def write_tensor(path, array, extra=None):
 
 
 def read_tensor(path):
-    """Read a container (or NPY v1.0 f32 array) and return (array, header)."""
+    """Read a container (or NPY v1.0 f32 array) and return (array, header).
+
+    The payload is read straight into the returned array, which owns its
+    data and is writable; no other payload-sized buffer is held.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(_NPY_MAGIC)] == _NPY_MAGIC:
-        return _read_npy(path, raw)
-    if raw[:8] != MAGIC:
-        raise FormatError(f"bad magic {raw[:8]!r} in {path}", offset=0)
-    if len(raw) < 12:
-        raise FormatError(f"truncated header in {path}", offset=len(raw))
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header_end = 12 + header_len
-    if len(raw) < header_end:
-        raise FormatError(f"truncated header JSON in {path}", offset=len(raw))
-    try:
-        header = json.loads(raw[12:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"undecodable header in {path}: {exc}", offset=12) from exc
-    for key in ("shape", "dtype", "order"):
-        if key not in header:
-            raise FormatError(f"header missing {key!r} in {path}", offset=12)
-    if header["dtype"] != "f32le" or header["order"] != "C":
-        raise FormatError(f"unsupported dtype/order {header['dtype']}/{header['order']}", offset=12)
-    shape = tuple(int(d) for d in header["shape"])
-    if any(d <= 0 for d in shape):
-        raise FormatError(f"non-positive dimension in shape {shape}", offset=12)
-    count = int(np.prod(shape))
-    payload = raw[header_end:]
-    if len(payload) != 4 * count:
-        raise FormatError(
-            f"payload is {len(payload)} bytes, expected {4 * count} for shape {shape}",
-            offset=header_end + min(len(payload), 4 * count),
-        )
-    array = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    bad = np.flatnonzero(~np.isfinite(array))
-    if bad.size:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[: len(_NPY_MAGIC)] == _NPY_MAGIC:
+            return _read_npy(path)
+        if head[:8] != MAGIC:
+            raise FormatError(f"bad magic {head[:8]!r} in {path}", offset=0)
+        if len(head) < 12:
+            raise FormatError(f"truncated header in {path}", offset=len(head))
+        (header_len,) = struct.unpack("<I", head[8:12])
+        header_end = 12 + header_len
+        if size < header_end:
+            raise FormatError(f"truncated header JSON in {path}", offset=size)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"undecodable header in {path}: {exc}", offset=12) from exc
+        for key in ("shape", "dtype", "order"):
+            if key not in header:
+                raise FormatError(f"header missing {key!r} in {path}", offset=12)
+        if header["dtype"] != "f32le" or header["order"] != "C":
+            raise FormatError(f"unsupported dtype/order {header['dtype']}/{header['order']}",
+                              offset=12)
+        shape = tuple(int(d) for d in header["shape"])
+        if any(d <= 0 for d in shape):
+            raise FormatError(f"non-positive dimension in shape {shape}", offset=12)
+        count = int(np.prod(shape))
+        payload_len = size - header_end
+        if payload_len != 4 * count:
+            raise FormatError(
+                f"payload is {payload_len} bytes, expected {4 * count} for shape {shape}",
+                offset=header_end + min(payload_len, 4 * count),
+            )
+        array = np.empty(shape, dtype="<f4")
+        got = fh.readinto(array)
+    if got != array.nbytes:
+        raise FormatError(f"payload is {got} bytes, expected {array.nbytes} for shape {shape}",
+                          offset=header_end + got)
+    finite = np.isfinite(array)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
         raise FormatError(
             f"non-finite payload value at flat index {bad[0]}",
             offset=header_end + 4 * int(bad[0]),
         )
-    return array.copy(), header
+    return array, header
 
 
-def _read_npy(path, raw):
+def _read_npy(path):
     try:
         array = np.load(path)
     except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Test oracles: the dense scale network and the scalar helpers built on it.
+"""Test oracles: the dense scale network, the scalar helpers built on it, and
+the full-scan greedy coreset.
 
 Production code never builds a row's 1920-wide prototype or direction
 vector; it reads prototype ids, cell ids and inverse distances (see
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from g2sf import nn
+from g2sf.bank import _sq_distances
 from g2sf.errors import ConfigError, ShapeError
 from g2sf.geometry import DEGENERATE_EPS, GeometricEncoding, inverse_distances
 from g2sf.lspn import Directions, Sources
@@ -246,3 +248,27 @@ def score_cell(model, encodings_pc, encodings_rgb, k: int, banks, foreground=Tru
         else:
             values.append(e_pc.distance * model.sigma_pc + e_rgb.distance * model.sigma_rgb)
     return float(min(values))
+
+
+# ---------------------------------------------------------------------------
+# Coreset
+# ---------------------------------------------------------------------------
+
+
+def greedy_scan(space: np.ndarray, budget: int):
+    """Greedy k-center over float64 ``space`` by a full exact scan per step.
+
+    Returns (selected indices, final ``min_sq``): every step recomputes exact
+    squared differences from all points to the new center, as
+    :func:`g2sf.bank.build_bank` first did. Selected rows hold -inf.
+    """
+    selected = np.empty(budget, dtype=np.int64)
+    selected[0] = 0
+    min_sq = _sq_distances(space, space[0])
+    min_sq[0] = -np.inf
+    for i in range(1, budget):
+        nxt = int(np.argmax(min_sq))  # argmax takes the lowest index on ties
+        selected[i] = nxt
+        np.minimum(min_sq, _sq_distances(space, space[nxt]), out=min_sq)
+        min_sq[nxt] = -np.inf
+    return selected, min_sq

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from g2sf.bank import (
     MemoryBank,
+    _selection_space,
     build_bank,
     covering_radius,
     load_bank,
@@ -17,6 +18,7 @@ from g2sf.bank import (
     save_bank,
 )
 from g2sf.errors import ConfigError, EmptyBankError, ShapeError
+from tests.oracles import greedy_scan
 
 
 def brute_force_radius(points, centers_idx):
@@ -113,6 +115,104 @@ class TestBuildBank:
         bank = build_bank(points, "pc", 1.0, source_refs=refs)
         assert bank.size == 6
         assert len(set(bank.source_refs)) == 6  # no prototype index reused
+
+
+def assert_build_equals_scan(points, fraction, seed=None, projection_dim=None):
+    """The filtered greedy build must pick what the full exact scan picks, and
+    its coverage must be the scan's final nearest-center distances, bit for
+    bit."""
+    points = np.asarray(points, dtype=np.float32)
+    n = points.shape[0]
+    bank = build_bank(points, "pc", fraction, seed=seed, projection_dim=projection_dim,
+                      source_refs=list(range(n)))
+    selected, min_sq = greedy_scan(_selection_space(points, seed, projection_dim), bank.size)
+    np.testing.assert_array_equal(bank.source_refs, selected)
+    assert bank.prototypes.tobytes() == points[selected].tobytes()
+    if projection_dim is not None and projection_dim < points.shape[1]:
+        assert bank.coverage is None
+    else:
+        min_sq[selected] = 0.0
+        assert bank.coverage.shape == (n,)
+        assert bank.coverage.tobytes() == np.sqrt(min_sq).tobytes()
+    return bank
+
+
+def shell_points(rng, n, d, radius, offset=1e3):
+    """Points on a thin sphere around a +offset centre: their distances lie
+    closer together than the GEMM expansion's rounding error."""
+    centre = np.float32(offset) + rng.uniform(0, 1, d).astype(np.float32)
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return (centre + radius * u).astype(np.float32)
+
+
+class TestCoresetEqualsScan:
+    """The filtered exact greedy update against the full-scan oracle."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 64),
+           fraction=st.sampled_from([0.05, 0.3, 1.0]),
+           kind=st.sampled_from(["normal", "ties", "equal", "shell"]),
+           offset=st.sampled_from([0.0, 1e3]), projection=st.booleans())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_selection_and_coverage(self, seed, n, d, fraction, kind, offset, projection):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            points = rng.standard_normal((n, d)) + offset
+        elif kind == "ties":  # few distinct integer points, many duplicates
+            points = np.repeat(rng.integers(-2, 3, size=(n // 3 + 1, d)), 3, axis=0)[:n] + offset
+        elif kind == "equal":
+            points = np.full((n, d), offset + 0.5)
+        else:
+            points = shell_points(rng, n, d, 3e-4, offset)
+        assert_build_equals_scan(points, fraction, seed=seed % 7,
+                                 projection_dim=max(1, d // 3) if projection else None)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_thin_shell_at_large_offset(self, seed):
+        # The GEMV's rounding error here is as large as the spread of the
+        # squared distances, so a bound without the slack skips points whose
+        # exact distance would lower their minimum.
+        rng = np.random.default_rng(seed)
+        assert_build_equals_scan(shell_points(rng, 300, 64, 3e-4), 0.2)
+
+    def test_single_point(self):
+        bank = assert_build_equals_scan(np.array([[1.5, -2.0]]), 0.5)
+        assert bank.size == 1 and bank.coverage.tolist() == [0.0]
+
+    def test_fraction_one_covers_every_point_at_zero(self):
+        rng = np.random.default_rng(8)
+        points = np.repeat(rng.standard_normal((5, 3)), 2, axis=0)
+        bank = assert_build_equals_scan(points, 1.0)
+        assert np.all(bank.coverage == 0.0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), d=st.integers(1, 16),
+           fraction=st.sampled_from([0.05, 0.2, 1.0]), ties=st.booleans(),
+           offset=st.sampled_from([0.0, 1e3]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_coverage_is_rank_zero_query(self, seed, n, d, fraction, ties, offset):
+        rng = np.random.default_rng(seed)
+        if ties:
+            points = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+        else:
+            points = rng.standard_normal((n, d)).astype(np.float32)
+        points += np.float32(offset)
+        bank = build_bank(points, "rgb", fraction)
+        _, dist, _ = query_neighbors_batch(bank, points, 0)
+        assert bank.coverage.tobytes() == dist[:, 0].tobytes()
+        assert float(bank.coverage.max()) == covering_radius(bank, points)
+
+    def test_coverage_read_only_and_not_persisted(self, tmp_path):
+        rng = np.random.default_rng(6)
+        points = rng.standard_normal((30, 4)).astype(np.float32)
+        bank = build_bank(points, "pc", 0.2)
+        with pytest.raises(ValueError):
+            bank.coverage[0] = 1.0
+        save_bank(bank, tmp_path / "built.g2t")
+        save_bank(MemoryBank("pc", bank.prototypes, coreset_fraction=0.2), tmp_path / "bare.g2t")
+        for ext in ("", ".json"):
+            assert ((tmp_path / f"built.g2t{ext}").read_bytes()
+                    == (tmp_path / f"bare.g2t{ext}").read_bytes())
+        assert load_bank(tmp_path / "built.g2t").coverage is None
 
 
 class TestQuery:

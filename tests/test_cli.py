@@ -8,7 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from g2sf.bank import build_bank, covering_radius, load_bank
 from g2sf.cli import main
+from g2sf.features import iter_samples, load_manifest
+from g2sf.geometry import fit_normalizer
 
 MINI_CFG = """
 seed = 5
@@ -41,6 +44,23 @@ def run_chain(root, cfg_path, stages=STAGES, force=False):
             argv.append("--force")
         codes[stage] = main(argv)
     return codes, data, run
+
+
+def assert_bank_manifest_matches_knn(data, run):
+    """The bank stage's normalizer and coverage radii, taken from the coreset
+    build, equal what a k-NN pass over the training foreground gives."""
+    doc = json.loads((run / "bank_manifest.json").read_text())
+    banks = {m: load_bank(run / "banks" / f"{m}.g2t") for m in ("pc", "rgb")}
+    train = load_manifest(data / "train_manifest.json")
+    normalizer = fit_normalizer(iter_samples(train), banks)
+    assert doc["normalizer"] == normalizer.to_dict()
+    pairs = list(iter_samples(train))
+    feats = {m: np.concatenate([getattr(p, m).data[p.foreground] for p in pairs])
+             for m in ("pc", "rgb")}
+    for m in ("pc", "rgb"):
+        assert doc["coverage"][m]["radius"] == covering_radius(banks[m], feats[m])
+        assert doc["coverage"][m]["mean"] == normalizer.mean_for(m)  # no 1.0 fallback here
+    return doc, banks, feats
 
 
 def tree_bytes(root):
@@ -111,6 +131,23 @@ class TestChain:
             code = main([stage, "--config", str(cfg_path),
                          "--data", str(data), "--run", str(run2), "--force"])
             assert code == 0
+
+    def test_bank_manifest_from_coverage(self, chain):
+        _, data, run = chain
+        doc, _, _ = assert_bank_manifest_matches_knn(data, run)
+        assert set(doc["coverage"]) == {"pc", "rgb"}
+
+    def test_projected_selection_chain(self, tmp_path, cfg_path):
+        # Selection in a projected space: coverage comes from a k-NN pass over
+        # the points the bank stage holds, and the chain runs through.
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
+        for stage in STAGES[1:]:
+            assert run_stage(stage, cfg_path, data, run, "--set", "bank.projection_dim=4") == 0
+        _, banks, feats = assert_bank_manifest_matches_knn(data, run)
+        projected = build_bank(feats["pc"], "pc", 0.1, seed=5, projection_dim=4)
+        assert projected.coverage is None
+        assert banks["pc"].prototypes.tobytes() == projected.prototypes.tobytes()
 
     def test_training_log_jsonl(self, chain):
         _, _, run = chain

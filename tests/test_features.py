@@ -96,6 +96,19 @@ class TestContainer:
             read_feature_map(path)
         assert err.value.offset == len(raw) - 8
 
+    def test_read_returns_owned_writable_array(self, tmp_path):
+        # The payload is read into the returned array itself: no view of a
+        # file-sized buffer, and callers may write to it.
+        path = tmp_path / "o.g2t"
+        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        write_tensor(path, data, {"kind": "probe"})
+        array, header = read_tensor(path)
+        assert array.flags["OWNDATA"] and array.base is None
+        assert array.flags["WRITEABLE"] and array.flags["C_CONTIGUOUS"]
+        assert array.dtype == np.dtype("<f4") and header["kind"] == "probe"
+        np.testing.assert_array_equal(array, data)
+        array[0, 0, 0] = 5.0
+
     def test_empty_map_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             write_tensor(tmp_path / "e.g2t", np.zeros((0, 0, 3), dtype=np.float32))
