@@ -325,8 +325,12 @@ def ablation_scores(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig)
     scored = _score_each(checkpoint, test_manifest, cfg, lambda pair: sample_maps(
         model, pair, banks, normalizer, cfg.k))
 
+    reports = {}  # map key -> report; the fused variant reads the "min" maps
+
     def row(variant, key):
-        report = _report(scored, key, cfg.aupro_limits)
+        if key not in reports:
+            reports[key] = _report(scored, key, cfg.aupro_limits)
+        report = reports[key]
         return {"variant": variant, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc,
                 **{f"aupro@{limit}": v for limit, v in report.aupro.items()}}
 

@@ -27,11 +27,14 @@ float64 (at least): W f and W m nearly cancel when f sits close to its
 prototype, and dividing their float32 difference by a small r multiplies its
 rounding error by |f| / r (at r / |f| = 1e-6 that is a few percent of the
 pre-activation, against about 1e-10 in float64). The backward pass sums
-each row's first-layer gradient onto its cell and onto its prototype, each
-sum one product of a sparse (ids, rows) one-hot matrix with the row
-gradients (weighted by 1/r in the direction branch), and forms the weight
-gradient as G_cell^T F - G_proto^T M, in float64. It never forms a gradient
-with respect to the inputs.
+each row's first-layer gradient onto its cell and onto its prototype, in
+float64, and forms the weight gradient as G_cell^T F - G_proto^T M. Each
+branch takes all of its sums from one product of a transposed sparse
+(rows, ids) matrix with a float64 copy of its row gradients: the direction
+branch's matrix holds each row's cell and anchor in both modalities,
+weighted by 1/r, and the prototype branch's its two prototypes. The product
+adds each id's rows in row order, so the sums are deterministic. It never
+forms a gradient with respect to the inputs.
 
 Prototype tables of frozen weights. T_m, and B_m with the float64 copy of
 W_m it is built from, depend only on the first-layer weight and the bank.
@@ -48,6 +51,14 @@ A training-mode forward caches one array per hidden block: its output
 (ReLU and dropout applied), which the next layer reads anyway. The backward
 recovers the activation's gradient from it (see :func:`g2sf.nn.relu_dropout_backward`),
 so no pre-activation or dropout mask is kept.
+
+The backward consumes that cache and releases memory as it goes. It drops
+each cached output, the fusion head's input and the fusion input's gradient
+once it has read them, and masks each gradient in place. It runs the fusion
+head, then both branch stacks down to their first pre-activations, and only
+then the two factored first layers, one after the other. So the two
+first-layer gradients and one float64 copy of either are all the row-sized
+memory those layers hold, rather than a second branch's whole cache as well.
 """
 from __future__ import annotations
 
@@ -208,7 +219,11 @@ class _Cache:
     ``proto``, ``direc`` and ``fusion`` list the outputs of the hidden
     blocks of each stack. The branches' last outputs are the two halves of
     ``head_input``, the fusion head's input, and are cached as views of it.
-    ``final_pre`` is the last linear layer's pre-activation (R, 2)."""
+    ``final_pre`` is the last linear layer's pre-activation (R, 2).
+
+    :func:`backward_batch` consumes the cache: it pops each output from its
+    list and sets every other field to None once read, so the memory goes as
+    the backward proceeds and a consumed cache holds nothing."""
 
     protos: np.ndarray
     dirs: Directions
@@ -218,6 +233,12 @@ class _Cache:
     head_input: np.ndarray
     fusion: list
     final_pre: np.ndarray
+
+    def take(self, name: str):
+        """The field ``name``, which the cache then releases (sets to None)."""
+        value = getattr(self, name)
+        setattr(self, name, None)
+        return value
 
 
 # Elements of one float64 scratch block in the direction branch's first
@@ -235,22 +256,34 @@ def _table_dtype(dtype):
     return np.promote_types(dtype, np.float64)
 
 
-def _segment_sum(ids: np.ndarray, values: np.ndarray, size: int, scale=None) -> np.ndarray:
-    """(size, H) float64 sums of the rows of ``values`` that share an id,
-    each row first multiplied by ``scale[row]`` when a scale is given.
+def _segment_sums(values: np.ndarray, groups) -> list:
+    """Segment sums of the rows of ``values`` (R, H), one (size, H) float64
+    array per ``(ids, size, scale)`` group: row i adds ``values[i]``, times
+    ``scale[i]`` when the group has a scale, onto row ``ids[i]`` of its sum.
 
-    One product of the (size, R) one-hot matrix of ``ids`` with ``values``.
-    CSR keeps each id's rows in row order and the product adds them in that
-    order, so the sums are deterministic.
+    Every group is one product of a transposed (R, total size) sparse matrix
+    with ``values``: row i holds one entry per group, in that group's block
+    of columns. The CSC product walks the R rows in order, so each sum adds
+    its rows in row order (the order of a per-group CSR one-hot product, and
+    of :func:`numpy.bincount`) and is deterministic. The sums are views of
+    one (total size, H) array.
     """
     # Imported here, where training needs it: the import costs every other
     # process (each CLI stage, scoring) about 17 ms and 1.6 MB of RSS.
     import scipy.sparse
 
-    rows = len(ids)
-    weights = np.ones(rows) if scale is None else np.asarray(scale, np.float64)
-    onehot = scipy.sparse.csr_matrix((weights, (ids, np.arange(rows))), shape=(size, rows))
-    return onehot @ values
+    rows, width = values.shape[0], len(groups)
+    bounds = np.cumsum([0] + [size for _, size, _ in groups])
+    indices = np.empty((rows, width), np.int64)
+    data = np.empty((rows, width))
+    for j, (ids, _, scale) in enumerate(groups):
+        np.add(ids, bounds[j], out=indices[:, j])
+        data[:, j] = 1.0 if scale is None else scale
+    indptr = np.arange(0, rows * width + 1, width)
+    matrix = scipy.sparse.csc_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                                     shape=(int(bounds[-1]), rows))
+    sums = matrix @ values
+    return [sums[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 class _Tables(NamedTuple):
@@ -337,30 +370,32 @@ def _direction_pre(model, dirs: Directions, sources):
     return pre
 
 
-def _proto_first_backward(model, cache: _Cache, g):
+def _proto_first_backward(model, protos, sources: Sources, g):
     block = model.proto_branch[0]
     acc = _table_dtype(block.weight.dtype)
-    g_acc = g.astype(acc, copy=False)
+    prototypes = sources.prototypes
+    g_proto = _segment_sums(g.astype(acc, copy=False),
+                            [(protos[:, m], prototypes[m].shape[0], None) for m in range(2)])
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
-        protos = cache.sources.prototypes[m]
-        g_proto = _segment_sum(cache.protos[:, m], g_acc, protos.shape[0])
-        grad_w[:, cols] = g_proto.T @ protos.astype(acc)
+        grad_w[:, cols] = g_proto[m].T @ prototypes[m].astype(acc)
     return grad_w, g.sum(axis=0)
 
 
-def _direction_first_backward(model, cache: _Cache, g):
+def _direction_first_backward(model, dirs: Directions, sources: Sources, g):
     block = model.dir_branch[0]
     acc = _table_dtype(block.weight.dtype)
-    dirs, sources = cache.dirs, cache.sources
-    g_acc = g.astype(acc, copy=False)
+    groups = []  # per modality: cells, then anchors, each weighted by 1/r
+    for m in range(2):
+        inv_r = dirs.inv_r[:, m]
+        groups += [(dirs.cells[:, m], sources.features[m].shape[0], inv_r),
+                   (dirs.anchors[:, m], sources.prototypes[m].shape[0], inv_r)]
+    sums = _segment_sums(g.astype(acc, copy=False), groups)
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
-        protos, feats = sources.prototypes[m], sources.features[m]
-        inv_r = dirs.inv_r[:, m]
-        g_cell = _segment_sum(dirs.cells[:, m], g_acc, feats.shape[0], inv_r)
-        g_proto = _segment_sum(dirs.anchors[:, m], g_acc, protos.shape[0], inv_r)
-        grad_w[:, cols] = g_cell.T @ feats.astype(acc) - g_proto.T @ protos.astype(acc)
+        g_cell, g_proto = sums[2 * m], sums[2 * m + 1]
+        grad_w[:, cols] = (g_cell.T @ sources.features[m].astype(acc)
+                           - g_proto.T @ sources.prototypes[m].astype(acc))
     return grad_w, g.sum(axis=0)
 
 
@@ -379,18 +414,19 @@ def _stack_forward(blocks, x, training, rng, pre=None):
     return h, outputs
 
 
-def _stack_backward(blocks, outputs, grad):
-    """Backpropagate through ``blocks`` down to the first pre-activation.
+def _stack_backward(blocks, outputs, g):
+    """Backpropagate from the last block's pre-activation gradient ``g`` down
+    to the first block's.
 
-    ``outputs`` are the blocks' cached outputs. Returns (gradient of the
-    first pre-activation, [(grad_w, grad_b)] of blocks[1:])."""
+    ``outputs`` lists the cached outputs of blocks[:-1]; each is popped once
+    read, so the list is empty on return. Returns (gradient of the first
+    pre-activation, [(grad_w, grad_b)] of blocks[1:])."""
     grads = []
-    for i in range(len(blocks) - 1, -1, -1):
-        g = nn.relu_dropout_backward(outputs[i], grad, blocks[i].dropout_rate)
-        if i == 0:
-            return g, grads[::-1]
-        grad, gw, gb = nn.linear_backward(blocks[i], outputs[i - 1], g)
+    for i in range(len(blocks) - 1, 0, -1):
+        grad, gw, gb = nn.linear_backward(blocks[i], outputs[-1], g)
         grads.append((gw, gb))
+        g = nn.relu_dropout_backward(outputs.pop(), grad, blocks[i - 1].dropout_rate)
+    return g, grads[::-1]
 
 
 def _check_inputs(model: LspnModel, protos, dirs: Directions, sources: Sources):
@@ -438,24 +474,41 @@ def forward_batch(model: LspnModel, protos: np.ndarray, dirs: Directions, source
 
 def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
     """Backpropagate dLoss/dw; returns gradients aligned with :func:`parameters`
-    (network parameters only; sigma gradients are chained by the caller)."""
+    (network parameters only; sigma gradients are chained by the caller).
+
+    Consumes ``cache`` (see :class:`_Cache`): a second call on it raises
+    :class:`~g2sf.errors.ConfigError`.
+    """
     if cache is None:
         raise ConfigError("backward_batch needs the cache of a training-mode forward")
-    g = nn.exp_tanh_backward(cache.final_pre, grad_w)
-    grad_h, gw_final, gb_final = nn.linear_backward(model.fusion_head[-1], cache.fusion[-1], g)
-    hidden = model.fusion_head[:-1]
-    g_first, fusion_grads = _stack_backward(hidden, cache.fusion, grad_h)
-    grad_h, gw, gb = nn.linear_backward(hidden[0], cache.head_input, g_first)
-    fusion_grads = [(gw, gb)] + fusion_grads
+    final_pre = cache.take("final_pre")
+    if final_pre is None:
+        raise ConfigError("backward_batch was already run on this cache, which it releases "
+                          "as it reads; run a new training-mode forward")
+    g = nn.exp_tanh_backward(final_pre, grad_w)
+    g, fusion_grads = _stack_backward(model.fusion_head, cache.fusion, g)
+    grad_h, gw, gb = nn.linear_backward(model.fusion_head[0], cache.take("head_input"), g)
+    del g
+    fusion_grads.insert(0, (gw, gb))
+    # The branches' last outputs are all that still holds the fusion input:
+    # take both activation gradients first, so it is freed before either
+    # branch allocates its next gradient.
     split = model.proto_branch[-1].out_dim
-    g_first, proto_grads = _stack_backward(model.proto_branch, cache.proto, grad_h[:, :split])
-    proto_grads = [_proto_first_backward(model, cache, g_first)] + proto_grads
-    g_first, dir_grads = _stack_backward(model.dir_branch, cache.direc, grad_h[:, split:])
-    dir_grads = [_direction_first_backward(model, cache, g_first)] + dir_grads
+    g_proto, g_dir = grad_h[:, :split], grad_h[:, split:]
+    del grad_h
+    nn.relu_dropout_backward(cache.proto.pop(), g_proto, model.proto_branch[-1].dropout_rate)
+    nn.relu_dropout_backward(cache.direc.pop(), g_dir, model.dir_branch[-1].dropout_rate)
+    g_proto, proto_grads = _stack_backward(model.proto_branch, cache.proto, g_proto)
+    g_dir, dir_grads = _stack_backward(model.dir_branch, cache.direc, g_dir)
+    # Only the two first-layer gradients are left; each first layer adds
+    # one float64 copy of its own.
+    protos, dirs, sources = cache.take("protos"), cache.take("dirs"), cache.take("sources")
+    proto_grads.insert(0, _proto_first_backward(model, protos, sources, g_proto))
+    del g_proto
+    dir_grads.insert(0, _direction_first_backward(model, dirs, sources, g_dir))
     out = []
     for gw, gb in proto_grads + dir_grads + fusion_grads:
         out.extend((gw, gb))
-    out.extend((gw_final, gb_final))
     return out
 
 

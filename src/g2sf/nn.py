@@ -8,7 +8,8 @@ A hidden block's activation is ReLU followed by inverted dropout, run as one
 in-place pass (:func:`relu_dropout`). Its backward (:func:`relu_dropout_backward`)
 reads only the block's output: a kept, positive pre-activation is exactly a
 positive output, so training needs to keep neither the pre-activation nor the
-dropout mask.
+dropout mask. The backward is in place too: it masks the upstream gradient
+it is given, so a step allocates no second gradient per block.
 """
 from __future__ import annotations
 
@@ -154,13 +155,15 @@ def relu_dropout(pre: np.ndarray, rate: float, rng=None, training: bool = False)
 
 
 def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) -> np.ndarray:
-    """Gradient through :func:`relu_dropout` from the block's output ``out``.
+    """Gradient through :func:`relu_dropout` from the block's output ``out``,
+    in place on ``grad_out``; returns it.
 
     An entry passes (times 1/(1-rate)) iff its output is positive: dropped
     entries and non-positive pre-activations both give 0 there. The ReLU
-    subgradient at 0 is taken as 0.
+    subgradient at 0 is taken as 0. ``grad_out`` is overwritten: pass an
+    upstream gradient nothing else reads.
     """
-    grad = grad_out * (out > 0)
+    grad = np.multiply(grad_out, out > 0, out=grad_out)
     if rate:
         grad *= _dropout_scale(rate, out.dtype)
     return grad

@@ -190,8 +190,10 @@ def random_inputs(rng, cfg, n, scale=1.0, n_protos=6):
 
 def bincount_segment_sum(ids, values, size, scale=None):
     """(size, H) float64 sums of the rows of ``values`` (times ``scale``) that
-    share an id, as one bincount over flattened ``id * H + column`` bins: the
-    scatter :func:`g2sf.lspn._segment_sum` computes with a sparse product."""
+    share an id, as one bincount over flattened ``id * H + column`` bins: one
+    group of the scatter :func:`g2sf.lspn._segment_sums` computes, for all of
+    a branch's groups at once, with one sparse product. Both add each id's
+    rows in row order."""
     h = values.shape[1]
     weights = values.astype(np.float64)
     if scale is not None:

@@ -237,6 +237,29 @@ class TestAblation:
         for row in variants + aggs:
             assert 0.0 <= row["i_auroc"] <= 1.0
 
+    def test_one_report_per_map_key(self, desk_dataset, desk_checkpoint, monkeypatch):
+        # The fused variant and the min aggregation read the same maps, so
+        # they share one report: 8 reports for 9 rows.
+        from g2sf import evaluation
+
+        calls = []
+        report = evaluation.report_from_maps
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return report(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "report_from_maps", counted)
+        _, _, test_manifest = desk_dataset
+        ckpt, _ = desk_checkpoint
+        variants, aggs = ablation_scores(ckpt, test_manifest,
+                                         EvalConfig(k=DESK_K, smooth_sigma=2.0))
+        assert len(calls) == 8
+        fused = next(r for r in variants if r["variant"] == "fused")
+        minimum = next(r for r in aggs if r["variant"] == "min")
+        assert {k: v for k, v in fused.items() if k != "variant"} == \
+            {k: v for k, v in minimum.items() if k != "variant"}
+
     def test_csv_layout(self, tables, tmp_path):
         variants, _ = tables
         path = tmp_path / "ablation.csv"

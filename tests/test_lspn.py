@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2sf.bank import MemoryBank, query_neighbors_batch
-from g2sf.errors import ShapeError
+from g2sf.errors import ConfigError, ShapeError
 from g2sf.geometry import GeometricEncoding, inverse_distances
 from g2sf import lspn
 from g2sf.lspn import (
@@ -22,7 +22,7 @@ from g2sf.lspn import (
     Sources,
     _direction_pre,
     _proto_pre,
-    _segment_sum,
+    _segment_sums,
     backward_batch,
     forward_batch,
     init_model,
@@ -237,28 +237,38 @@ class TestFactoredMatchesDense:
 
 
 class TestSegmentSum:
+    """All groups of one product against a bincount per group."""
+
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 40),
-           width=st.integers(1, 6), n_ids=st.integers(1, 8), extra=st.integers(0, 3),
-           zero_rows=st.booleans(), scaled=st.booleans(),
+           width=st.integers(1, 6), n_groups=st.integers(1, 4), zero_rows=st.booleans(),
+           scaled=st.lists(st.booleans(), min_size=4, max_size=4),
            dtype=st.sampled_from([np.float32, np.float64]))
-    @settings(max_examples=200, deadline=None)
-    def test_bit_equal_to_bincount(self, seed, rows, width, n_ids, extra, zero_rows,
-                                   scaled, dtype):
-        # Few ids over many rows: repeated ids, and ids that no row names
-        # (empty segments); ``extra`` puts ``size`` above the largest id.
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_bit_equal_to_bincount(self, seed, rows, width, n_groups, zero_rows, scaled,
+                                   dtype):
+        # Per group, few ids over many rows: repeated ids, and ids that no
+        # row names (empty segments), with ``size`` up to 3 above the
+        # largest id. Scaled groups have rows with 1/r = 0. Ids and scales
+        # are column views of (R, 2) arrays, as the first layers pass them.
         rng = np.random.default_rng(seed)
-        ids = rng.integers(0, n_ids, size=rows)
-        size = n_ids + extra
         values = (rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-3, 4)).astype(dtype)
         if zero_rows and rows:
             values[rng.random(rows) < 0.3] = 0.0
-        scale = rng.uniform(0.0, 50.0, size=rows) if scaled else None
-        if scaled and rows:
-            scale[rng.random(rows) < 0.2] = 0.0  # degenerate rows have 1/r = 0
-        got = _segment_sum(ids, values, size, scale)
-        want = bincount_segment_sum(ids, values, size, scale)
-        assert got.shape == (size, width) and got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
+        groups = []
+        for g in range(n_groups):
+            n_ids = int(rng.integers(1, 9))
+            ids = rng.integers(0, n_ids, size=(rows, 2))[:, 1]
+            scale = None
+            if scaled[g]:
+                scale = rng.uniform(0.0, 50.0, size=(rows, 2))[:, 0]
+                scale[rng.random(rows) < 0.2] = 0.0  # degenerate rows have 1/r = 0
+            groups.append((ids, n_ids + int(rng.integers(0, 4)), scale))
+        sums = _segment_sums(values.astype(np.float64), groups)
+        assert len(sums) == n_groups
+        for got, (ids, size, scale) in zip(sums, groups):
+            want = bincount_segment_sum(ids, values, size, scale)
+            assert got.shape == (size, width) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTrainingCache:
@@ -288,6 +298,20 @@ class TestTrainingCache:
         expected = sum(rows * b.out_dim for b in hidden) * itemsize
         expected += rows * 2 * itemsize  # the final linear layer's pre-activation
         assert sum(a.nbytes for a in buffers.values()) == expected
+
+    def test_backward_consumes_cache(self):
+        rows = 40
+        model = init_model(SMALL, seed=0)
+        protos, dirs, sources = random_inputs(np.random.default_rng(0), SMALL, rows)
+        w, cache = forward_batch(model, protos, dirs, sources, training=True,
+                                 rng=np.random.default_rng(1))
+        backward_batch(model, cache, np.ones_like(w))
+        # Nothing is left, so no row-sized array either.
+        for f in dataclasses.fields(cache):
+            value = getattr(cache, f.name)
+            assert value is None or (isinstance(value, list) and not value), f.name
+        with pytest.raises(ConfigError, match="already run on this cache"):
+            backward_batch(model, cache, np.ones_like(w))
 
 
 def frozen(model):

@@ -75,7 +75,9 @@ class TestActivations:
         np.testing.assert_array_equal(pre, [0.0, 0.5])
 
     def test_relu_backward_tie_at_zero(self):
-        grad = relu_dropout_backward(np.array([0.0, 0.0, 2.0]), np.ones(3), 0.0)
+        upstream = np.ones(3)
+        grad = relu_dropout_backward(np.array([0.0, 0.0, 2.0]), upstream, 0.0)
+        assert grad is upstream
         np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
@@ -183,6 +185,31 @@ class TestReluDropoutMatchesOracle:
         # Equal bits up to the sign of zero: the product writes -0.0 where a
         # negative gradient is blocked, the oracle's np.where writes 0.0.
         assert (got_grad + 0.0).tobytes() == (want_grad + 0.0).tobytes()
+
+
+class TestReluDropoutBackwardInPlace:
+    """The backward writes into the gradient it is given, as the branches
+    pass it column views of the fusion input's gradient."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_returns_given_array_with_oracle_bits(self, rate, dtype):
+        rng = np.random.default_rng(int(rate * 10))
+        pre = _pre_activations(rng, (64, 33), dtype)
+        want_out, mask = oracles.dropout_forward(oracles.relu(pre), rate,
+                                                 np.random.default_rng(4), True)
+        out = relu_dropout(pre.copy(), rate, np.random.default_rng(4), True)
+        assert out.tobytes() == want_out.tobytes()
+        wide = rng.standard_normal((64, 50)).astype(dtype)
+        untouched = wide[:, 33:].copy()
+        upstream = wide[:, :33]  # a strided view, as the branches pass
+        want = oracles.relu_backward(pre, oracles.dropout_backward(mask, upstream.copy()))
+        got = relu_dropout_backward(out, upstream, rate)
+        assert got is upstream
+        assert got.dtype == want.dtype
+        # Equal bits up to the sign of zero (see TestReluDropoutMatchesOracle).
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        assert wide[:, 33:].tobytes() == untouched.tobytes()
 
 
 class TestAdam:

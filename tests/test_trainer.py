@@ -179,6 +179,48 @@ class TestTrain:
         assert w.mean() < w_init.mean() - 0.05
 
 
+class TestStepPeak:
+    def test_traced_peak_within_cache_and_first_layers(self, desk_pool, desk_banks):
+        # One training step at branch widths 256-128 over a few thousand
+        # rows. The backward releases the cache as it reads it and runs both
+        # branch stacks before either first layer, so the step never holds
+        # more than the training cache (the forward's own end state) plus
+        # the two first-layer gradients and one float64 copy of either.
+        # The slack covers the row inputs and loss arrays (under 100 bytes
+        # per row) and one bool mask per first-layer entry. A backward that
+        # keeps its cache and the fusion input's gradient until it returns
+        # peaks about 6 MB above the bound here, three times the slack.
+        import tracemalloc
+
+        from g2sf.losses import compute_m0
+        from g2sf.lspn import LspnConfig
+        from g2sf.trainer import batch_objective
+
+        banks, _ = desk_banks
+        cfg = LspnConfig(dim_pc=desk_pool.feat_pc.shape[1], dim_rgb=desk_pool.feat_rgb.shape[1],
+                         branch_widths=(256, 128), fusion_widths=(128,), dropout=0.5)
+        model = init_model(cfg, seed=0)
+        loss_cfg = LossConfig(k=DESK_K, m0=compute_m0(desk_pool.s0()))
+        rows = np.arange(800)
+        neg = make_negatives(desk_pool.y[rows], np.random.default_rng(0))
+        n_rows = batch_rows(desk_pool, banks, rows, neg)[0].shape[0]
+        assert n_rows > 3000
+        itemsize = np.dtype(np.float32).itemsize
+        cached = sum(cfg.branch_widths) * 2 + sum(cfg.fusion_widths) + 2
+        first = cfg.branch_widths[0]
+        bound = n_rows * (cached * itemsize + 2 * first * itemsize + first * 8)
+        slack = (1 << 20) + n_rows * first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch_objective(model, desk_pool, banks, rows, neg, loss_cfg, grads=True,
+                            rng=np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound + slack, (peak, bound, slack)
+
+
 class TestLearningCurve:
     def test_single_checkpoint_single_row(self, desk_checkpoint, desk_dataset,
                                           desk_banks):
