@@ -1,7 +1,7 @@
 """Score the test split with the fused metric and evaluate detection quality.
 
 Per cell, the score is the minimum fused metric over the k+1 nearest local
-spaces; per sample, the max over foreground cells. Pixel-level maps are
+spaces, k being the one the checkpoint was trained at; per sample, the max over foreground cells. Pixel-level maps are
 bilinearly upsampled and Gaussian-smoothed before P-AUROC / AUPRO.
 """
 import tempfile
@@ -37,7 +37,8 @@ checkpoint.banks = banks
 
 # One anomalous sample in detail.
 pair = load_sample(test_manifest, test_manifest.samples[0])
-smap = score_sample(checkpoint.model, pair, banks, normalizer, k=5, agg="min")
+smap = score_sample(checkpoint.model, pair, banks, normalizer, k=checkpoint.loss_cfg.k,
+                    agg="min")
 smap = upsample_smooth(smap, factor=test_manifest.gt_upscale, sigma=4.0)
 inside = smap.grid[pair.pixel_gt[:: test_manifest.gt_upscale,
                                  :: test_manifest.gt_upscale]]
@@ -50,7 +51,7 @@ print(f"  pixel map {smap.upsampled.shape} after x{test_manifest.gt_upscale} "
       "bilinear upsampling + sigma=4 smoothing")
 
 # Whole-split metrics.
-report = eval_dataset(checkpoint, test_manifest, EvalConfig(k=5))
+report = eval_dataset(checkpoint, test_manifest, EvalConfig())
 print("\ntest-split metrics:")
 print(f"  I-AUROC   {report.i_auroc:.4f}")
 print(f"  P-AUROC   {report.p_auroc:.4f}")

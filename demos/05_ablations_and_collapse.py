@@ -37,7 +37,7 @@ checkpoint, _, _ = train(pool, banks, normalizer, lspn_cfg,
                          TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
 checkpoint.banks = banks
 
-variants, aggregations = ablation_scores(checkpoint, test_manifest, EvalConfig(k=5))
+variants, aggregations = ablation_scores(checkpoint, test_manifest, EvalConfig())
 print("score variants:")
 print(f"{'variant':8s} {'I-AUROC':>8s} {'P-AUROC':>8s} {'AUPRO@30%':>10s} {'AUPRO@1%':>9s}")
 for row in variants:

@@ -20,7 +20,7 @@ pool and changes no result.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import copy
 import hashlib
 import json
 import sys
@@ -31,7 +31,7 @@ import numpy as np
 from . import evaluation as eval_mod
 from . import synthesis as synth_mod
 from .bank import build_bank, load_bank, query_neighbors_batch, save_bank
-from .config import apply_setting, build_config, config_hash
+from .config import build_config, config_hash, derive
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
     gen_synthetic_dataset,
@@ -247,13 +247,10 @@ def cmd_train(cfg, data, run):
     samples = _load_pool_samples(run)
     pool = synth_mod.pool_from_samples(samples, banks, normalizer, cfg.loss.k)
 
-    train_manifest = load_manifest(data / "train_manifest.json")
-    lspn_cfg = dataclasses.replace(
-        cfg.lspn, dim_pc=train_manifest.dims["pc"], dim_rgb=train_manifest.dims["rgb"]
-    )
-    train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed)
-    checkpoint, log_rows, snapshots = train(pool, banks, normalizer, lspn_cfg,
-                                            train_cfg, cfg.loss, config_hash(cfg))
+    sized = copy.deepcopy(cfg)
+    derive(sized, load_manifest(data / "train_manifest.json").dims)
+    checkpoint, log_rows, snapshots = train(pool, banks, normalizer, sized.lspn,
+                                            cfg.train, cfg.loss, config_hash(cfg))
     written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
     for epoch, snap in snapshots:
         written += save_checkpoint(snap, run / "checkpoints" / f"epoch_{epoch:04d}")
@@ -261,8 +258,8 @@ def cmd_train(cfg, data, run):
         for row in log_rows:
             fh.write(json.dumps(row, sort_keys=True, default=_np_default) + "\n")
     outputs = ["train_log.jsonl"] + [p.relative_to(run).as_posix() for p in written]
-    return outputs, {"epochs": train_cfg.epochs, "m0": checkpoint.m0}, (
-        f"train: {train_cfg.epochs} epochs on {pool.size} pooled cells; final sigma "
+    return outputs, {}, (
+        f"train: {cfg.train.epochs} epochs on {pool.size} pooled cells; final sigma "
         f"({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
 
 
@@ -275,7 +272,6 @@ def _load_trained(run: Path):
 def cmd_score(cfg, data, run):
     checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
-    factor = cfg.eval.upsample_factor or test_manifest.gt_upscale
     outputs = []
     per_sample = []
     for scored in eval_mod.score_split(checkpoint, test_manifest, cfg.eval):
@@ -288,7 +284,7 @@ def cmd_score(cfg, data, run):
         per_sample.append({"sample_id": scored.sample_id,
                            "score": float(smap.sample_score),
                            "grid": grid_path, "pixel": pixel_path})
-    extra = {"samples": per_sample, "agg": cfg.eval.agg, "upsample_factor": factor}
+    extra = {"samples": per_sample, "agg": cfg.eval.agg}
     return outputs, extra, f"score: wrote {len(per_sample)} score maps (agg={cfg.eval.agg})"
 
 
@@ -374,15 +370,22 @@ def cmd_selftest(cfg, args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--threads", type=int,
-                        help="worker threads for per-sample scoring (eval.threads)")
-    parser.add_argument("--force", action="store_true",
-                        help="overwrite artifacts from an identical configuration")
+# Per command, each dedicated flag and the config key it sets. Every command
+# also takes ``_COMMON_FLAGS``. Flag values are config text, applied after
+# ``--set`` through ``apply_setting``; ``--grid`` also reads HxW.
+_COMMON_FLAGS = {"--seed": "seed", "--threads": "eval.threads"}
+_FLAGS = {
+    "gen": {"--grid": "gen.grid", "--dims": "gen.dims", "--n-train": "gen.n_train",
+            "--n-test": "gen.n_test", "--anomaly-modes": "gen.anomaly_modes"},
+    "bank": {"--fraction": "bank.fraction", "--projection-dim": "bank.projection_dim"},
+    "synth": {"--n-aug": "synth.n_aug", "--strength": "synth.strength"},
+    "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
+              "--eval-every": "train.eval_every"},
+    "score": {"--agg": "eval.agg"},
+    "eval": {},
+    "ablate": {},
+    "selftest": {},
+}
 
 
 def build_parser():
@@ -392,66 +395,34 @@ def build_parser():
                     "anomaly detection on feature grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a synthetic two-modality dataset")
-    p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--grid", help="HxW grid, e.g. 16x16")
-    p.add_argument("--dims", help="D_pc,D_rgb feature dims, e.g. 8,8")
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--anomaly-modes", help="comma list from pc_only,rgb_only,joint")
-    _add_common(p)
-
-    for name, extras in (
-        ("bank", [("--fraction", float), ("--projection-dim", int)]),
-        ("synth", [("--n-aug", int), ("--strength", float)]),
-        ("train", [("--epochs", int), ("--batch-size", int), ("--eval-every", int)]),
-        ("score", [("--agg", str)]),
-        ("eval", []),
-        ("ablate", []),
-    ):
-        p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--data", required=True, help="dataset directory (gen output)")
-        p.add_argument("--run", required=True, help="run directory for artifacts")
-        for flag, typ in extras:
-            p.add_argument(flag, type=typ)
-        _add_common(p)
-
-    p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p.add_argument("--checkpoint", help="also validate this checkpoint directory")
-    _add_common(p)
+    helps = {"gen": "generate a synthetic two-modality dataset",
+             "selftest": "run the embedded invariant suite"}
+    for name, flags in _FLAGS.items():
+        p = sub.add_parser(name, help=helps.get(name, f"run the {name} stage"))
+        if name == "gen":
+            p.add_argument("--out", required=True, help="dataset output directory")
+        elif name == "selftest":
+            p.add_argument("--checkpoint", help="also validate this checkpoint directory")
+        else:
+            p.add_argument("--data", required=True, help="dataset directory (gen output)")
+            p.add_argument("--run", required=True, help="run directory for artifacts")
+        p.add_argument("--config", help="key=value config file")
+        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                       help="override one config key (repeatable)")
+        for flag, key in {**flags, **_COMMON_FLAGS}.items():
+            p.add_argument(flag, dest=key, metavar="VALUE", help=f"set {key}")
+        p.add_argument("--force", action="store_true",
+                       help="overwrite artifacts from an identical configuration")
     return parser
 
 
-_FLAG_KEYS = {
-    "grid": ("gen.grid", lambda v: v.replace("x", ",")),
-    "dims": ("gen.dims", None),
-    "n_train": ("gen.n_train", None),
-    "n_test": ("gen.n_test", None),
-    "anomaly_modes": ("gen.anomaly_modes", None),
-    "fraction": ("bank.fraction", None),
-    "projection_dim": ("bank.projection_dim", None),
-    "n_aug": ("synth.n_aug", None),
-    "strength": ("synth.strength", None),
-    "epochs": ("train.epochs", None),
-    "batch_size": ("train.batch_size", None),
-    "eval_every": ("train.eval_every", None),
-    "agg": ("eval.agg", None),
-    "threads": ("eval.threads", None),
-}
-
-
-def _config_from_args(args) -> "RunConfig":
-    cfg = build_config(getattr(args, "config", None), getattr(args, "set", []))
-    for attr, (key, transform) in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
+def _config_from_args(args):
+    settings = list(args.set)
+    for key in {**_FLAGS[args.command], **_COMMON_FLAGS}.values():
+        value = getattr(args, key)
         if value is not None:
-            text = transform(str(value)) if transform else str(value)
-            apply_setting(cfg, key, text)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    cfg.validate()
-    return cfg
+            settings.append(f"{key}={value.replace('x', ',') if key == 'gen.grid' else value}")
+    return build_config(args.config, settings)
 
 
 def main(argv=None) -> int:

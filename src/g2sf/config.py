@@ -3,10 +3,11 @@
 One RunConfig drives every pipeline stage. Settings come from three layers
 with increasing precedence: built-in defaults, a config file of
 ``section.key = value`` lines, then command-line ``--set`` overrides and
-dedicated flags. The SHA-256 hash of the canonical merged configuration is
-stamped into every stage manifest so downstream stages can detect drift;
-execution settings (``eval.threads``) are left out of it, since they change
-no artifact.
+dedicated flags. Each setting has one source: the keys in ``DERIVED`` follow
+another key or the dataset and cannot be set. The SHA-256 hash of the
+canonical merged configuration is stamped into every stage manifest so
+downstream stages can detect drift; execution settings (``eval.threads``)
+are left out of it, since they change no artifact.
 """
 from __future__ import annotations
 
@@ -24,7 +25,18 @@ from .lspn import LspnConfig
 from .synthesis import SynthesisConfig
 from .trainer import TrainConfig
 
-__all__ = ["BankConfig", "RunConfig", "load_config_file", "build_config", "config_hash"]
+__all__ = ["BankConfig", "RunConfig", "DERIVED", "derive", "load_config_file",
+           "build_config", "config_hash"]
+
+# Keys whose value comes from one source elsewhere: a config key, or a
+# feature dim of the dataset (``dims:<modality>``). ``apply_setting`` rejects
+# them, naming the source, and ``derive`` sets them from it.
+DERIVED = {
+    "synth.k": "loss.k",
+    "train.seed": "seed",
+    "lspn.dim_pc": "dims:pc",
+    "lspn.dim_rgb": "dims:rgb",
+}
 
 
 @dataclass
@@ -52,15 +64,10 @@ class RunConfig:
         self.gen.validate()
         self.bank.validate()
         self.synth.validate()
+        self.lspn.validate()
         self.train.validate()
         self.loss.validate()
         self.eval.validate()
-        # k is shared by synthesis, losses and scoring; keep one source.
-        if self.synth.k != self.loss.k or self.eval.k != self.loss.k:
-            raise ConfigError(
-                f"neighbor count k disagrees: synth {self.synth.k}, "
-                f"loss {self.loss.k}, eval {self.eval.k}"
-            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -129,21 +136,41 @@ def _coerce(key, text, current):
     raise ConfigError(f"{key}: unsupported override target {type(current).__name__}")
 
 
-def apply_setting(cfg: RunConfig, key: str, value: str):
-    """Apply one dotted override like ``train.epochs = 40`` in place."""
-    if key in ("synth.k", "eval.k"):
-        raise ConfigError(f"{key} cannot be set: synthesis, the losses and scoring "
-                          "share one neighbor count; set loss.k instead")
-    parts = key.split(".")
+def _resolve(cfg: RunConfig, key: str):
+    """(owning section, leaf name) of a dotted key."""
+    *sections, leaf = key.split(".")
     target = cfg
-    for attr in parts[:-1]:
+    for attr in sections:
         if not hasattr(target, attr):
             raise ConfigError(f"unknown config section {attr!r} in {key!r}")
         target = getattr(target, attr)
-    leaf = parts[-1]
     if not hasattr(target, leaf):
         raise ConfigError(f"unknown config key {key!r}")
+    return target, leaf
+
+
+def apply_setting(cfg: RunConfig, key: str, value: str):
+    """Apply one dotted override like ``train.epochs = 40`` in place."""
+    if key in DERIVED:
+        source = DERIVED[key]
+        if source.startswith("dims:"):
+            source = f"the dataset's {source.removeprefix('dims:')} feature dim"
+        raise ConfigError(f"{key} cannot be set: it follows {source}")
+    target, leaf = _resolve(cfg, key)
     setattr(target, leaf, _coerce(key, value, getattr(target, leaf)))
+
+
+def derive(cfg: RunConfig, dims=None):
+    """Set every derived key from its source, in place. The lspn dims follow
+    ``dims`` (modality -> feature dim, as in a dataset manifest) when given."""
+    for key, source in DERIVED.items():
+        if source.startswith("dims:"):
+            if dims is None:
+                continue
+            value = dims[source.removeprefix("dims:")]
+        else:
+            value = getattr(*_resolve(cfg, source))
+        setattr(*_resolve(cfg, key), value)
 
 
 def build_config(config_file=None, overrides=()) -> RunConfig:
@@ -157,8 +184,6 @@ def build_config(config_file=None, overrides=()) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         apply_setting(cfg, key.strip(), value)
-    # keep the shared neighbor count consistent when only loss.k was set
-    cfg.synth.k = cfg.loss.k
-    cfg.eval.k = cfg.loss.k
+    derive(cfg)
     cfg.validate()
     return cfg

@@ -147,18 +147,20 @@ def aupro(score_maps, gt_masks, limit: float) -> float:
 
 @dataclass
 class EvalConfig:
-    k: int = 5
+    """How to score and report a test split. The neighbor count k is the
+    checkpoint's (``loss_cfg.k``) and the upsampling factor the manifest's
+    ``gt_upscale``; neither is a setting here."""
+
     agg: str = "min"
     smooth_sigma: float = 4.0
-    upsample_factor: int | None = None  # default: the manifest's gt upscale
     aupro_limits: tuple = (0.30, 0.01)
     threads: int = 1
 
     def validate(self):
         if self.agg not in AGGREGATIONS:
             raise ConfigError(f"unknown aggregation {self.agg!r}")
-        if self.k < 0 or self.smooth_sigma < 0 or self.threads < 1:
-            raise ConfigError("k, smooth_sigma must be nonnegative and threads >= 1")
+        if self.smooth_sigma < 0 or self.threads < 1:
+            raise ConfigError("smooth_sigma must be nonnegative and threads >= 1")
 
 
 @dataclass
@@ -259,17 +261,20 @@ def _run_samples(fn, items, threads):
 
 
 def _score_each(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig, maps_of):
-    """Load every test sample in manifest order, score it with ``maps_of(pair)``
-    (a dict of ScoreMaps) and upsample and smooth each map."""
+    """Load every test sample in manifest order, score it with
+    ``maps_of(model, pair, banks, normalizer, k)`` (a dict of ScoreMaps), k
+    being the checkpoint's, and upsample each map by the manifest's
+    ``gt_upscale`` and smooth it."""
     cfg.validate()
     if checkpoint.banks is None:
         raise ConfigError("checkpoint has no banks attached; load them first")
-    factor = cfg.upsample_factor or test_manifest.gt_upscale
+    model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
 
     def one(ref):
         pair = load_sample(test_manifest, ref)
-        maps = {name: upsample_smooth(m, factor, cfg.smooth_sigma)
-                for name, m in maps_of(pair).items()}
+        grids = maps_of(model, pair, banks, normalizer, checkpoint.loss_cfg.k)
+        maps = {name: upsample_smooth(m, test_manifest.gt_upscale, cfg.smooth_sigma)
+                for name, m in grids.items()}
         return ScoredSample(pair.sample_id, pair.image_label, pair.pixel_gt, maps)
 
     return _run_samples(one, list(test_manifest.samples), cfg.threads)
@@ -277,11 +282,11 @@ def _score_each(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig, map
 
 def score_split(checkpoint, test_manifest: DatasetManifest,
                 cfg: EvalConfig) -> list[ScoredSample]:
-    """Score every test sample with the ``cfg.agg`` aggregation; the ScoreMap
-    is ``maps[cfg.agg]`` of each returned sample."""
-    model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
-    return _score_each(checkpoint, test_manifest, cfg, lambda pair: {
-        cfg.agg: score_sample(model, pair, banks, normalizer, cfg.k, cfg.agg)})
+    """Score every test sample with the ``cfg.agg`` aggregation over the
+    checkpoint's k+1 nearest local spaces; the ScoreMap is ``maps[cfg.agg]``
+    of each returned sample."""
+    return _score_each(checkpoint, test_manifest, cfg,
+                       lambda *args: {cfg.agg: score_sample(*args, cfg.agg)})
 
 
 def _report(scored, key: str, aupro_limits) -> EvalReport:
@@ -299,9 +304,10 @@ def _report(scored, key: str, aupro_limits) -> EvalReport:
 def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) -> EvalReport:
     """Compute I-AUROC, P-AUROC and AUPRO at the configured limits.
 
-    Pixel metrics use the upsampled + smoothed maps; the image metric uses
-    the per-sample max over foreground grid cells. When any sample lacks a
-    pixel ground-truth mask the pixel metrics are omitted with a flag.
+    Scores use the checkpoint's k (see :func:`score_split`). Pixel metrics
+    use the upsampled + smoothed maps; the image metric uses the per-sample
+    max over foreground grid cells. When any sample lacks a pixel
+    ground-truth mask the pixel metrics are omitted with a flag.
     """
     return _report(score_split(checkpoint, test_manifest, cfg), cfg.agg, cfg.aupro_limits)
 
@@ -316,14 +322,13 @@ _VARIANT_MAP_KEY = {"s_pc": "s_pc", "s_rgb": "s_rgb", "w_pc": "w_pc", "w_rgb": "
 
 
 def ablation_scores(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig):
-    """Metric rows for the five score definitions and four aggregations.
+    """Metric rows for the five score definitions and four aggregations,
+    scored with the checkpoint's k.
 
     Returns (variant_rows, aggregation_rows); each row maps
     variant -> i_auroc / p_auroc / aupro@limit values.
     """
-    model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
-    scored = _score_each(checkpoint, test_manifest, cfg, lambda pair: sample_maps(
-        model, pair, banks, normalizer, cfg.k))
+    scored = _score_each(checkpoint, test_manifest, cfg, sample_maps)
 
     reports = {}  # map key -> report; the fused variant reads the "min" maps
 

@@ -1,7 +1,9 @@
 """Anomaly scoring from the fused metric.
 
 The per-cell score aggregates the metric values of the k+1 nearest local
-spaces with a min operator (alternatives: the rank-0 value, max, mean).
+spaces with a min operator (alternatives: the rank-0 value, max, mean). k is
+the one the model was pooled and trained with: the evaluation entry points
+read it from the checkpoint (``loss_cfg.k``).
 Scoring queries the banks for exactly those k+1 ranks; synthesis and
 training encode 2k+1, and the first k+1 of those are the same neighbors in
 the same order. Scoring a model loaded from a checkpoint reuses its

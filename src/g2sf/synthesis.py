@@ -120,13 +120,10 @@ def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
                    mode: str, strength: float, rng):
     """Paste perturbed donor features into masked cells of ``target``.
 
-    ``mode`` selects the corrupted modality(ies): pc_only, rgb_only or joint
-    ("both" is accepted as an alias). Returns (augmented SamplePair,
-    label grid) where labels are 1 exactly on masked cells. Unmasked cells
-    are bit-identical to the input.
+    ``mode`` selects the corrupted modality(ies): pc_only, rgb_only or
+    joint. Returns (augmented SamplePair, label grid) where labels are 1
+    exactly on masked cells. Unmasked cells are bit-identical to the input.
     """
-    if mode == "both":
-        mode = "joint"
     if mode not in ANOMALY_MODES:
         raise ConfigError(f"unknown injection mode {mode!r}")
     mask = np.asarray(mask, dtype=bool)
@@ -168,7 +165,7 @@ class SynthesisConfig:
     def validate(self):
         if self.n_aug < 0 or self.k < 0 or self.strength < 0:
             raise ConfigError("n_aug, k and strength must be nonnegative")
-        bad = [m for m in self.modes if m not in ANOMALY_MODES + ("both",)]
+        bad = [m for m in self.modes if m not in ANOMALY_MODES]
         if bad:
             raise ConfigError(f"unknown synthesis modes {bad}")
 
@@ -234,7 +231,6 @@ class TrainingPool:
     r_rgb: np.ndarray
     s_rgb: np.ndarray
     sample_index: np.ndarray  # (N,) source augmented-sample index
-    positions: np.ndarray     # (N, 2) grid row/col
     train_indices: np.ndarray
     val_indices: np.ndarray
 
@@ -253,7 +249,7 @@ class TrainingPool:
 
 def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> TrainingPool:
     """Encode every foreground cell of each (SamplePair, labels) item."""
-    rows = {key: [] for key in ("y", "si", "pos")}
+    rows = {key: [] for key in ("y", "si")}
     for modality in ("pc", "rgb"):
         rows.update({f"{key}_{modality}": [] for key in ("feat", "idx", "r", "s")})
     for sample_idx, (pair, labels) in enumerate(samples_with_labels):
@@ -277,7 +273,6 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> Trainin
             rows[f"r_{m}"].append(enc[m].raw_distances.reshape(-1, n)[sel])
             rows[f"s_{m}"].append(enc[m].distances.reshape(-1, n)[sel])
         rows["si"].append(np.full(sel.sum(), sample_idx, dtype=np.int64))
-        rows["pos"].append(np.argwhere(fg))
     sample_index = np.concatenate(rows["si"])
     train_mask = (sample_index % 2) == 0
     indices = np.arange(sample_index.shape[0])
@@ -294,7 +289,6 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> Trainin
         r_rgb=cat["r_rgb"],
         s_rgb=cat["s_rgb"].astype(np.float64),
         sample_index=sample_index,
-        positions=cat["pos"],
         train_indices=indices[train_mask],
         val_indices=indices[~train_mask],
     )

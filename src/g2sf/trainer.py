@@ -47,6 +47,8 @@ __all__ = [
     "learning_curve",
 ]
 
+CHECKPOINT_FORMAT = "g2sf-checkpoint-v2"
+
 
 @dataclass
 class TrainConfig:
@@ -55,7 +57,6 @@ class TrainConfig:
     lr: float = 1.5e-4
     weight_decay: float = 1.5e-4
     sigma_lr: float = 5e-3
-    dropout: float = 0.5
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -68,21 +69,21 @@ class TrainConfig:
         if self.lr <= 0 or self.sigma_lr < 0 or self.weight_decay < 0:
             # sigma_lr == 0 freezes the global scales (collapse experiments).
             raise ConfigError("lr must be positive, sigma_lr/weight_decay nonnegative")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must lie in [0, 1)")
 
 
 @dataclass
 class Checkpoint:
     model: lspn_mod.LspnModel
     normalizer: DistanceNormalizer
-    m0: float
+    loss_cfg: losses_mod.LossConfig  # the frozen m0 and the k of pooling and scoring
+    train_cfg: TrainConfig
     epoch: int
-    rng_state: dict | None = None
     config_hash: str = ""
-    loss_cfg: losses_mod.LossConfig | None = None
-    train_cfg: TrainConfig | None = None
     banks: dict | None = None  # attached at load time, never persisted here
+
+    @property
+    def m0(self) -> float:
+        return self.loss_cfg.m0
 
 
 @dataclass
@@ -211,7 +212,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     Returns (Checkpoint, log_rows, snapshots) where snapshots holds
     (epoch, Checkpoint) pairs taken every ``eval_every`` epochs. m0 is
     computed from the full pool before the first epoch when the loss config
-    leaves it unset, then frozen.
+    leaves it unset, then frozen. Dropout is ``lspn_cfg.dropout``.
     """
     train_cfg.validate()
     loss_cfg.validate()
@@ -222,7 +223,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     if loss_cfg.m0 is None:
         loss_cfg = replace(loss_cfg, m0=losses_mod.compute_m0(pool.s0()))
 
-    lspn_cfg = replace(lspn_cfg, dropout=train_cfg.dropout)
     model = lspn_mod.init_model(lspn_cfg, train_cfg.seed)
     specs = []
     for is_weight in lspn_mod.weight_flags(model)[:-1]:
@@ -233,8 +233,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []
     snapshots = []
-    last_good = Checkpoint(model.copy(), normalizer, loss_cfg.m0, 0, None, config_hash,
-                           loss_cfg, train_cfg, banks)
+    last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, 0, config_hash, banks)
 
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(pool.train_indices)
@@ -275,22 +274,13 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                "sigma_pc": model.sigma_pc, "sigma_rgb": model.sigma_rgb}
         row.update({f"train_{k}": float(v) / denom for k, v in sums.items()})
         log_rows.append(row)
-        last_good = Checkpoint(model.copy(), normalizer, loss_cfg.m0, epoch + 1, None,
-                               config_hash, loss_cfg, train_cfg, banks)
+        last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, epoch + 1,
+                               config_hash, banks)
         if train_cfg.eval_every and (epoch + 1) % train_cfg.eval_every == 0:
             snapshots.append((epoch + 1, last_good))
 
-    final = Checkpoint(
-        model=model,
-        normalizer=normalizer,
-        m0=loss_cfg.m0,
-        epoch=train_cfg.epochs,
-        rng_state=rng.bit_generator.state,
-        config_hash=config_hash,
-        loss_cfg=loss_cfg,
-        train_cfg=train_cfg,
-        banks=banks,
-    )
+    final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, config_hash,
+                       banks)
     return final, log_rows, snapshots
 
 
@@ -314,15 +304,13 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
         written.append(out_dir / "weights" / f"{name}.g2t")
         write_tensor(written[-1], param, {"kind": "weights"})
     doc = {
-        "format": "g2sf-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "epoch": ckpt.epoch,
-        "m0": ckpt.m0,
         "normalizer": ckpt.normalizer.to_dict(),
         "log_sigma": [float(v) for v in model.log_sigma],
         "config_hash": ckpt.config_hash,
-        "rng_state": _jsonable_rng_state(ckpt.rng_state),
-        "loss": asdict(ckpt.loss_cfg) if ckpt.loss_cfg else None,
-        "train": asdict(ckpt.train_cfg) if ckpt.train_cfg else None,
+        "loss": asdict(ckpt.loss_cfg),
+        "train": asdict(ckpt.train_cfg),
         "lspn": {
             "dim_pc": model.cfg.dim_pc,
             "dim_rgb": model.cfg.dim_rgb,
@@ -336,12 +324,6 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
     return written
 
 
-def _jsonable_rng_state(state):
-    if state is None:
-        return None
-    return json.loads(json.dumps(state, default=str))
-
-
 def load_checkpoint(in_dir) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
@@ -352,8 +334,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
         doc = json.loads((in_dir / "manifest.json").read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"{in_dir} holds no checkpoint manifest") from exc
-    if doc.get("format") != "g2sf-checkpoint-v1":
-        raise ConfigError(f"unknown checkpoint format {doc.get('format')!r}")
+    if doc.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{in_dir} has checkpoint format {doc.get('format')!r}, "
+                          f"not {CHECKPOINT_FORMAT}; retrain it")
     cfg = lspn_mod.LspnConfig(
         dim_pc=doc["lspn"]["dim_pc"],
         dim_rgb=doc["lspn"]["dim_rgb"],
@@ -381,18 +364,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
     # Frozen as banks are, so scoring builds its first-layer tables once (g2sf.lspn).
     for param in lspn_mod.parameters(model):
         param.setflags(write=False)
-    loss_cfg = losses_mod.LossConfig(**doc["loss"]) if doc.get("loss") else None
-    train_cfg = TrainConfig(**doc["train"]) if doc.get("train") else None
-    return Checkpoint(
-        model=model,
-        normalizer=DistanceNormalizer.from_dict(doc["normalizer"]),
-        m0=float(doc["m0"]),
-        epoch=int(doc["epoch"]),
-        rng_state=doc.get("rng_state"),
-        config_hash=doc.get("config_hash", ""),
-        loss_cfg=loss_cfg,
-        train_cfg=train_cfg,
-    )
+    return Checkpoint(model, DistanceNormalizer.from_dict(doc["normalizer"]),
+                      losses_mod.LossConfig(**doc["loss"]), TrainConfig(**doc["train"]),
+                      int(doc["epoch"]), doc["config_hash"])
 
 
 def learning_curve(checkpoints, test_manifest, eval_cfg, banks=None):

@@ -82,8 +82,7 @@ def benchmark_runs():
     t0 = time.perf_counter()
     for seed in BENCH_SEEDS:
         checkpoint, _, _, test_manifest = desk_pipeline(seed, epochs=40)
-        variants, aggregations = ablation_scores(checkpoint, test_manifest,
-                                                 EvalConfig(k=5))
+        variants, aggregations = ablation_scores(checkpoint, test_manifest, EvalConfig())
         runs.append({
             "seed": seed,
             "checkpoint": checkpoint,

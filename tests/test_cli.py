@@ -167,6 +167,10 @@ class TestExitCodes:
     def test_bad_config_value(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"),
                      "--set", "gen.n_train=zero"]) == 2
+        # Out of range is refused before any stage runs.
+        assert main(["gen", "--out", str(tmp_path / "d"),
+                     "--set", "lspn.dropout=1.5"]) == 2
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_config_key(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"),
@@ -219,9 +223,11 @@ class TestExitCodes:
         assert not (run / "reports").exists()
 
     def test_derived_k_is_config_error(self, tmp_path, capsys):
-        for key in ("synth.k", "eval.k"):
+        for key, source in (("synth.k", "loss.k"), ("train.seed", "seed"),
+                            ("lspn.dim_pc", "the dataset's pc"),
+                            ("lspn.dim_rgb", "the dataset's rgb")):
             assert main(["gen", "--out", str(tmp_path / "d"), "--set", f"{key}=3"]) == 2
-            assert "loss.k" in capsys.readouterr().err
+            assert f"follows {source}" in capsys.readouterr().err
 
     def test_selftest_clean_run(self, capsys):
         assert main(["selftest"]) == 0
@@ -297,6 +303,24 @@ class TestEditedArtifacts:
         self.assert_stale(capsys, "score", cfg_path, data, run,
                           "train recorded its output", path.name)
 
+    def test_old_checkpoint_format_exits_2(self, chain_copy, cfg_path, capsys):
+        # A checkpoint of the previous format whose train manifest records
+        # it: the chain is consistent, and the checkpoint itself is refused.
+        import hashlib
+
+        data, run = chain_copy
+        ckpt = run / "checkpoints" / "final" / "manifest.json"
+        doc = json.loads(ckpt.read_text())
+        doc["format"] = "g2sf-checkpoint-v1"
+        ckpt.write_text(json.dumps(doc))
+        train_doc = json.loads((run / "train_manifest.json").read_text())
+        train_doc["outputs"]["checkpoints/final/manifest.json"] = \
+            hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        (run / "train_manifest.json").write_text(json.dumps(train_doc))
+        capsys.readouterr()
+        assert run_stage("score", cfg_path, data, run, "--force") == 2
+        assert "g2sf-checkpoint-v1" in capsys.readouterr().err
+
     def test_old_format_manifest_exits_3(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
         doc = json.loads((run / "score_manifest.json").read_text())
@@ -320,9 +344,7 @@ class TestSpecialModes:
                      "--run", str(run), "--epochs", "0"]) == 0
         ckpt = load_checkpoint(run / "checkpoints" / "final")
         cfg = build_config(cfg_path)
-        reference = init_model(
-            dataclasses.replace(cfg.lspn, dim_pc=6, dim_rgb=6,
-                                dropout=cfg.train.dropout), cfg.seed)
+        reference = init_model(dataclasses.replace(cfg.lspn, dim_pc=6, dim_rgb=6), cfg.seed)
         for a, b in zip(parameters(ckpt.model), parameters(reference)):
             np.testing.assert_array_equal(a, b)
 
@@ -368,6 +390,19 @@ class TestSpecialModes:
         before = tree_bytes(run / "scores")
         assert run_stage("score", cfg_path, data, run, "--threads", "2", "--force") == 0
         assert tree_bytes(run / "scores") == before
+
+    def test_dedicated_flags_set_their_keys(self):
+        from g2sf.cli import _config_from_args, build_parser
+
+        parse = build_parser().parse_args
+        cfg = _config_from_args(parse(["gen", "--out", "d", "--grid", "12x10", "--n-test", "4",
+                                       "--set", "gen.n_test=9", "--seed", "3"]))
+        assert cfg.gen.grid == (12, 10) and cfg.gen.n_test == 4  # flags beat --set
+        assert cfg.seed == 3 and cfg.train.seed == 3
+        cfg = _config_from_args(parse(["train", "--data", "d", "--run", "r", "--epochs", "2"]))
+        assert cfg.train.epochs == 2
+        assert main(["train", "--data", "d", "--run", "r", "--epochs", "two"]) == 2
+        assert main(["score", "--data", "d", "--run", "r", "--agg", "median"]) == 2
 
     def test_threads_rerun_needs_force(self, chain_copy, cfg_path, capsys):
         # The thread count is not part of the config hash: a rerun at another

@@ -15,7 +15,7 @@ class TestParsing:
         assert cfg.bank.fraction == 0.10
         assert cfg.train.lr == 1.5e-4 and cfg.train.weight_decay == 1.5e-4
         assert cfg.train.sigma_lr == 5e-3 and cfg.train.batch_size == 8192
-        assert cfg.train.epochs == 80 and cfg.train.dropout == 0.5
+        assert cfg.train.epochs == 80
         assert cfg.lspn.dim_pc == 1152 and cfg.lspn.dim_rgb == 768
 
     def test_file_and_overrides_precedence(self, tmp_path):
@@ -37,25 +37,30 @@ class TestParsing:
         assert cfg.gen.anomaly_modes == ("pc_only", "joint")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_setting(RunConfig(), "train.warp_speed", "9")
+        # The last three were retired: k is the checkpoint's, the upsampling
+        # factor the dataset's and dropout lspn.dropout.
+        for key in ("train.warp_speed", "eval.k", "eval.upsample_factor", "train.dropout"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                apply_setting(RunConfig(), key, "2")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):
             apply_setting(RunConfig(), "train.epochs", "eleven")
 
     def test_k_propagates(self):
-        cfg = build_config(overrides=["loss.k=3"])
-        assert cfg.synth.k == 3 and cfg.eval.k == 3
+        cfg = build_config(overrides=["loss.k=3", "seed=9"])
+        assert cfg.synth.k == 3 and cfg.train.seed == 9
 
     def test_derived_k_rejected(self, tmp_path):
-        # synth.k and eval.k follow loss.k; setting them must not be ignored.
+        # Derived keys follow their source; setting them must not be ignored.
         path = tmp_path / "c.cfg"
-        for key in ("synth.k", "eval.k"):
-            with pytest.raises(ConfigError, match="loss.k"):
+        for key, source in (("synth.k", "loss.k"), ("train.seed", "seed"),
+                            ("lspn.dim_pc", "the dataset's pc feature dim"),
+                            ("lspn.dim_rgb", "the dataset's rgb feature dim")):
+            with pytest.raises(ConfigError, match=f"follows {source}$"):
                 build_config(overrides=[f"{key}=3"])
             path.write_text(f"{key} = 3\n")
-            with pytest.raises(ConfigError, match="loss.k"):
+            with pytest.raises(ConfigError, match=f"follows {source}$"):
                 build_config(path)
 
 

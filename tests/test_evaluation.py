@@ -150,7 +150,7 @@ class TestAupro:
 
 @pytest.fixture(scope="module")
 def eval_cfg():
-    return EvalConfig(k=DESK_K, smooth_sigma=2.0)
+    return EvalConfig(smooth_sigma=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ def report(desk_dataset, desk_checkpoint, eval_cfg):
 def tables(desk_dataset, desk_checkpoint):
     _, _, test_manifest = desk_dataset
     ckpt, _ = desk_checkpoint
-    return ablation_scores(ckpt, test_manifest, EvalConfig(k=DESK_K, smooth_sigma=2.0))
+    return ablation_scores(ckpt, test_manifest, EvalConfig(smooth_sigma=2.0))
 
 
 class TestReportFromMaps:
@@ -208,7 +208,7 @@ class TestEvalDataset:
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
         threaded = eval_dataset(ckpt, test_manifest,
-                                EvalConfig(k=DESK_K, smooth_sigma=2.0, threads=4))
+                                EvalConfig(smooth_sigma=2.0, threads=4))
         assert threaded.to_json() == report.to_json()
 
     def test_missing_gt_flags_pixel_metrics(self, desk_dataset, desk_checkpoint,
@@ -226,6 +226,31 @@ class TestEvalDataset:
         assert report.i_auroc is not None
         assert report.p_auroc is None and not report.aupro
         assert any(flag.startswith("pixel_metrics_omitted") for flag in report.flags)
+
+
+    def test_k_comes_from_the_checkpoint(self, desk_dataset, desk_banks, desk_lspn_cfg):
+        # A model pooled and trained at k=3 is scored over ranks 0..3. The
+        # mean aggregation tells k=3 from the old default k=5: the min of a
+        # barely trained model is rank 0 at either k.
+        from g2sf.features import load_sample
+        from g2sf.losses import LossConfig
+        from g2sf.scoring import score_sample
+        from g2sf.synthesis import SynthesisConfig, build_training_pool
+        from g2sf.trainer import TrainConfig, train
+
+        _, train_manifest, test_manifest = desk_dataset
+        banks, normalizer = desk_banks
+        pool = build_training_pool(train_manifest, banks, normalizer,
+                                   SynthesisConfig(n_aug=4, k=3), seed=1)
+        ckpt, _, _ = train(pool, banks, normalizer, desk_lspn_cfg,
+                           TrainConfig(epochs=1, batch_size=512, seed=1), LossConfig(k=3))
+        report = eval_dataset(ckpt, test_manifest, EvalConfig(agg="mean", smooth_sigma=2.0))
+        got = [row["score"] for row in report.per_sample]
+        pairs = [load_sample(test_manifest, ref) for ref in test_manifest.samples]
+        want = {k: [score_sample(ckpt.model, pair, banks, normalizer, k, "mean").sample_score
+                    for pair in pairs] for k in (3, 5)}
+        assert got == want[3]
+        assert want[3] != want[5]
 
 
 class TestAblation:
@@ -253,7 +278,7 @@ class TestAblation:
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
         variants, aggs = ablation_scores(ckpt, test_manifest,
-                                         EvalConfig(k=DESK_K, smooth_sigma=2.0))
+                                         EvalConfig(smooth_sigma=2.0))
         assert len(calls) == 8
         fused = next(r for r in variants if r["variant"] == "fused")
         minimum = next(r for r in aggs if r["variant"] == "min")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from g2sf.bank import query_neighbors_batch
-from g2sf.errors import ShapeError
+from g2sf.errors import ConfigError, ShapeError
 from g2sf.features import iter_samples, load_sample
 from g2sf.synthesis import (
     PerlinParams,
@@ -75,6 +75,11 @@ class TestInjectAnomaly:
                                 np.random.default_rng(2))
         assert out.pc.data.tobytes() == target.pc.data.tobytes()
         assert not np.array_equal(out.rgb.data[mask], target.rgb.data[mask])
+        # Each mode has one name, as in features.ANOMALY_MODES.
+        with pytest.raises(ConfigError, match="both"):
+            inject_anomaly(target, donor, mask, "both", 1.0, np.random.default_rng(2))
+        with pytest.raises(ConfigError, match="both"):
+            SynthesisConfig(modes=("joint", "both")).validate()
 
     def test_strength_zero_same_donor_labels_follow_mask(self, two_pairs):
         target, _ = two_pairs

@@ -7,11 +7,6 @@ import pytest
 
 from g2sf.losses import LossConfig
 from g2sf.lspn import forward_batch, init_model, parameters
-
-
-def init_model_for(lspn_cfg, train_cfg):
-    return init_model(dataclasses.replace(lspn_cfg, dropout=train_cfg.dropout),
-                      train_cfg.seed)
 from g2sf.synthesis import SynthesisConfig, build_training_pool
 from g2sf.trainer import (
     TrainConfig,
@@ -89,10 +84,21 @@ class TestTrain:
         lspn_cfg, loss_cfg = quick_cfgs
         cfg = TrainConfig(epochs=0, batch_size=512, seed=4)
         ckpt, log_rows, _ = train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
-        reference = init_model(dataclasses.replace(lspn_cfg, dropout=cfg.dropout), 4)
+        reference = init_model(lspn_cfg, 4)
         for a, b in zip(parameters(ckpt.model), parameters(reference)):
             np.testing.assert_array_equal(a, b)
         assert log_rows == []
+
+    def test_lspn_dropout_is_used(self, desk_pool, desk_banks, quick_cfgs):
+        # Dropout has one source, the scale network's config.
+        banks, normalizer = desk_banks
+        lspn_cfg, loss_cfg = quick_cfgs
+        cfg = dataclasses.replace(lspn_cfg, dropout=0.0)
+        ckpt, _, _ = train(desk_pool, banks, normalizer, cfg,
+                           TrainConfig(epochs=1, batch_size=512, seed=4), loss_cfg)
+        model = ckpt.model
+        blocks = model.proto_branch + model.dir_branch + model.fusion_head
+        assert [b.dropout_rate for b in blocks] == [0.0] * len(blocks)
 
     def test_loss_decreases(self, desk_pool, desk_banks, quick_cfgs):
         # Monotone-trend oracle with a 3-seed majority vote.
@@ -172,7 +178,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=40, batch_size=16, seed=1, sigma_lr=0.0)
         ckpt, _, _ = train(pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
         rows = np.arange(min(512, pool.size))
-        init = init_model_for(lspn_cfg, cfg)
+        init = init_model(lspn_cfg, cfg.seed)
         w_init = scale_factors(init, pool, banks, rows)[:, 0]
         w = scale_factors(ckpt.model, pool, banks, rows)[:, 0]
         assert w.mean() < 0.9
@@ -230,8 +236,7 @@ class TestLearningCurve:
         _, _, test_manifest = desk_dataset
         banks, _ = desk_banks
         ckpt, _ = desk_checkpoint
-        rows = learning_curve([ckpt], test_manifest, EvalConfig(k=DESK_K,
-                                                                smooth_sigma=2.0),
+        rows = learning_curve([ckpt], test_manifest, EvalConfig(smooth_sigma=2.0),
                               banks=banks)
         assert len(rows) == 1
         assert rows[0]["epoch"] == ckpt.epoch
@@ -251,7 +256,7 @@ class TestLearningCurve:
         _, _, snapshots = train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
         checkpoints = [ckpt0] + [snap for _, snap in reversed(snapshots)]
         rows = learning_curve(checkpoints, test_manifest,
-                              EvalConfig(k=DESK_K, smooth_sigma=2.0), banks=banks)
+                              EvalConfig(smooth_sigma=2.0), banks=banks)
         assert [r["epoch"] for r in rows] == sorted(r["epoch"] for r in rows)
         best = max(r["i_auroc"] for r in rows)
         assert best >= rows[0]["i_auroc"]
@@ -271,6 +276,23 @@ class TestCheckpoint:
         w_a = scale_factors(ckpt.model, desk_pool, banks, rows)
         w_b = scale_factors(back.model, desk_pool, banks, rows)
         assert w_a.tobytes() == w_b.tobytes()
+
+    def test_old_format_rejected(self, desk_checkpoint, tmp_path):
+        # A checkpoint in the previous format, with its top-level m0, its
+        # rng_state and its train.dropout, is refused by name.
+        import json
+
+        from g2sf.errors import ConfigError
+
+        ckpt, _ = desk_checkpoint
+        save_checkpoint(ckpt, tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc.update(format="g2sf-checkpoint-v1", m0=ckpt.m0, rng_state=None)
+        doc["train"]["dropout"] = 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="g2sf-checkpoint-v1"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
         ckpt, _ = desk_checkpoint
