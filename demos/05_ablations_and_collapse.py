@@ -2,7 +2,8 @@
 that motivates the cross-modal and synthesis machinery.
 
 The ablation compares five score definitions (unimodal distances, raw scale
-factors, fused metric) and four aggregation strategies. The collapse run
+factors, fused metric) and four aggregation strategies, all read from one
+scoring pass over the test split. The collapse run
 trains on normal-only data with the alignment term off: with nothing
 anchoring the upper end, the predicted scales sink toward the lower bound
 1/e and the metric degenerates.
@@ -13,7 +14,7 @@ import tempfile
 import numpy as np
 
 from g2sf.bank import build_bank
-from g2sf.evaluation import EvalConfig, ablation_scores
+from g2sf.evaluation import EvalConfig, ablation_scores, score_split
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
 from g2sf.geometry import fit_normalizer
 from g2sf.losses import LossConfig
@@ -37,7 +38,10 @@ checkpoint, _, _ = train(pool, banks, normalizer, lspn_cfg,
                          TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
 checkpoint.banks = banks
 
-variants, aggregations = ablation_scores(checkpoint, test_manifest, EvalConfig())
+# One network pass per test sample scores every variant; the tables are views
+# of those grid maps, each upsampled to the ground truth as it is reported.
+scored = score_split(checkpoint, test_manifest, EvalConfig())
+variants, aggregations = ablation_scores(scored, test_manifest.gt_upscale, EvalConfig())
 print("score variants:")
 print(f"{'variant':8s} {'I-AUROC':>8s} {'P-AUROC':>8s} {'AUPRO@30%':>10s} {'AUPRO@1%':>9s}")
 for row in variants:

@@ -12,10 +12,15 @@ edited after a stage built on it, and the stage refuses with exit code 3,
 naming the stage and the file. Exit codes: 0 success, 1 I/O or runtime
 failure, 2 configuration error, 3 stale or edited upstream artifact.
 
+The network runs once per checkpoint: per test sample, ``score`` writes
+every map of ``scoring.sample_maps`` stacked on the grid, and the configured
+aggregation's upsampled pixel map. ``eval`` reads the pixel maps and
+``ablate`` the stacked grids; neither loads a checkpoint or a bank.
+
 All artifacts are reproducible from (command, config, seed): file contents
 are canonical and carry no wall-clock fields, so two identical runs produce
-byte-identical trees. ``--threads`` spreads per-sample scoring over a thread
-pool and changes no result.
+byte-identical trees. ``--threads`` spreads the per-sample scoring of
+``score`` over a thread pool and changes no result.
 """
 from __future__ import annotations
 
@@ -43,6 +48,7 @@ from .features import (
     write_mask,
 )
 from .geometry import DistanceNormalizer, normalizer_from_distances
+from .scoring import ScoreMap, upsample_smooth
 from .selftest import run_all
 from .tensorio import read_tensor, write_tensor
 from .trainer import load_checkpoint, save_checkpoint, train
@@ -64,7 +70,7 @@ _READS = {
     "train": ("bank", "synth"),
     "score": ("gen", "train"),
     "eval": ("gen", "score"),
-    "ablate": ("gen", "train"),
+    "ablate": ("gen", "score"),
 }
 
 
@@ -263,49 +269,54 @@ def cmd_train(cfg, data, run):
         f"({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
 
 
-def _load_trained(run: Path):
+def cmd_score(cfg, data, run):
     checkpoint = load_checkpoint(run / "checkpoints" / "final")
     checkpoint.banks = _load_banks(run)
-    return checkpoint
-
-
-def cmd_score(cfg, data, run):
-    checkpoint = _load_trained(run)
     test_manifest = load_manifest(data / "test_manifest.json")
     outputs = []
     per_sample = []
     for scored in eval_mod.score_split(checkpoint, test_manifest, cfg.eval):
-        smap = scored.maps[cfg.eval.agg]
         grid_path = f"scores/{scored.sample_id}_grid.g2t"
         pixel_path = f"scores/{scored.sample_id}_pixel.g2t"
-        write_tensor(run / grid_path, smap.grid, {"kind": "score_map"})
-        write_tensor(run / pixel_path, smap.upsampled, {"kind": "score_map_pixel"})
+        write_tensor(run / grid_path, np.stack([m.grid for m in scored.maps.values()]),
+                     {"kind": "score_maps", "maps": list(scored.maps)})
+        pixel = upsample_smooth(scored.maps[cfg.eval.agg], test_manifest.gt_upscale,
+                                cfg.eval.smooth_sigma)
+        write_tensor(run / pixel_path, pixel.upsampled, {"kind": "score_map_pixel"})
         outputs.extend([grid_path, pixel_path])
         per_sample.append({"sample_id": scored.sample_id,
-                           "score": float(smap.sample_score),
+                           "score": scored.maps[cfg.eval.agg].sample_score,
+                           "scores": {name: m.sample_score for name, m in scored.maps.items()},
                            "grid": grid_path, "pixel": pixel_path})
     extra = {"samples": per_sample, "agg": cfg.eval.agg}
     return outputs, extra, f"score: wrote {len(per_sample)} score maps (agg={cfg.eval.agg})"
 
 
-def cmd_eval(cfg, data, run):
+def _read_scored(data, run):
+    """The test manifest, and each score-manifest entry with its test sample
+    and ground-truth mask (None when the sample has none)."""
     score_manifest = _read_stage_manifest(run, "score")
     test_manifest = load_manifest(data / "test_manifest.json")
     by_id = {ref.sample_id: ref for ref in test_manifest.samples}
-    sample_ids, scores, labels, pixel_maps, gt_masks = [], [], [], [], []
+    rows = []
     for entry in score_manifest["samples"]:
         ref = by_id.get(entry["sample_id"])
         if ref is None:
             raise ConfigError(f"scored sample {entry['sample_id']} missing from manifest")
-        pixel, _ = read_tensor(run / entry["pixel"])
-        sample_ids.append(ref.sample_id)
-        scores.append(entry["score"])
         gt = read_mask(test_manifest.root / ref.pixel_gt) if ref.pixel_gt else None
-        labels.append(eval_mod.sample_label(ref.sample_id, ref.image_label, gt))
-        pixel_maps.append(pixel.astype(np.float64))
-        gt_masks.append(gt)
-    report = eval_mod.report_from_maps(sample_ids, scores, labels, pixel_maps, gt_masks,
-                                       cfg.eval.aupro_limits)
+        rows.append((entry, ref, gt))
+    return test_manifest, rows
+
+
+def cmd_eval(cfg, data, run):
+    _, rows = _read_scored(data, run)
+    report = eval_mod.report_from_maps(
+        [ref.sample_id for _, ref, _ in rows],
+        [entry["score"] for entry, _, _ in rows],
+        [eval_mod.sample_label(ref.sample_id, ref.image_label, gt) for _, ref, gt in rows],
+        [read_tensor(run / entry["pixel"])[0].astype(np.float64) for entry, _, _ in rows],
+        [gt for _, _, gt in rows],
+        cfg.eval.aupro_limits)
     report_path = run / "reports" / "eval.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(report.to_json() + "\n")
@@ -316,12 +327,21 @@ def cmd_eval(cfg, data, run):
 
 
 def cmd_ablate(cfg, data, run):
-    checkpoint = _load_trained(run)
-    test_manifest = load_manifest(data / "test_manifest.json")
-    variants, aggregations = eval_mod.ablation_scores(checkpoint, test_manifest, cfg.eval)
+    test_manifest, rows = _read_scored(data, run)
+    scored = []
+    for entry, ref, gt in rows:
+        path = run / entry["grid"]
+        grids, header = read_tensor(path)
+        names = header.get("maps")
+        if names is None or "scores" not in entry:
+            raise ConfigError(f"{path} holds one score map, not every map; rerun score")
+        maps = {name: ScoreMap(grid, entry["scores"][name]) for name, grid in zip(names, grids)}
+        scored.append(eval_mod.ScoredSample(ref.sample_id, ref.image_label, gt, maps))
+    variants, aggregations = eval_mod.ablation_scores(scored, test_manifest.gt_upscale,
+                                                      cfg.eval)
     outputs = ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"]
-    for rows, rel in zip((variants, aggregations), outputs):
-        eval_mod.write_ablation_csv(rows, run / rel, cfg.eval.aupro_limits)
+    for table, rel in zip((variants, aggregations), outputs):
+        eval_mod.write_ablation_csv(table, run / rel, cfg.eval.aupro_limits)
     fused = next(r for r in variants if r["variant"] == "fused")
     return outputs, {}, (f"ablate: fused I-AUROC={fused['i_auroc']:.4f} "
                          f"(tables under {run / 'reports'})")

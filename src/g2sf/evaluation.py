@@ -12,6 +12,9 @@ against FPR up to a limit and normalized by the limit.
 :func:`report_from_maps` is the one place that turns per-sample scores and
 pixel maps into metrics; :func:`eval_dataset`, :func:`ablation_scores` and
 the CLI's eval stage all build their reports through it.
+:func:`score_split` keeps every map of one network pass per sample on its
+grid; reports upsample one map key at a time; :func:`ablation_scores` reads
+scored samples from :func:`score_split` or from the CLI's score tree.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from scipy import ndimage
 
 from .errors import ConfigError, UndefinedMetricError
 from .features import DatasetManifest, load_sample
-from .scoring import AGGREGATIONS, sample_maps, score_sample, upsample_smooth
+from .scoring import AGGREGATIONS, sample_maps, upsample_smooth
 
 __all__ = [
     "EvalConfig",
@@ -248,7 +251,7 @@ class ScoredSample(NamedTuple):
     sample_id: str
     image_label: int | None
     pixel_gt: np.ndarray | None
-    maps: dict  # name -> ScoreMap, each with its upsampled, smoothed map
+    maps: dict  # name -> ScoreMap on the grid, every key of scoring.sample_maps
 
 
 def _run_samples(fn, items, threads):
@@ -260,11 +263,12 @@ def _run_samples(fn, items, threads):
         return list(pool.map(fn, items))  # ordered collection keeps determinism
 
 
-def _score_each(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig, maps_of):
-    """Load every test sample in manifest order, score it with
-    ``maps_of(model, pair, banks, normalizer, k)`` (a dict of ScoreMaps), k
-    being the checkpoint's, and upsample each map by the manifest's
-    ``gt_upscale`` and smooth it."""
+def score_split(checkpoint, test_manifest: DatasetManifest,
+                cfg: EvalConfig) -> list[ScoredSample]:
+    """Score every test sample, in manifest order, with one
+    :func:`~g2sf.scoring.sample_maps` pass over the checkpoint's k+1 nearest
+    local spaces. Each sample holds every map on its grid; ``maps[cfg.agg]``
+    is the configured score."""
     cfg.validate()
     if checkpoint.banks is None:
         raise ConfigError("checkpoint has no banks attached; load them first")
@@ -272,32 +276,22 @@ def _score_each(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig, map
 
     def one(ref):
         pair = load_sample(test_manifest, ref)
-        grids = maps_of(model, pair, banks, normalizer, checkpoint.loss_cfg.k)
-        maps = {name: upsample_smooth(m, test_manifest.gt_upscale, cfg.smooth_sigma)
-                for name, m in grids.items()}
+        maps = sample_maps(model, pair, banks, normalizer, checkpoint.loss_cfg.k)
         return ScoredSample(pair.sample_id, pair.image_label, pair.pixel_gt, maps)
 
     return _run_samples(one, list(test_manifest.samples), cfg.threads)
 
 
-def score_split(checkpoint, test_manifest: DatasetManifest,
-                cfg: EvalConfig) -> list[ScoredSample]:
-    """Score every test sample with the ``cfg.agg`` aggregation over the
-    checkpoint's k+1 nearest local spaces; the ScoreMap is ``maps[cfg.agg]``
-    of each returned sample."""
-    return _score_each(checkpoint, test_manifest, cfg,
-                       lambda *args: {cfg.agg: score_sample(*args, cfg.agg)})
-
-
-def _report(scored, key: str, aupro_limits) -> EvalReport:
+def _report(scored, key: str, upscale: int, cfg: EvalConfig) -> EvalReport:
+    """Report on the ``key`` maps of ``scored``, upsampled by ``upscale`` and smoothed."""
     maps = [s.maps[key] for s in scored]
     return report_from_maps(
         [s.sample_id for s in scored],
         [m.sample_score for m in maps],
         [sample_label(s.sample_id, s.image_label, s.pixel_gt) for s in scored],
-        [m.upsampled for m in maps],
+        [upsample_smooth(m, upscale, cfg.smooth_sigma).upsampled for m in maps],
         [s.pixel_gt for s in scored],
-        aupro_limits,
+        cfg.aupro_limits,
     )
 
 
@@ -305,11 +299,13 @@ def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) ->
     """Compute I-AUROC, P-AUROC and AUPRO at the configured limits.
 
     Scores use the checkpoint's k (see :func:`score_split`). Pixel metrics
-    use the upsampled + smoothed maps; the image metric uses the per-sample
-    max over foreground grid cells. When any sample lacks a pixel
-    ground-truth mask the pixel metrics are omitted with a flag.
+    use the maps upsampled by the manifest's ``gt_upscale`` and smoothed; the
+    image metric uses the per-sample max over foreground grid cells. When any
+    sample lacks a pixel ground-truth mask the pixel metrics are omitted with
+    a flag.
     """
-    return _report(score_split(checkpoint, test_manifest, cfg), cfg.agg, cfg.aupro_limits)
+    scored = score_split(checkpoint, test_manifest, cfg)
+    return _report(scored, cfg.agg, test_manifest.gt_upscale, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +317,20 @@ _VARIANT_MAP_KEY = {"s_pc": "s_pc", "s_rgb": "s_rgb", "w_pc": "w_pc", "w_rgb": "
                     "fused": "min"}
 
 
-def ablation_scores(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig):
-    """Metric rows for the five score definitions and four aggregations,
-    scored with the checkpoint's k.
+def ablation_scores(scored, upscale: int, cfg: EvalConfig):
+    """Metric rows for the five score definitions and four aggregations.
 
-    Returns (variant_rows, aggregation_rows); each row maps
-    variant -> i_auroc / p_auroc / aupro@limit values.
+    ``scored`` holds every map of each test sample on its grid: the output
+    of :func:`score_split`, or the CLI's score tree read back. Each map is
+    upsampled by ``upscale`` and smoothed as it is reported. Returns
+    (variant_rows, aggregation_rows); each row maps variant -> i_auroc /
+    p_auroc / aupro@limit values.
     """
-    scored = _score_each(checkpoint, test_manifest, cfg, sample_maps)
-
     reports = {}  # map key -> report; the fused variant reads the "min" maps
 
     def row(variant, key):
         if key not in reports:
-            reports[key] = _report(scored, key, cfg.aupro_limits)
+            reports[key] = _report(scored, key, upscale, cfg)
         report = reports[key]
         return {"variant": variant, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc,
                 **{f"aupro@{limit}": v for limit, v in report.aupro.items()}}

@@ -8,6 +8,8 @@ Scoring queries the banks for exactly those k+1 ranks; synthesis and
 training encode 2k+1, and the first k+1 of those are the same neighbors in
 the same order. Scoring a model loaded from a checkpoint reuses its
 first-layer prototype tables across samples (see :mod:`g2sf.lspn`).
+:func:`sample_maps` computes every score map of a sample in one network
+pass; :func:`score_sample` is its view of one aggregation.
 Background cells bypass the network with unit scaling factors, reducing to
 the sigma-weighted sum of normalized Euclidean distances. The sample-level
 score is the max over foreground cells of the pre-smoothing grid; smoothing
@@ -26,8 +28,6 @@ from .errors import ConfigError, ShapeError
 from .features import SamplePair
 from .geometry import encode_map, inverse_distances
 
-AGGREGATIONS = ("min", "max", "mean", "first")
-
 __all__ = ["ScoreMap", "AGGREGATIONS", "score_sample", "sample_maps",
            "bilinear_upsample", "gaussian_smooth", "upsample_smooth"]
 
@@ -39,22 +39,26 @@ class ScoreMap:
     upsampled: np.ndarray | None = None
 
 
-def _aggregate(l: np.ndarray, agg: str) -> np.ndarray:
-    """Reduce metric values over the trailing neighbor-rank axis."""
-    if agg == "min":
-        return l.min(axis=-1)
-    if agg == "max":
-        return l.max(axis=-1)
-    if agg == "mean":
-        return l.mean(axis=-1)
-    if agg == "first":
-        return l[..., 0]
-    raise ConfigError(f"unknown aggregation {agg!r}; choose from {AGGREGATIONS}")
+# Each aggregation reduces metric values over the trailing neighbor-rank axis.
+_REDUCE = {"min": lambda l: l.min(axis=-1), "max": lambda l: l.max(axis=-1),
+           "mean": lambda l: l.mean(axis=-1), "first": lambda l: l[..., 0]}
+AGGREGATIONS = tuple(_REDUCE)
 
 
-def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int):
-    """Fused metric values l (H, W, k+1) for every cell, plus the rank-0
-    scale factors (H, W, 2) and normalized distances (H, W, k+1, 2)."""
+def _sample_score(grid: np.ndarray, foreground: np.ndarray) -> float:
+    if not foreground.any():
+        warnings.warn("sample has no foreground cells; sample score is 0", stacklevel=2)
+        return 0.0
+    return float(grid[foreground].max())
+
+
+def sample_maps(model, pair: SamplePair, banks, normalizer, k: int) -> dict:
+    """Every score map of one sample from a single network pass.
+
+    Keys, in order: the four aggregations of the fused metric over ranks
+    0..k, the unimodal normalized rank-0 distances s_pc / s_rgb, and the
+    rank-0 scale factors w_pc / w_rgb.
+    """
     n_use = k + 1
     enc_pc = encode_map(pair.pc, banks["pc"], k, normalizer, ranks=n_use)
     enc_rgb = encode_map(pair.rgb, banks["rgb"], k, normalizer, ranks=n_use)
@@ -79,41 +83,20 @@ def _metric_grid(model, pair: SamplePair, banks, normalizer, k: int):
         w_rows, _ = lspn_mod.forward_batch(model, protos, dirs, sources)
         w_factors[rows] = w_rows.reshape(rows.size, n_use, 2)
 
-    l = lspn_mod.metric_values(w_factors, s, sigma)
-    return (
-        l.reshape(h, w, n_use),
-        w_factors.reshape(h, w, n_use, 2)[:, :, 0, :],
-        s.reshape(h, w, n_use, 2),
-    )
-
-
-def _sample_score(grid: np.ndarray, foreground: np.ndarray) -> float:
-    if not foreground.any():
-        warnings.warn("sample has no foreground cells; sample score is 0", stacklevel=2)
-        return 0.0
-    return float(grid[foreground].max())
+    l = lspn_mod.metric_values(w_factors, s, sigma).reshape(h, w, n_use)
+    w0 = w_factors.reshape(h, w, n_use, 2)[:, :, 0, :]
+    s0 = s.reshape(h, w, n_use, 2)[:, :, 0, :]
+    maps = {agg: reduce(l) for agg, reduce in _REDUCE.items()}
+    maps.update(s_pc=s0[:, :, 0], s_rgb=s0[:, :, 1], w_pc=w0[:, :, 0], w_rgb=w0[:, :, 1])
+    return {name: ScoreMap(grid, _sample_score(grid, pair.foreground))
+            for name, grid in maps.items()}
 
 
 def score_sample(model, pair: SamplePair, banks, normalizer, k: int, agg="min") -> ScoreMap:
-    l, _, _ = _metric_grid(model, pair, banks, normalizer, k)
-    grid = _aggregate(l, agg)
-    return ScoreMap(grid, _sample_score(grid, pair.foreground))
-
-
-def sample_maps(model, pair: SamplePair, banks, normalizer, k: int) -> dict:
-    """All score variants of one sample in a single network pass.
-
-    Keys: the four aggregations of the fused metric, the unimodal normalized
-    distances s_pc / s_rgb, and the rank-0 scale factors w_pc / w_rgb.
-    """
-    l, w0, s = _metric_grid(model, pair, banks, normalizer, k)
-    maps = {agg: _aggregate(l, agg) for agg in AGGREGATIONS}
-    maps["s_pc"] = s[:, :, 0, 0]
-    maps["s_rgb"] = s[:, :, 0, 1]
-    maps["w_pc"] = w0[:, :, 0]
-    maps["w_rgb"] = w0[:, :, 1]
-    return {name: ScoreMap(grid, _sample_score(grid, pair.foreground))
-            for name, grid in maps.items()}
+    """The ``agg`` aggregation's map of :func:`sample_maps`."""
+    if agg not in AGGREGATIONS:
+        raise ConfigError(f"unknown aggregation {agg!r}; choose from {AGGREGATIONS}")
+    return sample_maps(model, pair, banks, normalizer, k)[agg]
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ class TestExitCodes:
         assert main(["gen", "--config", str(cfg_path), "--out", str(data),
                      "--seed", "99", "--force"]) == 0
         capsys.readouterr()
-        for stage, stale in (("eval", "score"), ("score", "bank"), ("ablate", "bank")):
+        for stage, stale in (("eval", "score"), ("score", "bank"), ("ablate", "score")):
             assert main([stage, "--config", str(cfg_path), "--data", str(data),
                          "--run", str(run), "--force"]) == 3
             err = capsys.readouterr().err
@@ -208,10 +208,10 @@ class TestExitCodes:
         assert not (run / "reports" / "eval.json").exists()
 
     def test_rebuilt_bank_reaches_ablate(self, tmp_path, cfg_path, capsys):
-        codes, data, run = run_chain(tmp_path, cfg_path, stages=STAGES[:4])
+        codes, data, run = run_chain(tmp_path, cfg_path, stages=STAGES[:5])
         assert all(c == 0 for c in codes.values())
-        # A rebuilt bank leaves the trained model behind: ablate must not
-        # score the old model against prototypes it was never trained on.
+        # A rebuilt bank leaves the trained model and its score maps behind:
+        # ablate must not tabulate maps scored against the old prototypes.
         assert main(["bank", "--config", str(cfg_path), "--data", str(data),
                      "--run", str(run), "--force", "--fraction", "0.3"]) == 0
         capsys.readouterr()
@@ -283,6 +283,18 @@ class TestEditedArtifacts:
         self.assert_stale(capsys, "eval", cfg_path, data, run,
                           "score recorded its output", "test_0000_pixel.g2t")
 
+    def test_edited_score_grid_reaches_ablate(self, chain_copy, cfg_path, capsys):
+        from g2sf.tensorio import read_tensor, write_tensor
+
+        data, run = chain_copy
+        reports = tree_bytes(run / "reports")
+        path = run / "scores" / "test_0000_grid.g2t"
+        grids, header = read_tensor(path)
+        write_tensor(path, np.zeros_like(grids), {k: header[k] for k in ("kind", "maps")})
+        self.assert_stale(capsys, "ablate", cfg_path, data, run,
+                          "score recorded its output", "test_0000_grid.g2t")
+        assert tree_bytes(run / "reports") == reports
+
     def test_rebuilt_bank_after_score_reaches_eval(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
         assert run_stage("bank", cfg_path, data, run, "--force", "--fraction", "0.3") == 0
@@ -330,6 +342,45 @@ class TestEditedArtifacts:
                           "score_manifest.json", "rerun score")
 
 
+class TestAblateReadsScores:
+    """``ablate`` tabulates the maps ``score`` wrote and runs no network."""
+
+    def test_ablate_without_checkpoint_or_network(self, chain_copy, cfg_path,
+                                                  monkeypatch):
+        import csv
+
+        from g2sf import cli, evaluation, lspn, trainer
+        from g2sf.config import build_config
+
+        data, run = chain_copy
+        cfg = build_config(cfg_path).eval
+        checkpoint = trainer.load_checkpoint(run / "checkpoints" / "final")
+        checkpoint.banks = cli._load_banks(run)
+        test_manifest = load_manifest(data / "test_manifest.json")
+        scored = evaluation.score_split(checkpoint, test_manifest, cfg)
+        want = evaluation.ablation_scores(scored, test_manifest.gt_upscale, cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ablate must not load a checkpoint or run the network")
+
+        for module, name in ((trainer, "load_checkpoint"), (cli, "load_checkpoint"),
+                             (lspn, "forward_batch"), (cli, "load_bank")):
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError):  # the patches bite: score needs them
+            run_stage("score", cfg_path, data, run, "--force")
+        assert run_stage("ablate", cfg_path, data, run, "--force") == 0
+        for rows, name in zip(want, ("ablation_scores.csv", "ablation_aggregation.csv")):
+            with open(run / "reports" / name, newline="") as fh:
+                got = list(csv.reader(fh))[1:]
+            assert [r[0] for r in got] == [r["variant"] for r in rows]
+            for line, row in zip(got, rows):
+                # Sample scores are the same float64 values; pixel maps went
+                # through float32 storage.
+                assert line[1] == evaluation._fmt(row["i_auroc"])
+                pixel = [row["p_auroc"]] + [row[f"aupro@{l}"] for l in cfg.aupro_limits]
+                np.testing.assert_allclose([float(v) for v in line[2:]], pixel, atol=1e-5)
+
+
 class TestSpecialModes:
     def test_train_zero_epochs_checkpoint_is_init(self, tmp_path, cfg_path):
         import dataclasses
@@ -363,11 +414,16 @@ class TestSpecialModes:
         gen_doc = json.loads((data2 / "gen_manifest.json").read_text())
         _write_manifest("gen", build_config(cfg_path), data2, None,
                         list(gen_doc["outputs"]), {})
-        codes, _, run2 = run_chain(tmp_path, cfg_path, stages=STAGES[1:6])
+        codes, _, run2 = run_chain(tmp_path, cfg_path, stages=STAGES[1:])
         assert all(c == 0 for c in codes.values()), codes
         report = json.loads((run2 / "reports" / "eval.json").read_text())
         assert report["p_auroc"] is None
         assert any(f.startswith("pixel_metrics_omitted") for f in report["flags"])
+        # The ablation tables keep their image column and leave the pixel ones blank.
+        for name in ("ablation_scores.csv", "ablation_aggregation.csv"):
+            rows = [line.split(",") for line in
+                    (run2 / "reports" / name).read_text().splitlines()[1:]]
+            assert rows and all(float(r[1]) >= 0.0 and r[2:] == ["", "", ""] for r in rows)
 
     def test_deterministic_chain_byte_identical(self, tmp_path, cfg_path):
         codes_a, data_a, run_a = run_chain(tmp_path / "a", cfg_path)
@@ -385,9 +441,18 @@ class TestSpecialModes:
         assert _config_from_args(parse(base)).eval.threads == 3
         assert _config_from_args(parse(base + ["--threads", "2"])).eval.threads == 2
         assert main(base + ["--threads", "0"]) == 2
-        # Threads spread the scoring loop and change no score map.
+        # Threads spread the scoring loop and change no score map, the
+        # stacked grid files included.
+        from g2sf.scoring import AGGREGATIONS
+        from g2sf.tensorio import read_tensor
+
         data, run = chain_copy
         before = tree_bytes(run / "scores")
+        grids = sorted(p for p in before if p.endswith("_grid.g2t"))
+        assert len(grids) == 8  # one per test sample
+        stacked, header = read_tensor(run / "scores" / grids[0])
+        assert header["maps"] == [*AGGREGATIONS, "s_pc", "s_rgb", "w_pc", "w_rgb"]
+        assert stacked.shape == (8, 12, 12)
         assert run_stage("score", cfg_path, data, run, "--threads", "2", "--force") == 0
         assert tree_bytes(run / "scores") == before
 

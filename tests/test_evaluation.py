@@ -17,6 +17,7 @@ from g2sf.evaluation import (
     aupro_curve,
     auroc,
     eval_dataset,
+    score_split,
     write_ablation_csv,
 )
 from g2sf.selftest import aupro_bruteforce
@@ -164,7 +165,9 @@ def report(desk_dataset, desk_checkpoint, eval_cfg):
 def tables(desk_dataset, desk_checkpoint):
     _, _, test_manifest = desk_dataset
     ckpt, _ = desk_checkpoint
-    return ablation_scores(ckpt, test_manifest, EvalConfig(smooth_sigma=2.0))
+    cfg = EvalConfig(smooth_sigma=2.0)
+    return ablation_scores(score_split(ckpt, test_manifest, cfg), test_manifest.gt_upscale,
+                           cfg)
 
 
 class TestReportFromMaps:
@@ -210,6 +213,23 @@ class TestEvalDataset:
         threaded = eval_dataset(ckpt, test_manifest,
                                 EvalConfig(smooth_sigma=2.0, threads=4))
         assert threaded.to_json() == report.to_json()
+
+    def test_score_split_keeps_every_map_on_the_grid(self, desk_dataset, desk_checkpoint,
+                                                     eval_cfg):
+        from g2sf.features import load_sample
+        from g2sf.scoring import sample_maps
+
+        _, _, test_manifest = desk_dataset
+        ckpt, _ = desk_checkpoint
+        scored = score_split(ckpt, test_manifest, eval_cfg)
+        assert [s.sample_id for s in scored] == [r.sample_id for r in test_manifest.samples]
+        pair = load_sample(test_manifest, test_manifest.samples[0])
+        want = sample_maps(ckpt.model, pair, ckpt.banks, ckpt.normalizer, ckpt.loss_cfg.k)
+        assert list(scored[0].maps) == list(want)
+        for name, smap in scored[0].maps.items():
+            assert smap.upsampled is None  # reports upsample one key at a time
+            assert smap.grid.tobytes() == want[name].grid.tobytes()
+            assert smap.sample_score == want[name].sample_score
 
     def test_missing_gt_flags_pixel_metrics(self, desk_dataset, desk_checkpoint,
                                             eval_cfg, tmp_path):
@@ -277,8 +297,9 @@ class TestAblation:
         monkeypatch.setattr(evaluation, "report_from_maps", counted)
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
-        variants, aggs = ablation_scores(ckpt, test_manifest,
-                                         EvalConfig(smooth_sigma=2.0))
+        cfg = EvalConfig(smooth_sigma=2.0)
+        variants, aggs = ablation_scores(score_split(ckpt, test_manifest, cfg),
+                                         test_manifest.gt_upscale, cfg)
         assert len(calls) == 8
         fused = next(r for r in variants if r["variant"] == "fused")
         minimum = next(r for r in aggs if r["variant"] == "min")

@@ -6,6 +6,7 @@ import pytest
 from g2sf.features import load_sample
 from g2sf.geometry import encode
 from g2sf.scoring import (
+    AGGREGATIONS,
     ScoreMap,
     bilinear_upsample,
     gaussian_smooth,
@@ -77,6 +78,18 @@ class TestScoreSample:
                 encs_rgb = encode(pair.rgb.data[r, c], banks["rgb"], DESK_K, normalizer)
                 cell = score_cell(ckpt.model, encs_pc, encs_rgb, DESK_K, banks)
                 assert smap.grid[r, c] == pytest.approx(cell, rel=1e-5)
+
+    def test_score_sample_is_one_key_of_sample_maps(self, scored_sample):
+        from g2sf.errors import ConfigError
+
+        ckpt, banks, normalizer, pair = scored_sample
+        maps = sample_maps(ckpt.model, pair, banks, normalizer, DESK_K)
+        for agg in AGGREGATIONS:
+            smap = score_sample(ckpt.model, pair, banks, normalizer, DESK_K, agg)
+            assert smap.grid.tobytes() == maps[agg].grid.tobytes()
+            assert smap.sample_score == maps[agg].sample_score
+        with pytest.raises(ConfigError, match="median"):
+            score_sample(ckpt.model, pair, banks, normalizer, DESK_K, "median")
 
     def test_sample_score_is_foreground_max(self, scored_sample):
         ckpt, banks, normalizer, pair = scored_sample
