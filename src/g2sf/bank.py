@@ -7,10 +7,12 @@ distances only.
 
 Selection keeps every point's exact squared distance to its nearest chosen
 center. Each greedy step prices the new center against all points with one
-float64 GEMV, ||x||^2 - 2 x.c + ||c||^2, and recomputes exact differences
-only for the points whose lower rounding bound does not already exceed their
-current minimum, so the minima, and with them the selected indices, are
-those of a full exact scan. When the last step ends, those minima are each
+GEMV in the selection space's own dtype (float32 for the features, float64
+for a projection), ||x||^2 - 2 x.c + ||c||^2, and recomputes exact float64
+differences, in row blocks, only for the points whose lower rounding bound
+does not already exceed their current minimum, so the minima, and with them
+the selected indices, are those of a full exact scan. No float64 copy of the
+(N, D) features is made. When the last step ends, those minima are each
 input point's exact nearest-prototype distance: the bank hands them back as
 ``coverage``, and the bank stage takes the distance normalizer from them
 without a second k-NN pass.
@@ -98,9 +100,26 @@ class NeighborSet:
         return len(self.indices)
 
 
-def _sq_distances(points: np.ndarray, query: np.ndarray) -> np.ndarray:
-    diff = np.asarray(points, dtype=np.float64) - np.asarray(query, dtype=np.float64)
-    return np.einsum("ij,ij->i", diff, diff)
+_BLOCK = 1 << 19  # float64 elements in one block of exact differences (4 MB)
+
+
+def _sq_distances(points: np.ndarray, query: np.ndarray, rows=None) -> np.ndarray:
+    """Exact float64 squared distances from ``points[rows]`` (all rows when
+    ``rows`` is None) to ``query``.
+
+    The differences are taken block by block, so float32 points are never
+    cast whole; the cast is exact, and a row's value does not depend on the
+    blocking.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    count = len(points) if rows is None else len(rows)
+    step = max(1, _BLOCK // max(1, query.size))
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        block = points[lo : lo + step] if rows is None else points[rows[lo : lo + step]]
+        diff = np.subtract(block, query, dtype=np.float64)
+        out[lo : lo + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _rel_slack(dim: int) -> float:
@@ -113,14 +132,33 @@ def _rel_slack(dim: int) -> float:
     return 8.0 * (dim + 4) * np.finfo(np.float64).eps
 
 
+def _dot_slack(dtype, dim: int):
+    """(relative, absolute) error bound of 2 x.c taken in ``dtype``, beyond
+    what :func:`_rel_slack` already covers for float64.
+
+    A float32 dot product errs by at most gamma_D ||x|| ||c||, with
+    gamma_D = D u / (1 - D u) and u = 2^-24, in any summation order (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.1); since
+    2 ||x|| ||c|| <= ||x||^2 + ||c||^2, gamma_D scales the same sum as the
+    float64 slack. A product that underflows errs instead by up to half the
+    smallest subnormal, so 2 x.c can err by D smallest subnormals more; the
+    absolute term is twice that.
+    """
+    info = np.finfo(dtype)
+    if info.dtype == np.float64:
+        return 0.0, 0.0
+    du = dim * info.eps / 2
+    return du / (1.0 - du), 2.0 * dim * float(info.smallest_subnormal)
+
+
 def _selection_space(points: np.ndarray, seed, projection_dim) -> np.ndarray:
-    """Float64 points in which greedy selection measures distances."""
-    space = points.astype(np.float64)  # cast once, not on every greedy step
-    if projection_dim is not None and projection_dim < points.shape[1]:
-        rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
-        proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
-        space = space @ proj
-    return space
+    """Points in which greedy selection measures distances: the float32
+    input itself, or its float64 seeded random projection."""
+    if projection_dim is None or projection_dim >= points.shape[1]:
+        return points
+    rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
+    proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
+    return points.astype(np.float64) @ proj
 
 
 def build_bank(
@@ -140,12 +178,21 @@ def build_bank(
 
     Each point's squared distance to its nearest center, ``min_sq``, is the
     one a full scan of exact float64 differences would hold. A step computes
-    approximate distances to the new center c with one GEMV and skips every
+    approximate distances to the new center c with one GEMV, in float32 on
+    the features themselves or in float64 on a projection, and skips every
     point whose lower bound ``approx - slack (||x||^2 + ||c||^2)`` exceeds
-    its ``min_sq``: its exact distance cannot lower the minimum. The other
-    points (non-finite ones included) get exact differences and a minimum.
-    The argmax, with ties to the lowest index, thus picks what the full scan
-    picks, whatever the BLAS summation order.
+    its ``min_sq``: its exact distance cannot lower the minimum. The slack is
+    the float64 one of :func:`_rel_slack` plus, for a float32 GEMV, the
+    dot-product bound gamma_D of :func:`_dot_slack`. The other points
+    (non-finite ones, and rows whose GEMV value overflowed, included) get
+    exact float64 differences, row block by row block, and a minimum; the
+    float32 to float64 cast is exact, so a survivor's distance is the full
+    scan's. The argmax, with ties to the lowest index, thus picks what the
+    full scan picks, whatever the BLAS summation order.
+
+    ``source_refs``, if given, holds one ref per point and is indexed only
+    at the selected points; an iterable without ``__getitem__`` is listed
+    first.
 
     The returned bank's ``coverage`` is ``sqrt(min_sq)`` after the last
     step, with selected points at exactly 0: each input point's nearest-
@@ -153,8 +200,8 @@ def build_bank(
     :func:`query_neighbors_batch`. It is None when selection ran in a
     projected space.
     """
-    points = np.asarray(list(features) if not isinstance(features, np.ndarray) else features,
-                        dtype=np.float32)
+    points = np.ascontiguousarray(
+        list(features) if not isinstance(features, np.ndarray) else features, dtype=np.float32)
     if points.ndim != 2 or points.shape[0] == 0:
         raise EmptyBankError("cannot build a bank from an empty feature set")
     if not (0.0 < fraction <= 1.0):
@@ -163,28 +210,37 @@ def build_bank(
     budget = min(n, math.ceil(fraction * n))
 
     space = _selection_space(points, seed, projection_dim)
+    dim = space.shape[1]
 
     selected = np.empty(budget, dtype=np.int64)
     selected[0] = 0
     min_sq = _sq_distances(space, space[0])
     min_sq[0] = -np.inf  # selected rows can never win the argmax again
-    space_sq = np.einsum("nd,nd->n", space, space)
-    # lower = approx - slack (||x||^2 + ||c||^2), with the slack folded into
-    # the squared norms once per build.
-    keep = 1.0 - _rel_slack(space.shape[1])
+    space_sq = _sq_distances(space, np.zeros(dim))
+    # lower = approx - slack (||x||^2 + ||c||^2) - tiny, with the slack
+    # folded into the squared norms once per build.
+    dot_rel, tiny = _dot_slack(space.dtype, dim)
+    keep = 1.0 - _rel_slack(dim) - dot_rel
     space_sq_lo = space_sq * keep
+    # Past half the dtype's range a GEMV may overflow, and an overflowed
+    # value bounds nothing: such rows then take the exact path.
+    may_overflow = not space_sq.max() <= np.finfo(space.dtype).max / 2
+    dot = np.empty(n, dtype=space.dtype)
     lower = np.empty(n)
-    for i in range(1, budget):
-        nxt = int(np.argmax(min_sq))  # argmax takes the lowest index on ties
-        selected[i] = nxt
-        centre = space[nxt]
-        np.matmul(space, centre, out=lower)
-        lower *= -2.0
-        lower += space_sq_lo
-        lower += space_sq[nxt] * keep
-        rows = np.flatnonzero(~(lower > min_sq))  # NaN bounds take the exact path
-        min_sq[rows] = np.minimum(min_sq[rows], _sq_distances(space[rows], centre))
-        min_sq[nxt] = -np.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed filter is handled
+        for i in range(1, budget):
+            nxt = int(np.argmax(min_sq))  # argmax takes the lowest index on ties
+            selected[i] = nxt
+            centre = space[nxt]
+            np.matmul(space, centre, out=dot)
+            np.multiply(dot, -2.0, out=lower, dtype=np.float64)
+            lower += space_sq_lo
+            lower += space_sq[nxt] * keep - tiny
+            if may_overflow:
+                lower[~np.isfinite(dot)] = np.nan
+            rows = np.flatnonzero(~(lower > min_sq))  # NaN bounds take the exact path
+            min_sq[rows] = np.minimum(min_sq[rows], _sq_distances(space, centre, rows))
+            min_sq[nxt] = -np.inf
     coverage = None
     if space.shape[1] == points.shape[1]:  # not a projected space
         min_sq[selected] = 0.0
@@ -192,10 +248,11 @@ def build_bank(
 
     refs = None
     if source_refs is not None:
-        source_refs = list(source_refs)
+        if not hasattr(source_refs, "__getitem__"):
+            source_refs = list(source_refs)
         if len(source_refs) != n:
             raise ShapeError("source_refs length must match the feature count")
-        refs = [source_refs[i] for i in selected]
+        refs = [source_refs[i] for i in selected.tolist()]
     return MemoryBank(modality, points[selected], refs or [], fraction, coverage)
 
 
@@ -210,7 +267,7 @@ def query_neighbors(bank: MemoryBank, f: np.ndarray, k: int) -> NeighborSet:
     return NeighborSet(order, d[order], truncated=bank.size < want)
 
 
-def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 1024,
+def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 256,
                           ranks: int | None = None):
     """Vectorized :func:`query_neighbors` over rows of ``queries`` (N, D).
 
@@ -233,7 +290,9 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     :func:`query_neighbors` does, and ordered by a stable sort, so ties go to
     the lower index and a bank member sits at distance exactly 0. Scratch is
     O(chunk * P) for the GEMM plus O(chunk * width * D) for the re-rank, with
-    width close to n.
+    width close to n. The default chunk, 256 rows, keeps that scratch at one
+    16 x 16 map's when a call queries many samples at once, as the training
+    pool does.
     """
     queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != bank.dim:

@@ -182,24 +182,42 @@ def _load_banks(run_dir: Path):
     return {m: load_bank(Path(run_dir) / "banks" / f"{m}.g2t") for m in ("pc", "rgb")}
 
 
+class _CellRefs:
+    """``(sample_id, row, col)`` of each stacked foreground cell, built only
+    for the cells :func:`build_bank` selects."""
+
+    def __init__(self, sample_ids, coords):
+        cells = np.concatenate(coords)
+        self.sample_ids = sample_ids
+        self.owners = np.repeat(np.arange(len(coords)), [len(c) for c in coords]).tolist()
+        self.rows, self.cols = cells[:, 0].tolist(), cells[:, 1].tolist()
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return (self.sample_ids[self.owners[i]], self.rows[i], self.cols[i])
+
+
 def cmd_bank(cfg, data, run):
     train_manifest = load_manifest(data / "train_manifest.json")
     feats = {"pc": [], "rgb": []}
-    refs = {"pc": [], "rgb": []}
+    sample_ids, coords = [], []
     for pair in iter_samples(train_manifest):
         fg = pair.foreground
-        coords = np.argwhere(fg)
+        sample_ids.append(pair.sample_id)
+        coords.append(np.argwhere(fg))
         for m in ("pc", "rgb"):
             feats[m].append(getattr(pair, m).data[fg])
-            refs[m].extend((pair.sample_id, int(r), int(c)) for r, c in coords)
+    refs = _CellRefs(sample_ids, coords)
     # The normalizer sums nearest-prototype distances sample by sample.
-    splits = np.cumsum([len(f) for f in feats["pc"]])[:-1]
+    splits = np.cumsum([len(c) for c in coords])[:-1]
     banks, nearest, radius = {}, {}, {}
     for m in ("pc", "rgb"):
         points = np.concatenate(feats[m])
         banks[m] = build_bank(points, m, cfg.bank.fraction,
                               seed=cfg.seed, projection_dim=cfg.bank.projection_dim,
-                              source_refs=refs[m])
+                              source_refs=refs)
         save_bank(banks[m], run / "banks" / f"{m}.g2t")
         dist = banks[m].coverage
         if dist is None:  # selected in a projected space

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, UndefinedMetricError
 from .features import DatasetManifest, load_sample
@@ -87,6 +86,8 @@ def aupro_curve(score_maps, gt_masks):
     The curve starts at (0, 0) (threshold above every score) and ends at
     (1, 1) (threshold at the minimum score, everything predicted).
     """
+    from scipy import ndimage  # imported where used: see scoring.gaussian_smooth
+
     if len(score_maps) != len(gt_masks) or not score_maps:
         raise ConfigError("need equally many score maps and ground-truth masks")
     comp_ids, comp_sizes, scores = [], [], []

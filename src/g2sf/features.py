@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ConfigError, FormatError, ShapeError
 from .tensorio import read_tensor, write_tensor
@@ -289,6 +288,8 @@ class SynthConfig:
 
 
 def _smooth_field(rng, shape, smoothness):
+    from scipy.ndimage import gaussian_filter  # imported where used: see scoring.gaussian_smooth
+
     return gaussian_filter(rng.standard_normal(shape), sigma=smoothness, mode="reflect")
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bank import query_neighbors_batch
 from .errors import ConfigError, EmptyBankError, ShapeError
 from .features import ANOMALY_MODES, FeatureMap, SamplePair, load_sample
-from .geometry import encode_map
 
 __all__ = [
     "PerlinParams",
@@ -248,50 +248,38 @@ class TrainingPool:
 
 
 def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> TrainingPool:
-    """Encode every foreground cell of each (SamplePair, labels) item."""
-    rows = {key: [] for key in ("y", "si")}
-    for modality in ("pc", "rgb"):
-        rows.update({f"{key}_{modality}": [] for key in ("feat", "idx", "r", "s")})
+    """Encode every foreground cell of each (SamplePair, labels) item.
+
+    Only foreground cells are pooled, so only they are queried: one k-NN
+    query per modality over the pooled cells of all samples, with distances
+    normalized as :func:`~g2sf.geometry.encode_map` normalizes them.
+    """
+    n = 2 * k + 1
+    if min(banks["pc"].size, banks["rgb"].size) < n:
+        raise EmptyBankError(
+            f"banks too small for 2k+1={n} neighbors "
+            f"(pc {min(n, banks['pc'].size)}, rgb {min(n, banks['rgb'].size)})"
+        )
+    parts = {key: [] for key in ("y", "si", "feat_pc", "feat_rgb")}
     for sample_idx, (pair, labels) in enumerate(samples_with_labels):
-        fg = pair.foreground
-        if not fg.any():
+        sel = pair.foreground.reshape(-1)
+        if not sel.any():
             raise EmptyBankError(f"sample {pair.sample_id} has no foreground cells")
-        enc = {m: encode_map(getattr(pair, m), banks[m], k, normalizer) for m in ("pc", "rgb")}
-        if enc["pc"].n_neighbors != 2 * k + 1 or enc["rgb"].n_neighbors != 2 * k + 1:
-            raise EmptyBankError(
-                f"banks too small for 2k+1={2 * k + 1} neighbors "
-                f"(pc {enc['pc'].n_neighbors}, rgb {enc['rgb'].n_neighbors})"
-            )
-        labels = np.asarray(labels, dtype=bool)
-        sel = fg.reshape(-1)
-        n = 2 * k + 1
-        rows["y"].append(labels.reshape(-1)[sel].astype(np.uint8))
+        parts["y"].append(np.asarray(labels, dtype=bool).reshape(-1)[sel].astype(np.uint8))
+        parts["si"].append(np.full(sel.sum(), sample_idx, dtype=np.int64))
         for m in ("pc", "rgb"):
             fmap = getattr(pair, m)
-            rows[f"feat_{m}"].append(fmap.data.reshape(-1, fmap.dim)[sel])
-            rows[f"idx_{m}"].append(enc[m].indices.reshape(-1, n)[sel])
-            rows[f"r_{m}"].append(enc[m].raw_distances.reshape(-1, n)[sel])
-            rows[f"s_{m}"].append(enc[m].distances.reshape(-1, n)[sel])
-        rows["si"].append(np.full(sel.sum(), sample_idx, dtype=np.int64))
-    sample_index = np.concatenate(rows["si"])
+            parts[f"feat_{m}"].append(fmap.data.reshape(-1, fmap.dim)[sel])
+    cat = {key: np.concatenate(value) for key, value in parts.items()}
+    for m in ("pc", "rgb"):
+        cat[f"idx_{m}"], cat[f"r_{m}"], _ = query_neighbors_batch(banks[m], cat[f"feat_{m}"], k)
+        s = (cat[f"r_{m}"] / normalizer.mean_for(m)).astype(np.float32)
+        cat[f"s_{m}"] = s.astype(np.float64)
+    sample_index = cat.pop("si")
     train_mask = (sample_index % 2) == 0
     indices = np.arange(sample_index.shape[0])
-    cat = {key: np.concatenate(parts) for key, parts in rows.items()}
-    return TrainingPool(
-        k=k,
-        y=cat["y"],
-        feat_pc=cat["feat_pc"],
-        idx_pc=cat["idx_pc"],
-        r_pc=cat["r_pc"],
-        s_pc=cat["s_pc"].astype(np.float64),
-        feat_rgb=cat["feat_rgb"],
-        idx_rgb=cat["idx_rgb"],
-        r_rgb=cat["r_rgb"],
-        s_rgb=cat["s_rgb"].astype(np.float64),
-        sample_index=sample_index,
-        train_indices=indices[train_mask],
-        val_indices=indices[~train_mask],
-    )
+    return TrainingPool(k=k, **cat, sample_index=sample_index,
+                        train_indices=indices[train_mask], val_indices=indices[~train_mask])
 
 
 def build_training_pool(train_manifest, banks, normalizer, cfg: SynthesisConfig,

@@ -1,5 +1,5 @@
-"""Test oracles: the dense scale network, the scalar helpers built on it, and
-the full-scan greedy coreset.
+"""Test oracles: the dense scale network, the scalar helpers built on it, the
+full-scan greedy coreset, and the training pool encoded map by map.
 
 Production code never builds a row's 1920-wide prototype or direction
 vector; it reads prototype ids, cell ids and inverse distances (see
@@ -22,7 +22,7 @@ import numpy as np
 from g2sf import nn
 from g2sf.bank import _sq_distances
 from g2sf.errors import ConfigError, ShapeError
-from g2sf.geometry import DEGENERATE_EPS, GeometricEncoding, inverse_distances
+from g2sf.geometry import DEGENERATE_EPS, GeometricEncoding, encode_map, inverse_distances
 from g2sf.lspn import Directions, Sources
 
 
@@ -274,3 +274,31 @@ def greedy_scan(space: np.ndarray, budget: int):
         np.minimum(min_sq, _sq_distances(space, space[nxt]), out=min_sq)
         min_sq[nxt] = -np.inf
     return selected, min_sq
+
+
+# ---------------------------------------------------------------------------
+# Training pool
+# ---------------------------------------------------------------------------
+
+
+def pool_by_map_encoding(samples_with_labels, banks, normalizer, k: int) -> dict:
+    """The arrays :func:`g2sf.synthesis.pool_from_samples` pools, keyed by
+    :class:`~g2sf.synthesis.TrainingPool` field, built as it first built
+    them: every cell of each map encoded with
+    :func:`~g2sf.geometry.encode_map`, then the foreground rows kept."""
+    n = 2 * k + 1
+    parts = {}
+    for i, (pair, labels) in enumerate(samples_with_labels):
+        sel = pair.foreground.reshape(-1)
+        found = {"y": np.asarray(labels, dtype=bool).reshape(-1)[sel].astype(np.uint8),
+                 "sample_index": np.full(sel.sum(), i, dtype=np.int64)}
+        for m in ("pc", "rgb"):
+            fmap = getattr(pair, m)
+            enc = encode_map(fmap, banks[m], k, normalizer)
+            found[f"feat_{m}"] = fmap.data.reshape(-1, fmap.dim)[sel]
+            found[f"idx_{m}"] = enc.indices.reshape(-1, n)[sel]
+            found[f"r_{m}"] = enc.raw_distances.reshape(-1, n)[sel]
+            found[f"s_{m}"] = enc.distances.reshape(-1, n)[sel].astype(np.float64)
+        for key, value in found.items():
+            parts.setdefault(key, []).append(value)
+    return {key: np.concatenate(value) for key, value in parts.items()}

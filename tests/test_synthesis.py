@@ -15,6 +15,8 @@ from g2sf.synthesis import (
     inject_anomaly,
     pool_from_samples,
 )
+from tests.conftest import DESK_K
+from tests.oracles import pool_by_map_encoding
 
 
 class TestPerlinMask:
@@ -152,6 +154,19 @@ class TestTrainingPool:
         fg = sum(int(pair.foreground.sum()) for pair, _ in samples)
         assert pool.y.mean() == pytest.approx(masked / fg, abs=0.02)
         assert pool.size == fg
+
+    def test_equals_whole_map_encoding(self, desk_dataset, desk_banks):
+        # The pool queries foreground cells only; each of its arrays must be
+        # bit-equal to encoding whole maps and keeping the foreground rows.
+        _, train_manifest, _ = desk_dataset
+        banks, normalizer = desk_banks
+        samples = augment_dataset(train_manifest, SynthesisConfig(n_aug=6, k=DESK_K), 11)
+        assert not all(pair.foreground.all() for pair, _ in samples)
+        pool = pool_from_samples(samples, banks, normalizer, DESK_K)
+        want = pool_by_map_encoding(samples, banks, normalizer, DESK_K)
+        for key, value in want.items():
+            got = getattr(pool, key)
+            assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
 
     def test_split_halves_cover_both_labels(self, desk_pool):
         for part in (desk_pool.train_indices, desk_pool.val_indices):
