@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from g2sf.bank import build_bank, covering_radius, query_neighbors
+from g2sf.bank import build_bank, covering_radius, query_neighbors_batch
 from g2sf.evaluation import auroc
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
 
@@ -37,15 +37,14 @@ for modality in ("pc", "rgb"):
     print(f"  {modality} bank: {banks[modality].size} prototypes "
           f"({features[modality].shape[0]} source vectors), covering radius {radius:.3f}")
 
-# Nearest-prototype retrieval: the 2k+1 neighborhood of one feature.
+# Nearest-prototype retrieval: the 2k+1 neighborhood of one feature, as a
+# batch of one row.
 pair = load_sample(test_manifest, test_manifest.samples[0])
-neighbors = query_neighbors(banks["pc"], pair.pc.data[8, 8], k=2)
-print(f"\n2k+1 nearest prototypes of cell (8, 8): indices {neighbors.indices.tolist()}")
-print(f"  distances {np.round(neighbors.distances, 3).tolist()} (nondecreasing)")
+indices, distances, _ = query_neighbors_batch(banks["pc"], pair.pc.data[8, 8][None], k=2)
+print(f"\n2k+1 nearest prototypes of cell (8, 8): indices {indices[0].tolist()}")
+print(f"  distances {np.round(distances[0], 3).tolist()} (nondecreasing)")
 
 # A plain unimodal Euclidean detector: max nearest distance over the sample.
-from g2sf.bank import query_neighbors_batch
-
 scores, labels = [], []
 for ref in test_manifest.samples:
     pair = load_sample(test_manifest, ref)

@@ -3,7 +3,9 @@
 Every feature is rewritten relative to each of its nearest prototypes as a
 unit direction plus a normalized distance. The encoding is lossless, so the
 downstream metric learner sees everything the raw feature contained, unlike
-feature-adaptation pipelines that compress before scoring.
+feature-adaptation pipelines that compress before scoring. ``encode_map``
+stores each cell's prototype ids and distances; a direction is
+d = (f - m) / r, so f = m + r * d comes back from any one rank.
 """
 import tempfile
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from g2sf.bank import build_bank
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
-from g2sf.geometry import decode, encode, fit_normalizer
+from g2sf.geometry import encode_map, fit_normalizer, inverse_distances
 
 out = tempfile.mkdtemp(prefix="g2sf_demo_")
 train_manifest, test_manifest = gen_synthetic_dataset(
@@ -31,22 +33,22 @@ print(f"distance normalizer: mean_pc={normalizer.mean_pc:.4f}, "
       f"mean_rgb={normalizer.mean_rgb:.4f}")
 
 pair = load_sample(test_manifest, test_manifest.samples[0])
-f = pair.pc.data[5, 5]
-encodings = encode(f, banks["pc"], k=2, normalizer=normalizer)
-print(f"\nfeature at (5,5), first {len(encodings)} local spaces:")
-for j, enc in enumerate(encodings):
-    print(f"  rank {j}: prototype {enc.prototype_idx}, normalized distance "
-          f"{enc.distance:.4f}, |direction|={np.linalg.norm(enc.direction):.6f}")
+enc = encode_map(pair.pc, banks["pc"], k=2, normalizer=normalizer)
+f = pair.pc.data[5, 5].astype(np.float64)
+m = banks["pc"].prototypes[enc.indices[5, 5]].astype(np.float64)  # (2k+1, D)
+r = enc.raw_distances[5, 5]
+d = (f - m) * inverse_distances(r)[:, None]  # unit directions, nearest first
+print(f"\nfeature at (5,5), first {enc.n_neighbors} local spaces:")
+for j in range(enc.n_neighbors):
+    print(f"  rank {j}: prototype {enc.indices[5, 5, j]}, normalized distance "
+          f"{enc.distances[5, 5, j]:.4f}, |direction|={np.linalg.norm(d[j]):.6f}")
 
 # Losslessness: the feature reconstructs from any one triplet.
-worst = max(np.abs(decode(enc, banks["pc"], normalizer) - f).max()
-            for enc in encodings)
+worst = np.abs(m + r[:, None] * d - f).max()
 print(f"\nmax reconstruction error over all ranks: {worst:.2e} "
       "(encoding is seamless)")
 
 # The normalized training distances average to one by construction.
-from g2sf.geometry import encode_map
-
 dists = []
 for pair in iter_samples(train_manifest):
     enc = encode_map(pair.pc, banks["pc"], 0, normalizer)

@@ -7,7 +7,7 @@ network predicts per-modality scaling factors in [1/e, e], and the fused
 metric replaces the isotropic Euclidean anomaly score of each modality.
 """
 
-from .bank import MemoryBank, NeighborSet, build_bank, query_neighbors
+from .bank import MemoryBank, build_bank
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -29,7 +29,7 @@ from .features import (
     read_feature_map,
     write_feature_map,
 )
-from .geometry import DistanceNormalizer, GeometricEncoding, encode, encode_map, fit_normalizer
+from .geometry import DistanceNormalizer, encode_map, fit_normalizer
 from .losses import LossBatch, LossConfig, total_loss
 from .lspn import LspnConfig, LspnModel, init_model
 from .scoring import ScoreMap, score_sample, upsample_smooth

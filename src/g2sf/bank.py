@@ -17,21 +17,24 @@ input point's exact nearest-prototype distance: the bank hands them back as
 ``coverage``, and the bank stage takes the distance normalizer from them
 without a second k-NN pass.
 
-Queries are exact. A float64 GEMM expansion ||q||^2 - 2 q.p + ||p||^2
-shortlists each query's candidates, widened by a per-query rounding bound so
-that no prototype that could tie or beat the last requested rank is dropped;
-the shortlist is then re-ranked on exact float64 differences, with ties
-broken toward the lower prototype index. A query asks for 2k+1 ranks by
-default (the local spaces synthesis and training read) or for any smaller
-count (scoring reads ranks 0..k); the first ranks of a query are the same,
-tie order included, whatever the count.
+Queries are exact and batched: :func:`query_neighbors_batch` is the one
+k-NN path. A float64 GEMM expansion ||q||^2 - 2 q.p + ||p||^2 shortlists
+each query's candidates, widened by a per-query rounding bound so that no
+prototype that could tie or beat the last requested rank is dropped; the
+shortlist is then re-ranked on exact float64 differences, with ties broken
+toward the lower prototype index. A query asks for 2k+1 ranks by default
+(the local spaces synthesis and training read) or for any smaller count
+(scoring reads ranks 0..k); the first ranks of a query are the same, tie
+order included, whatever the count.
+
+A bank is its prototypes: :func:`save_bank` writes them as one tensor
+container whose header names the modality, and :func:`load_bank` reads it
+back.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,9 +43,7 @@ from .tensorio import read_tensor, write_tensor
 
 __all__ = [
     "MemoryBank",
-    "NeighborSet",
     "build_bank",
-    "query_neighbors",
     "query_neighbors_batch",
     "covering_radius",
     "save_bank",
@@ -61,8 +62,6 @@ class MemoryBank:
 
     modality: str
     prototypes: np.ndarray
-    source_refs: list = field(default_factory=list)
-    coreset_fraction: float = 1.0
     coverage: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,22 +81,6 @@ class MemoryBank:
     @property
     def dim(self) -> int:
         return self.prototypes.shape[1]
-
-
-@dataclass
-class NeighborSet:
-    """Ordered nearest prototypes: indices plus nondecreasing L2 distances.
-
-    ``truncated`` flags the degenerate case where the bank holds fewer than
-    the requested 2k+1 prototypes and the full bank is returned instead.
-    """
-
-    indices: np.ndarray
-    distances: np.ndarray
-    truncated: bool = False
-
-    def __len__(self):
-        return len(self.indices)
 
 
 _BLOCK = 1 << 19  # float64 elements in one block of exact differences (4 MB)
@@ -167,7 +150,6 @@ def build_bank(
     fraction: float,
     seed: int | None = None,
     projection_dim: int | None = None,
-    source_refs=None,
 ) -> MemoryBank:
     """Greedy k-center selection of ``ceil(fraction * N)`` prototypes.
 
@@ -189,10 +171,6 @@ def build_bank(
     float32 to float64 cast is exact, so a survivor's distance is the full
     scan's. The argmax, with ties to the lowest index, thus picks what the
     full scan picks, whatever the BLAS summation order.
-
-    ``source_refs``, if given, holds one ref per point and is indexed only
-    at the selected points; an iterable without ``__getitem__`` is listed
-    first.
 
     The returned bank's ``coverage`` is ``sqrt(min_sq)`` after the last
     step, with selected points at exactly 0: each input point's nearest-
@@ -245,38 +223,22 @@ def build_bank(
     if space.shape[1] == points.shape[1]:  # not a projected space
         min_sq[selected] = 0.0
         coverage = np.sqrt(min_sq)
-
-    refs = None
-    if source_refs is not None:
-        if not hasattr(source_refs, "__getitem__"):
-            source_refs = list(source_refs)
-        if len(source_refs) != n:
-            raise ShapeError("source_refs length must match the feature count")
-        refs = [source_refs[i] for i in selected.tolist()]
-    return MemoryBank(modality, points[selected], refs or [], fraction, coverage)
-
-
-def query_neighbors(bank: MemoryBank, f: np.ndarray, k: int) -> NeighborSet:
-    """Exact 2k+1 nearest prototypes of ``f``, nearest first."""
-    f = np.asarray(f)
-    if f.shape != (bank.dim,):
-        raise ShapeError(f"query shape {f.shape} != bank dim ({bank.dim},)")
-    want = 2 * k + 1
-    d = np.sqrt(_sq_distances(bank.prototypes, f))
-    order = np.argsort(d, kind="stable")[:want]
-    return NeighborSet(order, d[order], truncated=bank.size < want)
+    return MemoryBank(modality, points[selected], coverage)
 
 
 def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 256,
                           ranks: int | None = None):
-    """Vectorized :func:`query_neighbors` over rows of ``queries`` (N, D).
+    """Exact nearest prototypes of each row of ``queries`` (N, D), nearest first.
 
     Returns (indices (N, n), distances (N, n), truncated) with
-    n = min(ranks, bank size); ``ranks`` defaults to the 2k+1 of
-    :func:`query_neighbors`, and ``truncated`` is whether the bank holds fewer
-    than ``ranks`` prototypes. Indices and distances equal the first n of the
-    scalar query bit for bit, so a query for fewer ranks is a prefix of one
-    for more.
+    n = min(ranks, bank size); ``ranks`` defaults to 2k+1, and ``truncated``
+    is whether the bank holds fewer than ``ranks`` prototypes. A row's
+    distances are the float64 norms of its exact float64 differences to the
+    prototypes, nondecreasing, with ties in the lower prototype index first:
+    a row ranks as a full sort of its distances to the whole bank would rank
+    it, so a bank member sits at distance exactly 0, the result does not
+    depend on ``chunk``, and a query for fewer ranks is a prefix of one for
+    more, bit for bit.
 
     Per chunk of rows, one float64 GEMM gives approximate squared distances
     ||q||^2 - 2 q.p + ||p||^2. Each row keeps every prototype whose
@@ -286,9 +248,8 @@ def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: 
     beat the n-th in exact arithmetic stays. One ``argpartition`` at n - 1
     finds the n-th smallest and, unless the bound admits more than n
     prototypes in some row, the shortlist too. The kept candidates are sorted
-    by index, their distances recomputed from float64 differences exactly as
-    :func:`query_neighbors` does, and ordered by a stable sort, so ties go to
-    the lower index and a bank member sits at distance exactly 0. Scratch is
+    by index, their distances recomputed from float64 differences, and
+    ordered by a stable sort, so ties go to the lower index. Scratch is
     O(chunk * P) for the GEMM plus O(chunk * width * D) for the re-rank, with
     width close to n. The default chunk, 256 rows, keeps that scratch at one
     16 x 16 map's when a call queries many samples at once, as the training
@@ -342,28 +303,12 @@ def covering_radius(bank: MemoryBank, features: np.ndarray) -> float:
 
 
 def save_bank(bank: MemoryBank, path):
-    """Persist prototypes as a tensor container plus a JSON sidecar of refs."""
-    path = Path(path)
+    """Persist the prototypes as one tensor container."""
     write_tensor(path, bank.prototypes, {"kind": "memory_bank", "modality": bank.modality})
-    sidecar = {
-        "modality": bank.modality,
-        "coreset_fraction": bank.coreset_fraction,
-        "source_refs": [list(r) for r in bank.source_refs],
-    }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, sort_keys=True, indent=1) + "\n"
-    )
 
 
 def load_bank(path) -> MemoryBank:
-    path = Path(path)
     protos, header = read_tensor(path)
     if header.get("kind") != "memory_bank":
         raise ConfigError(f"{path} is not a memory bank container")
-    sidecar_path = path.with_suffix(path.suffix + ".json")
-    refs, fraction = [], 1.0
-    if sidecar_path.exists():
-        sidecar = json.loads(sidecar_path.read_text())
-        refs = [tuple(r) for r in sidecar.get("source_refs", [])]
-        fraction = sidecar.get("coreset_fraction", 1.0)
-    return MemoryBank(header["modality"], protos, refs, fraction)
+    return MemoryBank(header["modality"], protos)

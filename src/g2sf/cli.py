@@ -66,8 +66,8 @@ STAGE_FORMAT = "g2sf-stage-v2"
 _READS = {
     "gen": (),
     "bank": ("gen",),
-    "synth": ("gen", "bank"),
-    "train": ("bank", "synth"),
+    "synth": ("gen",),
+    "train": ("gen", "bank", "synth"),
     "score": ("gen", "train"),
     "eval": ("gen", "score"),
     "ablate": ("gen", "score"),
@@ -182,42 +182,22 @@ def _load_banks(run_dir: Path):
     return {m: load_bank(Path(run_dir) / "banks" / f"{m}.g2t") for m in ("pc", "rgb")}
 
 
-class _CellRefs:
-    """``(sample_id, row, col)`` of each stacked foreground cell, built only
-    for the cells :func:`build_bank` selects."""
-
-    def __init__(self, sample_ids, coords):
-        cells = np.concatenate(coords)
-        self.sample_ids = sample_ids
-        self.owners = np.repeat(np.arange(len(coords)), [len(c) for c in coords]).tolist()
-        self.rows, self.cols = cells[:, 0].tolist(), cells[:, 1].tolist()
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return (self.sample_ids[self.owners[i]], self.rows[i], self.cols[i])
-
-
 def cmd_bank(cfg, data, run):
     train_manifest = load_manifest(data / "train_manifest.json")
     feats = {"pc": [], "rgb": []}
-    sample_ids, coords = [], []
+    counts = []
     for pair in iter_samples(train_manifest):
         fg = pair.foreground
-        sample_ids.append(pair.sample_id)
-        coords.append(np.argwhere(fg))
+        counts.append(int(fg.sum()))
         for m in ("pc", "rgb"):
             feats[m].append(getattr(pair, m).data[fg])
-    refs = _CellRefs(sample_ids, coords)
     # The normalizer sums nearest-prototype distances sample by sample.
-    splits = np.cumsum([len(c) for c in coords])[:-1]
+    splits = np.cumsum(counts)[:-1]
     banks, nearest, radius = {}, {}, {}
     for m in ("pc", "rgb"):
         points = np.concatenate(feats[m])
         banks[m] = build_bank(points, m, cfg.bank.fraction,
-                              seed=cfg.seed, projection_dim=cfg.bank.projection_dim,
-                              source_refs=refs)
+                              seed=cfg.seed, projection_dim=cfg.bank.projection_dim)
         save_bank(banks[m], run / "banks" / f"{m}.g2t")
         dist = banks[m].coverage
         if dist is None:  # selected in a projected space
@@ -225,7 +205,7 @@ def cmd_bank(cfg, data, run):
         nearest[m] = np.split(dist, splits)
         radius[m] = float(dist.max())
     normalizer, means = normalizer_from_distances(nearest)
-    outputs = [f"banks/{m}.g2t{ext}" for m in ("pc", "rgb") for ext in ("", ".json")]
+    outputs = [f"banks/{m}.g2t" for m in ("pc", "rgb")]
     extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks},
              "coverage": {m: {"radius": radius[m], "mean": means[m]} for m in banks}}
     return outputs, extra, (f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb "

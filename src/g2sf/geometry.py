@@ -1,22 +1,24 @@
 """Geometric encoding of features against memory prototypes.
 
 A feature f is rewritten, per neighbor prototype m_j, as the triplet
-(prototype index, unit direction (f - m_j)/||f - m_j||, normalized distance
-||f - m_j|| / mean). The encoding is seamless: f reconstructs exactly from
-any one triplet, so no information is lost before metric learning.
+(prototype index, unit direction d_j = (f - m_j) / r_j, normalized distance
+r_j / mean), with r_j = ||f - m_j||. The encoding is seamless: f = m_j +
+r_j d_j reconstructs from any one triplet, so no information is lost before
+metric learning.
 
-:func:`encode` builds the triplets of one feature explicitly. The batched
-:func:`encode_map` returns only neighbor ids and distances: a direction is
-(f - m_j) / r_j, so the scale network's first layer can read it as
-(W f - W m_j) / r_j from the cell's features and the bank, and no
-(cells, 2k+1, D) direction block is ever built.
+:func:`encode_map` encodes a whole map at once and stores only neighbor ids
+and distances, raw and normalized. A direction is (f - m_j) / r_j, so the
+scale network's first layer reads it as (W f - W m_j) / r_j from the cell's
+features and the bank, and no (cells, 2k+1, D) direction block is ever built.
 
 Distances are normalized per modality by the mean nearest-prototype distance
 over the training foreground, so both modalities score in comparable units.
-:func:`normalizer_from_distances` is the one place that mean is summed. The
-bank stage feeds it the coverage its coreset build already computed (see
-:func:`g2sf.bank.build_bank`); :func:`fit_normalizer` feeds it rank-0 k-NN
-distances of samples read again, and both give the same bits.
+:func:`normalizer_from_distances` is the one place that mean is summed, and
+:meth:`DistanceNormalizer.normalize` the one place a raw distance is divided
+by it. The bank stage feeds the former the coverage its coreset build
+already computed (see :func:`g2sf.bank.build_bank`); :func:`fit_normalizer`
+feeds it rank-0 k-NN distances of samples read again, and both give the same
+bits.
 """
 from __future__ import annotations
 
@@ -25,33 +27,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bank import MemoryBank, query_neighbors, query_neighbors_batch
+from .bank import MemoryBank, query_neighbors_batch
 from .errors import EmptyBankError, ShapeError
 from .features import FeatureMap, SamplePair
 
 DEGENERATE_EPS = 1e-12  # raw-unit distance below which the direction is undefined
 
 __all__ = [
-    "GeometricEncoding",
     "DistanceNormalizer",
     "MapEncoding",
-    "encode",
-    "decode",
     "encode_map",
     "inverse_distances",
     "fit_normalizer",
     "normalizer_from_distances",
 ]
-
-
-@dataclass
-class GeometricEncoding:
-    """One (feature, neighbor) triplet in normalized units."""
-
-    prototype_idx: int
-    direction: np.ndarray
-    distance: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -66,39 +55,17 @@ class DistanceNormalizer:
             return self.mean_rgb
         raise ShapeError(f"unknown modality {modality!r}")
 
+    def normalize(self, raw: np.ndarray, modality: str) -> np.ndarray:
+        """Raw float64 distances of ``modality`` in units of its mean, as the
+        float32 values every encoding stores."""
+        return (raw / self.mean_for(modality)).astype(np.float32)
+
     def to_dict(self):
         return {"mean_pc": self.mean_pc, "mean_rgb": self.mean_rgb}
 
     @classmethod
     def from_dict(cls, doc):
         return cls(float(doc["mean_pc"]), float(doc["mean_rgb"]))
-
-
-def encode(f: np.ndarray, bank: MemoryBank, k: int, normalizer: DistanceNormalizer):
-    """Encode ``f`` against its 2k+1 nearest prototypes; nearest first.
-
-    Output order matches the neighbor order. A zero raw distance yields the
-    zero direction and a ``degenerate`` flag.
-    """
-    neighbors = query_neighbors(bank, f, k)
-    mean = normalizer.mean_for(bank.modality)
-    out = []
-    f64 = np.asarray(f, dtype=np.float64)
-    for idx, raw in zip(neighbors.indices, neighbors.distances):
-        offset = f64 - bank.prototypes[idx].astype(np.float64)
-        if raw < DEGENERATE_EPS:
-            out.append(GeometricEncoding(int(idx), np.zeros_like(offset), 0.0, degenerate=True))
-        else:
-            out.append(GeometricEncoding(int(idx), offset / raw, float(raw / mean)))
-    return out
-
-
-def decode(enc: GeometricEncoding, bank: MemoryBank, normalizer: DistanceNormalizer) -> np.ndarray:
-    """Invert :func:`encode` for one triplet: m_j + (s * mean) * d."""
-    mean = normalizer.mean_for(bank.modality)
-    return bank.prototypes[enc.prototype_idx].astype(np.float64) + (
-        enc.distance * mean
-    ) * enc.direction
 
 
 @dataclass
@@ -148,11 +115,10 @@ def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceN
     idx, dist, truncated = query_neighbors_batch(bank, fmap.data.reshape(h * w, d), k,
                                                  ranks=ranks)
     n = idx.shape[1]
-    mean = normalizer.mean_for(bank.modality)
     return MapEncoding(
         modality=bank.modality,
         indices=idx.reshape(h, w, n),
-        distances=(dist / mean).reshape(h, w, n).astype(np.float32),
+        distances=normalizer.normalize(dist, bank.modality).reshape(h, w, n),
         raw_distances=dist.reshape(h, w, n),
         truncated=truncated,
     )

@@ -252,7 +252,8 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> Trainin
 
     Only foreground cells are pooled, so only they are queried: one k-NN
     query per modality over the pooled cells of all samples, with distances
-    normalized as :func:`~g2sf.geometry.encode_map` normalizes them.
+    normalized by :meth:`~g2sf.geometry.DistanceNormalizer.normalize`, as in
+    :func:`~g2sf.geometry.encode_map`.
     """
     n = 2 * k + 1
     if min(banks["pc"].size, banks["rgb"].size) < n:
@@ -273,8 +274,7 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> Trainin
     cat = {key: np.concatenate(value) for key, value in parts.items()}
     for m in ("pc", "rgb"):
         cat[f"idx_{m}"], cat[f"r_{m}"], _ = query_neighbors_batch(banks[m], cat[f"feat_{m}"], k)
-        s = (cat[f"r_{m}"] / normalizer.mean_for(m)).astype(np.float32)
-        cat[f"s_{m}"] = s.astype(np.float64)
+        cat[f"s_{m}"] = normalizer.normalize(cat[f"r_{m}"], m).astype(np.float64)
     sample_index = cat.pop("si")
     train_mask = (sample_index % 2) == 0
     indices = np.arange(sample_index.shape[0])

@@ -1,12 +1,22 @@
-"""Test oracles: the dense scale network, the scalar helpers built on it, the
-full-scan greedy coreset, and the training pool encoded map by map.
+"""Test oracles: the per-cell k-NN and geometric encoding, the dense scale
+network and the scalar helpers built on it, the full-scan greedy coreset, and
+the training pool encoded map by map.
 
-Production code never builds a row's 1920-wide prototype or direction
+Production code has one batched path for each of these computations. The
+k-NN is :func:`g2sf.bank.query_neighbors_batch` and the encoding
+:func:`g2sf.geometry.encode_map`: one GEMM shortlist and an exact re-rank
+per chunk of rows, and neighbor ids and distances, never explicit
+directions. :func:`query_neighbors` and :func:`encode` below do the same work
+one feature at a time: a full sort of exact float64 distances, and the
+(prototype, direction, distance) triplets written out, with :func:`decode`
+to invert one.
+
+Production code also never builds a row's 1920-wide prototype or direction
 vector; it reads prototype ids, cell ids and inverse distances (see
 :mod:`g2sf.lspn`). The oracles below do build them, the way the network was
-first written: directions in float64 as :func:`g2sf.geometry.encode` makes
-them, then cast to the model dtype, and every layer a dense GEMM. Tests
-compare the factored production path against them.
+first written: directions in float64 as :func:`encode` makes them, then cast
+to the model dtype, and every layer a dense GEMM. Tests compare the factored
+production path against them.
 
 The dense network runs ReLU and dropout as separate passes that keep the
 pre-activation and a float mask (:func:`relu`, :func:`dropout_forward` and
@@ -22,8 +32,78 @@ import numpy as np
 from g2sf import nn
 from g2sf.bank import _sq_distances
 from g2sf.errors import ConfigError, ShapeError
-from g2sf.geometry import DEGENERATE_EPS, GeometricEncoding, encode_map, inverse_distances
+from g2sf.geometry import DEGENERATE_EPS, encode_map, inverse_distances
 from g2sf.lspn import Directions, Sources
+
+
+# ---------------------------------------------------------------------------
+# Per-cell k-NN and encoding
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NeighborSet:
+    """Ordered nearest prototypes: indices plus nondecreasing L2 distances.
+
+    ``truncated`` flags the degenerate case where the bank holds fewer than
+    the requested 2k+1 prototypes and the full bank is returned instead.
+    """
+
+    indices: np.ndarray
+    distances: np.ndarray
+    truncated: bool = False
+
+    def __len__(self):
+        return len(self.indices)
+
+
+def query_neighbors(bank, f: np.ndarray, k: int) -> NeighborSet:
+    """Exact 2k+1 nearest prototypes of ``f``, nearest first: a stable sort
+    of the exact float64 distances to every prototype."""
+    f = np.asarray(f)
+    if f.shape != (bank.dim,):
+        raise ShapeError(f"query shape {f.shape} != bank dim ({bank.dim},)")
+    want = 2 * k + 1
+    d = np.sqrt(_sq_distances(bank.prototypes, f))
+    order = np.argsort(d, kind="stable")[:want]
+    return NeighborSet(order, d[order], truncated=bank.size < want)
+
+
+@dataclass
+class GeometricEncoding:
+    """One (feature, neighbor) triplet in normalized units."""
+
+    prototype_idx: int
+    direction: np.ndarray
+    distance: float
+    degenerate: bool = False
+
+
+def encode(f: np.ndarray, bank, k: int, normalizer) -> list:
+    """Encode ``f`` against its 2k+1 nearest prototypes; nearest first.
+
+    Output order matches the neighbor order. A zero raw distance yields the
+    zero direction and a ``degenerate`` flag.
+    """
+    neighbors = query_neighbors(bank, f, k)
+    mean = normalizer.mean_for(bank.modality)
+    out = []
+    f64 = np.asarray(f, dtype=np.float64)
+    for idx, raw in zip(neighbors.indices, neighbors.distances):
+        offset = f64 - bank.prototypes[idx].astype(np.float64)
+        if raw < DEGENERATE_EPS:
+            out.append(GeometricEncoding(int(idx), np.zeros_like(offset), 0.0, degenerate=True))
+        else:
+            out.append(GeometricEncoding(int(idx), offset / raw, float(raw / mean)))
+    return out
+
+
+def decode(enc: GeometricEncoding, bank, normalizer) -> np.ndarray:
+    """Invert :func:`encode` for one triplet: m_j + (s * mean) * d."""
+    mean = normalizer.mean_for(bank.modality)
+    return bank.prototypes[enc.prototype_idx].astype(np.float64) + (
+        enc.distance * mean
+    ) * enc.direction
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +316,8 @@ def fused_metric(model, enc_pc: GeometricEncoding, enc_rgb: GeometricEncoding,
 def score_cell(model, encodings_pc, encodings_rgb, k: int, banks, foreground=True) -> float:
     """Min over ranks 0..k of the fused metric for one cell.
 
-    ``encodings_*`` are the per-rank :class:`~g2sf.geometry.GeometricEncoding`
-    lists of the cell; background cells use the unit-scale bypass.
+    ``encodings_*`` are the per-rank :class:`GeometricEncoding` lists of the
+    cell; background cells use the unit-scale bypass.
     """
     if len(encodings_pc) < k + 1 or len(encodings_rgb) < k + 1:
         raise ShapeError(f"need encodings for ranks 0..{k}, got "

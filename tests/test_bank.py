@@ -13,12 +13,11 @@ from g2sf.bank import (
     build_bank,
     covering_radius,
     load_bank,
-    query_neighbors,
     query_neighbors_batch,
     save_bank,
 )
 from g2sf.errors import ConfigError, EmptyBankError, ShapeError
-from tests.oracles import greedy_scan
+from tests.oracles import greedy_scan, query_neighbors
 
 
 def brute_force_radius(points, centers_idx):
@@ -102,19 +101,12 @@ class TestBuildBank:
         with pytest.raises(ValueError):
             bank.prototypes[0, 0] = 5.0
 
-    def test_source_refs_follow_selection(self):
-        points = np.array([[0.0], [1.0], [2.0], [10.0]], dtype=np.float32)
-        refs = [("s", 0, i) for i in range(4)]
-        bank = build_bank(points, "pc", 0.5, source_refs=refs)
-        assert set(bank.source_refs) == {("s", 0, 0), ("s", 0, 3)}
-
     def test_duplicate_points_select_distinct_indices(self):
         points = np.repeat(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32), 3,
                            axis=0)
-        refs = [("s", 0, i) for i in range(6)]
-        bank = build_bank(points, "pc", 1.0, source_refs=refs)
+        bank = assert_build_equals_scan(points, 1.0)  # the scan reuses no index
         assert bank.size == 6
-        assert len(set(bank.source_refs)) == 6  # no prototype index reused
+        assert np.all(bank.coverage == 0.0)
 
 
 def assert_build_equals_scan(points, fraction, seed=None, projection_dim=None):
@@ -123,10 +115,9 @@ def assert_build_equals_scan(points, fraction, seed=None, projection_dim=None):
     bit."""
     points = np.asarray(points, dtype=np.float32)
     n = points.shape[0]
-    bank = build_bank(points, "pc", fraction, seed=seed, projection_dim=projection_dim,
-                      source_refs=list(range(n)))
+    bank = build_bank(points, "pc", fraction, seed=seed, projection_dim=projection_dim)
     selected, min_sq = greedy_scan(_selection_space(points, seed, projection_dim), bank.size)
-    np.testing.assert_array_equal(bank.source_refs, selected)
+    assert len(np.unique(selected)) == bank.size
     assert bank.prototypes.tobytes() == points[selected].tobytes()
     if projection_dim is not None and projection_dim < points.shape[1]:
         assert bank.coverage is None
@@ -236,11 +227,16 @@ class TestCoresetEqualsScan:
         with pytest.raises(ValueError):
             bank.coverage[0] = 1.0
         save_bank(bank, tmp_path / "built.g2t")
-        save_bank(MemoryBank("pc", bank.prototypes, coreset_fraction=0.2), tmp_path / "bare.g2t")
-        for ext in ("", ".json"):
-            assert ((tmp_path / f"built.g2t{ext}").read_bytes()
-                    == (tmp_path / f"bare.g2t{ext}").read_bytes())
+        save_bank(MemoryBank("pc", bank.prototypes), tmp_path / "bare.g2t")
+        assert (tmp_path / "built.g2t").read_bytes() == (tmp_path / "bare.g2t").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bare.g2t", "built.g2t"]
         assert load_bank(tmp_path / "built.g2t").coverage is None
+
+
+def query_one(bank, f, k):
+    """(indices, distances, truncated) of one feature through the batched query."""
+    idx, dist, truncated = query_neighbors_batch(bank, np.asarray(f)[None, :], k)
+    return idx[0], dist[0], truncated
 
 
 class TestQuery:
@@ -248,44 +244,44 @@ class TestQuery:
         rng = np.random.default_rng(4)
         protos = rng.standard_normal((10, 5)).astype(np.float32)
         bank = MemoryBank("pc", protos)
-        got = query_neighbors(bank, protos[7], 2)
-        assert got.indices[0] == 7
-        assert got.distances[0] == 0.0
+        idx, dist, _ = query_one(bank, protos[7], 2)
+        assert idx[0] == 7
+        assert dist[0] == 0.0
 
     def test_hand_euclidean(self):
         bank = MemoryBank("pc", np.array([[0.0, 0.0], [3.0, 4.0]], dtype=np.float32))
-        got = query_neighbors(bank, np.array([0.0, 0.0]), 0)
-        assert got.indices[0] == 0 and got.distances[0] == 0.0
-        got = query_neighbors(bank, np.array([3.0, 0.0]), 0)
-        assert got.indices[0] == 0  # d=3 to origin beats d=4 to (3,4)
-        assert got.distances[0] == pytest.approx(3.0)
+        idx, dist, _ = query_one(bank, np.array([0.0, 0.0]), 0)
+        assert idx[0] == 0 and dist[0] == 0.0
+        idx, dist, _ = query_one(bank, np.array([3.0, 0.0]), 0)
+        assert idx[0] == 0  # d=3 to origin beats d=4 to (3,4)
+        assert dist[0] == pytest.approx(3.0)
 
     def test_truncation_flag(self):
         bank = MemoryBank("pc", np.eye(4, dtype=np.float32))
-        got = query_neighbors(bank, np.zeros(4), 5)
-        assert len(got) == 4
-        assert got.truncated
+        idx, _, truncated = query_one(bank, np.zeros(4), 5)
+        assert len(idx) == 4
+        assert truncated
 
     def test_distances_nondecreasing_and_consistent(self):
         rng = np.random.default_rng(9)
         bank = MemoryBank("rgb", rng.standard_normal((30, 6)).astype(np.float32))
         f = rng.standard_normal(6)
-        got = query_neighbors(bank, f, 3)
-        assert np.all(np.diff(got.distances) >= 0)
-        for idx, dist in zip(got.indices, got.distances):
-            direct = np.linalg.norm(f - bank.prototypes[idx])
-            assert dist == pytest.approx(direct, rel=1e-6)
+        idx, dist, _ = query_one(bank, f, 3)
+        assert np.all(np.diff(dist) >= 0)
+        for i, d in zip(idx, dist):
+            direct = np.linalg.norm(f - bank.prototypes[i])
+            assert d == pytest.approx(direct, rel=1e-6)
 
     def test_tie_breaks_to_lower_index(self):
         bank = MemoryBank("pc", np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]],
                                          dtype=np.float32))
-        got = query_neighbors(bank, np.array([0.0, 0.0]), 1)
-        assert got.indices.tolist() == [0, 1, 2]
+        idx, _, _ = query_one(bank, np.array([0.0, 0.0]), 1)
+        assert idx.tolist() == [0, 1, 2]
 
     def test_dimension_mismatch(self):
         bank = MemoryBank("pc", np.ones((3, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
-            query_neighbors(bank, np.zeros(3), 1)
+            query_neighbors_batch(bank, np.zeros((1, 3)), 1)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(12)
@@ -301,10 +297,10 @@ class TestQuery:
         a = MemoryBank("pc", protos)
         b = MemoryBank("pc", protos[perm])
         f = rng.standard_normal(4)
-        qa = query_neighbors(a, f, 3)
-        qb = query_neighbors(b, f, 3)
-        np.testing.assert_allclose(qa.distances, qb.distances, rtol=1e-12)
-        np.testing.assert_array_equal(protos[qa.indices], b.prototypes[qb.indices])
+        idx_a, dist_a, _ = query_one(a, f, 3)
+        idx_b, dist_b, _ = query_one(b, f, 3)
+        np.testing.assert_allclose(dist_a, dist_b, rtol=1e-12)
+        np.testing.assert_array_equal(protos[idx_a], b.prototypes[idx_b])
 
 
 class TestBatchEqualsOracle:
@@ -445,11 +441,9 @@ class TestBatchEqualsOracle:
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(10)
-        bank = build_bank(rng.standard_normal((20, 4)).astype(np.float32), "rgb", 0.3,
-                          source_refs=[("s0", r // 5, r % 5) for r in range(20)])
+        bank = build_bank(rng.standard_normal((20, 4)).astype(np.float32), "rgb", 0.3)
         save_bank(bank, tmp_path / "bank.g2t")
         back = load_bank(tmp_path / "bank.g2t")
-        np.testing.assert_array_equal(back.prototypes, bank.prototypes)
+        assert back.prototypes.tobytes() == bank.prototypes.tobytes()
         assert back.modality == "rgb"
-        assert back.coreset_fraction == pytest.approx(0.3)
-        assert back.source_refs == bank.source_refs
+        assert [p.name for p in tmp_path.iterdir()] == ["bank.g2t"]

@@ -95,7 +95,9 @@ class TestChain:
     def test_artifact_layout(self, chain):
         _, data, run = chain
         assert (data / "train_manifest.json").exists()
-        assert (run / "banks" / "pc.g2t").exists()
+        assert sorted(p.name for p in (run / "banks").iterdir()) == ["pc.g2t", "rgb.g2t"]
+        bank_doc = json.loads((run / "bank_manifest.json").read_text())
+        assert sorted(bank_doc["outputs"]) == ["banks/pc.g2t", "banks/rgb.g2t"]
         assert (run / "pool").is_dir()
         assert (run / "checkpoints" / "final" / "manifest.json").exists()
         assert (run / "scores").is_dir()
@@ -180,26 +182,33 @@ class TestExitCodes:
         assert main(["bank", "--config", str(cfg_path), "--data", str(tmp_path / "no"),
                      "--run", str(tmp_path / "r")]) == 2
 
-    def test_stale_chain_exits_3(self, tmp_path, cfg_path):
+    def test_stale_chain_exits_3(self, tmp_path, cfg_path, capsys):
         codes, data, run = run_chain(tmp_path, cfg_path, stages=("gen", "bank"))
         assert all(c == 0 for c in codes.values())
-        # Regenerate the dataset with another seed: bank now points at a
-        # stale gen manifest, so synth must refuse.
+        # Regenerate the dataset with another seed: synth reads only the
+        # dataset, so it runs on the new one, but the bank now points at a
+        # stale gen manifest, so train must refuse and name it.
         assert main(["gen", "--config", str(cfg_path), "--out", str(data),
                      "--seed", "99", "--force"]) == 0
-        assert main(["synth", "--config", str(cfg_path), "--data", str(data),
-                     "--run", str(run)]) == 3
+        assert run_stage("synth", cfg_path, data, run) == 0
+        capsys.readouterr()
+        assert run_stage("train", cfg_path, data, run) == 3
+        err = capsys.readouterr().err
+        assert "bank was built against gen" in err, err
+        assert "gen_manifest.json" in err, err
+        assert not (run / "train_log.jsonl").exists()
 
     def test_stale_gen_reaches_score_and_eval(self, tmp_path, cfg_path, capsys):
         codes, data, run = run_chain(tmp_path, cfg_path, stages=STAGES[:5])
         assert all(c == 0 for c in codes.values())
         # Regenerate the dataset after scoring: the score maps belong to the
         # old test split, so eval must not pair them with the new ground
-        # truth, and neither score nor ablate may mix old banks with new data.
+        # truth, and neither score nor ablate may mix an old model with new
+        # data (train reads gen itself, so it is score's nearest stale link).
         assert main(["gen", "--config", str(cfg_path), "--out", str(data),
                      "--seed", "99", "--force"]) == 0
         capsys.readouterr()
-        for stage, stale in (("eval", "score"), ("score", "bank"), ("ablate", "score")):
+        for stage, stale in (("eval", "score"), ("score", "train"), ("ablate", "score")):
             assert main([stage, "--config", str(cfg_path), "--data", str(data),
                          "--run", str(run), "--force"]) == 3
             err = capsys.readouterr().err

@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from g2sf.bank import MemoryBank, build_bank
 from g2sf.features import FeatureMap, SamplePair
-from g2sf.geometry import (
-    DistanceNormalizer,
-    decode,
-    encode,
-    encode_map,
-    fit_normalizer,
-    inverse_distances,
-)
+from g2sf.geometry import DistanceNormalizer, encode_map, fit_normalizer, inverse_distances
+from tests.oracles import decode, encode, query_neighbors
 
 UNIT_NORM = DistanceNormalizer(1.0, 1.0)
 
@@ -52,8 +46,6 @@ class TestEncode:
             np.testing.assert_allclose(back, f, rtol=1e-5, atol=1e-6)
 
     def test_ordering_matches_neighbors(self):
-        from g2sf.bank import query_neighbors
-
         rng = np.random.default_rng(3)
         bank = MemoryBank("pc", rng.standard_normal((9, 4)).astype(np.float32))
         f = rng.standard_normal(4)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from g2sf.bank import MemoryBank, query_neighbors_batch
 from g2sf.errors import ConfigError, ShapeError
-from g2sf.geometry import GeometricEncoding, inverse_distances
+from g2sf.geometry import inverse_distances
 from g2sf import lspn
 from g2sf.lspn import (
     Directions,
@@ -34,6 +34,7 @@ from g2sf.lspn import (
 )
 from g2sf.nn import backprop_check
 from tests.oracles import (
+    GeometricEncoding,
     bincount_segment_sum,
     dense_backward,
     dense_forward,

@@ -1,0 +1,44 @@
+"""Package surface: every exported name resolves, and the demos run."""
+
+import ast
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import g2sf
+
+SRC = Path(g2sf.__file__).resolve().parents[1]
+DEMOS = SRC.parent / "demos"
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(g2sf.__path__)))
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"g2sf.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"g2sf.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(g2sf.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names]
+    assert imported
+    for module_name, attr in imported:
+        module = importlib.import_module(f"g2sf.{module_name}")
+        assert getattr(g2sf, attr) is getattr(module, attr), (module_name, attr)
+
+
+@pytest.mark.parametrize("demo", ["01_dataset_and_banks.py", "02_geometric_encoding.py"])
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.glob("g2sf_demo_*")), "the demo wrote its dataset outside TMPDIR"

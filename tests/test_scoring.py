@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from g2sf.features import load_sample
-from g2sf.geometry import encode
 from g2sf.scoring import (
     AGGREGATIONS,
     ScoreMap,
@@ -15,7 +14,7 @@ from g2sf.scoring import (
     upsample_smooth,
 )
 from tests.conftest import DESK_K
-from tests.oracles import fused_metric, score_cell
+from tests.oracles import encode, fused_metric, score_cell
 
 
 @pytest.fixture(scope="module")
