@@ -16,43 +16,45 @@ from g2sf.bank import build_bank, covering_radius, query_neighbors_batch
 from g2sf.evaluation import auroc
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
 
-out = Path(tempfile.mkdtemp(prefix="g2sf_demo_"))
-cfg = SynthConfig()  # 16x16 grid, 8 dims per modality, 64 train / 48 test
-train_manifest, test_manifest = gen_synthetic_dataset(cfg, seed=7, out_dir=out)
-print(f"dataset written to {out}")
-print(f"  train: {len(train_manifest.samples)} samples, "
-      f"test: {len(test_manifest.samples)} samples, grid {train_manifest.grid}")
+# The dataset lives in a temporary directory that is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as tmp:
+    out = Path(tmp)
+    cfg = SynthConfig()  # 16x16 grid, 8 dims per modality, 64 train / 48 test
+    train_manifest, test_manifest = gen_synthetic_dataset(cfg, seed=7, out_dir=out)
+    print(f"dataset written to {out}")
+    print(f"  train: {len(train_manifest.samples)} samples, "
+          f"test: {len(test_manifest.samples)} samples, grid {train_manifest.grid}")
 
-# Collect training foreground features and build one bank per modality.
-features = {"pc": [], "rgb": []}
-for pair in iter_samples(train_manifest):
+    # Collect training foreground features and build one bank per modality.
+    features = {"pc": [], "rgb": []}
+    for pair in iter_samples(train_manifest):
+        for modality in ("pc", "rgb"):
+            features[modality].append(getattr(pair, modality).data[pair.foreground])
+    features = {m: np.concatenate(v) for m, v in features.items()}
+
+    banks = {}
     for modality in ("pc", "rgb"):
-        features[modality].append(getattr(pair, modality).data[pair.foreground])
-features = {m: np.concatenate(v) for m, v in features.items()}
+        banks[modality] = build_bank(features[modality], modality, fraction=0.10)
+        radius = covering_radius(banks[modality], features[modality])
+        print(f"  {modality} bank: {banks[modality].size} prototypes "
+              f"({features[modality].shape[0]} source vectors), covering radius {radius:.3f}")
 
-banks = {}
-for modality in ("pc", "rgb"):
-    banks[modality] = build_bank(features[modality], modality, fraction=0.10)
-    radius = covering_radius(banks[modality], features[modality])
-    print(f"  {modality} bank: {banks[modality].size} prototypes "
-          f"({features[modality].shape[0]} source vectors), covering radius {radius:.3f}")
+    # Nearest-prototype retrieval: the 2k+1 neighborhood of one feature, as a
+    # batch of one row.
+    pair = load_sample(test_manifest, test_manifest.samples[0])
+    indices, distances, _ = query_neighbors_batch(banks["pc"], pair.pc.data[8, 8][None], k=2)
+    print(f"\n2k+1 nearest prototypes of cell (8, 8): indices {indices[0].tolist()}")
+    print(f"  distances {np.round(distances[0], 3).tolist()} (nondecreasing)")
 
-# Nearest-prototype retrieval: the 2k+1 neighborhood of one feature, as a
-# batch of one row.
-pair = load_sample(test_manifest, test_manifest.samples[0])
-indices, distances, _ = query_neighbors_batch(banks["pc"], pair.pc.data[8, 8][None], k=2)
-print(f"\n2k+1 nearest prototypes of cell (8, 8): indices {indices[0].tolist()}")
-print(f"  distances {np.round(distances[0], 3).tolist()} (nondecreasing)")
-
-# A plain unimodal Euclidean detector: max nearest distance over the sample.
-scores, labels = [], []
-for ref in test_manifest.samples:
-    pair = load_sample(test_manifest, ref)
-    flat = pair.pc.data[pair.foreground]
-    _, dist, _ = query_neighbors_batch(banks["pc"], flat, 0)
-    scores.append(dist[:, 0].max())
-    labels.append(ref.image_label)
-print(f"\nunimodal pc detector I-AUROC on the mixed test set: "
-      f"{auroc(scores, labels):.3f}")
-print("(pc-only and joint anomalies are visible; rgb-only ones are not, "
-      "which is what score fusion fixes)")
+    # A plain unimodal Euclidean detector: max nearest distance over the sample.
+    scores, labels = [], []
+    for ref in test_manifest.samples:
+        pair = load_sample(test_manifest, ref)
+        flat = pair.pc.data[pair.foreground]
+        _, dist, _ = query_neighbors_batch(banks["pc"], flat, 0)
+        scores.append(dist[:, 0].max())
+        labels.append(ref.image_label)
+    print(f"\nunimodal pc detector I-AUROC on the mixed test set: "
+          f"{auroc(scores, labels):.3f}")
+    print("(pc-only and joint anomalies are visible; rgb-only ones are not, "
+          "which is what score fusion fixes)")

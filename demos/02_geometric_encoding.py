@@ -15,42 +15,43 @@ from g2sf.bank import build_bank
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
 from g2sf.geometry import encode_map, fit_normalizer, inverse_distances
 
-out = tempfile.mkdtemp(prefix="g2sf_demo_")
-train_manifest, test_manifest = gen_synthetic_dataset(
-    SynthConfig(n_train=24, n_test=8), seed=3, out_dir=out)
+# The dataset lives in a temporary directory that is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
+    train_manifest, test_manifest = gen_synthetic_dataset(
+        SynthConfig(n_train=24, n_test=8), seed=3, out_dir=out)
 
-features = {"pc": [], "rgb": []}
-for pair in iter_samples(train_manifest):
-    for modality in ("pc", "rgb"):
-        features[modality].append(getattr(pair, modality).data[pair.foreground])
-banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
+    features = {"pc": [], "rgb": []}
+    for pair in iter_samples(train_manifest):
+        for modality in ("pc", "rgb"):
+            features[modality].append(getattr(pair, modality).data[pair.foreground])
+    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
 
-# Distances are normalized per modality by the mean nearest-prototype
-# distance over training foreground, so both modalities score in the same
-# units (training mean becomes 1.0).
-normalizer = fit_normalizer(iter_samples(train_manifest), banks)
-print(f"distance normalizer: mean_pc={normalizer.mean_pc:.4f}, "
-      f"mean_rgb={normalizer.mean_rgb:.4f}")
+    # Distances are normalized per modality by the mean nearest-prototype
+    # distance over training foreground, so both modalities score in the same
+    # units (training mean becomes 1.0).
+    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    print(f"distance normalizer: mean_pc={normalizer.mean_pc:.4f}, "
+          f"mean_rgb={normalizer.mean_rgb:.4f}")
 
-pair = load_sample(test_manifest, test_manifest.samples[0])
-enc = encode_map(pair.pc, banks["pc"], k=2, normalizer=normalizer)
-f = pair.pc.data[5, 5].astype(np.float64)
-m = banks["pc"].prototypes[enc.indices[5, 5]].astype(np.float64)  # (2k+1, D)
-r = enc.raw_distances[5, 5]
-d = (f - m) * inverse_distances(r)[:, None]  # unit directions, nearest first
-print(f"\nfeature at (5,5), first {enc.n_neighbors} local spaces:")
-for j in range(enc.n_neighbors):
-    print(f"  rank {j}: prototype {enc.indices[5, 5, j]}, normalized distance "
-          f"{enc.distances[5, 5, j]:.4f}, |direction|={np.linalg.norm(d[j]):.6f}")
+    pair = load_sample(test_manifest, test_manifest.samples[0])
+    enc = encode_map(pair.pc, banks["pc"], k=2, normalizer=normalizer)
+    f = pair.pc.data[5, 5].astype(np.float64)
+    m = banks["pc"].prototypes[enc.indices[5, 5]].astype(np.float64)  # (2k+1, D)
+    r = enc.raw_distances[5, 5]
+    d = (f - m) * inverse_distances(r)[:, None]  # unit directions, nearest first
+    print(f"\nfeature at (5,5), first {enc.n_neighbors} local spaces:")
+    for j in range(enc.n_neighbors):
+        print(f"  rank {j}: prototype {enc.indices[5, 5, j]}, normalized distance "
+              f"{enc.distances[5, 5, j]:.4f}, |direction|={np.linalg.norm(d[j]):.6f}")
 
-# Losslessness: the feature reconstructs from any one triplet.
-worst = np.abs(m + r[:, None] * d - f).max()
-print(f"\nmax reconstruction error over all ranks: {worst:.2e} "
-      "(encoding is seamless)")
+    # Losslessness: the feature reconstructs from any one triplet.
+    worst = np.abs(m + r[:, None] * d - f).max()
+    print(f"\nmax reconstruction error over all ranks: {worst:.2e} "
+          "(encoding is seamless)")
 
-# The normalized training distances average to one by construction.
-dists = []
-for pair in iter_samples(train_manifest):
-    enc = encode_map(pair.pc, banks["pc"], 0, normalizer)
-    dists.append(enc.distances[pair.foreground][:, 0])
-print(f"mean normalized training distance: {np.concatenate(dists).mean():.6f}")
+    # The normalized training distances average to one by construction.
+    dists = []
+    for pair in iter_samples(train_manifest):
+        enc = encode_map(pair.pc, banks["pc"], 0, normalizer)
+        dists.append(enc.distances[pair.foreground][:, 0])
+    print(f"mean normalized training distance: {np.concatenate(dists).mean():.6f}")

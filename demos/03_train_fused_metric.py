@@ -18,39 +18,40 @@ from g2sf.lspn import LspnConfig
 from g2sf.synthesis import SynthesisConfig, build_training_pool
 from g2sf.trainer import TrainConfig, scale_factors, train
 
-out = tempfile.mkdtemp(prefix="g2sf_demo_")
-train_manifest, _ = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
+# The dataset lives in a temporary directory that is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
+    train_manifest, _ = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
 
-features = {"pc": [], "rgb": []}
-for pair in iter_samples(train_manifest):
-    for modality in ("pc", "rgb"):
-        features[modality].append(getattr(pair, modality).data[pair.foreground])
-banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
-normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    features = {"pc": [], "rgb": []}
+    for pair in iter_samples(train_manifest):
+        for modality in ("pc", "rgb"):
+            features[modality].append(getattr(pair, modality).data[pair.foreground])
+    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
+    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
 
-pool = build_training_pool(train_manifest, banks, normalizer,
-                           SynthesisConfig(n_aug=32, k=5), seed=7)
-print(f"training pool: {pool.size} cells ({pool.y.mean():.1%} anomalous), "
-      f"{pool.train_indices.size} train / {pool.val_indices.size} validation")
+    pool = build_training_pool(train_manifest, banks, normalizer,
+                               SynthesisConfig(n_aug=32, k=5), seed=7)
+    print(f"training pool: {pool.size} cells ({pool.y.mean():.1%} anomalous), "
+          f"{pool.train_indices.size} train / {pool.val_indices.size} validation")
 
-lspn_cfg = LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,))
-loss_cfg = LossConfig(k=5)  # alpha=10, beta=60, gamma=8, mu=20, eta0=1.2
-train_cfg = TrainConfig(epochs=12, batch_size=512, seed=7)
-checkpoint, log_rows, _ = train(pool, banks, normalizer, lspn_cfg, train_cfg, loss_cfg)
+    lspn_cfg = LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,))
+    loss_cfg = LossConfig(k=5)  # alpha=10, beta=60, gamma=8, mu=20, eta0=1.2
+    train_cfg = TrainConfig(epochs=12, batch_size=512, seed=7)
+    checkpoint, log_rows, _ = train(pool, banks, normalizer, lspn_cfg, train_cfg, loss_cfg)
 
-print(f"\nm0 threshold frozen before training: {checkpoint.m0:.3f}")
-print("epoch  train_total  val_total  sigma_pc  sigma_rgb")
-for row in log_rows[:: max(1, len(log_rows) // 6)]:
-    print(f"{row['epoch']:5d}  {row['train_total']:11.3f}  {row['val_total']:9.3f}"
-          f"  {row['sigma_pc']:8.4f}  {row['sigma_rgb']:9.4f}")
+    print(f"\nm0 threshold frozen before training: {checkpoint.m0:.3f}")
+    print("epoch  train_total  val_total  sigma_pc  sigma_rgb")
+    for row in log_rows[:: max(1, len(log_rows) // 6)]:
+        print(f"{row['epoch']:5d}  {row['train_total']:11.3f}  {row['val_total']:9.3f}"
+              f"  {row['sigma_pc']:8.4f}  {row['sigma_rgb']:9.4f}")
 
-# Class-wise scale statistics. The synthetic corruptions point in random
-# directions, so most of the anomaly signal lives in the distances here and
-# the scales stay close to uniform; on real extractor features with
-# systematic defect directions the scales themselves become discriminative.
-rows = pool.train_indices
-w = scale_factors(checkpoint.model, pool, banks, rows)[:, 0]
-y = pool.y[rows]
-print(f"\nmean predicted scale on normal cells:    {w[y == 0].mean():.3f}")
-print(f"mean predicted scale on corrupted cells:  {w[y == 1].mean():.3f} "
-      f"(bounds are [1/e, e] = [{np.exp(-1):.3f}, {np.e:.3f}])")
+    # Class-wise scale statistics. The synthetic corruptions point in random
+    # directions, so most of the anomaly signal lives in the distances here and
+    # the scales stay close to uniform; on real extractor features with
+    # systematic defect directions the scales themselves become discriminative.
+    rows = pool.train_indices
+    w = scale_factors(checkpoint.model, pool, banks, rows)[:, 0]
+    y = pool.y[rows]
+    print(f"\nmean predicted scale on normal cells:    {w[y == 0].mean():.3f}")
+    print(f"mean predicted scale on corrupted cells:  {w[y == 1].mean():.3f} "
+          f"(bounds are [1/e, e] = [{np.exp(-1):.3f}, {np.e:.3f}])")

@@ -18,42 +18,43 @@ from g2sf.scoring import score_sample, upsample_smooth
 from g2sf.synthesis import SynthesisConfig, build_training_pool
 from g2sf.trainer import TrainConfig, train
 
-out = tempfile.mkdtemp(prefix="g2sf_demo_")
-train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
+# The dataset lives in a temporary directory that is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
+    train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
 
-features = {"pc": [], "rgb": []}
-for pair in iter_samples(train_manifest):
-    for modality in ("pc", "rgb"):
-        features[modality].append(getattr(pair, modality).data[pair.foreground])
-banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
-normalizer = fit_normalizer(iter_samples(train_manifest), banks)
-pool = build_training_pool(train_manifest, banks, normalizer,
-                           SynthesisConfig(n_aug=32, k=5), seed=7)
-checkpoint, _, _ = train(
-    pool, banks, normalizer,
-    LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,)),
-    TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
-checkpoint.banks = banks
+    features = {"pc": [], "rgb": []}
+    for pair in iter_samples(train_manifest):
+        for modality in ("pc", "rgb"):
+            features[modality].append(getattr(pair, modality).data[pair.foreground])
+    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
+    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    pool = build_training_pool(train_manifest, banks, normalizer,
+                               SynthesisConfig(n_aug=32, k=5), seed=7)
+    checkpoint, _, _ = train(
+        pool, banks, normalizer,
+        LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,)),
+        TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
+    checkpoint.banks = banks
 
-# One anomalous sample in detail.
-pair = load_sample(test_manifest, test_manifest.samples[0])
-smap = score_sample(checkpoint.model, pair, banks, normalizer, k=checkpoint.loss_cfg.k,
-                    agg="min")
-smap = upsample_smooth(smap, factor=test_manifest.gt_upscale, sigma=4.0)
-inside = smap.grid[pair.pixel_gt[:: test_manifest.gt_upscale,
-                                 :: test_manifest.gt_upscale]]
-outside = smap.grid[pair.foreground & ~pair.pixel_gt[:: test_manifest.gt_upscale,
-                                                     :: test_manifest.gt_upscale]]
-print(f"sample {pair.sample_id} (label {pair.image_label}):")
-print(f"  sample score {smap.sample_score:.3f}; mean cell score inside the "
-      f"defect {inside.mean():.3f} vs outside {outside.mean():.3f}")
-print(f"  pixel map {smap.upsampled.shape} after x{test_manifest.gt_upscale} "
-      "bilinear upsampling + sigma=4 smoothing")
+    # One anomalous sample in detail.
+    pair = load_sample(test_manifest, test_manifest.samples[0])
+    smap = score_sample(checkpoint.model, pair, banks, normalizer, k=checkpoint.loss_cfg.k,
+                        agg="min")
+    smap = upsample_smooth(smap, factor=test_manifest.gt_upscale, sigma=4.0)
+    inside = smap.grid[pair.pixel_gt[:: test_manifest.gt_upscale,
+                                     :: test_manifest.gt_upscale]]
+    outside = smap.grid[pair.foreground & ~pair.pixel_gt[:: test_manifest.gt_upscale,
+                                                         :: test_manifest.gt_upscale]]
+    print(f"sample {pair.sample_id} (label {pair.image_label}):")
+    print(f"  sample score {smap.sample_score:.3f}; mean cell score inside the "
+          f"defect {inside.mean():.3f} vs outside {outside.mean():.3f}")
+    print(f"  pixel map {smap.upsampled.shape} after x{test_manifest.gt_upscale} "
+          "bilinear upsampling + sigma=4 smoothing")
 
-# Whole-split metrics.
-report = eval_dataset(checkpoint, test_manifest, EvalConfig())
-print("\ntest-split metrics:")
-print(f"  I-AUROC   {report.i_auroc:.4f}")
-print(f"  P-AUROC   {report.p_auroc:.4f}")
-for limit, value in sorted(report.aupro.items(), reverse=True):
-    print(f"  AUPRO@{limit:<4} {value:.4f}")
+    # Whole-split metrics.
+    report = eval_dataset(checkpoint, test_manifest, EvalConfig())
+    print("\ntest-split metrics:")
+    print(f"  I-AUROC   {report.i_auroc:.4f}")
+    print(f"  P-AUROC   {report.p_auroc:.4f}")
+    for limit, value in sorted(report.aupro.items(), reverse=True):
+        print(f"  AUPRO@{limit:<4} {value:.4f}")

@@ -1,20 +1,22 @@
 """Detection and segmentation metrics: AUROC, AUPRO, and dataset evaluation.
 
 AUROC is rank-based (Mann-Whitney) with tied scores sharing their average
-rank, so ties contribute one half. AUPRO sorts every pixel of the test split
-once by descending score. Each normal pixel adds 1/#normal to the
-false-positive rate and each anomalous pixel adds 1/(|region| * #regions) to
-the mean per-region overlap (8-connected ground-truth components), so both
-axes are cumulative sums read at the ends of tied-score runs. PRO is set to
-exactly 1 once every anomalous pixel is covered. The curve is integrated
-against FPR up to a limit and normalized by the limit.
+rank, so ties contribute one half; ranks come from insertion points into the
+sorted scores. AUPRO thresholds at every distinct score of one value sort of
+all pixels. Each normal pixel adds 1/#normal to the false-positive rate and
+each anomalous pixel adds 1/(|region| * #regions) to the mean per-region
+overlap (8-connected ground-truth components), summed over the anomalous
+pixels alone in descending score order. PRO is set to exactly 1 once every
+anomalous pixel is covered. The curve is integrated against FPR up to a
+limit and normalized by the limit. NaN scores raise.
 
 :func:`report_from_maps` is the one place that turns per-sample scores and
 pixel maps into metrics; :func:`eval_dataset`, :func:`ablation_scores` and
 the CLI's eval stage all build their reports through it.
 :func:`score_split` keeps every map of one network pass per sample on its
-grid; reports upsample one map key at a time; :func:`ablation_scores` reads
-scored samples from :func:`score_split` or from the CLI's score tree.
+grid; a report upsamples and smooths the maps of one key as one stack;
+:func:`ablation_scores` reads scored samples from :func:`score_split` or from
+the CLI's score tree.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
 from .features import DatasetManifest, load_sample
-from .scoring import AGGREGATIONS, sample_maps, upsample_smooth
+from .scoring import AGGREGATIONS, bilinear_upsample, gaussian_smooth, sample_maps
 
 __all__ = [
     "EvalConfig",
@@ -49,16 +51,19 @@ _EIGHT = np.ones((3, 3), dtype=bool)
 MAX_CURVE_POINTS = 512  # the report keeps about this many (fpr, pro) points
 
 
-def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
-    """Index of the last element of each run of equal values."""
-    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], True))
+def _reject_nan(sorted_scores: np.ndarray, metric: str):
+    """NaN sorts last; as a score it would rank above every finite one."""
+    if np.isnan(sorted_scores[-1]):
+        n_nan = int(np.isnan(sorted_scores).sum())
+        raise UndefinedMetricError(
+            f"{metric} is undefined for NaN scores: {n_nan} of {sorted_scores.size} are NaN")
 
 
 def auroc(scores, labels) -> float:
     """Mann-Whitney AUROC; ties count one half.
 
     Undefined (raises) when only one class is present or when every score is
-    identical, since no ranking exists in either case.
+    identical, since no ranking exists in either case, and for NaN scores.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1).astype(int)
@@ -68,15 +73,16 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUROC needs both classes present")
-    if scores.min() == scores.max():
+    ordered = np.sort(scores)
+    _reject_nan(ordered, "AUROC")
+    if ordered[0] == ordered[-1]:
         raise UndefinedMetricError("AUROC is undefined for constant scores")
-    order = np.argsort(scores, kind="stable")
-    ends = _run_ends(scores[order])
-    starts = np.append(0, ends[:-1] + 1)
-    ranks = np.empty(scores.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # 1-based
-    rank_sum = ranks[labels == 1].sum()
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    pos = np.sort(scores[labels == 1])
+    # A score whose ties fill sorted slots left..right-1 has twice its 1-based
+    # average rank equal to the integer left + right + 1.
+    twice_rank_sum = int(np.searchsorted(ordered, pos, "left").sum()
+                         + np.searchsorted(ordered, pos, "right").sum()) + n_pos
+    u = twice_rank_sum / 2 - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -90,38 +96,48 @@ def aupro_curve(score_maps, gt_masks):
 
     if len(score_maps) != len(gt_masks) or not score_maps:
         raise ConfigError("need equally many score maps and ground-truth masks")
-    comp_ids, comp_sizes, scores = [], [], []
-    next_comp = 0
+    scores, anomalous, region_ids, region_sizes = [], [], [], []
+    n_regions = 0
     for smap, gt in zip(score_maps, gt_masks):
         smap = np.asarray(smap, dtype=np.float64)
         gt = np.asarray(gt, dtype=bool)
         if smap.shape != gt.shape:
             raise ConfigError(f"score map {smap.shape} and mask {gt.shape} disagree")
         labels, count = ndimage.label(gt, structure=_EIGHT)
-        comp_ids.append(np.where(gt, labels + next_comp - 1, -1).reshape(-1))  # -1: normal
-        comp_sizes.append(np.bincount(labels.reshape(-1), minlength=count + 1)[1:])
-        next_comp += count
         scores.append(smap.reshape(-1))
-    comp_ids = np.concatenate(comp_ids)
-    scores = np.concatenate(scores)
-    comp_sizes = np.concatenate(comp_sizes).astype(np.float64)
-    if comp_sizes.size == 0:
+        anomalous.append(smap[gt])
+        region_ids.append(labels[gt] + (n_regions - 1))
+        region_sizes.append(np.bincount(labels.reshape(-1), minlength=count + 1)[1:])
+        n_regions += count
+    region_sizes = np.concatenate(region_sizes).astype(np.float64)
+    if region_sizes.size == 0:
         raise UndefinedMetricError("AUPRO needs at least one anomalous region")
-    normal = comp_ids < 0
-    n_normal = int(normal.sum())
+    scores = np.concatenate(scores)
+    anomalous = np.concatenate(anomalous)
+    n_normal = scores.size - anomalous.size
     if n_normal == 0:
         raise UndefinedMetricError("AUPRO needs normal pixels for the FPR axis")
+    scores.sort()
+    _reject_nan(scores, "AUPRO")
 
-    order = np.argsort(scores, kind="stable")[::-1]
-    ends = _run_ends(scores[order])
-    normal = normal[order]
-    region_weight = 1.0 / (comp_sizes * comp_sizes.size)
-    weight = np.where(normal, 0.0, region_weight[comp_ids[order]])  # -1 rows are masked
-    fpr = np.cumsum(normal)[ends] / n_normal
-    pro = np.cumsum(weight)[ends]
+    # The thresholds are the distinct scores, scores[starts]; each anomalous
+    # score is one of them, so counting per threshold and accumulating from
+    # the top gives the anomalous pixels at or above each threshold.
+    starts = np.flatnonzero(np.append(True, scores[1:] != scores[:-1]))
+    order = np.argsort(anomalous, kind="stable")
+    hits = starts.size - 1 - np.searchsorted(scores[starts], anomalous[order])
+    anomalous_above = np.cumsum(np.bincount(hits, minlength=starts.size))
+    # Pixels at or above each threshold, descending, less the anomalous ones.
+    fpr = ((scores.size - starts)[::-1] - anomalous_above) / n_normal
+    del scores, starts
+    # PRO adds the region weights of the anomalous pixels by descending score,
+    # ties by descending pixel index: the reversed stable argsort.
+    region_weight = 1.0 / (region_sizes * region_sizes.size)
+    weight = region_weight[np.concatenate(region_ids)[order[::-1]]]
+    pro = np.append(0.0, np.cumsum(weight))[anomalous_above]
     # The summed weights only approximate 1; PRO is exactly 1 once every
     # anomalous pixel is above the threshold.
-    pro[np.cumsum(~normal)[ends] == normal.size - n_normal] = 1.0
+    pro[anomalous_above == anomalous.size] = 1.0
     return np.append(0.0, fpr), np.append(0.0, pro)
 
 
@@ -284,13 +300,15 @@ def score_split(checkpoint, test_manifest: DatasetManifest,
 
 
 def _report(scored, key: str, upscale: int, cfg: EvalConfig) -> EvalReport:
-    """Report on the ``key`` maps of ``scored``, upsampled by ``upscale`` and smoothed."""
+    """Report on the ``key`` maps of ``scored``, upsampled and smoothed as one stack."""
     maps = [s.maps[key] for s in scored]
+    pixel = gaussian_smooth(bilinear_upsample(np.stack([m.grid for m in maps]), upscale),
+                            cfg.smooth_sigma)
     return report_from_maps(
         [s.sample_id for s in scored],
         [m.sample_score for m in maps],
         [sample_label(s.sample_id, s.image_label, s.pixel_gt) for s in scored],
-        [upsample_smooth(m, upscale, cfg.smooth_sigma).upsampled for m in maps],
+        list(pixel),
         [s.pixel_gt for s in scored],
         cfg.aupro_limits,
     )

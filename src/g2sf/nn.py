@@ -107,9 +107,9 @@ def exp_tanh_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * np.exp(t) * (1.0 - t * t)
 
 
-# Entries per block of dropout draws: the float64 draws and the keep mask of
-# a block stay in cache (256 KB), where whole-array temporaries would cost a
-# fresh allocation of 8 bytes per activation.
+# Entries per block of dropout draws and backward masks: the float64 draws and
+# the mask of a block stay in cache (256 KB), where whole-array temporaries
+# would cost a fresh allocation of up to 8 bytes per activation.
 _DRAW_BLOCK = 1 << 15
 
 
@@ -161,12 +161,16 @@ def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) ->
     An entry passes (times 1/(1-rate)) iff its output is positive: dropped
     entries and non-positive pre-activations both give 0 there. The ReLU
     subgradient at 0 is taken as 0. ``grad_out`` is overwritten: pass an
-    upstream gradient nothing else reads.
+    upstream gradient nothing else reads; it may be a strided view.
     """
-    grad = np.multiply(grad_out, out > 0, out=grad_out)
-    if rate:
-        grad *= _dropout_scale(rate, out.dtype)
-    return grad
+    scale = _dropout_scale(rate, out.dtype)
+    step = max(1, _DRAW_BLOCK // max(1, out[:1].size))  # rows per block
+    for start in range(0, len(out), step):
+        grad = grad_out[start:start + step]
+        grad *= out[start:start + step] > 0
+        if rate:
+            grad *= scale
+    return grad_out
 
 
 @dataclass

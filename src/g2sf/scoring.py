@@ -13,7 +13,8 @@ pass; :func:`score_sample` is its view of one aggregation.
 Background cells bypass the network with unit scaling factors, reducing to
 the sigma-weighted sum of normalized Euclidean distances. The sample-level
 score is the max over foreground cells of the pre-smoothing grid; smoothing
-and bilinear upsampling only shape the pixel-level map.
+and bilinear upsampling only shape the pixel-level map; both take one map or
+a stack of them, and a report passes a split's maps as one stack.
 """
 from __future__ import annotations
 
@@ -104,33 +105,36 @@ def score_sample(model, pair: SamplePair, banks, normalizer, k: int, agg="min") 
 
 
 def bilinear_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
-    """Integer-factor bilinear upsampling with the pixel-center convention:
-    output pixel (i, j) samples source position ((i+0.5)/f - 0.5, ...)."""
+    """Integer-factor bilinear upsampling of the last two axes, (H, W) or
+    (..., H, W), with the pixel-center convention: output pixel (i, j) samples
+    source position ((i+0.5)/f - 0.5, ...)."""
     if factor < 1 or int(factor) != factor:
         raise ConfigError(f"upsample factor must be a positive integer, got {factor}")
     factor = int(factor)
     if factor == 1:
         return grid.astype(np.float64).copy()
     grid = np.asarray(grid, dtype=np.float64)
-    out_shape = (grid.shape[0] * factor, grid.shape[1] * factor)
+    h, w = grid.shape[-2:]
 
-    def axis_coords(n_out, n_in):
-        pos = (np.arange(n_out) + 0.5) / factor - 0.5
+    def axis_coords(n_in):
+        pos = (np.arange(n_in * factor) + 0.5) / factor - 0.5
         pos = np.clip(pos, 0.0, n_in - 1.0)
         lo = np.floor(pos).astype(int)
         hi = np.minimum(lo + 1, n_in - 1)
         frac = pos - lo
         return lo, hi, frac
 
-    r_lo, r_hi, r_f = axis_coords(out_shape[0], grid.shape[0])
-    c_lo, c_hi, c_f = axis_coords(out_shape[1], grid.shape[1])
-    top = grid[np.ix_(r_lo, c_lo)] * (1 - c_f) + grid[np.ix_(r_lo, c_hi)] * c_f
-    bottom = grid[np.ix_(r_hi, c_lo)] * (1 - c_f) + grid[np.ix_(r_hi, c_hi)] * c_f
+    r_lo, r_hi, r_f = axis_coords(h)
+    c_lo, c_hi, c_f = axis_coords(w)
+    rows_lo, rows_hi = grid[..., r_lo, :], grid[..., r_hi, :]
+    top = rows_lo[..., c_lo] * (1 - c_f) + rows_lo[..., c_hi] * c_f
+    bottom = rows_hi[..., c_lo] * (1 - c_f) + rows_hi[..., c_hi] * c_f
     return top * (1 - r_f)[:, None] + bottom * r_f[:, None]
 
 
 def gaussian_smooth(grid: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian blur, kernel truncated at radius 2*sigma, reflective border."""
+    """Gaussian blur of the last two axes, so the maps of a stack stay apart;
+    kernel truncated at radius 2*sigma, reflective border."""
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative")
     if sigma == 0:
@@ -141,7 +145,7 @@ def gaussian_smooth(grid: np.ndarray, sigma: float) -> np.ndarray:
     from scipy.ndimage import gaussian_filter
 
     return gaussian_filter(np.asarray(grid, dtype=np.float64), sigma=sigma,
-                           mode="reflect", truncate=2.0)
+                           mode="reflect", truncate=2.0, axes=(-2, -1))
 
 
 def upsample_smooth(score_map: ScoreMap, factor: int, sigma: float = 4.0) -> ScoreMap:

@@ -22,6 +22,12 @@ The dense network runs ReLU and dropout as separate passes that keep the
 pre-activation and a float mask (:func:`relu`, :func:`dropout_forward` and
 their backwards), so it stays independent of the fused
 :func:`g2sf.nn.relu_dropout` it checks.
+
+The rank metrics :func:`auroc_argsort` and :func:`aupro_curve_argsort` are
+:func:`g2sf.evaluation.auroc` and :func:`g2sf.evaluation.aupro_curve` as
+first written: each orders every pixel with one stable argsort and reads
+ranks and cumulative sums at the ends of tied-score runs. Production code
+sorts values only; the tests compare the two byte for byte.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ import numpy as np
 
 from g2sf import nn
 from g2sf.bank import _sq_distances
-from g2sf.errors import ConfigError, ShapeError
+from g2sf.errors import ConfigError, ShapeError, UndefinedMetricError
 from g2sf.geometry import DEGENERATE_EPS, encode_map, inverse_distances
 from g2sf.lspn import Directions, Sources
 
@@ -382,3 +388,71 @@ def pool_by_map_encoding(samples_with_labels, banks, normalizer, k: int) -> dict
         for key, value in found.items():
             parts.setdefault(key, []).append(value)
     return {key: np.concatenate(value) for key, value in parts.items()}
+
+
+# ---------------------------------------------------------------------------
+# Rank metrics
+# ---------------------------------------------------------------------------
+
+
+def _run_ends(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values."""
+    return np.flatnonzero(np.append(sorted_values[1:] != sorted_values[:-1], True))
+
+
+def auroc_argsort(scores, labels) -> float:
+    """Mann-Whitney AUROC from the average ranks of one stable argsort."""
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    labels = np.asarray(labels).reshape(-1).astype(int)
+    if scores.shape != labels.shape:
+        raise ConfigError("scores and labels must have equal length")
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("AUROC needs both classes present")
+    if scores.min() == scores.max():
+        raise UndefinedMetricError("AUROC is undefined for constant scores")
+    order = np.argsort(scores, kind="stable")
+    ends = _run_ends(scores[order])
+    starts = np.append(0, ends[:-1] + 1)
+    ranks = np.empty(scores.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # 1-based
+    rank_sum = ranks[labels == 1].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def aupro_curve_argsort(score_maps, gt_masks):
+    """(fpr, pro) points from every pixel in one descending order: score
+    descending, ties by descending pixel index. Both axes are cumulative sums
+    over that order (a normal pixel adds +0.0 to PRO) read at run ends."""
+    from scipy import ndimage
+
+    comp_ids, comp_sizes, scores = [], [], []
+    next_comp = 0
+    for smap, gt in zip(score_maps, gt_masks):
+        smap = np.asarray(smap, dtype=np.float64)
+        gt = np.asarray(gt, dtype=bool)
+        labels, count = ndimage.label(gt, structure=np.ones((3, 3), dtype=bool))
+        comp_ids.append(np.where(gt, labels + next_comp - 1, -1).reshape(-1))  # -1: normal
+        comp_sizes.append(np.bincount(labels.reshape(-1), minlength=count + 1)[1:])
+        next_comp += count
+        scores.append(smap.reshape(-1))
+    comp_ids = np.concatenate(comp_ids)
+    scores = np.concatenate(scores)
+    comp_sizes = np.concatenate(comp_sizes).astype(np.float64)
+    if comp_sizes.size == 0:
+        raise UndefinedMetricError("AUPRO needs at least one anomalous region")
+    normal = comp_ids < 0
+    n_normal = int(normal.sum())
+    if n_normal == 0:
+        raise UndefinedMetricError("AUPRO needs normal pixels for the FPR axis")
+    order = np.argsort(scores, kind="stable")[::-1]
+    ends = _run_ends(scores[order])
+    normal = normal[order]
+    region_weight = 1.0 / (comp_sizes * comp_sizes.size)
+    weight = np.where(normal, 0.0, region_weight[comp_ids[order]])  # -1 rows are masked
+    fpr = np.cumsum(normal)[ends] / n_normal
+    pro = np.cumsum(weight)[ends]
+    pro[np.cumsum(~normal)[ends] == normal.size - n_normal] = 1.0
+    return np.append(0.0, fpr), np.append(0.0, pro)

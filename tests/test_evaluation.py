@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from g2sf.errors import UndefinedMetricError
@@ -22,6 +22,7 @@ from g2sf.evaluation import (
 )
 from g2sf.selftest import aupro_bruteforce
 from tests.conftest import DESK_K
+from tests.oracles import aupro_curve_argsort, auroc_argsort
 
 
 def pair_counting_auroc(scores, labels):
@@ -84,6 +85,82 @@ class TestAuroc:
                 continue
             assert auroc(scores, labels) == pytest.approx(
                 pair_counting_auroc(scores, labels))
+
+
+@st.composite
+def pixel_instances(draw):
+    """(score maps, masks) with both pixel classes present: one to three
+    samples of their own shapes, continuous or heavily tied scores, optional
+    +-inf, and a single anomalous or a single normal pixel among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                           min_size=1, max_size=3))
+    sizes = [h * w for h, w in shapes]
+    n = sum(sizes)
+    assume(n >= 2)
+    scores = rng.random(n)
+    levels = draw(st.sampled_from([None, 2, 3, 4, 5]))
+    if levels is not None:  # quantized as test_matches_bruteforce_on_random_instances does
+        scores = np.floor(scores * levels)
+    if draw(st.booleans()):
+        scores[rng.integers(0, n, 2)] = np.inf, -np.inf
+    case = draw(st.sampled_from(["random", "one_anomalous", "one_normal"]))
+    gt = rng.random(n) < draw(st.floats(0.05, 0.6))
+    if case != "random":
+        gt[:] = case == "one_normal"
+    first, second = rng.choice(n, size=2, replace=False)
+    gt[first], gt[second] = case != "one_normal", case == "one_normal"
+    cuts = np.cumsum(sizes)[:-1]
+    return ([part.reshape(shape) for part, shape in zip(np.split(scores, cuts), shapes)],
+            [part.reshape(shape) for part, shape in zip(np.split(gt, cuts), shapes)])
+
+
+class TestMatchesArgsortOracles:
+    """The value-sort metrics return the bytes of the stable-argsort oracles."""
+
+    @given(pixel_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_aupro_curve_bytes(self, instance):
+        maps, masks = instance
+        got, want = aupro_curve(maps, masks), aupro_curve_argsort(maps, masks)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @given(pixel_instances())
+    @settings(max_examples=150, deadline=None)
+    def test_pixel_auroc_bytes(self, instance):
+        maps, masks = instance
+        scores = np.concatenate([m.reshape(-1) for m in maps])
+        labels = np.concatenate([g.reshape(-1) for g in masks])
+        if scores.min() == scores.max():
+            for metric in (auroc, auroc_argsort):
+                with pytest.raises(UndefinedMetricError):
+                    metric(scores, labels)
+            return
+        got, want = auroc(scores, labels), auroc_argsort(scores, labels)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_infinite_scores(self):
+        scores = np.array([-np.inf, 0.2, np.inf, 0.2, np.inf, -np.inf])
+        labels = np.array([0, 1, 1, 0, 0, 1])
+        assert auroc(scores, labels) == auroc_argsort(scores, labels) == 0.5
+        maps, masks = [scores.reshape(2, 3)], [labels.astype(bool).reshape(2, 3)]
+        for got, want in zip(aupro_curve(maps, masks), aupro_curve_argsort(maps, masks)):
+            assert got.tobytes() == want.tobytes()
+
+
+class TestNanScores:
+    def test_auroc_raises_with_the_count(self):
+        with pytest.raises(UndefinedMetricError, match="1 of 4 are NaN"):
+            auroc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0])
+
+    def test_aupro_curve_raises_with_the_count(self):
+        smap = np.arange(12.0).reshape(3, 4)
+        smap[0, 0] = smap[2, 3] = np.nan
+        gt = np.zeros((3, 4), dtype=bool)
+        gt[1, 1] = True
+        with pytest.raises(UndefinedMetricError, match="2 of 12 are NaN"):
+            aupro_curve([smap], [gt])
 
 
 class TestAupro:

@@ -164,7 +164,10 @@ class TestReluDropoutMatchesOracle:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
-    @pytest.mark.parametrize("shape", [(1,), (37,), (64, 33), (2, 129, 257)])
+    # (3000, 33) and (70000,) span several mask blocks of the backward, the
+    # last one partial.
+    @pytest.mark.parametrize("shape", [(1,), (37,), (64, 33), (2, 129, 257), (3000, 33),
+                                       (70000,)])
     def test_bit_equal(self, shape, rate, training, dtype):
         rng = np.random.default_rng(len(shape) * 100 + int(rate * 10))
         pre = _pre_activations(rng, shape, dtype)
@@ -194,13 +197,22 @@ class TestReluDropoutBackwardInPlace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.5])
     def test_returns_given_array_with_oracle_bits(self, rate, dtype):
+        self._check(64, rate, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_several_mask_blocks(self, rate, dtype):
+        self._check(3000, rate, dtype)  # four blocks of rows, the last one partial
+
+    @staticmethod
+    def _check(rows, rate, dtype):
         rng = np.random.default_rng(int(rate * 10))
-        pre = _pre_activations(rng, (64, 33), dtype)
+        pre = _pre_activations(rng, (rows, 33), dtype)
         want_out, mask = oracles.dropout_forward(oracles.relu(pre), rate,
                                                  np.random.default_rng(4), True)
         out = relu_dropout(pre.copy(), rate, np.random.default_rng(4), True)
         assert out.tobytes() == want_out.tobytes()
-        wide = rng.standard_normal((64, 50)).astype(dtype)
+        wide = rng.standard_normal((rows, 50)).astype(dtype)
         untouched = wide[:, 33:].copy()
         upstream = wide[:, :33]  # a strided view, as the branches pass
         want = oracles.relu_backward(pre, oracles.dropout_backward(mask, upstream.copy()))

@@ -41,4 +41,4 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp_path.glob("g2sf_demo_*")), "the demo wrote its dataset outside TMPDIR"
+    assert not list(tmp_path.glob("g2sf_demo_*")), "the demo left its dataset behind"

@@ -198,6 +198,20 @@ class TestUpsampleSmooth:
         out = gaussian_smooth(bilinear_upsample(grid, 2), 2.0)
         assert np.unravel_index(np.argmax(out), out.shape) == (4, 12)
 
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("sigma", [0.0, 4.0])
+    def test_stack_matches_per_map_bytes(self, factor, sigma):
+        # Reports upsample and smooth a split's maps as one (n, H, W) stack;
+        # the leading axis is never smoothed, so each map keeps its bytes.
+        stack = np.random.default_rng(6).random((5, 7, 6))
+        stack[2] = 0.0
+        stack[2, 3, 3] = 1.0  # smoothing across maps would leak into 1 and 3
+        got = gaussian_smooth(bilinear_upsample(stack, factor), sigma)
+        assert got.shape == (5, 7 * factor, 6 * factor)
+        for grid, pixel in zip(stack, got):
+            alone = upsample_smooth(ScoreMap(grid, float(grid.max())), factor, sigma)
+            assert pixel.tobytes() == alone.upsampled.tobytes()
+
     def test_invalid_factor(self):
         from g2sf.errors import ConfigError
 
