@@ -3,7 +3,8 @@ that motivates the cross-modal and synthesis machinery.
 
 The ablation compares five score definitions (unimodal distances, raw scale
 factors, fused metric) and four aggregation strategies, all read from one
-scoring pass over the test split. The collapse run
+scoring pass over the test split. The min aggregation is the G2SF score; the
+others exist only as rows of this table. The collapse run
 trains on normal-only data with the alignment term off: with nothing
 anchoring the upper end, the predicted scales sink toward the lower bound
 1/e and the metric degenerates.
@@ -14,7 +15,7 @@ import tempfile
 import numpy as np
 
 from g2sf.bank import build_bank
-from g2sf.evaluation import EvalConfig, ablation_scores, score_split
+from g2sf.evaluation import ablation_scores, score_split
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
 from g2sf.geometry import fit_normalizer
 from g2sf.losses import LossConfig
@@ -41,8 +42,8 @@ with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
 
     # One network pass per test sample scores every variant; the tables are views
     # of those grid maps, each upsampled to the ground truth as it is reported.
-    scored = score_split(checkpoint, test_manifest, EvalConfig())
-    variants, aggregations = ablation_scores(scored, test_manifest.gt_upscale, EvalConfig())
+    scored = score_split(checkpoint, test_manifest)
+    variants, aggregations = ablation_scores(scored, test_manifest.gt_upscale)
     print("score variants:")
     print(f"{'variant':8s} {'I-AUROC':>8s} {'P-AUROC':>8s} {'AUPRO@30%':>10s} {'AUPRO@1%':>9s}")
     for row in variants:

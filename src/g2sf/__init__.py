@@ -18,7 +18,7 @@ from .errors import (
     StaleArtifactError,
     UndefinedMetricError,
 )
-from .evaluation import EvalConfig, EvalReport, ablation_scores, aupro, auroc, eval_dataset
+from .evaluation import EvalReport, ablation_scores, aupro, auroc, eval_dataset
 from .features import (
     DatasetManifest,
     FeatureMap,

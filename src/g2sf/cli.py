@@ -13,14 +13,14 @@ naming the stage and the file. Exit codes: 0 success, 1 I/O or runtime
 failure, 2 configuration error, 3 stale or edited upstream artifact.
 
 The network runs once per checkpoint: per test sample, ``score`` writes
-every map of ``scoring.sample_maps`` stacked on the grid, and the configured
-aggregation's upsampled pixel map. ``eval`` reads the pixel maps and
+every map of ``scoring.sample_maps`` stacked on the grid, and the G2SF
+score's upsampled, smoothed pixel map. ``eval`` reads the pixel maps and
 ``ablate`` the stacked grids; neither loads a checkpoint or a bank.
 
 All artifacts are reproducible from (command, config, seed): file contents
 are canonical and carry no wall-clock fields, so two identical runs produce
 byte-identical trees. ``--threads`` spreads the per-sample scoring of
-``score`` over a thread pool and changes no result.
+``score`` over a thread pool; it is not a config key and changes no result.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .features import (
     write_mask,
 )
 from .geometry import DistanceNormalizer, normalizer_from_distances
-from .scoring import ScoreMap, upsample_smooth
+from .scoring import G2SF_SCORE, ScoreMap, upsample_smooth
 from .selftest import run_all
 from .tensorio import read_tensor, write_tensor
 from .trainer import load_checkpoint, save_checkpoint, train
@@ -248,8 +248,8 @@ def cmd_train(cfg, data, run):
     banks = _load_banks(run)
     bank_manifest = _read_stage_manifest(run, "bank")
     normalizer = DistanceNormalizer.from_dict(bank_manifest["normalizer"])
-    samples = _load_pool_samples(run)
-    pool = synth_mod.pool_from_samples(samples, banks, normalizer, cfg.loss.k)
+    # Unnamed, the augmented samples are freed once the pool holds their cells.
+    pool = synth_mod.pool_from_samples(_load_pool_samples(run), banks, normalizer, cfg.loss.k)
 
     sized = copy.deepcopy(cfg)
     derive(sized, load_manifest(data / "train_manifest.json").dims)
@@ -267,27 +267,25 @@ def cmd_train(cfg, data, run):
         f"({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
 
 
-def cmd_score(cfg, data, run):
+def cmd_score(cfg, data, run, threads):
     checkpoint = load_checkpoint(run / "checkpoints" / "final")
     checkpoint.banks = _load_banks(run)
     test_manifest = load_manifest(data / "test_manifest.json")
     outputs = []
     per_sample = []
-    for scored in eval_mod.score_split(checkpoint, test_manifest, cfg.eval):
+    for scored in eval_mod.score_split(checkpoint, test_manifest, threads):
         grid_path = f"scores/{scored.sample_id}_grid.g2t"
         pixel_path = f"scores/{scored.sample_id}_pixel.g2t"
         write_tensor(run / grid_path, np.stack([m.grid for m in scored.maps.values()]),
                      {"kind": "score_maps", "maps": list(scored.maps)})
-        pixel = upsample_smooth(scored.maps[cfg.eval.agg], test_manifest.gt_upscale,
-                                cfg.eval.smooth_sigma)
+        pixel = upsample_smooth(scored.maps[G2SF_SCORE], test_manifest.gt_upscale,
+                                eval_mod.SMOOTH_SIGMA)
         write_tensor(run / pixel_path, pixel.upsampled, {"kind": "score_map_pixel"})
         outputs.extend([grid_path, pixel_path])
         per_sample.append({"sample_id": scored.sample_id,
-                           "score": scored.maps[cfg.eval.agg].sample_score,
                            "scores": {name: m.sample_score for name, m in scored.maps.items()},
                            "grid": grid_path, "pixel": pixel_path})
-    extra = {"samples": per_sample, "agg": cfg.eval.agg}
-    return outputs, extra, f"score: wrote {len(per_sample)} score maps (agg={cfg.eval.agg})"
+    return outputs, {"samples": per_sample}, f"score: wrote {len(per_sample)} score maps"
 
 
 def _read_scored(data, run):
@@ -310,11 +308,10 @@ def cmd_eval(cfg, data, run):
     _, rows = _read_scored(data, run)
     report = eval_mod.report_from_maps(
         [ref.sample_id for _, ref, _ in rows],
-        [entry["score"] for entry, _, _ in rows],
+        [entry["scores"][G2SF_SCORE] for entry, _, _ in rows],
         [eval_mod.sample_label(ref.sample_id, ref.image_label, gt) for _, ref, gt in rows],
         [read_tensor(run / entry["pixel"])[0].astype(np.float64) for entry, _, _ in rows],
-        [gt for _, _, gt in rows],
-        cfg.eval.aupro_limits)
+        [gt for _, _, gt in rows])
     report_path = run / "reports" / "eval.json"
     report_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.write_text(report.to_json() + "\n")
@@ -335,11 +332,10 @@ def cmd_ablate(cfg, data, run):
             raise ConfigError(f"{path} holds one score map, not every map; rerun score")
         maps = {name: ScoreMap(grid, entry["scores"][name]) for name, grid in zip(names, grids)}
         scored.append(eval_mod.ScoredSample(ref.sample_id, ref.image_label, gt, maps))
-    variants, aggregations = eval_mod.ablation_scores(scored, test_manifest.gt_upscale,
-                                                      cfg.eval)
+    variants, aggregations = eval_mod.ablation_scores(scored, test_manifest.gt_upscale)
     outputs = ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"]
     for table, rel in zip((variants, aggregations), outputs):
-        eval_mod.write_ablation_csv(table, run / rel, cfg.eval.aupro_limits)
+        eval_mod.write_ablation_csv(table, run / rel)
     fused = next(r for r in variants if r["variant"] == "fused")
     return outputs, {}, (f"ablate: fused I-AUROC={fused['i_auroc']:.4f} "
                          f"(tables under {run / 'reports'})")
@@ -362,7 +358,8 @@ def _run_stage(stage, cfg, args):
     run = None if stage == "gen" else Path(args.run)
     _check_upstream(stage, data, run)
     _check_rerun(_root(stage, data, run), stage, config_hash(cfg), args.force)
-    outputs, extra, message = _WORK[stage](cfg, data, run)
+    options = {"threads": args.threads} if stage == "score" else {}
+    outputs, extra, message = _WORK[stage](cfg, data, run, **options)
     _write_manifest(stage, cfg, data, run, outputs, extra)
     print(message)
     return EXIT_OK
@@ -391,7 +388,7 @@ def cmd_selftest(cfg, args):
 # Per command, each dedicated flag and the config key it sets. Every command
 # also takes ``_COMMON_FLAGS``. Flag values are config text, applied after
 # ``--set`` through ``apply_setting``; ``--grid`` also reads HxW.
-_COMMON_FLAGS = {"--seed": "seed", "--threads": "eval.threads"}
+_COMMON_FLAGS = {"--seed": "seed"}
 _FLAGS = {
     "gen": {"--grid": "gen.grid", "--dims": "gen.dims", "--n-train": "gen.n_train",
             "--n-test": "gen.n_test", "--anomaly-modes": "gen.anomaly_modes"},
@@ -399,7 +396,7 @@ _FLAGS = {
     "synth": {"--n-aug": "synth.n_aug", "--strength": "synth.strength"},
     "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
               "--eval-every": "train.eval_every"},
-    "score": {"--agg": "eval.agg"},
+    "score": {},
     "eval": {},
     "ablate": {},
     "selftest": {},
@@ -429,6 +426,9 @@ def build_parser():
                        help="override one config key (repeatable)")
         for flag, key in {**flags, **_COMMON_FLAGS}.items():
             p.add_argument(flag, dest=key, metavar="VALUE", help=f"set {key}")
+        p.add_argument("--threads", type=int, default=1, metavar="N",
+                       help="worker threads of per-sample scoring (score); "
+                            "changes no result")
         p.add_argument("--force", action="store_true",
                        help="overwrite artifacts from an identical configuration")
     return parser
@@ -450,6 +450,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = _config_from_args(args)
         if args.command == "selftest":
             return cmd_selftest(cfg, args)

@@ -6,8 +6,8 @@ with increasing precedence: built-in defaults, a config file of
 dedicated flags. Each setting has one source: the keys in ``DERIVED`` follow
 another key or the dataset and cannot be set. The SHA-256 hash of the
 canonical merged configuration is stamped into every stage manifest so
-downstream stages can detect drift; execution settings (``eval.threads``)
-are left out of it, since they change no artifact.
+downstream stages can detect drift. The evaluation protocol is fixed (see
+:mod:`g2sf.evaluation`), and the CLI's ``--threads`` is not a setting.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .evaluation import EvalConfig
 from .features import SynthConfig
 from .losses import LossConfig
 from .lspn import LspnConfig
@@ -47,6 +46,8 @@ class BankConfig:
     def validate(self):
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"coreset fraction {self.fraction} outside (0, 1]")
+        if self.projection_dim is not None and self.projection_dim < 1:
+            raise ConfigError("bank.projection_dim must be >= 1 or none")
 
 
 @dataclass
@@ -58,7 +59,6 @@ class RunConfig:
     lspn: LspnConfig = field(default_factory=LspnConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self):
         self.gen.validate()
@@ -67,18 +67,14 @@ class RunConfig:
         self.lspn.validate()
         self.train.validate()
         self.loss.validate()
-        self.eval.validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
 def config_hash(cfg: RunConfig) -> str:
-    """SHA-256 of the canonical configuration without ``eval.threads``, an
-    execution setting that changes how a stage runs but nothing it writes."""
-    settings = cfg.to_dict()
-    del settings["eval"]["threads"]
-    doc = json.dumps(settings, sort_keys=True, default=_jsonable, separators=(",", ":"))
+    """SHA-256 of the canonical configuration."""
+    doc = json.dumps(cfg.to_dict(), sort_keys=True, default=_jsonable, separators=(",", ":"))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -108,12 +104,6 @@ def _coerce(key, text, current):
     text = text.strip()
     if text.lower() in ("none", "null"):
         return None
-    if isinstance(current, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
     if isinstance(current, tuple):
         items = [t for t in (s.strip() for s in text.split(",")) if t]
         elem = current[0] if current else items[0]

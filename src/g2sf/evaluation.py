@@ -10,6 +10,10 @@ pixels alone in descending score order. PRO is set to exactly 1 once every
 anomalous pixel is covered. The curve is integrated against FPR up to a
 limit and normalized by the limit. NaN scores raise.
 
+The protocol is fixed: AUPRO at 30% and 1% FPR as in MVTec 3D-AD (Bergmann
+et al., VISAPP 2022), on maps of the ``scoring.G2SF_SCORE`` key smoothed with
+a Gaussian of sigma 4 as in PatchCore (Roth et al., CVPR 2022).
+
 :func:`report_from_maps` is the one place that turns per-sample scores and
 pixel maps into metrics; :func:`eval_dataset`, :func:`ablation_scores` and
 the CLI's eval stage all build their reports through it.
@@ -30,10 +34,11 @@ import numpy as np
 
 from .errors import ConfigError, UndefinedMetricError
 from .features import DatasetManifest, load_sample
-from .scoring import AGGREGATIONS, bilinear_upsample, gaussian_smooth, sample_maps
+from .scoring import AGGREGATIONS, G2SF_SCORE, bilinear_upsample, gaussian_smooth, sample_maps
 
 __all__ = [
-    "EvalConfig",
+    "SMOOTH_SIGMA",
+    "AUPRO_LIMITS",
     "EvalReport",
     "ScoredSample",
     "auroc",
@@ -49,6 +54,8 @@ __all__ = [
 
 _EIGHT = np.ones((3, 3), dtype=bool)
 MAX_CURVE_POINTS = 512  # the report keeps about this many (fpr, pro) points
+SMOOTH_SIGMA = 4.0  # Gaussian sigma of the pixel maps, in upsampled pixels
+AUPRO_LIMITS = (0.30, 0.01)  # FPR integration limits of the reported AUPROs
 
 
 def _reject_nan(sorted_scores: np.ndarray, metric: str):
@@ -166,24 +173,6 @@ def aupro(score_maps, gt_masks, limit: float) -> float:
 
 
 @dataclass
-class EvalConfig:
-    """How to score and report a test split. The neighbor count k is the
-    checkpoint's (``loss_cfg.k``) and the upsampling factor the manifest's
-    ``gt_upscale``; neither is a setting here."""
-
-    agg: str = "min"
-    smooth_sigma: float = 4.0
-    aupro_limits: tuple = (0.30, 0.01)
-    threads: int = 1
-
-    def validate(self):
-        if self.agg not in AGGREGATIONS:
-            raise ConfigError(f"unknown aggregation {self.agg!r}")
-        if self.smooth_sigma < 0 or self.threads < 1:
-            raise ConfigError("smooth_sigma must be nonnegative and threads >= 1")
-
-
-@dataclass
 class EvalReport:
     i_auroc: float | None = None
     p_auroc: float | None = None
@@ -227,8 +216,7 @@ def sample_label(sample_id, image_label, pixel_gt) -> int:
     raise ConfigError(f"sample {sample_id} has neither label nor ground truth")
 
 
-def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks,
-                     aupro_limits=(0.30, 0.01)) -> EvalReport:
+def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks) -> EvalReport:
     """Assemble an EvalReport from precomputed per-sample scores and maps.
 
     ``gt_masks`` entries may be None; any missing mask omits the pixel
@@ -252,7 +240,7 @@ def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks,
     flat_gt = np.concatenate([g.reshape(-1) for g in gt_masks])
     report.p_auroc = auroc(flat_scores, flat_gt)
     fprs, pros = aupro_curve(pixel_maps, gt_masks)
-    for limit in aupro_limits:
+    for limit in AUPRO_LIMITS:
         report.aupro[limit] = _clip_integrate(fprs, pros, limit) / limit
     stride = max(1, fprs.size // MAX_CURVE_POINTS)
     report.curve = np.column_stack([fprs[::stride], pros[::stride]]).tolist()
@@ -271,22 +259,12 @@ class ScoredSample(NamedTuple):
     maps: dict  # name -> ScoreMap on the grid, every key of scoring.sample_maps
 
 
-def _run_samples(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))  # ordered collection keeps determinism
-
-
 def score_split(checkpoint, test_manifest: DatasetManifest,
-                cfg: EvalConfig) -> list[ScoredSample]:
+                threads: int = 1) -> list[ScoredSample]:
     """Score every test sample, in manifest order, with one
     :func:`~g2sf.scoring.sample_maps` pass over the checkpoint's k+1 nearest
-    local spaces. Each sample holds every map on its grid; ``maps[cfg.agg]``
-    is the configured score."""
-    cfg.validate()
+    local spaces. Each sample holds every map on its grid. ``threads`` worker
+    threads share the samples and change no result."""
     if checkpoint.banks is None:
         raise ConfigError("checkpoint has no banks attached; load them first")
     model, banks, normalizer = checkpoint.model, checkpoint.banks, checkpoint.normalizer
@@ -296,26 +274,31 @@ def score_split(checkpoint, test_manifest: DatasetManifest,
         maps = sample_maps(model, pair, banks, normalizer, checkpoint.loss_cfg.k)
         return ScoredSample(pair.sample_id, pair.image_label, pair.pixel_gt, maps)
 
-    return _run_samples(one, list(test_manifest.samples), cfg.threads)
+    refs = list(test_manifest.samples)
+    if threads == 1:  # no pool: a worker thread added about 10 MB to the desk peak RSS
+        return [one(ref) for ref in refs]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, refs))  # ordered collection keeps determinism
 
 
-def _report(scored, key: str, upscale: int, cfg: EvalConfig) -> EvalReport:
+def _report(scored, key: str, upscale: int) -> EvalReport:
     """Report on the ``key`` maps of ``scored``, upsampled and smoothed as one stack."""
     maps = [s.maps[key] for s in scored]
     pixel = gaussian_smooth(bilinear_upsample(np.stack([m.grid for m in maps]), upscale),
-                            cfg.smooth_sigma)
+                            SMOOTH_SIGMA)
     return report_from_maps(
         [s.sample_id for s in scored],
         [m.sample_score for m in maps],
         [sample_label(s.sample_id, s.image_label, s.pixel_gt) for s in scored],
         list(pixel),
         [s.pixel_gt for s in scored],
-        cfg.aupro_limits,
     )
 
 
-def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) -> EvalReport:
-    """Compute I-AUROC, P-AUROC and AUPRO at the configured limits.
+def eval_dataset(checkpoint, test_manifest: DatasetManifest, threads: int = 1) -> EvalReport:
+    """Compute I-AUROC, P-AUROC and AUPRO at ``AUPRO_LIMITS`` of the G2SF score.
 
     Scores use the checkpoint's k (see :func:`score_split`). Pixel metrics
     use the maps upsampled by the manifest's ``gt_upscale`` and smoothed; the
@@ -323,8 +306,8 @@ def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) ->
     sample lacks a pixel ground-truth mask the pixel metrics are omitted with
     a flag.
     """
-    scored = score_split(checkpoint, test_manifest, cfg)
-    return _report(scored, cfg.agg, test_manifest.gt_upscale, cfg)
+    scored = score_split(checkpoint, test_manifest, threads)
+    return _report(scored, G2SF_SCORE, test_manifest.gt_upscale)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +316,10 @@ def eval_dataset(checkpoint, test_manifest: DatasetManifest, cfg: EvalConfig) ->
 
 SCORE_VARIANTS = ("s_pc", "s_rgb", "w_pc", "w_rgb", "fused")
 _VARIANT_MAP_KEY = {"s_pc": "s_pc", "s_rgb": "s_rgb", "w_pc": "w_pc", "w_rgb": "w_rgb",
-                    "fused": "min"}
+                    "fused": G2SF_SCORE}
 
 
-def ablation_scores(scored, upscale: int, cfg: EvalConfig):
+def ablation_scores(scored, upscale: int):
     """Metric rows for the five score definitions and four aggregations.
 
     ``scored`` holds every map of each test sample on its grid: the output
@@ -345,11 +328,11 @@ def ablation_scores(scored, upscale: int, cfg: EvalConfig):
     (variant_rows, aggregation_rows); each row maps variant -> i_auroc /
     p_auroc / aupro@limit values.
     """
-    reports = {}  # map key -> report; the fused variant reads the "min" maps
+    reports = {}  # map key -> report; the fused variant shares the G2SF_SCORE maps
 
     def row(variant, key):
         if key not in reports:
-            reports[key] = _report(scored, key, upscale, cfg)
+            reports[key] = _report(scored, key, upscale)
         report = reports[key]
         return {"variant": variant, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc,
                 **{f"aupro@{limit}": v for limit, v in report.aupro.items()}}
@@ -359,17 +342,18 @@ def ablation_scores(scored, upscale: int, cfg: EvalConfig):
     return variant_rows, agg_rows
 
 
-def write_ablation_csv(rows, path, limits=(0.30, 0.01)):
+def write_ablation_csv(rows, path):
     """Fixed column order: variant, I-AUROC, P-AUROC, AUPRO@30%, AUPRO@1%."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    columns = ["variant", "I-AUROC", "P-AUROC"] + [f"AUPRO@{round(l * 100):d}%" for l in limits]
+    columns = ["variant", "I-AUROC", "P-AUROC"]
+    columns += [f"AUPRO@{round(l * 100):d}%" for l in AUPRO_LIMITS]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
             out = [row["variant"], _fmt(row.get("i_auroc")), _fmt(row.get("p_auroc"))]
-            out += [_fmt(row.get(f"aupro@{l}")) for l in limits]
+            out += [_fmt(row.get(f"aupro@{l}")) for l in AUPRO_LIMITS]
             writer.writerow(out)
 
 

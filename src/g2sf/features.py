@@ -266,6 +266,9 @@ class SynthConfig:
     bg_border: int = 1
 
     def validate(self):
+        for name in ("grid", "dims"):
+            if len(getattr(self, name)) != 2:
+                raise ConfigError(f"gen.{name} needs two values")
         h, w = self.grid
         if min(self.dims) < 2:
             raise ConfigError("each modality needs dim >= 2")
@@ -277,8 +280,10 @@ class SynthConfig:
             raise ConfigError("clusters must be >= 1 and noise_sigma > 0")
         if self.gt_upscale < 1:
             raise ConfigError("gt_upscale must be a positive integer")
-        if min(h, w) <= 2 * self.bg_border:
-            raise ConfigError("bg_border leaves no foreground")
+        if not (0 <= self.bg_border < min(h, w) / 2):
+            raise ConfigError("gen.bg_border must be >= 0 and leave foreground")
+        if not (0.0 <= self.anomaly_frac <= 1.0):
+            raise ConfigError("gen.anomaly_frac must lie in [0, 1]")
         bad = [m for m in self.anomaly_modes if m not in ANOMALY_MODES]
         if bad:
             raise ConfigError(f"unknown anomaly modes {bad}")

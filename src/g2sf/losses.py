@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 
 E = math.e
 _SAFE_INV = 1e-8  # lower clamp for 1/l and the eta denominator
@@ -59,11 +59,13 @@ class LossConfig:
     l1_weight: float = 1e-4
 
     def validate(self):
-        values = (self.alpha, self.beta, self.gamma, self.mu, self.eta0)
-        if any(v < 0 for v in values) or self.k < 1 or self.l1_weight < 0:
-            raise ShapeError("loss weights, k and l1_weight must be nonnegative (k >= 1)")
+        for name in ("alpha", "beta", "gamma", "mu", "eta0", "l1_weight"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"loss.{name} must be nonnegative")
+        if self.k < 1:
+            raise ConfigError("loss.k must be >= 1")
         if self.m0 is not None and self.m0 <= 0:
-            raise ShapeError("m0 must be positive")
+            raise ConfigError("loss.m0 must be positive")
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Anomaly scoring from the fused metric.
 
-The per-cell score aggregates the metric values of the k+1 nearest local
-spaces with a min operator (alternatives: the rank-0 value, max, mean). k is
+The per-cell G2SF score is the minimum of the metric values of the k+1
+nearest local spaces, the ``G2SF_SCORE`` map; the rank-0 value, max and mean
+are the other aggregations, kept for the ablation tables. k is
 the one the model was pooled and trained with: the evaluation entry points
 read it from the checkpoint (``loss_cfg.k``).
 Scoring queries the banks for exactly those k+1 ranks; synthesis and
@@ -9,7 +10,7 @@ training encode 2k+1, and the first k+1 of those are the same neighbors in
 the same order. Scoring a model loaded from a checkpoint reuses its
 first-layer prototype tables across samples (see :mod:`g2sf.lspn`).
 :func:`sample_maps` computes every score map of a sample in one network
-pass; :func:`score_sample` is its view of one aggregation.
+pass; :func:`score_sample` is its view of the G2SF score.
 Background cells bypass the network with unit scaling factors, reducing to
 the sigma-weighted sum of normalized Euclidean distances. The sample-level
 score is the max over foreground cells of the pre-smoothing grid; smoothing
@@ -28,7 +29,7 @@ from .errors import ConfigError, ShapeError
 from .features import SamplePair
 from .geometry import encode_map, inverse_distances
 
-__all__ = ["ScoreMap", "AGGREGATIONS", "score_sample", "sample_maps",
+__all__ = ["ScoreMap", "AGGREGATIONS", "G2SF_SCORE", "score_sample", "sample_maps",
            "bilinear_upsample", "gaussian_smooth", "upsample_smooth"]
 
 
@@ -43,6 +44,7 @@ class ScoreMap:
 _REDUCE = {"min": lambda l: l.min(axis=-1), "max": lambda l: l.max(axis=-1),
            "mean": lambda l: l.mean(axis=-1), "first": lambda l: l[..., 0]}
 AGGREGATIONS = tuple(_REDUCE)
+G2SF_SCORE = "min"  # the map key of the paper's score
 
 
 def _sample_score(grid: np.ndarray, foreground: np.ndarray) -> float:
@@ -92,11 +94,9 @@ def sample_maps(model, pair: SamplePair, banks, normalizer, k: int) -> dict:
             for name, grid in maps.items()}
 
 
-def score_sample(model, pair: SamplePair, banks, normalizer, k: int, agg="min") -> ScoreMap:
-    """The ``agg`` aggregation's map of :func:`sample_maps`."""
-    if agg not in AGGREGATIONS:
-        raise ConfigError(f"unknown aggregation {agg!r}; choose from {AGGREGATIONS}")
-    return sample_maps(model, pair, banks, normalizer, k)[agg]
+def score_sample(model, pair: SamplePair, banks, normalizer, k: int) -> ScoreMap:
+    """The G2SF score map of :func:`sample_maps`."""
+    return sample_maps(model, pair, banks, normalizer, k)[G2SF_SCORE]
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,7 @@ def gaussian_smooth(grid: np.ndarray, sigma: float) -> np.ndarray:
                            mode="reflect", truncate=2.0, axes=(-2, -1))
 
 
-def upsample_smooth(score_map: ScoreMap, factor: int, sigma: float = 4.0) -> ScoreMap:
+def upsample_smooth(score_map: ScoreMap, factor: int, sigma: float) -> ScoreMap:
     """Bilinear upsample then blur; identity when factor=1 and sigma=0."""
     up = gaussian_smooth(bilinear_upsample(score_map.grid, factor), sigma)
     return ScoreMap(score_map.grid, score_map.sample_score, upsampled=up)

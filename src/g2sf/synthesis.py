@@ -44,6 +44,14 @@ class PerlinParams:
     max_coverage: float = 0.35
     max_resample: int = 16
 
+    def validate(self):
+        for name, low in (("octaves", 1), ("frequency", 1), ("max_resample", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"synth.perlin.{name} must be >= {low}")
+        if not (0.0 <= self.min_coverage <= self.max_coverage <= 1.0):
+            raise ConfigError("synth.perlin.min_coverage and max_coverage must satisfy "
+                              "0 <= min_coverage <= max_coverage <= 1")
+
 
 @dataclass
 class PerlinMask:
@@ -168,6 +176,7 @@ class SynthesisConfig:
         bad = [m for m in self.modes if m not in ANOMALY_MODES]
         if bad:
             raise ConfigError(f"unknown synthesis modes {bad}")
+        self.perlin.validate()
 
 
 def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):

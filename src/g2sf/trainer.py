@@ -69,6 +69,8 @@ class TrainConfig:
         if self.lr <= 0 or self.sigma_lr < 0 or self.weight_decay < 0:
             # sigma_lr == 0 freezes the global scales (collapse experiments).
             raise ConfigError("lr must be positive, sigma_lr/weight_decay nonnegative")
+        if self.eval_every < 0:
+            raise ConfigError("train.eval_every must be >= 0")
 
 
 @dataclass
@@ -369,7 +371,7 @@ def load_checkpoint(in_dir) -> Checkpoint:
                       int(doc["epoch"]), doc["config_hash"])
 
 
-def learning_curve(checkpoints, test_manifest, eval_cfg, banks=None):
+def learning_curve(checkpoints, test_manifest, banks=None):
     """Evaluate each checkpoint; returns one metrics row per epoch, sorted."""
     from .evaluation import eval_dataset
 
@@ -379,7 +381,7 @@ def learning_curve(checkpoints, test_manifest, eval_cfg, banks=None):
             ckpt = load_checkpoint(ckpt)
         if ckpt.banks is None and banks is not None:
             ckpt.banks = banks
-        report = eval_dataset(ckpt, test_manifest, eval_cfg)
+        report = eval_dataset(ckpt, test_manifest)
         row = {"epoch": ckpt.epoch, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc}
         row.update({f"aupro@{limit}": v for limit, v in report.aupro.items()})
         rows.append(row)

@@ -14,7 +14,7 @@ import pytest
 
 from g2sf.bank import build_bank, covering_radius
 from g2sf.cli import main as cli_main
-from g2sf.evaluation import EvalConfig, ablation_scores, aupro, score_split
+from g2sf.evaluation import ablation_scores, aupro, score_split
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
 from g2sf.geometry import fit_normalizer
 from g2sf.losses import (
@@ -82,8 +82,8 @@ def benchmark_runs():
     t0 = time.perf_counter()
     for seed in BENCH_SEEDS:
         checkpoint, _, _, test_manifest = desk_pipeline(seed, epochs=40)
-        scored = score_split(checkpoint, test_manifest, EvalConfig())
-        variants, aggregations = ablation_scores(scored, test_manifest.gt_upscale, EvalConfig())
+        scored = score_split(checkpoint, test_manifest)
+        variants, aggregations = ablation_scores(scored, test_manifest.gt_upscale)
         runs.append({
             "seed": seed,
             "checkpoint": checkpoint,

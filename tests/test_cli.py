@@ -26,7 +26,6 @@ lspn.fusion_widths = 8,
 train.epochs = 1
 train.batch_size = 256
 loss.k = 2
-eval.smooth_sigma = 2.0
 """
 
 STAGES = ("gen", "bank", "synth", "train", "score", "eval", "ablate")
@@ -151,6 +150,21 @@ class TestChain:
         assert projected.coverage is None
         assert banks["pc"].prototypes.tobytes() == projected.prototypes.tobytes()
 
+    def test_score_manifest_records_each_score_once(self, chain):
+        from g2sf.scoring import G2SF_SCORE
+
+        _, _, run = chain
+        doc = json.loads((run / "score_manifest.json").read_text())
+        assert "agg" not in doc
+        for entry in doc["samples"]:
+            assert set(entry) == {"sample_id", "scores", "grid", "pixel"}
+            assert set(entry["scores"]) == {"min", "max", "mean", "first",
+                                            "s_pc", "s_rgb", "w_pc", "w_rgb"}
+        # eval reports the G2SF score of each sample.
+        report = json.loads((run / "reports" / "eval.json").read_text())
+        assert [r["score"] for r in report["per_sample"]] == \
+            [entry["scores"][G2SF_SCORE] for entry in doc["samples"]]
+
     def test_training_log_jsonl(self, chain):
         _, _, run = chain
         rows = [json.loads(line) for line in
@@ -166,13 +180,45 @@ class TestExitCodes:
     def test_missing_out_is_config_error(self):
         assert main(["gen"]) == 2
 
-    def test_bad_config_value(self, tmp_path):
+    def test_bad_config_value(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "d"),
                      "--set", "gen.n_train=zero"]) == 2
         # Out of range is refused before any stage runs.
         assert main(["gen", "--out", str(tmp_path / "d"),
                      "--set", "lspn.dropout=1.5"]) == 2
+        for key in ("loss.alpha=-1", "loss.k=0", "loss.m0=-1"):
+            capsys.readouterr()
+            assert main(["gen", "--out", str(tmp_path / "d"), "--set", key]) == 2
+            assert key.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("setting", [
+        "bank.projection_dim=-3", "bank.projection_dim=0", "synth.perlin.max_resample=-1",
+        "gen.grid=16", "gen.dims=8", "synth.perlin.min_coverage=0.9",
+        "synth.perlin.frequency=0", "synth.perlin.octaves=0", "gen.anomaly_frac=1.5",
+        "gen.bg_border=-1", "train.eval_every=-1"])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, setting):
+        # Each of these used to crash a stage with a traceback or run it on
+        # a silently wrong setting.
+        assert main(["gen", "--out", str(tmp_path / "d"), "--set", setting]) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("setting", ["eval.agg=min", "eval.smooth_sigma=4.0",
+                                         "eval.aupro_limits=0.3,1.5", "eval.threads=2"])
+    def test_eval_section_is_gone(self, tmp_path, capsys, setting):
+        # The evaluation protocol is fixed: no eval key, from --set or a file.
+        path = tmp_path / "c.cfg"
+        path.write_text(setting.replace("=", " = ") + "\n")
+        for argv in (["--set", setting], ["--config", str(path)]):
+            capsys.readouterr()
+            assert main(["gen", "--out", str(tmp_path / "d"), *argv]) == 2
+            assert "unknown config section 'eval'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_agg_flag_is_gone(self, capsys):
+        assert main(["score", "--data", "d", "--run", "r", "--agg", "min"]) == 2
+        assert "unrecognized arguments: --agg" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         assert main(["gen", "--out", str(tmp_path / "d"),
@@ -359,15 +405,13 @@ class TestAblateReadsScores:
         import csv
 
         from g2sf import cli, evaluation, lspn, trainer
-        from g2sf.config import build_config
 
         data, run = chain_copy
-        cfg = build_config(cfg_path).eval
         checkpoint = trainer.load_checkpoint(run / "checkpoints" / "final")
         checkpoint.banks = cli._load_banks(run)
         test_manifest = load_manifest(data / "test_manifest.json")
-        scored = evaluation.score_split(checkpoint, test_manifest, cfg)
-        want = evaluation.ablation_scores(scored, test_manifest.gt_upscale, cfg)
+        scored = evaluation.score_split(checkpoint, test_manifest)
+        want = evaluation.ablation_scores(scored, test_manifest.gt_upscale)
 
         def refuse(*args, **kwargs):
             raise AssertionError("ablate must not load a checkpoint or run the network")
@@ -386,7 +430,8 @@ class TestAblateReadsScores:
                 # Sample scores are the same float64 values; pixel maps went
                 # through float32 storage.
                 assert line[1] == evaluation._fmt(row["i_auroc"])
-                pixel = [row["p_auroc"]] + [row[f"aupro@{l}"] for l in cfg.aupro_limits]
+                pixel = [row["p_auroc"]] + [row[f"aupro@{l}"]
+                                            for l in evaluation.AUPRO_LIMITS]
                 np.testing.assert_allclose([float(v) for v in line[2:]], pixel, atol=1e-5)
 
 
@@ -442,14 +487,18 @@ class TestSpecialModes:
         assert tree_bytes(data_a) == tree_bytes(data_b)
         assert tree_bytes(run_a) == tree_bytes(run_b)
 
-    def test_threads_flag_sets_eval_threads(self, chain_copy, cfg_path):
+    def test_threads_flag_is_a_run_argument(self, chain_copy, cfg_path):
         from g2sf.cli import _config_from_args, build_parser
 
-        base = ["score", "--data", "d", "--run", "r", "--set", "eval.threads=3"]
+        base = ["score", "--data", "d", "--run", "r"]
         parse = build_parser().parse_args
-        assert _config_from_args(parse(base)).eval.threads == 3
-        assert _config_from_args(parse(base + ["--threads", "2"])).eval.threads == 2
-        assert main(base + ["--threads", "0"]) == 2
+        assert parse(base).threads == 1
+        assert parse(base + ["--threads", "2"]).threads == 2
+        # Outside the config: the same settings with or without the flag.
+        assert _config_from_args(parse(base + ["--threads", "2"])) == \
+            _config_from_args(parse(base))
+        for bad in ("0", "-1", "two"):
+            assert main(base + ["--threads", bad]) == 2
         # Threads spread the scoring loop and change no score map, the
         # stacked grid files included.
         from g2sf.scoring import AGGREGATIONS
@@ -476,7 +525,34 @@ class TestSpecialModes:
         cfg = _config_from_args(parse(["train", "--data", "d", "--run", "r", "--epochs", "2"]))
         assert cfg.train.epochs == 2
         assert main(["train", "--data", "d", "--run", "r", "--epochs", "two"]) == 2
-        assert main(["score", "--data", "d", "--run", "r", "--agg", "median"]) == 2
+
+    def test_train_frees_the_augmented_samples(self, chain_copy, cfg_path, monkeypatch):
+        # Once the pool holds their cells, no augmented sample may stay alive
+        # while the network trains: at paper shape they are about 1.2 GB.
+        import gc
+        import weakref
+
+        from g2sf import cli
+
+        data, run = chain_copy
+        loaded, alive = [], []
+        load, train = cli._load_pool_samples, cli.train
+
+        def spy_load(run_dir):
+            samples = load(run_dir)
+            loaded.extend(weakref.ref(pair) for pair, _ in samples)
+            return samples
+
+        def spy_train(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in loaded))
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_pool_samples", spy_load)
+        monkeypatch.setattr(cli, "train", spy_train)
+        assert run_stage("train", cfg_path, data, run, "--force") == 0
+        assert len(loaded) == 6  # synth.n_aug
+        assert alive == [0]
 
     def test_threads_rerun_needs_force(self, chain_copy, cfg_path, capsys):
         # The thread count is not part of the config hash: a rerun at another

@@ -37,10 +37,14 @@ class TestParsing:
         assert cfg.gen.anomaly_modes == ("pc_only", "joint")
 
     def test_unknown_key_rejected(self):
-        # The last three were retired: k is the checkpoint's, the upsampling
-        # factor the dataset's and dropout lspn.dropout.
-        for key in ("train.warp_speed", "eval.k", "eval.upsample_factor", "train.dropout"):
+        # Retired keys: dropout is lspn.dropout; the eval section is gone,
+        # since k is the checkpoint's, the upsampling factor the dataset's and
+        # the rest of the protocol fixed.
+        for key in ("train.warp_speed", "train.dropout"):
             with pytest.raises(ConfigError, match="unknown config key"):
+                apply_setting(RunConfig(), key, "2")
+        for key in ("eval.k", "eval.upsample_factor"):
+            with pytest.raises(ConfigError, match="unknown config section 'eval'"):
                 apply_setting(RunConfig(), key, "2")
 
     def test_bad_value_rejected(self):
@@ -73,7 +77,25 @@ class TestHash:
         assert config_hash(c) != config_hash(a)
 
     def test_threads_not_hashed(self):
-        a = build_config()
-        b = build_config(overrides=["eval.threads=2"])
-        assert b.eval.threads == 2
+        # The thread count is an argument of the CLI run, never a config key.
+        from g2sf.cli import _config_from_args, build_parser
+
+        parse = build_parser().parse_args
+        base = ["score", "--data", "d", "--run", "r"]
+        a = _config_from_args(parse(base))
+        b = _config_from_args(parse(base + ["--threads", "2"]))
         assert config_hash(b) == config_hash(a)
+
+    def test_no_eval_section(self):
+        # The evaluation protocol is fixed, so no key belongs to it: 51 keys,
+        # the four derived ones included.
+        def leaves(node, prefix=""):
+            for name, value in node.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, f"{prefix}{name}.")
+                else:
+                    yield f"{prefix}{name}"
+
+        keys = list(leaves(RunConfig().to_dict()))
+        assert not [k for k in keys if k.startswith("eval.")]
+        assert len(keys) == 51

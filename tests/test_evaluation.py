@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from g2sf.errors import UndefinedMetricError
 from g2sf.evaluation import (
-    EvalConfig,
+    AUPRO_LIMITS,
     EvalReport,
     ablation_scores,
     aupro,
@@ -227,24 +227,17 @@ class TestAupro:
 
 
 @pytest.fixture(scope="module")
-def eval_cfg():
-    return EvalConfig(smooth_sigma=2.0)
-
-
-@pytest.fixture(scope="module")
-def report(desk_dataset, desk_checkpoint, eval_cfg):
+def report(desk_dataset, desk_checkpoint):
     _, _, test_manifest = desk_dataset
     ckpt, _ = desk_checkpoint
-    return eval_dataset(ckpt, test_manifest, eval_cfg)
+    return eval_dataset(ckpt, test_manifest)
 
 
 @pytest.fixture(scope="module")
 def tables(desk_dataset, desk_checkpoint):
     _, _, test_manifest = desk_dataset
     ckpt, _ = desk_checkpoint
-    cfg = EvalConfig(smooth_sigma=2.0)
-    return ablation_scores(score_split(ckpt, test_manifest, cfg), test_manifest.gt_upscale,
-                           cfg)
+    return ablation_scores(score_split(ckpt, test_manifest), test_manifest.gt_upscale)
 
 
 class TestReportFromMaps:
@@ -267,7 +260,7 @@ class TestEvalDataset:
     def test_metrics_present_and_bounded(self, report):
         assert 0.0 <= report.i_auroc <= 1.0
         assert 0.0 <= report.p_auroc <= 1.0
-        assert set(report.aupro) == {0.30, 0.01}
+        assert tuple(report.aupro) == AUPRO_LIMITS == (0.30, 0.01)
         assert all(0.0 <= v <= 1.0 for v in report.aupro.values())
         assert not report.flags
 
@@ -276,29 +269,28 @@ class TestEvalDataset:
         assert back.to_json() == report.to_json()
         assert back.aupro == report.aupro
 
-    def test_pure_function_of_inputs(self, desk_dataset, desk_checkpoint, eval_cfg,
-                                     report):
+    def test_pure_function_of_inputs(self, desk_dataset, desk_checkpoint, report):
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
-        again = eval_dataset(ckpt, test_manifest, eval_cfg)
+        again = eval_dataset(ckpt, test_manifest)
         assert again.to_json() == report.to_json()
 
     def test_threads_do_not_change_results(self, desk_dataset, desk_checkpoint,
                                            report):
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
-        threaded = eval_dataset(ckpt, test_manifest,
-                                EvalConfig(smooth_sigma=2.0, threads=4))
+        threaded = eval_dataset(ckpt, test_manifest, threads=4)
         assert threaded.to_json() == report.to_json()
+        with pytest.raises(ValueError, match="max_workers"):
+            score_split(ckpt, test_manifest, threads=0)
 
-    def test_score_split_keeps_every_map_on_the_grid(self, desk_dataset, desk_checkpoint,
-                                                     eval_cfg):
+    def test_score_split_keeps_every_map_on_the_grid(self, desk_dataset, desk_checkpoint):
         from g2sf.features import load_sample
         from g2sf.scoring import sample_maps
 
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
-        scored = score_split(ckpt, test_manifest, eval_cfg)
+        scored = score_split(ckpt, test_manifest)
         assert [s.sample_id for s in scored] == [r.sample_id for r in test_manifest.samples]
         pair = load_sample(test_manifest, test_manifest.samples[0])
         want = sample_maps(ckpt.model, pair, ckpt.banks, ckpt.normalizer, ckpt.loss_cfg.k)
@@ -308,8 +300,7 @@ class TestEvalDataset:
             assert smap.grid.tobytes() == want[name].grid.tobytes()
             assert smap.sample_score == want[name].sample_score
 
-    def test_missing_gt_flags_pixel_metrics(self, desk_dataset, desk_checkpoint,
-                                            eval_cfg, tmp_path):
+    def test_missing_gt_flags_pixel_metrics(self, desk_dataset, desk_checkpoint, tmp_path):
         import dataclasses
 
         _, _, test_manifest = desk_dataset
@@ -319,7 +310,7 @@ class TestEvalDataset:
             samples=[dataclasses.replace(ref, pixel_gt=None)
                      for ref in test_manifest.samples],
         )
-        report = eval_dataset(ckpt, stripped, eval_cfg)
+        report = eval_dataset(ckpt, stripped)
         assert report.i_auroc is not None
         assert report.p_auroc is None and not report.aupro
         assert any(flag.startswith("pixel_metrics_omitted") for flag in report.flags)
@@ -331,7 +322,7 @@ class TestEvalDataset:
         # barely trained model is rank 0 at either k.
         from g2sf.features import load_sample
         from g2sf.losses import LossConfig
-        from g2sf.scoring import score_sample
+        from g2sf.scoring import sample_maps
         from g2sf.synthesis import SynthesisConfig, build_training_pool
         from g2sf.trainer import TrainConfig, train
 
@@ -341,10 +332,9 @@ class TestEvalDataset:
                                    SynthesisConfig(n_aug=4, k=3), seed=1)
         ckpt, _, _ = train(pool, banks, normalizer, desk_lspn_cfg,
                            TrainConfig(epochs=1, batch_size=512, seed=1), LossConfig(k=3))
-        report = eval_dataset(ckpt, test_manifest, EvalConfig(agg="mean", smooth_sigma=2.0))
-        got = [row["score"] for row in report.per_sample]
+        got = [s.maps["mean"].sample_score for s in score_split(ckpt, test_manifest)]
         pairs = [load_sample(test_manifest, ref) for ref in test_manifest.samples]
-        want = {k: [score_sample(ckpt.model, pair, banks, normalizer, k, "mean").sample_score
+        want = {k: [sample_maps(ckpt.model, pair, banks, normalizer, k)["mean"].sample_score
                     for pair in pairs] for k in (3, 5)}
         assert got == want[3]
         assert want[3] != want[5]
@@ -374,9 +364,8 @@ class TestAblation:
         monkeypatch.setattr(evaluation, "report_from_maps", counted)
         _, _, test_manifest = desk_dataset
         ckpt, _ = desk_checkpoint
-        cfg = EvalConfig(smooth_sigma=2.0)
-        variants, aggs = ablation_scores(score_split(ckpt, test_manifest, cfg),
-                                         test_manifest.gt_upscale, cfg)
+        variants, aggs = ablation_scores(score_split(ckpt, test_manifest),
+                                         test_manifest.gt_upscale)
         assert len(calls) == 8
         fused = next(r for r in variants if r["variant"] == "fused")
         minimum = next(r for r in aggs if r["variant"] == "min")

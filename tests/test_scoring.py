@@ -6,6 +6,7 @@ import pytest
 from g2sf.features import load_sample
 from g2sf.scoring import (
     AGGREGATIONS,
+    G2SF_SCORE,
     ScoreMap,
     bilinear_upsample,
     gaussian_smooth,
@@ -68,7 +69,7 @@ class TestScoreSample:
         # Second pass through the single-cell path must reproduce the batch
         # path exactly (same parameters, independent assembly).
         ckpt, banks, normalizer, pair = scored_sample
-        smap = score_sample(ckpt.model, pair, banks, normalizer, DESK_K, "min")
+        smap = score_sample(ckpt.model, pair, banks, normalizer, DESK_K)
         for r in range(0, pair.grid[0], 3):
             for c in range(0, pair.grid[1], 3):
                 if not pair.foreground[r, c]:
@@ -79,16 +80,13 @@ class TestScoreSample:
                 assert smap.grid[r, c] == pytest.approx(cell, rel=1e-5)
 
     def test_score_sample_is_one_key_of_sample_maps(self, scored_sample):
-        from g2sf.errors import ConfigError
-
+        # The G2SF score is the min over ranks 0..k.
         ckpt, banks, normalizer, pair = scored_sample
         maps = sample_maps(ckpt.model, pair, banks, normalizer, DESK_K)
-        for agg in AGGREGATIONS:
-            smap = score_sample(ckpt.model, pair, banks, normalizer, DESK_K, agg)
-            assert smap.grid.tobytes() == maps[agg].grid.tobytes()
-            assert smap.sample_score == maps[agg].sample_score
-        with pytest.raises(ConfigError, match="median"):
-            score_sample(ckpt.model, pair, banks, normalizer, DESK_K, "median")
+        smap = score_sample(ckpt.model, pair, banks, normalizer, DESK_K)
+        assert G2SF_SCORE == "min" == AGGREGATIONS[0]
+        assert smap.grid.tobytes() == maps["min"].grid.tobytes()
+        assert smap.sample_score == maps["min"].sample_score
 
     def test_sample_score_is_foreground_max(self, scored_sample):
         ckpt, banks, normalizer, pair = scored_sample
@@ -164,11 +162,10 @@ class TestLoadedCheckpoint:
             for name in got:
                 assert got[name].grid.tobytes() == want[name].grid.tobytes(), name
                 assert got[name].sample_score == want[name].sample_score
-            for agg in ("min", "first"):
-                a = score_sample(frozen, pair, banks, normalizer, DESK_K, agg)
-                b = score_sample(writable, pair, banks, normalizer, DESK_K, agg)
-                assert a.grid.tobytes() == b.grid.tobytes()
-                assert a.grid.tobytes() == got[agg].grid.tobytes()
+            a = score_sample(frozen, pair, banks, normalizer, DESK_K)
+            b = score_sample(writable, pair, banks, normalizer, DESK_K)
+            assert a.grid.tobytes() == b.grid.tobytes()
+            assert a.grid.tobytes() == got["min"].grid.tobytes()
         assert len(frozen._tables) == 4 and writable._tables == {}
 
 

@@ -230,21 +230,18 @@ class TestStepPeak:
 class TestLearningCurve:
     def test_single_checkpoint_single_row(self, desk_checkpoint, desk_dataset,
                                           desk_banks):
-        from g2sf.evaluation import EvalConfig
         from g2sf.trainer import learning_curve
 
         _, _, test_manifest = desk_dataset
         banks, _ = desk_banks
         ckpt, _ = desk_checkpoint
-        rows = learning_curve([ckpt], test_manifest, EvalConfig(smooth_sigma=2.0),
-                              banks=banks)
+        rows = learning_curve([ckpt], test_manifest, banks=banks)
         assert len(rows) == 1
         assert rows[0]["epoch"] == ckpt.epoch
         assert 0.0 <= rows[0]["i_auroc"] <= 1.0
 
     def test_rows_sorted_and_training_helps(self, desk_pool, desk_banks,
                                             desk_dataset, quick_cfgs):
-        from g2sf.evaluation import EvalConfig
         from g2sf.trainer import learning_curve
 
         _, _, test_manifest = desk_dataset
@@ -255,8 +252,7 @@ class TestLearningCurve:
         cfg = TrainConfig(epochs=6, batch_size=512, seed=2, eval_every=3)
         _, _, snapshots = train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
         checkpoints = [ckpt0] + [snap for _, snap in reversed(snapshots)]
-        rows = learning_curve(checkpoints, test_manifest,
-                              EvalConfig(smooth_sigma=2.0), banks=banks)
+        rows = learning_curve(checkpoints, test_manifest, banks=banks)
         assert [r["epoch"] for r in rows] == sorted(r["epoch"] for r in rows)
         best = max(r["i_auroc"] for r in rows)
         assert best >= rows[0]["i_auroc"]
