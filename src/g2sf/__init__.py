@@ -41,7 +41,7 @@ from .synthesis import (
     gen_perlin_mask,
     inject_anomaly,
 )
-from .trainer import Checkpoint, TrainConfig, learning_curve, load_checkpoint, make_negatives
+from .trainer import Checkpoint, TrainConfig, load_checkpoint, make_negatives
 from .trainer import save_checkpoint, train
 
 __version__ = "0.1.0"

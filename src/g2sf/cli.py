@@ -253,11 +253,9 @@ def cmd_train(cfg, data, run):
 
     sized = copy.deepcopy(cfg)
     derive(sized, load_manifest(data / "train_manifest.json").dims)
-    checkpoint, log_rows, snapshots = train(pool, banks, normalizer, sized.lspn,
-                                            cfg.train, cfg.loss, config_hash(cfg))
+    checkpoint, log_rows, _ = train(pool, banks, normalizer, sized.lspn,
+                                    cfg.train, cfg.loss, config_hash(cfg))
     written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
-    for epoch, snap in snapshots:
-        written += save_checkpoint(snap, run / "checkpoints" / f"epoch_{epoch:04d}")
     with open(run / "train_log.jsonl", "w") as fh:
         for row in log_rows:
             fh.write(json.dumps(row, sort_keys=True, default=_np_default) + "\n")
@@ -394,8 +392,7 @@ _FLAGS = {
             "--n-test": "gen.n_test", "--anomaly-modes": "gen.anomaly_modes"},
     "bank": {"--fraction": "bank.fraction", "--projection-dim": "bank.projection_dim"},
     "synth": {"--n-aug": "synth.n_aug", "--strength": "synth.strength"},
-    "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size",
-              "--eval-every": "train.eval_every"},
+    "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size"},
     "score": {},
     "eval": {},
     "ablate": {},

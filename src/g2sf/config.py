@@ -4,16 +4,20 @@ One RunConfig drives every pipeline stage. Settings come from three layers
 with increasing precedence: built-in defaults, a config file of
 ``section.key = value`` lines, then command-line ``--set`` overrides and
 dedicated flags. Each setting has one source: the keys in ``DERIVED`` follow
-another key or the dataset and cannot be set. The SHA-256 hash of the
-canonical merged configuration is stamped into every stage manifest so
-downstream stages can detect drift. The evaluation protocol is fixed (see
-:mod:`g2sf.evaluation`), and the CLI's ``--threads`` is not a setting.
+another key or the dataset and cannot be set. A value is read as its key's
+declared type: ``none`` only where the key may be empty, numbers only when
+finite. The SHA-256 hash of the canonical merged configuration is stamped
+into every stage manifest so downstream stages can detect drift. The
+evaluation protocol is fixed (see :mod:`g2sf.evaluation`), and the CLI's
+``--threads`` is not a setting.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +65,8 @@ class RunConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def validate(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.gen.validate()
         self.bank.validate()
         self.synth.validate()
@@ -100,30 +106,35 @@ def load_config_file(path) -> dict:
     return settings
 
 
-def _coerce(key, text, current):
+def _coerce(key, text, section, leaf):
+    """``text`` as the declared type of ``section.leaf``; tuple elements take
+    the element type of the field's default."""
+    hint = typing.get_type_hints(type(section))[leaf]
+    args = typing.get_args(hint)
+    kind = next((t for t in args if t is not type(None)), hint)
     text = text.strip()
     if text.lower() in ("none", "null"):
+        if type(None) not in args:
+            raise ConfigError(f"{key} cannot be none")
         return None
-    if isinstance(current, tuple):
-        items = [t for t in (s.strip() for s in text.split(",")) if t]
-        elem = current[0] if current else items[0]
-        if isinstance(elem, str) and not isinstance(elem, (int, float)):
-            return tuple(items)
-        caster = int if isinstance(elem, int) else float
-        try:
-            return tuple(caster(t) for t in items)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad tuple element in {text!r}") from exc
-    for caster in (int, float):
-        if isinstance(current, caster) or current is None:
-            try:
-                return caster(text)
-            except ValueError:
-                if current is not None:
-                    raise ConfigError(f"{key}: expected {caster.__name__}, got {text!r}")
-    if current is None or isinstance(current, str):
+    if kind is tuple:
+        elem = type(next(f.default for f in dataclasses.fields(section) if f.name == leaf)[0])
+        return tuple(_scalar(key, elem, t) for t in (s.strip() for s in text.split(",")) if t)
+    if kind not in (int, float):
+        raise ConfigError(f"{key} is a config section, not a key")
+    return _scalar(key, kind, text)
+
+
+def _scalar(key, kind, text):
+    if kind is str:
         return text
-    raise ConfigError(f"{key}: unsupported override target {type(current).__name__}")
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite value, got {text!r}")
+    return value
 
 
 def _resolve(cfg: RunConfig, key: str):
@@ -147,7 +158,7 @@ def apply_setting(cfg: RunConfig, key: str, value: str):
             source = f"the dataset's {source.removeprefix('dims:')} feature dim"
         raise ConfigError(f"{key} cannot be set: it follows {source}")
     target, leaf = _resolve(cfg, key)
-    setattr(target, leaf, _coerce(key, value, getattr(target, leaf)))
+    setattr(target, leaf, _coerce(key, value, target, leaf))
 
 
 def derive(cfg: RunConfig, dims=None):

@@ -222,9 +222,10 @@ class TrainingPool:
     Arrays are indexed by pooled cell; ``n`` is 2k+1 neighbor ranks. Each
     cell keeps its raw features once, not one direction per rank: with the
     banks, neighbor ids and raw distances, the scale network reads every
-    direction (f - m) / r in factored form (see :mod:`g2sf.lspn`). At the
-    built-in defaults (48 augmented 56x56 samples, 1152 + 768 dims) that is
-    about 1.2 GB of features where per-rank directions took about 12 GB.
+    direction (f - m) / r in factored form (see :mod:`g2sf.lspn`). For the
+    default 48 augmented samples on 56x56 grids of 1152 + 768 dims (the
+    paper's feature shape) that is about 1.2 GB of features where per-rank
+    directions took about 12 GB.
     The train/validation split is by source-sample parity so both halves
     carry mixed labels.
     """

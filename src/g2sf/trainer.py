@@ -44,10 +44,9 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
-    "learning_curve",
 ]
 
-CHECKPOINT_FORMAT = "g2sf-checkpoint-v2"
+CHECKPOINT_FORMAT = "g2sf-checkpoint-v3"
 
 
 @dataclass
@@ -61,7 +60,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
-    eval_every: int = 0  # snapshot cadence in epochs; 0 keeps only the final model
 
     def validate(self):
         if self.epochs < 0 or self.batch_size < 2:
@@ -69,8 +67,6 @@ class TrainConfig:
         if self.lr <= 0 or self.sigma_lr < 0 or self.weight_decay < 0:
             # sigma_lr == 0 freezes the global scales (collapse experiments).
             raise ConfigError("lr must be positive, sigma_lr/weight_decay nonnegative")
-        if self.eval_every < 0:
-            raise ConfigError("train.eval_every must be >= 0")
 
 
 @dataclass
@@ -211,10 +207,13 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
           loss_cfg: losses_mod.LossConfig, config_hash: str = ""):
     """Train the scale network on a precomputed pool.
 
-    Returns (Checkpoint, log_rows, snapshots) where snapshots holds
-    (epoch, Checkpoint) pairs taken every ``eval_every`` epochs. m0 is
-    computed from the full pool before the first epoch when the loss config
-    leaves it unset, then frozen. Dropout is ``lspn_cfg.dropout``.
+    Returns (Checkpoint, log_rows, None): the final model is the only one
+    kept. The third slot is always None; the benchmark harness
+    (``perfbench/``) still unpacks three items, and the slot goes with its
+    next change. m0 is computed from the full pool before the first epoch
+    when the loss config leaves it unset, then frozen. Dropout is
+    ``lspn_cfg.dropout``. The :class:`TrainConfig` defaults (batch 8192,
+    80 epochs) are the full-scale schedule; ``configs/desk.cfg`` shortens it.
     """
     train_cfg.validate()
     loss_cfg.validate()
@@ -234,7 +233,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []
-    snapshots = []
     last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, 0, config_hash, banks)
 
     for epoch in range(train_cfg.epochs):
@@ -278,12 +276,10 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
         log_rows.append(row)
         last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, epoch + 1,
                                config_hash, banks)
-        if train_cfg.eval_every and (epoch + 1) % train_cfg.eval_every == 0:
-            snapshots.append((epoch + 1, last_good))
 
     final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, config_hash,
                        banks)
-    return final, log_rows, snapshots
+    return final, log_rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +366,3 @@ def load_checkpoint(in_dir) -> Checkpoint:
                       losses_mod.LossConfig(**doc["loss"]), TrainConfig(**doc["train"]),
                       int(doc["epoch"]), doc["config_hash"])
 
-
-def learning_curve(checkpoints, test_manifest, banks=None):
-    """Evaluate each checkpoint; returns one metrics row per epoch, sorted."""
-    from .evaluation import eval_dataset
-
-    rows = []
-    for ckpt in checkpoints:
-        if not isinstance(ckpt, Checkpoint):
-            ckpt = load_checkpoint(ckpt)
-        if ckpt.banks is None and banks is not None:
-            ckpt.banks = banks
-        report = eval_dataset(ckpt, test_manifest)
-        row = {"epoch": ckpt.epoch, "i_auroc": report.i_auroc, "p_auroc": report.p_auroc}
-        row.update({f"aupro@{limit}": v for limit, v in report.aupro.items()})
-        rows.append(row)
-    rows.sort(key=lambda r: r["epoch"])
-    return rows

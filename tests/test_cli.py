@@ -196,10 +196,13 @@ class TestExitCodes:
         "bank.projection_dim=-3", "bank.projection_dim=0", "synth.perlin.max_resample=-1",
         "gen.grid=16", "gen.dims=8", "synth.perlin.min_coverage=0.9",
         "synth.perlin.frequency=0", "synth.perlin.octaves=0", "gen.anomaly_frac=1.5",
-        "gen.bg_border=-1", "train.eval_every=-1"])
+        "gen.bg_border=-1", "train.epochs=none", "lspn.dropout=null", "loss.m0=abc",
+        "bank.projection_dim=abc", "seed=-1", "bank.projection_dim=2.5", "train.lr=nan",
+        "synth.strength=inf", "gen.anomaly_coverage=0.1,inf"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, setting):
         # Each of these used to crash a stage with a traceback or run it on
-        # a silently wrong setting.
+        # a silently wrong setting. Values are parsed by the key's declared
+        # type: none only where the key may be empty, finite numbers only.
         assert main(["gen", "--out", str(tmp_path / "d"), "--set", setting]) == 2
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
@@ -371,22 +374,27 @@ class TestEditedArtifacts:
                           "train recorded its output", path.name)
 
     def test_old_checkpoint_format_exits_2(self, chain_copy, cfg_path, capsys):
-        # A checkpoint of the previous format whose train manifest records
-        # it: the chain is consistent, and the checkpoint itself is refused.
+        # A checkpoint of an earlier format whose train manifest records it:
+        # the chain is consistent, and the checkpoint itself is refused. A
+        # real v2 manifest still holds train.eval_every.
         import hashlib
 
         data, run = chain_copy
         ckpt = run / "checkpoints" / "final" / "manifest.json"
-        doc = json.loads(ckpt.read_text())
-        doc["format"] = "g2sf-checkpoint-v1"
-        ckpt.write_text(json.dumps(doc))
-        train_doc = json.loads((run / "train_manifest.json").read_text())
-        train_doc["outputs"]["checkpoints/final/manifest.json"] = \
-            hashlib.sha256(ckpt.read_bytes()).hexdigest()
-        (run / "train_manifest.json").write_text(json.dumps(train_doc))
-        capsys.readouterr()
-        assert run_stage("score", cfg_path, data, run, "--force") == 2
-        assert "g2sf-checkpoint-v1" in capsys.readouterr().err
+        original = ckpt.read_text()
+        for fmt, train_fields in (("g2sf-checkpoint-v1", {}),
+                                  ("g2sf-checkpoint-v2", {"eval_every": 0})):
+            doc = json.loads(original)
+            doc["format"] = fmt
+            doc["train"].update(train_fields)
+            ckpt.write_text(json.dumps(doc))
+            train_doc = json.loads((run / "train_manifest.json").read_text())
+            train_doc["outputs"]["checkpoints/final/manifest.json"] = \
+                hashlib.sha256(ckpt.read_bytes()).hexdigest()
+            (run / "train_manifest.json").write_text(json.dumps(train_doc))
+            capsys.readouterr()
+            assert run_stage("score", cfg_path, data, run, "--force") == 2
+            assert fmt in capsys.readouterr().err
 
     def test_old_format_manifest_exits_3(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
@@ -514,7 +522,7 @@ class TestSpecialModes:
         assert run_stage("score", cfg_path, data, run, "--threads", "2", "--force") == 0
         assert tree_bytes(run / "scores") == before
 
-    def test_dedicated_flags_set_their_keys(self):
+    def test_dedicated_flags_set_their_keys(self, capsys):
         from g2sf.cli import _config_from_args, build_parser
 
         parse = build_parser().parse_args
@@ -525,6 +533,12 @@ class TestSpecialModes:
         cfg = _config_from_args(parse(["train", "--data", "d", "--run", "r", "--epochs", "2"]))
         assert cfg.train.epochs == 2
         assert main(["train", "--data", "d", "--run", "r", "--epochs", "two"]) == 2
+        # Training keeps one checkpoint, so there is no snapshot cadence to set.
+        for argv, err in ((["--eval-every", "2"], "unrecognized arguments: --eval-every"),
+                          (["--set", "train.eval_every=2"], "unknown config key")):
+            capsys.readouterr()
+            assert main(["train", "--data", "d", "--run", "r", *argv]) == 2
+            assert err in capsys.readouterr().err
 
     def test_train_frees_the_augmented_samples(self, chain_copy, cfg_path, monkeypatch):
         # Once the pool holds their cells, no augmented sample may stay alive

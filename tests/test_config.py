@@ -37,10 +37,11 @@ class TestParsing:
         assert cfg.gen.anomaly_modes == ("pc_only", "joint")
 
     def test_unknown_key_rejected(self):
-        # Retired keys: dropout is lspn.dropout; the eval section is gone,
-        # since k is the checkpoint's, the upsampling factor the dataset's and
-        # the rest of the protocol fixed.
-        for key in ("train.warp_speed", "train.dropout"):
+        # Retired keys: dropout is lspn.dropout; eval_every went with the
+        # epoch snapshots; the eval section is gone, since k is the
+        # checkpoint's, the upsampling factor the dataset's and the rest of
+        # the protocol fixed.
+        for key in ("train.warp_speed", "train.dropout", "train.eval_every"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 apply_setting(RunConfig(), key, "2")
         for key in ("eval.k", "eval.upsample_factor"):
@@ -87,8 +88,9 @@ class TestHash:
         assert config_hash(b) == config_hash(a)
 
     def test_no_eval_section(self):
-        # The evaluation protocol is fixed, so no key belongs to it: 51 keys,
-        # the four derived ones included.
+        # The evaluation protocol is fixed, so no key belongs to it, and
+        # training keeps one checkpoint, so no snapshot cadence: 50 keys, the
+        # four derived ones included.
         def leaves(node, prefix=""):
             for name, value in node.items():
                 if isinstance(value, dict):
@@ -98,4 +100,4 @@ class TestHash:
 
         keys = list(leaves(RunConfig().to_dict()))
         assert not [k for k in keys if k.startswith("eval.")]
-        assert len(keys) == 51
+        assert len(keys) == 50

@@ -134,13 +134,6 @@ class TestTrain:
         assert ckpt.model.sigma_pc > 0 and ckpt.model.sigma_rgb > 0
         assert all(row["sigma_pc"] > 0 and row["sigma_rgb"] > 0 for row in log_rows)
 
-    def test_snapshots_at_requested_epochs(self, desk_pool, desk_banks, quick_cfgs):
-        banks, normalizer = desk_banks
-        lspn_cfg, loss_cfg = quick_cfgs
-        cfg = TrainConfig(epochs=4, batch_size=512, seed=5, eval_every=2)
-        _, _, snapshots = train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
-        assert [epoch for epoch, _ in snapshots] == [2, 4]
-
     def test_divergence_aborts_with_last_good_checkpoint(self, desk_pool, desk_banks,
                                                          quick_cfgs, monkeypatch):
         import g2sf.trainer as trainer_mod
@@ -227,37 +220,6 @@ class TestStepPeak:
         assert peak < bound + slack, (peak, bound, slack)
 
 
-class TestLearningCurve:
-    def test_single_checkpoint_single_row(self, desk_checkpoint, desk_dataset,
-                                          desk_banks):
-        from g2sf.trainer import learning_curve
-
-        _, _, test_manifest = desk_dataset
-        banks, _ = desk_banks
-        ckpt, _ = desk_checkpoint
-        rows = learning_curve([ckpt], test_manifest, banks=banks)
-        assert len(rows) == 1
-        assert rows[0]["epoch"] == ckpt.epoch
-        assert 0.0 <= rows[0]["i_auroc"] <= 1.0
-
-    def test_rows_sorted_and_training_helps(self, desk_pool, desk_banks,
-                                            desk_dataset, quick_cfgs):
-        from g2sf.trainer import learning_curve
-
-        _, _, test_manifest = desk_dataset
-        banks, normalizer = desk_banks
-        lspn_cfg, loss_cfg = quick_cfgs
-        base = TrainConfig(epochs=0, batch_size=512, seed=2)
-        ckpt0, _, _ = train(desk_pool, banks, normalizer, lspn_cfg, base, loss_cfg)
-        cfg = TrainConfig(epochs=6, batch_size=512, seed=2, eval_every=3)
-        _, _, snapshots = train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
-        checkpoints = [ckpt0] + [snap for _, snap in reversed(snapshots)]
-        rows = learning_curve(checkpoints, test_manifest, banks=banks)
-        assert [r["epoch"] for r in rows] == sorted(r["epoch"] for r in rows)
-        best = max(r["i_auroc"] for r in rows)
-        assert best >= rows[0]["i_auroc"]
-
-
 class TestCheckpoint:
     def test_roundtrip_bitexact_forward(self, desk_checkpoint, desk_banks, tmp_path,
                                         desk_pool):
@@ -274,21 +236,25 @@ class TestCheckpoint:
         assert w_a.tobytes() == w_b.tobytes()
 
     def test_old_format_rejected(self, desk_checkpoint, tmp_path):
-        # A checkpoint in the previous format, with its top-level m0, its
-        # rng_state and its train.dropout, is refused by name.
+        # A checkpoint in an earlier format is refused by name: v1 with its
+        # top-level m0, its rng_state and its train.dropout, v2 with its
+        # train.eval_every, the cadence of the retired epoch snapshots.
         import json
 
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "ck")
-        path = tmp_path / "ck" / "manifest.json"
-        doc = json.loads(path.read_text())
-        doc.update(format="g2sf-checkpoint-v1", m0=ckpt.m0, rng_state=None)
-        doc["train"]["dropout"] = 0.5
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="g2sf-checkpoint-v1"):
-            load_checkpoint(tmp_path / "ck")
+        old = {"g2sf-checkpoint-v1": ({"m0": ckpt.m0, "rng_state": None}, {"dropout": 0.5}),
+               "g2sf-checkpoint-v2": ({}, {"eval_every": 0})}
+        for fmt, (top, train_fields) in old.items():
+            save_checkpoint(ckpt, tmp_path / fmt)
+            path = tmp_path / fmt / "manifest.json"
+            doc = json.loads(path.read_text())
+            doc.update(format=fmt, **top)
+            doc["train"].update(train_fields)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError, match=fmt):
+                load_checkpoint(tmp_path / fmt)
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
         ckpt, _ = desk_checkpoint
