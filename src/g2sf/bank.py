@@ -1,18 +1,16 @@
 """Per-modality memory banks: greedy coreset construction and exact k-NN.
 
-The bank stores full-dimensional prototype vectors selected by farthest-point
-(greedy k-center) sampling. Selection starts at index 0 for reproducibility;
-an optional seeded Gaussian random projection accelerates the *selection*
-distances only.
+The bank stores prototype vectors selected by farthest-point (greedy
+k-center) sampling on the features themselves. Selection starts at index 0
+for reproducibility.
 
 Selection keeps every point's exact squared distance to its nearest chosen
 center. Each greedy step prices the new center against all points with one
-GEMV in the selection space's own dtype (float32 for the features, float64
-for a projection), ||x||^2 - 2 x.c + ||c||^2, and recomputes exact float64
-differences, in row blocks, only for the points whose lower rounding bound
-does not already exceed their current minimum, so the minima, and with them
-the selected indices, are those of a full exact scan. No float64 copy of the
-(N, D) features is made. When the last step ends, those minima are each
+float32 GEMV on the features, ||x||^2 - 2 x.c + ||c||^2, and recomputes exact
+float64 differences, in row blocks, only for the points whose lower rounding
+bound does not already exceed their current minimum, so the minima, and with
+them the selected indices, are those of a full exact scan. No float64 copy
+of the (N, D) features is made. When the last step ends, those minima are each
 input point's exact nearest-prototype distance: the bank hands them back as
 ``coverage``, and the bank stage takes the distance normalizer from them
 without a second k-NN pass.
@@ -55,9 +53,9 @@ __all__ = [
 class MemoryBank:
     """Read-only prototypes of one modality.
 
-    ``coverage`` is set only by :func:`build_bank` when selection ran in the
-    feature space: the exact distance of each input point, in input order,
-    to its nearest prototype. It is not persisted.
+    ``coverage`` is the exact distance of each input point of
+    :func:`build_bank`, in input order, to its nearest prototype. It is not
+    persisted, so it is None for a bank read by :func:`load_bank`.
     """
 
     modality: str
@@ -115,8 +113,8 @@ def _rel_slack(dim: int) -> float:
     return 8.0 * (dim + 4) * np.finfo(np.float64).eps
 
 
-def _dot_slack(dtype, dim: int):
-    """(relative, absolute) error bound of 2 x.c taken in ``dtype``, beyond
+def _dot_slack(dim: int):
+    """(relative, absolute) error bound of 2 x.c taken in float32, beyond
     what :func:`_rel_slack` already covers for float64.
 
     A float32 dot product errs by at most gamma_D ||x|| ||c||, with
@@ -127,45 +125,26 @@ def _dot_slack(dtype, dim: int):
     smallest subnormal, so 2 x.c can err by D smallest subnormals more; the
     absolute term is twice that.
     """
-    info = np.finfo(dtype)
-    if info.dtype == np.float64:
-        return 0.0, 0.0
+    info = np.finfo(np.float32)
     du = dim * info.eps / 2
     return du / (1.0 - du), 2.0 * dim * float(info.smallest_subnormal)
 
 
-def _selection_space(points: np.ndarray, seed, projection_dim) -> np.ndarray:
-    """Points in which greedy selection measures distances: the float32
-    input itself, or its float64 seeded random projection."""
-    if projection_dim is None or projection_dim >= points.shape[1]:
-        return points
-    rng = np.random.default_rng(np.random.SeedSequence([0 if seed is None else int(seed), 0x9A]))
-    proj = rng.standard_normal((points.shape[1], projection_dim)) / np.sqrt(projection_dim)
-    return points.astype(np.float64) @ proj
-
-
-def build_bank(
-    features,
-    modality: str,
-    fraction: float,
-    seed: int | None = None,
-    projection_dim: int | None = None,
-) -> MemoryBank:
+def build_bank(features, modality: str, fraction: float, seed: int | None = None) -> MemoryBank:
     """Greedy k-center selection of ``ceil(fraction * N)`` prototypes.
 
     ``features`` is any iterable of D-vectors (foreground features of the
-    training split). When ``projection_dim`` is below D, selection distances
-    are computed in a seeded Gaussian random-projection space for speed, but
-    the stored prototypes are always full-dimensional.
+    training split). Selection is deterministic, so ``seed`` is unused; it is
+    still accepted because callers outside this package pass it.
 
     Each point's squared distance to its nearest center, ``min_sq``, is the
     one a full scan of exact float64 differences would hold. A step computes
-    approximate distances to the new center c with one GEMV, in float32 on
-    the features themselves or in float64 on a projection, and skips every
-    point whose lower bound ``approx - slack (||x||^2 + ||c||^2)`` exceeds
-    its ``min_sq``: its exact distance cannot lower the minimum. The slack is
-    the float64 one of :func:`_rel_slack` plus, for a float32 GEMV, the
-    dot-product bound gamma_D of :func:`_dot_slack`. The other points
+    approximate distances to the new center c with one float32 GEMV on the
+    features, and skips every point whose lower bound
+    ``approx - slack (||x||^2 + ||c||^2)`` exceeds its ``min_sq``: its exact
+    distance cannot lower the minimum. The slack is the float64 one of
+    :func:`_rel_slack` plus the float32 dot-product bound gamma_D of
+    :func:`_dot_slack`. The other points
     (non-finite ones, and rows whose GEMV value overflowed, included) get
     exact float64 differences, row block by row block, and a minimum; the
     float32 to float64 cast is exact, so a survivor's distance is the full
@@ -175,8 +154,7 @@ def build_bank(
     The returned bank's ``coverage`` is ``sqrt(min_sq)`` after the last
     step, with selected points at exactly 0: each input point's nearest-
     prototype distance, bit-equal to rank 0 of
-    :func:`query_neighbors_batch`. It is None when selection ran in a
-    projected space.
+    :func:`query_neighbors_batch`.
     """
     points = np.ascontiguousarray(
         list(features) if not isinstance(features, np.ndarray) else features, dtype=np.float32)
@@ -184,46 +162,40 @@ def build_bank(
         raise EmptyBankError("cannot build a bank from an empty feature set")
     if not (0.0 < fraction <= 1.0):
         raise ConfigError(f"coreset fraction {fraction} outside (0, 1]")
-    n = points.shape[0]
+    n, dim = points.shape
     budget = min(n, math.ceil(fraction * n))
-
-    space = _selection_space(points, seed, projection_dim)
-    dim = space.shape[1]
 
     selected = np.empty(budget, dtype=np.int64)
     selected[0] = 0
-    min_sq = _sq_distances(space, space[0])
+    min_sq = _sq_distances(points, points[0])
     min_sq[0] = -np.inf  # selected rows can never win the argmax again
-    space_sq = _sq_distances(space, np.zeros(dim))
+    points_sq = _sq_distances(points, np.zeros(dim))
     # lower = approx - slack (||x||^2 + ||c||^2) - tiny, with the slack
     # folded into the squared norms once per build.
-    dot_rel, tiny = _dot_slack(space.dtype, dim)
+    dot_rel, tiny = _dot_slack(dim)
     keep = 1.0 - _rel_slack(dim) - dot_rel
-    space_sq_lo = space_sq * keep
-    # Past half the dtype's range a GEMV may overflow, and an overflowed
+    points_sq_lo = points_sq * keep
+    # Past half the float32 range a GEMV may overflow, and an overflowed
     # value bounds nothing: such rows then take the exact path.
-    may_overflow = not space_sq.max() <= np.finfo(space.dtype).max / 2
-    dot = np.empty(n, dtype=space.dtype)
+    may_overflow = not points_sq.max() <= np.finfo(np.float32).max / 2
+    dot = np.empty(n, dtype=np.float32)
     lower = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed filter is handled
         for i in range(1, budget):
             nxt = int(np.argmax(min_sq))  # argmax takes the lowest index on ties
             selected[i] = nxt
-            centre = space[nxt]
-            np.matmul(space, centre, out=dot)
+            centre = points[nxt]
+            np.matmul(points, centre, out=dot)
             np.multiply(dot, -2.0, out=lower, dtype=np.float64)
-            lower += space_sq_lo
-            lower += space_sq[nxt] * keep - tiny
+            lower += points_sq_lo
+            lower += points_sq[nxt] * keep - tiny
             if may_overflow:
                 lower[~np.isfinite(dot)] = np.nan
             rows = np.flatnonzero(~(lower > min_sq))  # NaN bounds take the exact path
-            min_sq[rows] = np.minimum(min_sq[rows], _sq_distances(space, centre, rows))
+            min_sq[rows] = np.minimum(min_sq[rows], _sq_distances(points, centre, rows))
             min_sq[nxt] = -np.inf
-    coverage = None
-    if space.shape[1] == points.shape[1]:  # not a projected space
-        min_sq[selected] = 0.0
-        coverage = np.sqrt(min_sq)
-    return MemoryBank(modality, points[selected], coverage)
+    min_sq[selected] = 0.0
+    return MemoryBank(modality, points[selected], np.sqrt(min_sq))
 
 
 def query_neighbors_batch(bank: MemoryBank, queries: np.ndarray, k: int, chunk: int = 256,

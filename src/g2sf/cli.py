@@ -35,7 +35,7 @@ import numpy as np
 
 from . import evaluation as eval_mod
 from . import synthesis as synth_mod
-from .bank import build_bank, load_bank, query_neighbors_batch, save_bank
+from .bank import build_bank, load_bank, save_bank
 from .config import build_config, config_hash, derive
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
@@ -196,12 +196,9 @@ def cmd_bank(cfg, data, run):
     banks, nearest, radius = {}, {}, {}
     for m in ("pc", "rgb"):
         points = np.concatenate(feats[m])
-        banks[m] = build_bank(points, m, cfg.bank.fraction,
-                              seed=cfg.seed, projection_dim=cfg.bank.projection_dim)
+        banks[m] = build_bank(points, m, cfg.bank.fraction)
         save_bank(banks[m], run / "banks" / f"{m}.g2t")
         dist = banks[m].coverage
-        if dist is None:  # selected in a projected space
-            dist = query_neighbors_batch(banks[m], points, 0)[1][:, 0]
         nearest[m] = np.split(dist, splits)
         radius[m] = float(dist.max())
     normalizer, means = normalizer_from_distances(nearest)
@@ -390,7 +387,7 @@ _COMMON_FLAGS = {"--seed": "seed"}
 _FLAGS = {
     "gen": {"--grid": "gen.grid", "--dims": "gen.dims", "--n-train": "gen.n_train",
             "--n-test": "gen.n_test", "--anomaly-modes": "gen.anomaly_modes"},
-    "bank": {"--fraction": "bank.fraction", "--projection-dim": "bank.projection_dim"},
+    "bank": {"--fraction": "bank.fraction"},
     "synth": {"--n-aug": "synth.n_aug", "--strength": "synth.strength"},
     "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size"},
     "score": {},

@@ -45,13 +45,10 @@ DERIVED = {
 @dataclass
 class BankConfig:
     fraction: float = 0.10
-    projection_dim: int | None = None
 
     def validate(self):
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError(f"coreset fraction {self.fraction} outside (0, 1]")
-        if self.projection_dim is not None and self.projection_dim < 1:
-            raise ConfigError("bank.projection_dim must be >= 1 or none")
 
 
 @dataclass

@@ -67,6 +67,11 @@ class TrainConfig:
         if self.lr <= 0 or self.sigma_lr < 0 or self.weight_decay < 0:
             # sigma_lr == 0 freezes the global scales (collapse experiments).
             raise ConfigError("lr must be positive, sigma_lr/weight_decay nonnegative")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ConfigError(f"train.{name} must lie in [0, 1)")
+        if self.eps <= 0:
+            raise ConfigError("train.eps must be positive")
 
 
 @dataclass
@@ -98,12 +103,15 @@ class NegativeBatch:
 
 
 def _sattolo(n: int, rng) -> np.ndarray:
-    """Uniform random cyclic permutation: a derangement for every n >= 2."""
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i))
+    """Uniform random cyclic permutation: a derangement for every n >= 2.
+
+    The swap indices j_i < i, for i = n-1 down to 1, come from one vector
+    draw, which consumes the generator as one scalar draw per i would.
+    """
+    perm = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n - 1, 0, -1)).tolist()):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def make_negatives(y: np.ndarray, rng) -> NegativeBatch:

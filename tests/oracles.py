@@ -344,7 +344,8 @@ def score_cell(model, encodings_pc, encodings_rgb, k: int, banks, foreground=Tru
 
 
 def greedy_scan(space: np.ndarray, budget: int):
-    """Greedy k-center over float64 ``space`` by a full exact scan per step.
+    """Greedy k-center over the rows of ``space`` by a full exact float64 scan
+    per step.
 
     Returns (selected indices, final ``min_sq``): every step recomputes exact
     squared differences from all points to the new center, as
@@ -360,6 +361,21 @@ def greedy_scan(space: np.ndarray, budget: int):
         np.minimum(min_sq, _sq_distances(space, space[nxt]), out=min_sq)
         min_sq[nxt] = -np.inf
     return selected, min_sq
+
+
+# ---------------------------------------------------------------------------
+# Negative pairing
+# ---------------------------------------------------------------------------
+
+
+def sattolo_scalar(n: int, rng) -> np.ndarray:
+    """Sattolo's cyclic permutation with one scalar draw per swap, as
+    :func:`g2sf.trainer._sattolo` first drew it."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
 
 
 # ---------------------------------------------------------------------------

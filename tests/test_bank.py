@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from g2sf.bank import (
     MemoryBank,
-    _selection_space,
     build_bank,
     covering_radius,
     load_bank,
@@ -88,14 +87,6 @@ class TestBuildBank:
         with pytest.raises(ConfigError):
             build_bank(np.ones((3, 2), dtype=np.float32), "pc", 0.0)
 
-    def test_projection_preserves_full_dim_prototypes(self):
-        rng = np.random.default_rng(2)
-        points = rng.standard_normal((50, 16)).astype(np.float32)
-        bank = build_bank(points, "pc", 0.2, seed=1, projection_dim=4)
-        assert bank.dim == 16
-        rows = {tuple(r) for r in points}
-        assert all(tuple(p) in rows for p in bank.prototypes)
-
     def test_immutable_after_build(self):
         bank = build_bank(np.ones((3, 2), dtype=np.float32), "pc", 1.0)
         with pytest.raises(ValueError):
@@ -109,22 +100,19 @@ class TestBuildBank:
         assert np.all(bank.coverage == 0.0)
 
 
-def assert_build_equals_scan(points, fraction, seed=None, projection_dim=None):
+def assert_build_equals_scan(points, fraction):
     """The filtered greedy build must pick what the full exact scan picks, and
     its coverage must be the scan's final nearest-center distances, bit for
     bit."""
     points = np.asarray(points, dtype=np.float32)
     n = points.shape[0]
-    bank = build_bank(points, "pc", fraction, seed=seed, projection_dim=projection_dim)
-    selected, min_sq = greedy_scan(_selection_space(points, seed, projection_dim), bank.size)
+    bank = build_bank(points, "pc", fraction)
+    selected, min_sq = greedy_scan(points, bank.size)
     assert len(np.unique(selected)) == bank.size
     assert bank.prototypes.tobytes() == points[selected].tobytes()
-    if projection_dim is not None and projection_dim < points.shape[1]:
-        assert bank.coverage is None
-    else:
-        min_sq[selected] = 0.0
-        assert bank.coverage.shape == (n,)
-        assert bank.coverage.tobytes() == np.sqrt(min_sq).tobytes()
+    min_sq[selected] = 0.0
+    assert bank.coverage.shape == (n,)
+    assert bank.coverage.tobytes() == np.sqrt(min_sq).tobytes()
     return bank
 
 
@@ -143,9 +131,9 @@ class TestCoresetEqualsScan:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 64),
            fraction=st.sampled_from([0.05, 0.3, 1.0]),
            kind=st.sampled_from(["normal", "ties", "equal", "shell"]),
-           offset=st.sampled_from([0.0, 1e3]), projection=st.booleans())
+           offset=st.sampled_from([0.0, 1e3]))
     @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_selection_and_coverage(self, seed, n, d, fraction, kind, offset, projection):
+    def test_selection_and_coverage(self, seed, n, d, fraction, kind, offset):
         rng = np.random.default_rng(seed)
         if kind == "normal":
             points = rng.standard_normal((n, d)) + offset
@@ -155,8 +143,7 @@ class TestCoresetEqualsScan:
             points = np.full((n, d), offset + 0.5)
         else:
             points = shell_points(rng, n, d, 3e-4, offset)
-        assert_build_equals_scan(points, fraction, seed=seed % 7,
-                                 projection_dim=max(1, d // 3) if projection else None)
+        assert_build_equals_scan(points, fraction)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_thin_shell_at_large_offset(self, seed):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from g2sf.bank import build_bank, covering_radius, load_bank
+from g2sf.bank import covering_radius, load_bank
 from g2sf.cli import main
 from g2sf.features import iter_samples, load_manifest
 from g2sf.geometry import fit_normalizer
@@ -59,7 +59,7 @@ def assert_bank_manifest_matches_knn(data, run):
     for m in ("pc", "rgb"):
         assert doc["coverage"][m]["radius"] == covering_radius(banks[m], feats[m])
         assert doc["coverage"][m]["mean"] == normalizer.mean_for(m)  # no 1.0 fallback here
-    return doc, banks, feats
+    return doc
 
 
 def tree_bytes(root):
@@ -135,20 +135,8 @@ class TestChain:
 
     def test_bank_manifest_from_coverage(self, chain):
         _, data, run = chain
-        doc, _, _ = assert_bank_manifest_matches_knn(data, run)
+        doc = assert_bank_manifest_matches_knn(data, run)
         assert set(doc["coverage"]) == {"pc", "rgb"}
-
-    def test_projected_selection_chain(self, tmp_path, cfg_path):
-        # Selection in a projected space: coverage comes from a k-NN pass over
-        # the points the bank stage holds, and the chain runs through.
-        data, run = tmp_path / "data", tmp_path / "run"
-        assert main(["gen", "--config", str(cfg_path), "--out", str(data)]) == 0
-        for stage in STAGES[1:]:
-            assert run_stage(stage, cfg_path, data, run, "--set", "bank.projection_dim=4") == 0
-        _, banks, feats = assert_bank_manifest_matches_knn(data, run)
-        projected = build_bank(feats["pc"], "pc", 0.1, seed=5, projection_dim=4)
-        assert projected.coverage is None
-        assert banks["pc"].prototypes.tobytes() == projected.prototypes.tobytes()
 
     def test_score_manifest_records_each_score_once(self, chain):
         from g2sf.scoring import G2SF_SCORE
@@ -193,12 +181,12 @@ class TestExitCodes:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("setting", [
-        "bank.projection_dim=-3", "bank.projection_dim=0", "synth.perlin.max_resample=-1",
+        "synth.perlin.max_resample=-1",
         "gen.grid=16", "gen.dims=8", "synth.perlin.min_coverage=0.9",
         "synth.perlin.frequency=0", "synth.perlin.octaves=0", "gen.anomaly_frac=1.5",
         "gen.bg_border=-1", "train.epochs=none", "lspn.dropout=null", "loss.m0=abc",
-        "bank.projection_dim=abc", "seed=-1", "bank.projection_dim=2.5", "train.lr=nan",
-        "synth.strength=inf", "gen.anomaly_coverage=0.1,inf"])
+        "seed=-1", "train.lr=nan", "synth.strength=inf", "gen.anomaly_coverage=0.1,inf",
+        "train.beta1=1", "train.beta2=1.5", "train.eps=0", "train.beta1=-0.1"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, setting):
         # Each of these used to crash a stage with a traceback or run it on
         # a silently wrong setting. Values are parsed by the key's declared
@@ -533,11 +521,16 @@ class TestSpecialModes:
         cfg = _config_from_args(parse(["train", "--data", "d", "--run", "r", "--epochs", "2"]))
         assert cfg.train.epochs == 2
         assert main(["train", "--data", "d", "--run", "r", "--epochs", "two"]) == 2
-        # Training keeps one checkpoint, so there is no snapshot cadence to set.
-        for argv, err in ((["--eval-every", "2"], "unrecognized arguments: --eval-every"),
-                          (["--set", "train.eval_every=2"], "unknown config key")):
+        # Training keeps one checkpoint, so there is no snapshot cadence to
+        # set, and the coreset is selected on the features, so there is no
+        # projection to set.
+        for command, argv, err in (
+                ("train", ["--eval-every", "2"], "unrecognized arguments: --eval-every"),
+                ("train", ["--set", "train.eval_every=2"], "unknown config key"),
+                ("bank", ["--projection-dim", "4"], "unrecognized arguments: --projection-dim"),
+                ("bank", ["--set", "bank.projection_dim=4"], "unknown config key")):
             capsys.readouterr()
-            assert main(["train", "--data", "d", "--run", "r", *argv]) == 2
+            assert main([command, "--data", "d", "--run", "r", *argv]) == 2
             assert err in capsys.readouterr().err
 
     def test_train_frees_the_augmented_samples(self, chain_copy, cfg_path, monkeypatch):

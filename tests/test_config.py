@@ -1,5 +1,7 @@
 """Config parsing, precedence, and hashing tests."""
 
+from pathlib import Path
+
 import pytest
 
 from g2sf.config import RunConfig, apply_setting, build_config, config_hash
@@ -18,6 +20,18 @@ class TestParsing:
         assert cfg.train.epochs == 80
         assert cfg.lspn.dim_pc == 1152 and cfg.lspn.dim_rgb == 768
 
+    def test_paper_config_builds(self):
+        # Paper shapes: the M3DM feature dims on a 56x56 grid, with the
+        # full-scale widths, batch, coreset fraction and augmentation count.
+        cfg = build_config(Path(__file__).resolve().parents[1] / "configs" / "paper.cfg")
+        full = RunConfig()
+        assert cfg.gen.grid == (56, 56) and cfg.gen.dims == (1152, 768)
+        assert cfg.lspn.branch_widths == full.lspn.branch_widths
+        assert cfg.lspn.fusion_widths == full.lspn.fusion_widths
+        assert cfg.train.batch_size == full.train.batch_size
+        assert cfg.bank.fraction == full.bank.fraction
+        assert cfg.synth.n_aug == full.synth.n_aug
+
     def test_file_and_overrides_precedence(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("train.epochs = 12  # from file\nseed = 3\n")
@@ -29,21 +43,25 @@ class TestParsing:
         cfg = RunConfig()
         apply_setting(cfg, "gen.grid", "24, 20")
         assert cfg.gen.grid == (24, 20)
-        apply_setting(cfg, "bank.projection_dim", "8")
-        assert cfg.bank.projection_dim == 8
-        apply_setting(cfg, "bank.projection_dim", "none")
-        assert cfg.bank.projection_dim is None
+        apply_setting(cfg, "loss.m0", "0.5")
+        assert cfg.loss.m0 == 0.5
+        apply_setting(cfg, "loss.m0", "none")
+        assert cfg.loss.m0 is None
         apply_setting(cfg, "gen.anomaly_modes", "pc_only, joint")
         assert cfg.gen.anomaly_modes == ("pc_only", "joint")
 
     def test_unknown_key_rejected(self):
         # Retired keys: dropout is lspn.dropout; eval_every went with the
-        # epoch snapshots; the eval section is gone, since k is the
-        # checkpoint's, the upsampling factor the dataset's and the rest of
-        # the protocol fixed.
+        # epoch snapshots; projection_dim went with the projected coreset
+        # selection, whatever its value; the eval section is gone, since k is
+        # the checkpoint's, the upsampling factor the dataset's and the rest
+        # of the protocol fixed.
         for key in ("train.warp_speed", "train.dropout", "train.eval_every"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 apply_setting(RunConfig(), key, "2")
+        for value in ("-3", "0", "abc", "2.5", "4", "none"):
+            with pytest.raises(ConfigError, match="unknown config key 'bank.projection_dim'"):
+                apply_setting(RunConfig(), "bank.projection_dim", value)
         for key in ("eval.k", "eval.upsample_factor"):
             with pytest.raises(ConfigError, match="unknown config section 'eval'"):
                 apply_setting(RunConfig(), key, "2")
@@ -89,7 +107,8 @@ class TestHash:
 
     def test_no_eval_section(self):
         # The evaluation protocol is fixed, so no key belongs to it, and
-        # training keeps one checkpoint, so no snapshot cadence: 50 keys, the
+        # training keeps one checkpoint, so no snapshot cadence, and the
+        # coreset has one selection space, so no projection: 49 keys, the
         # four derived ones included.
         def leaves(node, prefix=""):
             for name, value in node.items():
@@ -100,4 +119,4 @@ class TestHash:
 
         keys = list(leaves(RunConfig().to_dict()))
         assert not [k for k in keys if k.startswith("eval.")]
-        assert len(keys) == 50
+        assert len(keys) == 49

@@ -10,6 +10,7 @@ from g2sf.lspn import forward_batch, init_model, parameters
 from g2sf.synthesis import SynthesisConfig, build_training_pool
 from g2sf.trainer import (
     TrainConfig,
+    _sattolo,
     batch_rows,
     load_checkpoint,
     make_negatives,
@@ -18,7 +19,7 @@ from g2sf.trainer import (
     train,
 )
 from tests.conftest import DESK_K, DESK_SEED
-from tests.oracles import dense_forward, dense_pool_rows
+from tests.oracles import dense_forward, dense_pool_rows, sattolo_scalar
 
 
 class TestMakeNegatives:
@@ -26,6 +27,17 @@ class TestMakeNegatives:
         neg = make_negatives(np.array([0, 0]), np.random.default_rng(0))
         assert sorted(neg.rows.tolist()) == [0, 1]
         assert neg.partners.tolist() == neg.rows[::-1].tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    def test_sattolo_matches_scalar_draws(self, n):
+        # One vector draw of the swap indices: the same permutation as one
+        # scalar draw per swap, and the generator left in the same state.
+        for seed in range(5):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            perm = _sattolo(n, fast)
+            assert perm.dtype == np.int64
+            assert perm.tolist() == sattolo_scalar(n, slow).tolist()
+            assert fast.random() == slow.random()
 
     def test_no_fixed_points_over_seeds(self):
         for seed in range(200):
