@@ -181,16 +181,19 @@ class TestExitCodes:
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("setting", [
-        "synth.perlin.max_resample=-1",
+        "bank.projection_dim=-3", "bank.projection_dim=0", "synth.perlin.max_resample=-1",
         "gen.grid=16", "gen.dims=8", "synth.perlin.min_coverage=0.9",
         "synth.perlin.frequency=0", "synth.perlin.octaves=0", "gen.anomaly_frac=1.5",
         "gen.bg_border=-1", "train.epochs=none", "lspn.dropout=null", "loss.m0=abc",
-        "seed=-1", "train.lr=nan", "synth.strength=inf", "gen.anomaly_coverage=0.1,inf",
+        "bank.projection_dim=abc", "seed=-1", "bank.projection_dim=2.5", "train.lr=nan",
+        "synth.strength=inf", "gen.anomaly_coverage=0.1,inf",
         "train.beta1=1", "train.beta2=1.5", "train.eps=0", "train.beta1=-0.1"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, setting):
         # Each of these used to crash a stage with a traceback or run it on
         # a silently wrong setting. Values are parsed by the key's declared
         # type: none only where the key may be empty, finite numbers only.
+        # bank.projection_dim is retired: whatever its value, it is now
+        # refused as an unknown key, still by name and before any stage runs.
         assert main(["gen", "--out", str(tmp_path / "d"), "--set", setting]) == 2
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
