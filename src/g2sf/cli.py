@@ -226,27 +226,34 @@ def cmd_synth(cfg, data, run):
                                               f"samples to {pool_dir}")
 
 
+def _pool_stems(run: Path) -> list:
+    synth_manifest = _read_stage_manifest(run, "synth")
+    return [run / stem for stem in sorted({out.rsplit("_", 1)[0]
+                                           for out in synth_manifest["outputs"]})]
+
+
 def _load_pool_samples(run: Path):
+    """Yield each augmented sample of the synth stage as (SamplePair, labels),
+    read from disk when the consumer asks for it."""
     from .features import SamplePair
 
-    synth_manifest = _read_stage_manifest(run, "synth")
-    samples = []
-    stems = sorted({out.rsplit("_", 1)[0] for out in synth_manifest["outputs"]})
-    for stem in stems:
-        fg = read_mask(run / f"{stem}_fg.g2t")
-        pc = read_feature_map(run / f"{stem}_pc.g2t", foreground=fg)
-        rgb = read_feature_map(run / f"{stem}_rgb.g2t", foreground=fg)
-        labels = read_mask(run / f"{stem}_labels.g2t")
-        samples.append((SamplePair(Path(stem).name, pc, rgb), labels))
-    return samples
+    for stem in _pool_stems(run):
+        fg = read_mask(f"{stem}_fg.g2t")
+        pc = read_feature_map(f"{stem}_pc.g2t", foreground=fg)
+        rgb = read_feature_map(f"{stem}_rgb.g2t", foreground=fg)
+        yield SamplePair(stem.name, pc, rgb), read_mask(f"{stem}_labels.g2t")
 
 
 def cmd_train(cfg, data, run):
     banks = _load_banks(run)
     bank_manifest = _read_stage_manifest(run, "bank")
     normalizer = DistanceNormalizer.from_dict(bank_manifest["normalizer"])
-    # Unnamed, the augmented samples are freed once the pool holds their cells.
-    pool = synth_mod.pool_from_samples(_load_pool_samples(run), banks, normalizer, cfg.loss.k)
+    # The small foreground masks size the pool; the samples then stream into
+    # it one at a time, each freed once the pool has its cells, so the
+    # augmented samples are never held together.
+    cells = [int(read_mask(f"{stem}_fg.g2t").sum()) for stem in _pool_stems(run)]
+    pool = synth_mod.pool_from_samples(_load_pool_samples(run), banks, normalizer, cfg.loss.k,
+                                       cells=cells)
 
     sized = copy.deepcopy(cfg)
     derive(sized, load_manifest(data / "train_manifest.json").dims)

@@ -225,7 +225,9 @@ class TrainingPool:
     direction (f - m) / r in factored form (see :mod:`g2sf.lspn`). For the
     default 48 augmented samples on 56x56 grids of 1152 + 768 dims (the
     paper's feature shape) that is about 1.2 GB of features where per-rank
-    directions took about 12 GB.
+    directions took about 12 GB. :func:`pool_from_samples` writes each
+    sample's rows straight into these arrays, so building the pool needs no
+    second copy of them.
     The train/validation split is by source-sample parity so both halves
     carry mixed labels.
     """
@@ -257,12 +259,18 @@ class TrainingPool:
         return np.stack([self.s_pc[:, 0], self.s_rgb[:, 0]], axis=1)
 
 
-def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> TrainingPool:
+def pool_from_samples(samples_with_labels, banks, normalizer, k: int,
+                      cells=None) -> TrainingPool:
     """Encode every foreground cell of each (SamplePair, labels) item.
 
-    Only foreground cells are pooled, so only they are queried: one k-NN
-    query per modality over the pooled cells of all samples, with distances
-    normalized by :meth:`~g2sf.geometry.DistanceNormalizer.normalize`, as in
+    The items are consumed once, in order, and each one's foreground rows are
+    written straight into the pool's arrays, so the build holds the pool and
+    the item in hand, never a second copy of the cells. ``cells`` lists each
+    item's foreground cell count, which sizes the arrays; it may be left out
+    when the items are a sequence, which is then counted first. Only
+    foreground cells are pooled, so only they are queried: one k-NN query per
+    modality over the pooled cells of all items, with distances normalized by
+    :meth:`~g2sf.geometry.DistanceNormalizer.normalize`, as in
     :func:`~g2sf.geometry.encode_map`.
     """
     n = 2 * k + 1
@@ -271,25 +279,39 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int) -> Trainin
             f"banks too small for 2k+1={n} neighbors "
             f"(pc {min(n, banks['pc'].size)}, rgb {min(n, banks['rgb'].size)})"
         )
-    parts = {key: [] for key in ("y", "si", "feat_pc", "feat_rgb")}
+    if cells is None:
+        cells = [int(np.count_nonzero(pair.foreground)) for pair, _ in samples_with_labels]
+    bounds = np.concatenate([[0], np.cumsum(cells, dtype=np.int64)])
+    out = {"y": np.empty(bounds[-1], np.uint8), "sample_index": np.empty(bounds[-1], np.int64)}
+    for m in ("pc", "rgb"):
+        out[f"feat_{m}"] = np.empty((bounds[-1], banks[m].dim), np.float32)
+    items = 0
     for sample_idx, (pair, labels) in enumerate(samples_with_labels):
         sel = pair.foreground.reshape(-1)
         if not sel.any():
             raise EmptyBankError(f"sample {pair.sample_id} has no foreground cells")
-        parts["y"].append(np.asarray(labels, dtype=bool).reshape(-1)[sel].astype(np.uint8))
-        parts["si"].append(np.full(sel.sum(), sample_idx, dtype=np.int64))
+        if sample_idx >= len(cells) or np.count_nonzero(sel) != cells[sample_idx]:
+            raise ShapeError(f"sample {pair.sample_id} does not match the foreground "
+                             f"cell counts the pool was sized from")
+        part = slice(bounds[sample_idx], bounds[sample_idx + 1])
+        out["y"][part] = np.asarray(labels, dtype=bool).reshape(-1)[sel]
+        out["sample_index"][part] = sample_idx
         for m in ("pc", "rgb"):
             fmap = getattr(pair, m)
-            parts[f"feat_{m}"].append(fmap.data.reshape(-1, fmap.dim)[sel])
-    cat = {key: np.concatenate(value) for key, value in parts.items()}
+            if fmap.dim != banks[m].dim:
+                raise ShapeError(f"sample {pair.sample_id} has {m} width {fmap.dim}, "
+                                 f"the {m} bank {banks[m].dim}")
+            out[f"feat_{m}"][part] = fmap.data.reshape(-1, fmap.dim)[sel]
+        items = sample_idx + 1
+    if items != len(cells):
+        raise ShapeError(f"the pool was sized for {len(cells)} samples, got {items}")
     for m in ("pc", "rgb"):
-        cat[f"idx_{m}"], cat[f"r_{m}"], _ = query_neighbors_batch(banks[m], cat[f"feat_{m}"], k)
-        cat[f"s_{m}"] = normalizer.normalize(cat[f"r_{m}"], m).astype(np.float64)
-    sample_index = cat.pop("si")
-    train_mask = (sample_index % 2) == 0
-    indices = np.arange(sample_index.shape[0])
-    return TrainingPool(k=k, **cat, sample_index=sample_index,
-                        train_indices=indices[train_mask], val_indices=indices[~train_mask])
+        out[f"idx_{m}"], out[f"r_{m}"], _ = query_neighbors_batch(banks[m], out[f"feat_{m}"], k)
+        out[f"s_{m}"] = normalizer.normalize(out[f"r_{m}"], m).astype(np.float64)
+    train_mask = (out["sample_index"] % 2) == 0
+    indices = np.arange(bounds[-1])
+    return TrainingPool(k=k, **out, train_indices=indices[train_mask],
+                        val_indices=indices[~train_mask])
 
 
 def build_training_pool(train_manifest, banks, normalizer, cfg: SynthesisConfig,

@@ -15,6 +15,14 @@ forward, the five losses, and the chain rule down to every parameter. The
 training step, validation and the gradient check in :mod:`g2sf.selftest` all
 call it. A step's cache and gradients are released before validation, and
 validation keeps no training state.
+
+Validation runs the network in chunks: cells in near-equal chunks of at most
+``batch_size``, then the negatives in near-equal chunks of at most
+``batch_size`` (2k+1) rows, the rank rows of a full batch. Only the
+(cells, 2k+1, 2) metric arrays, 176 bytes a cell each at k = 5, span the
+whole validation half, for the margin bounds and the losses. So
+validation's memory is a bounded multiple of one training batch, whatever
+the size of the half, and its bits are those of one forward over the half.
 """
 from __future__ import annotations
 
@@ -131,39 +139,74 @@ def make_negatives(y: np.ndarray, rng) -> NegativeBatch:
     return NegativeBatch(normal_rows, normal_rows[perm], kinds)
 
 
-def batch_rows(pool: TrainingPool, banks, rows, neg: NegativeBatch | None = None):
+def batch_rows(pool: TrainingPool, banks, rows, neg: NegativeBatch | None = None,
+               ranked: bool = True):
     """Network inputs of pooled cells ``rows``: every neighbor rank of each
-    cell, then one rank-0 row per negative with its rgb half taken from the
-    partner cell (the prototype for kind 0, the direction for kind 1).
+    cell (none when not ``ranked``), then one rank-0 row per negative with its
+    rgb half taken from the partner cell (the prototype for kind 0, the
+    direction for kind 1). Negatives name cells by position in ``rows``.
 
     Returns (protos (R, 2), :class:`~g2sf.lspn.Directions`,
-    :class:`~g2sf.lspn.Sources`, number of positive rows). Cell ids are
-    positions in ``rows``, whose features are the only ones gathered.
+    :class:`~g2sf.lspn.Sources`, number of ranked rows). Each modality
+    gathers the features of the cells its directions read, once each in
+    position order, and directions name cells by position in that gather.
+    With ``ranked`` that is every cell of ``rows``, so cell ids are positions
+    in ``rows``; without, it is only the negatives' cells.
     """
     rows = np.asarray(rows)
-    b, n = rows.size, pool.n_neighbors
-    ids = np.stack([pool.idx_pc[rows], pool.idx_rgb[rows]], axis=2)
-    inv_r = np.stack([inverse_distances(pool.r_pc[rows]),
-                      inverse_distances(pool.r_rgb[rows])], axis=2)
+    empty = np.empty(0, dtype=np.int64)
+    neg = NegativeBatch(empty, empty, empty) if neg is None else neg
+    own, partner = neg.rows, neg.partners
+    proto_swap = neg.kinds == 0
+    rgb = np.where(proto_swap, own, partner)  # whose rgb direction the row reads
+    ranked_rows = rows if ranked else rows[:0]
+    ranks = np.arange(ranked_rows.size)
+    gathered = [np.unique(np.concatenate([ranks, cells])) for cells in (own, rgb)]
+    ids = np.stack([pool.idx_pc[ranked_rows], pool.idx_rgb[ranked_rows]], axis=2)
+    inv_r = np.stack([inverse_distances(pool.r_pc[ranked_rows]),
+                      inverse_distances(pool.r_rgb[ranked_rows])], axis=2)
     protos, dirs = lspn_mod.rank_rows(ids, inv_r)
-    if neg is not None and len(neg):
-        own, partner = neg.rows, neg.partners
-        proto_swap = neg.kinds == 0
-        neg_protos = ids[own, 0].copy()
-        neg_protos[proto_swap, 1] = ids[partner[proto_swap], 0, 1]
-        rgb = np.where(proto_swap, own, partner)  # whose rgb direction the row reads
-        neg_dirs = (np.stack([own, rgb], axis=1),
-                    np.stack([ids[own, 0, 0], ids[rgb, 0, 1]], axis=1),
-                    np.stack([inv_r[own, 0, 0], inv_r[rgb, 0, 1]], axis=1))
+    if len(neg):
+        own_rows, rgb_rows = rows[own], rows[rgb]
+        rgb_proto = np.where(proto_swap, partner, own)  # whose rgb prototype it reads
+        neg_protos = np.stack([pool.idx_pc[own_rows, 0], pool.idx_rgb[rows[rgb_proto], 0]],
+                              axis=1)
+        neg_dirs = (np.stack([np.searchsorted(gathered[0], own),
+                              np.searchsorted(gathered[1], rgb)], axis=1),
+                    np.stack([pool.idx_pc[own_rows, 0], pool.idx_rgb[rgb_rows, 0]], axis=1),
+                    np.stack([inverse_distances(pool.r_pc[own_rows, 0]),
+                              inverse_distances(pool.r_rgb[rgb_rows, 0])], axis=1))
         protos = np.concatenate([protos, neg_protos])
         dirs = lspn_mod.Directions(*map(np.concatenate, zip(dirs, neg_dirs)))
     sources = lspn_mod.Sources((banks["pc"].prototypes, banks["rgb"].prototypes),
-                               (pool.feat_pc[rows], pool.feat_rgb[rows]))
-    return protos, dirs, sources, b * n
+                               (pool.feat_pc[rows[gathered[0]]],
+                                pool.feat_rgb[rows[gathered[1]]]))
+    return protos, dirs, sources, ranks.size * pool.n_neighbors
+
+
+def _forward_plan(rows, neg: NegativeBatch, chunk, n_neighbors):
+    """The :func:`batch_rows` arguments of each forward over ``rows`` and
+    ``neg``: one forward for at most ``chunk`` cells (None: any number),
+    otherwise near-equal chunks of at most ``chunk`` cells, then the
+    negatives in near-equal chunks of at most ``chunk * n_neighbors`` rows.
+
+    A negative chunk is as many rows as a cell chunk, not ``chunk`` rows:
+    OpenBLAS has reproduced a GEMM's rows bit for bit on slices of 1,000 rows
+    and more, but not on slices of a few hundred rows with two output
+    columns, the shape of the scale network's last layer.
+    """
+    if chunk is None or rows.size <= chunk:
+        return [(rows, neg, True)]
+    plan = [(part, None, True) for part in np.array_split(rows, -(-rows.size // chunk))]
+    if neg is not None and len(neg):
+        for part in np.array_split(np.arange(len(neg)), -(-len(neg) // (chunk * n_neighbors))):
+            plan.append((rows, NegativeBatch(neg.rows[part], neg.partners[part],
+                                             neg.kinds[part]), False))
+    return plan
 
 
 def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
-                    margin=None, grads=False, rng=None):
+                    margin=None, grads=False, rng=None, chunk=None):
     """The training objective on pooled cells ``rows`` plus negatives ``neg``.
 
     Returns (value, parts, margin, gradients). With ``grads`` the forward runs
@@ -172,13 +215,28 @@ def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
     gradients from the loss, the L1 sign term on weight matrices, and
     dLoss/dlog sigma last. Without ``grads`` the last item is None. The loss
     runs in float64 or wider; ``margin`` None takes the batch's own bounds.
+
+    ``chunk`` caps the cells of one network forward (see
+    :func:`_forward_plan`); rows of at most ``chunk`` cells run as one
+    forward, and a gradient objective must. The margin bounds and the losses
+    always see every cell at once, so chunking changes no bit.
     """
-    protos, dirs, sources, n_pos = batch_rows(pool, banks, rows, neg)
-    w_all, cache = lspn_mod.forward_batch(model, protos, dirs, sources, training=grads, rng=rng)
+    rows = np.asarray(rows)
+    plan = _forward_plan(rows, neg, chunk, pool.n_neighbors)
+    if grads and len(plan) > 1:
+        raise ConfigError(f"a gradient batch of {rows.size} cells exceeds chunk {chunk}")
+    w_pos, w_neg = [], []
+    for args in plan:
+        protos, dirs, sources, n_pos = batch_rows(pool, banks, *args)
+        w_all, cache = lspn_mod.forward_batch(model, protos, dirs, sources, training=grads,
+                                              rng=rng)
+        w_pos.append(w_all[:n_pos])
+        w_neg.append(w_all[n_pos:])
+        del protos, dirs, sources, w_all
     dtype = model.log_sigma.dtype
     acc = np.promote_types(dtype, np.float64)
-    w = w_all[:n_pos].astype(acc).reshape(len(rows), pool.n_neighbors, 2)
-    w_neg = w_all[n_pos:].astype(acc)
+    w = np.concatenate(w_pos).astype(acc).reshape(len(rows), pool.n_neighbors, 2)
+    w_neg = np.concatenate(w_neg).astype(acc)
     sigma = np.exp(model.log_sigma).astype(acc)
     s = np.stack([pool.s_pc[rows], pool.s_rgb[rows]], axis=2).astype(acc)
     batch = losses_mod.LossBatch(y=pool.y[rows], l=lspn_mod.metric_values(w, s, sigma),
@@ -219,7 +277,10 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     kept. The third slot is always None; the benchmark harness
     (``perfbench/``) still unpacks three items, and the slot goes with its
     next change. m0 is computed from the full pool before the first epoch
-    when the loss config leaves it unset, then frozen. Dropout is
+    when the loss config leaves it unset, then frozen. Each epoch ends with
+    a validation pass whose network forwards run in chunks of at most
+    ``train_cfg.batch_size`` cells, so however large the validation half, a
+    forward never spans more rows than a training step's. Dropout is
     ``lspn_cfg.dropout``. The :class:`TrainConfig` defaults (batch 8192,
     80 epochs) are the full-scale schedule; ``configs/desk.cfg`` shortens it.
     """
@@ -273,7 +334,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                 np.random.SeedSequence([int(train_cfg.seed), 0xA1, epoch]))
             neg = make_negatives(pool.y[pool.val_indices], val_rng)
             val_total, _, _, _ = batch_objective(model, pool, banks, pool.val_indices, neg,
-                                                 loss_cfg)
+                                                 loss_cfg, chunk=train_cfg.batch_size)
             val_total /= pool.val_indices.size
 
         denom = max(1, n_batches)

@@ -549,9 +549,9 @@ class TestSpecialModes:
         load, train = cli._load_pool_samples, cli.train
 
         def spy_load(run_dir):
-            samples = load(run_dir)
-            loaded.extend(weakref.ref(pair) for pair, _ in samples)
-            return samples
+            for pair, labels in load(run_dir):
+                loaded.append(weakref.ref(pair))
+                yield pair, labels
 
         def spy_train(*args, **kwargs):
             gc.collect()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from g2sf.bank import query_neighbors_batch
-from g2sf.errors import ConfigError, ShapeError
-from g2sf.features import iter_samples, load_sample
+from g2sf.errors import ConfigError, EmptyBankError, ShapeError
+from g2sf.features import FeatureMap, SamplePair, iter_samples, load_sample
 from g2sf.synthesis import (
     PerlinParams,
     SynthesisConfig,
@@ -167,6 +167,51 @@ class TestTrainingPool:
         for key, value in want.items():
             got = getattr(pool, key)
             assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), key
+
+    def test_generator_equals_list(self, desk_dataset, desk_banks):
+        # Streamed once from a generator, sized by the foreground counts, the
+        # pool is the one built from the same samples as a list.
+        _, train_manifest, _ = desk_dataset
+        banks, normalizer = desk_banks
+        samples = augment_dataset(train_manifest, SynthesisConfig(n_aug=5, k=DESK_K), 13)
+        cells = [int(pair.foreground.sum()) for pair, _ in samples]
+        want = pool_from_samples(samples, banks, normalizer, DESK_K)
+        got = pool_from_samples((item for item in samples), banks, normalizer, DESK_K,
+                                cells=cells)
+        assert got.k == want.k
+        arrays = {key for key, value in vars(want).items() if isinstance(value, np.ndarray)}
+        assert {"train_indices", "val_indices", "sample_index", "y"} <= arrays
+        for key in arrays:
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.dtype == b.dtype and a.shape == b.shape, key
+            assert a.tobytes() == b.tobytes(), key
+
+    def test_generator_needs_cell_counts(self, desk_dataset, desk_banks):
+        # A one-pass iterator cannot be counted and then pooled; the counts
+        # it was sized for must match what it yields.
+        _, train_manifest, _ = desk_dataset
+        banks, normalizer = desk_banks
+        samples = augment_dataset(train_manifest, SynthesisConfig(n_aug=3, k=DESK_K), 13)
+        with pytest.raises(ShapeError):
+            pool_from_samples(iter(samples), banks, normalizer, DESK_K)
+        cells = [int(pair.foreground.sum()) for pair, _ in samples]
+        with pytest.raises(ShapeError, match="aug_0001"):
+            pool_from_samples(iter(samples), banks, normalizer, DESK_K,
+                              cells=[cells[0], cells[1] + 1, cells[2]])
+
+    def test_sample_without_foreground_named(self, desk_dataset, desk_banks):
+        _, train_manifest, _ = desk_dataset
+        banks, normalizer = desk_banks
+        samples = augment_dataset(train_manifest, SynthesisConfig(n_aug=2, k=DESK_K), 13)
+        pair, labels = samples[1]
+        none = np.zeros(pair.grid, dtype=bool)
+        empty = SamplePair("blank_0001", FeatureMap("pc", pair.pc.data, none),
+                           FeatureMap("rgb", pair.rgb.data, none))
+        items = [samples[0], (empty, labels)]
+        cells = [int(samples[0][0].foreground.sum()), 0]
+        for source, counts in ((items, None), (iter(items), cells)):
+            with pytest.raises(EmptyBankError, match="blank_0001"):
+                pool_from_samples(source, banks, normalizer, DESK_K, cells=counts)
 
     def test_split_halves_cover_both_labels(self, desk_pool):
         for part in (desk_pool.train_indices, desk_pool.val_indices):

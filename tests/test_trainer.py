@@ -232,6 +232,113 @@ class TestStepPeak:
         assert peak < bound + slack, (peak, bound, slack)
 
 
+class TestChunkedObjective:
+    """Without gradients the objective runs its network forward in chunks of
+    at most ``chunk`` cells and the negatives in chunks of ``chunk`` (2k+1)
+    rows; the margin bounds and the losses still see the whole half."""
+
+    CHUNK = 70
+
+    def _count_forwards(self, monkeypatch):
+        import g2sf.trainer as trainer_mod
+
+        calls = []
+        real = trainer_mod.lspn_mod.forward_batch
+
+        def counted(model, protos, *args, **kwargs):
+            calls.append(protos.shape[0])
+            return real(model, protos, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod.lspn_mod, "forward_batch", counted)
+        return calls
+
+    def test_chunked_equals_one_chunk(self, desk_pool, desk_banks, desk_checkpoint,
+                                      monkeypatch):
+        from g2sf.trainer import batch_objective
+
+        banks, _ = desk_banks
+        ckpt, _ = desk_checkpoint
+        rows, n = desk_pool.val_indices, desk_pool.n_neighbors
+        n_chunks = -(-rows.size // self.CHUNK)
+        assert n_chunks >= 3 and rows.size % self.CHUNK  # the last chunk is partial
+        neg = make_negatives(desk_pool.y[rows], np.random.default_rng(5))
+        n_neg_chunks = -(-len(neg) // (self.CHUNK * n))
+        assert n_neg_chunks >= 2
+        # Some negatives pair cells of different cell chunks.
+        chunk_of = np.repeat(np.arange(n_chunks),
+                             [part.size for part in np.array_split(rows, n_chunks)])
+        assert np.any(chunk_of[neg.rows] != chunk_of[neg.partners])
+
+        calls = self._count_forwards(monkeypatch)
+        want = batch_objective(ckpt.model, desk_pool, banks, rows, neg, ckpt.loss_cfg)
+        assert len(calls) == 1
+        got = batch_objective(ckpt.model, desk_pool, banks, rows, neg, ckpt.loss_cfg,
+                              chunk=self.CHUNK)
+        assert len(calls) == 1 + n_chunks + n_neg_chunks
+        assert max(calls[1:]) <= self.CHUNK * n
+        assert got[0] == want[0]
+        assert got[1] == want[1]  # every unweighted part
+        assert got[2] == want[2] and got[2] is not None  # the whole half's margin bounds
+
+    def test_one_chunk_is_one_forward(self, desk_pool, desk_banks, desk_checkpoint,
+                                      monkeypatch):
+        # A batch of at most ``chunk`` cells runs as a training step does:
+        # one forward over every rank row and then the negatives.
+        from g2sf.trainer import batch_objective
+
+        banks, _ = desk_banks
+        ckpt, _ = desk_checkpoint
+        rows = desk_pool.val_indices[: self.CHUNK]
+        neg = make_negatives(desk_pool.y[rows], np.random.default_rng(5))
+        calls = self._count_forwards(monkeypatch)
+        got = batch_objective(ckpt.model, desk_pool, banks, rows, neg, ckpt.loss_cfg,
+                              chunk=self.CHUNK)
+        want = batch_objective(ckpt.model, desk_pool, banks, rows, neg, ckpt.loss_cfg)
+        assert calls == [rows.size * desk_pool.n_neighbors + len(neg)] * 2
+        assert got[:3] == want[:3]
+
+    def test_gradient_batch_is_one_chunk(self, desk_pool, desk_banks, desk_checkpoint):
+        from g2sf.errors import ConfigError
+        from g2sf.trainer import batch_objective
+
+        banks, _ = desk_banks
+        ckpt, _ = desk_checkpoint
+        rows = desk_pool.train_indices[: 2 * self.CHUNK]
+        neg = make_negatives(desk_pool.y[rows], np.random.default_rng(5))
+        with pytest.raises(ConfigError, match="exceeds chunk"):
+            batch_objective(ckpt.model.copy(), desk_pool, banks, rows, neg, ckpt.loss_cfg,
+                            grads=True, rng=np.random.default_rng(0), chunk=self.CHUNK)
+
+    def test_validation_peak_does_not_grow_with_the_half(self, desk_pool, desk_banks):
+        # A validation pass over eight batches' worth of cells peaks within
+        # 1.5x of a pass over one batch: only the (cells, 2k+1, 2) metric
+        # arrays, 176 bytes a cell, span the whole half. A pass that runs the
+        # whole half as one forward peaks about eight times as high.
+        import tracemalloc
+
+        from g2sf.losses import compute_m0
+        from g2sf.lspn import LspnConfig
+        from g2sf.trainer import batch_objective
+
+        banks, _ = desk_banks
+        cfg = LspnConfig(dim_pc=desk_pool.feat_pc.shape[1], dim_rgb=desk_pool.feat_rgb.shape[1],
+                         branch_widths=(256, 128), fusion_widths=(128,), dropout=0.5)
+        model = init_model(cfg, seed=0)
+        loss_cfg = LossConfig(k=DESK_K, m0=compute_m0(desk_pool.s0()))
+        batch = 100
+        peaks = []
+        for rows in (np.arange(batch), np.arange(8 * batch)):
+            neg = make_negatives(desk_pool.y[rows], np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                batch_objective(model, desk_pool, banks, rows, neg, loss_cfg, chunk=batch)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
 class TestCheckpoint:
     def test_roundtrip_bitexact_forward(self, desk_checkpoint, desk_banks, tmp_path,
                                         desk_pool):
