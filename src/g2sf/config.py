@@ -7,9 +7,11 @@ dedicated flags. Each setting has one source: the keys in ``DERIVED`` follow
 another key or the dataset and cannot be set. A value is read as its key's
 declared type: ``none`` only where the key may be empty, numbers only when
 finite. The SHA-256 hash of the canonical merged configuration is stamped
-into every stage manifest so downstream stages can detect drift. The
-evaluation protocol is fixed (see :mod:`g2sf.evaluation`), and the CLI's
-``--threads`` is not a setting.
+into every stage manifest so downstream stages can detect drift. Fixed, so
+not settings: the evaluation protocol (:mod:`g2sf.evaluation`), the data
+generator's recipe (:mod:`g2sf.features` constants), augmentation's modes
+and Perlin masks (:mod:`g2sf.synthesis`), Adam's constants (:mod:`g2sf.nn`)
+and the CLI's ``--threads``.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ class BankConfig:
 
     def validate(self):
         if not (0.0 < self.fraction <= 1.0):
-            raise ConfigError(f"coreset fraction {self.fraction} outside (0, 1]")
+            raise ConfigError(f"bank.fraction {self.fraction} outside (0, 1]")
 
 
 @dataclass
@@ -66,10 +68,10 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         self.gen.validate()
         self.bank.validate()
+        self.loss.validate()  # before synth, whose k follows loss.k
         self.synth.validate()
         self.lspn.validate()
         self.train.validate()
-        self.loss.validate()
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -19,6 +19,17 @@ from .tensorio import read_tensor, write_tensor
 MODALITIES = ("pc", "rgb")
 ANOMALY_MODES = ("pc_only", "rgb_only", "joint")
 
+# The synthetic generator's fixed recipe (see SynthConfig).
+CLUSTERS = 4                     # Gaussian texture clusters per modality
+RHO = 0.7                        # weight of the mixture layout both modalities share
+NOISE_SIGMA = 0.15               # per-entry feature noise
+FIELD_SMOOTHNESS = 2.0           # Gaussian sigma, in cells, of every latent field
+MIX_SHARPNESS = 3.0              # softmax gain of the cluster mixture
+ANOMALY_FRAC = 0.5               # share of test samples that are anomalous
+ANOMALY_OFFSET = 6.0             # anomaly shift, in NOISE_SIGMA units
+ANOMALY_COVERAGE = (0.06, 0.22)  # band of foreground fraction an anomaly covers
+BG_BORDER = 1                    # background border, in cells
+
 __all__ = [
     "MODALITIES",
     "ANOMALY_MODES",
@@ -240,56 +251,39 @@ def iter_samples(manifest: DatasetManifest):
 
 @dataclass
 class SynthConfig:
-    """Knobs for the synthetic two-modality benchmark generator.
+    """Shape of the synthetic two-modality benchmark.
 
     Normal samples are smooth spatial mixtures of per-modality Gaussian
-    texture clusters; ``rho`` controls how strongly the two modalities share
-    the same mixture layout. Test anomalies shift features of one or both
-    modalities by ``anomaly_offset`` noise standard deviations inside a
-    smooth blob region.
+    texture clusters; the two modalities share the mixture layout with
+    weight ``RHO``. Test anomalies shift features of one or both modalities
+    by ``ANOMALY_OFFSET`` noise standard deviations inside a smooth blob
+    region. Those constants are the generator's fixed recipe; the fields
+    here set the grid, widths, sample counts, modes and ground-truth scale.
     """
 
     grid: tuple = (16, 16)
     dims: tuple = (8, 8)
-    clusters: int = 4
-    rho: float = 0.7
-    noise_sigma: float = 0.15
-    field_smoothness: float = 2.0
-    mix_sharpness: float = 3.0
     n_train: int = 64
     n_test: int = 48
-    anomaly_frac: float = 0.5
-    anomaly_offset: float = 6.0
     anomaly_modes: tuple = ANOMALY_MODES
-    anomaly_coverage: tuple = (0.06, 0.22)
     gt_upscale: int = 4
-    bg_border: int = 1
 
     def validate(self):
         for name in ("grid", "dims"):
             if len(getattr(self, name)) != 2:
                 raise ConfigError(f"gen.{name} needs two values")
-        h, w = self.grid
+        if min(self.grid) <= 2 * BG_BORDER:
+            raise ConfigError(f"gen.grid {tuple(self.grid)} leaves no foreground inside "
+                              f"its {BG_BORDER}-cell background border")
         if min(self.dims) < 2:
-            raise ConfigError("each modality needs dim >= 2")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ConfigError("need at least one train and one test sample")
-        if not (0.0 <= self.rho <= 1.0):
-            raise ConfigError("rho must lie in [0, 1]")
-        if self.clusters < 1 or self.noise_sigma <= 0:
-            raise ConfigError("clusters must be >= 1 and noise_sigma > 0")
-        if self.gt_upscale < 1:
-            raise ConfigError("gt_upscale must be a positive integer")
-        if not (0 <= self.bg_border < min(h, w) / 2):
-            raise ConfigError("gen.bg_border must be >= 0 and leave foreground")
-        if not (0.0 <= self.anomaly_frac <= 1.0):
-            raise ConfigError("gen.anomaly_frac must lie in [0, 1]")
+            raise ConfigError("gen.dims: each modality needs dim >= 2")
+        for name in ("n_train", "n_test", "gt_upscale"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"gen.{name} must be >= 1")
         bad = [m for m in self.anomaly_modes if m not in ANOMALY_MODES]
-        if bad:
-            raise ConfigError(f"unknown anomaly modes {bad}")
-        lo, hi = self.anomaly_coverage
-        if not (0 < lo <= hi < 1):
-            raise ConfigError("anomaly_coverage band must satisfy 0 < lo <= hi < 1")
+        if bad or not self.anomaly_modes:
+            raise ConfigError(f"gen.anomaly_modes must be one or more of {ANOMALY_MODES}, "
+                              f"got {tuple(self.anomaly_modes)}")
 
 
 def _smooth_field(rng, shape, smoothness):
@@ -308,8 +302,7 @@ def _mixture_weights(latent, sharpness):
 def _foreground_mask(cfg: SynthConfig) -> np.ndarray:
     h, w = cfg.grid
     mask = np.zeros((h, w), dtype=bool)
-    b = cfg.bg_border
-    mask[b : h - b if b else h, b : w - b if b else w] = True
+    mask[BG_BORDER : h - BG_BORDER, BG_BORDER : w - BG_BORDER] = True
     return mask
 
 
@@ -321,25 +314,25 @@ def _normal_sample(cfg, centers, rng):
     distinguishes them, exercising the downstream unit-scale bypass.
     """
     h, w = cfg.grid
-    shared = np.stack([_smooth_field(rng, (h, w), cfg.field_smoothness) for _ in range(cfg.clusters)])
+    shared = np.stack([_smooth_field(rng, (h, w), FIELD_SMOOTHNESS) for _ in range(CLUSTERS)])
     maps = {}
     fg = _foreground_mask(cfg)
     for modality in MODALITIES:
-        own = np.stack([_smooth_field(rng, (h, w), cfg.field_smoothness) for _ in range(cfg.clusters)])
-        latent = cfg.rho * shared + np.sqrt(1.0 - cfg.rho**2) * own
-        weights = _mixture_weights(latent, cfg.mix_sharpness)
+        own = np.stack([_smooth_field(rng, (h, w), FIELD_SMOOTHNESS) for _ in range(CLUSTERS)])
+        latent = RHO * shared + np.sqrt(1.0 - RHO**2) * own
+        weights = _mixture_weights(latent, MIX_SHARPNESS)
         data = np.tensordot(weights, centers[modality], axes=(0, 0))
-        data += cfg.noise_sigma * rng.standard_normal(data.shape)
+        data += NOISE_SIGMA * rng.standard_normal(data.shape)
         maps[modality] = FeatureMap(modality, data, fg)
     return maps
 
 
 def _anomaly_region(cfg, rng, foreground):
-    """Smooth blob of foreground cells with coverage drawn from the config band."""
+    """Smooth blob of foreground cells with coverage drawn from ANOMALY_COVERAGE."""
     h, w = cfg.grid
-    field = _smooth_field(rng, (h, w), cfg.field_smoothness)
+    field = _smooth_field(rng, (h, w), FIELD_SMOOTHNESS)
     field[~foreground] = -np.inf
-    lo, hi = cfg.anomaly_coverage
+    lo, hi = ANOMALY_COVERAGE
     n_fg = int(foreground.sum())
     count = max(1, int(round(rng.uniform(lo, hi) * n_fg)))
     order = np.argsort(field, axis=None, kind="stable")[::-1]
@@ -367,11 +360,11 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
     root_seq = np.random.SeedSequence([int(seed), 0x673D])
     center_rng = np.random.default_rng(root_seq.spawn(1)[0])
     centers = {
-        m: center_rng.standard_normal((cfg.clusters, dim))
+        m: center_rng.standard_normal((CLUSTERS, dim))
         for m, dim in zip(MODALITIES, cfg.dims)
     }
 
-    n_anom = int(round(cfg.anomaly_frac * cfg.n_test))
+    n_anom = int(round(ANOMALY_FRAC * cfg.n_test))
     modes = [cfg.anomaly_modes[i % len(cfg.anomaly_modes)] for i in range(n_anom)]
 
     manifests = {}
@@ -393,7 +386,7 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
                     label = 1
                     mode = modes[idx]
                     gt_grid = _anomaly_region(cfg, rng, fg)
-                    offset = cfg.anomaly_offset * cfg.noise_sigma
+                    offset = ANOMALY_OFFSET * NOISE_SIGMA
                     if mode in ("pc_only", "joint"):
                         maps["pc"] = _inject_offset(maps["pc"], gt_grid, offset, rng)
                     if mode in ("rgb_only", "joint"):

@@ -102,14 +102,15 @@ class LspnConfig:
         return self.dim_pc + self.dim_rgb
 
     def validate(self):
-        if self.dim_pc < 1 or self.dim_rgb < 1:
-            raise ConfigError("modality dims must be positive")
-        if not self.branch_widths or not self.fusion_widths:
-            raise ConfigError("branch and fusion widths must be non-empty")
-        if any(w < 1 for w in self.branch_widths + self.fusion_widths):
-            raise ConfigError("layer widths must be positive")
+        for name in ("dim_pc", "dim_rgb"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"lspn.{name} must be positive")
+        for name in ("branch_widths", "fusion_widths"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ConfigError(f"lspn.{name} must be non-empty and positive")
         if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError("dropout must lie in [0, 1)")
+            raise ConfigError("lspn.dropout must lie in [0, 1)")
 
 
 @dataclass

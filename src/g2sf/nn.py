@@ -173,6 +173,12 @@ def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) ->
     return grad_out
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter Adam buffers (first/second moment) plus the step count."""
@@ -182,7 +188,7 @@ class AdamState:
     v: list = field(default_factory=list)
 
 
-def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+def adam_step(param, grad, m, v, step, lr, weight_decay=0.0):
     """One in-place Adam update of a single parameter array.
 
     Weight decay is decoupled: it shrinks the parameter directly and never
@@ -191,8 +197,8 @@ def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, wei
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("non-finite gradient passed to adam_step")
     one = param.dtype.type(1.0)
-    b1 = param.dtype.type(beta1)
-    b2 = param.dtype.type(beta2)
+    b1 = param.dtype.type(ADAM_BETA1)
+    b2 = param.dtype.type(ADAM_BETA2)
     m *= b1
     m += (one - b1) * grad
     v *= b2
@@ -201,7 +207,7 @@ def adam_step(param, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps=1e-8, wei
     v_hat = v / (one - b2**step)
     if weight_decay:
         param -= param.dtype.type(lr * weight_decay) * param
-    param -= param.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + param.dtype.type(eps))
+    param -= param.dtype.type(lr) * m_hat / (np.sqrt(v_hat) + param.dtype.type(ADAM_EPS))
 
 
 class Adam(object):
@@ -212,11 +218,8 @@ class Adam(object):
     and global scale parameters.
     """
 
-    def __init__(self, specs, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, specs):
         self.specs = list(specs)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state = AdamState()
 
     def step(self, params, grads):
@@ -229,7 +232,7 @@ class Adam(object):
         for p, g, m, v, (lr, wd) in zip(params, grads, self.state.m, self.state.v, self.specs):
             if p.shape != g.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            adam_step(p, g, m, v, self.state.step, lr, self.beta1, self.beta2, self.eps, wd)
+            adam_step(p, g, m, v, self.state.step, lr, wd)
 
 
 def backprop_check(loss_fn, params, analytic_grads, h=None, fd_dtype=np.float64):

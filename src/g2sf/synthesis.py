@@ -13,7 +13,7 @@ directions (see :class:`TrainingPool`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,6 @@ class PerlinParams:
     min_coverage: float = 0.02
     max_coverage: float = 0.35
     max_resample: int = 16
-
-    def validate(self):
-        for name, low in (("octaves", 1), ("frequency", 1), ("max_resample", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"synth.perlin.{name} must be >= {low}")
-        if not (0.0 <= self.min_coverage <= self.max_coverage <= 1.0):
-            raise ConfigError("synth.perlin.min_coverage and max_coverage must satisfy "
-                              "0 <= min_coverage <= max_coverage <= 1")
 
 
 @dataclass
@@ -96,7 +88,8 @@ def perlin_noise(h, w, frequency, octaves, rng, persistence=0.5):
 
 
 def gen_perlin_mask(h, w, params: PerlinParams, rng) -> PerlinMask:
-    """Thresholded noise mask with coverage forced into the configured band.
+    """Thresholded noise mask with coverage forced into the band
+    [``params.min_coverage``, ``params.max_coverage``].
 
     Out-of-band masks are resampled up to ``max_resample`` times; if the band
     is still missed, the threshold is clamped to the quantile that lands the
@@ -164,19 +157,17 @@ def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
 
 @dataclass
 class SynthesisConfig:
+    """Augmentation count and strength. Each augmented sample draws its mode
+    from ``ANOMALY_MODES`` and its mask from ``PerlinParams()``."""
+
     n_aug: int = 48
     strength: float = 1.0
-    modes: tuple = ANOMALY_MODES
     k: int = 5
-    perlin: PerlinParams = field(default_factory=PerlinParams)
 
     def validate(self):
-        if self.n_aug < 0 or self.k < 0 or self.strength < 0:
-            raise ConfigError("n_aug, k and strength must be nonnegative")
-        bad = [m for m in self.modes if m not in ANOMALY_MODES]
-        if bad:
-            raise ConfigError(f"unknown synthesis modes {bad}")
-        self.perlin.validate()
+        for name in ("n_aug", "strength", "k"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"synth.{name} must be nonnegative")
 
 
 def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):
@@ -207,8 +198,8 @@ def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):
         target = load_sample(train_manifest, refs[t_idx])
         donor = load_sample(train_manifest, refs[d_idx])
         h, w = target.grid
-        mask = gen_perlin_mask(h, w, cfg.perlin, rng).grid
-        mode = cfg.modes[int(rng.integers(len(cfg.modes)))]
+        mask = gen_perlin_mask(h, w, PerlinParams(), rng).grid
+        mode = ANOMALY_MODES[int(rng.integers(len(ANOMALY_MODES)))]
         pair, labels = inject_anomaly(target, donor, mask, mode, cfg.strength, rng)
         pair.sample_id = f"aug_{i:04d}"
         out.append((pair, labels))

@@ -54,7 +54,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = "g2sf-checkpoint-v3"
+CHECKPOINT_FORMAT = "g2sf-checkpoint-v4"
 
 
 @dataclass
@@ -64,22 +64,18 @@ class TrainConfig:
     lr: float = 1.5e-4
     weight_decay: float = 1.5e-4
     sigma_lr: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 0 or self.batch_size < 2:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 2")
-        if self.lr <= 0 or self.sigma_lr < 0 or self.weight_decay < 0:
-            # sigma_lr == 0 freezes the global scales (collapse experiments).
-            raise ConfigError("lr must be positive, sigma_lr/weight_decay nonnegative")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ConfigError(f"train.{name} must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("train.eps must be positive")
+        for name, low in (("epochs", 0), ("batch_size", 2)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"train.{name} must be >= {low}")
+        if self.lr <= 0:
+            raise ConfigError("train.lr must be positive")
+        # sigma_lr == 0 freezes the global scales (collapse experiments).
+        for name in ("sigma_lr", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} must be nonnegative")
 
 
 @dataclass
@@ -298,7 +294,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     for is_weight in lspn_mod.weight_flags(model)[:-1]:
         specs.append((train_cfg.lr, train_cfg.weight_decay if is_weight else 0.0))
     specs.append((train_cfg.sigma_lr, 0.0))  # log-sigma group, no decay
-    adam = Adam(specs, train_cfg.beta1, train_cfg.beta2, train_cfg.eps)
+    adam = Adam(specs)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []

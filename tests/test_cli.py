@@ -187,13 +187,22 @@ class TestExitCodes:
         "gen.bg_border=-1", "train.epochs=none", "lspn.dropout=null", "loss.m0=abc",
         "bank.projection_dim=abc", "seed=-1", "bank.projection_dim=2.5", "train.lr=nan",
         "synth.strength=inf", "gen.anomaly_coverage=0.1,inf",
-        "train.beta1=1", "train.beta2=1.5", "train.eps=0", "train.beta1=-0.1"])
+        "train.beta1=1", "train.beta2=1.5", "train.eps=0", "train.beta1=-0.1",
+        "gen.grid=2,2", "gen.grid=0,5", "gen.dims=1,8", "gen.n_train=0", "gen.n_test=0",
+        "gen.gt_upscale=0", "gen.anomaly_modes=both", "gen.anomaly_modes=",
+        "bank.fraction=0", "bank.fraction=1.5", "synth.n_aug=-1", "synth.strength=-1",
+        "loss.k=-1", "lspn.branch_widths=0,8", "lspn.fusion_widths=0", "lspn.branch_widths=",
+        "lspn.dropout=1.5", "lspn.dropout=-0.1", "train.epochs=-1", "train.batch_size=1",
+        "train.lr=0", "train.sigma_lr=-1", "train.weight_decay=-1"])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, setting):
-        # Each of these used to crash a stage with a traceback or run it on
-        # a silently wrong setting. Values are parsed by the key's declared
-        # type: none only where the key may be empty, finite numbers only.
-        # bank.projection_dim is retired: whatever its value, it is now
-        # refused as an unknown key, still by name and before any stage runs.
+        # Each of these used to crash a stage with a traceback, run it on a
+        # silently wrong setting, or refuse it without naming the key.
+        # Values are parsed by the key's declared type: none only where the
+        # key may be empty, finite numbers only. bank.projection_dim, the
+        # synth.perlin keys, gen.anomaly_frac, gen.bg_border,
+        # gen.anomaly_coverage and train.beta1/beta2/eps are retired: whatever
+        # the value, each is now refused as an unknown key, still by name and
+        # before any stage runs.
         assert main(["gen", "--out", str(tmp_path / "d"), "--set", setting]) == 2
         assert setting.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
@@ -366,15 +375,18 @@ class TestEditedArtifacts:
 
     def test_old_checkpoint_format_exits_2(self, chain_copy, cfg_path, capsys):
         # A checkpoint of an earlier format whose train manifest records it:
-        # the chain is consistent, and the checkpoint itself is refused. A
-        # real v2 manifest still holds train.eval_every.
+        # the chain is consistent, and the checkpoint itself is refused by
+        # its format's name. A real v2 manifest still holds train.eval_every,
+        # a v3 one train.beta1/beta2/eps.
         import hashlib
 
         data, run = chain_copy
         ckpt = run / "checkpoints" / "final" / "manifest.json"
         original = ckpt.read_text()
         for fmt, train_fields in (("g2sf-checkpoint-v1", {}),
-                                  ("g2sf-checkpoint-v2", {"eval_every": 0})):
+                                  ("g2sf-checkpoint-v2", {"eval_every": 0}),
+                                  ("g2sf-checkpoint-v3",
+                                   {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})):
             doc = json.loads(original)
             doc["format"] = fmt
             doc["train"].update(train_fields)

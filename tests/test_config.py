@@ -7,6 +7,18 @@ import pytest
 from g2sf.config import RunConfig, apply_setting, build_config, config_hash
 from g2sf.errors import ConfigError
 
+# Retired keys, each with its old default.
+RETIRED = {
+    "gen.clusters": "4", "gen.rho": "0.7", "gen.noise_sigma": "0.15",
+    "gen.field_smoothness": "2.0", "gen.mix_sharpness": "3.0", "gen.anomaly_frac": "0.5",
+    "gen.anomaly_offset": "6.0", "gen.anomaly_coverage": "0.06, 0.22", "gen.bg_border": "1",
+    "synth.modes": "pc_only, rgb_only, joint", "synth.perlin.octaves": "2",
+    "synth.perlin.frequency": "4", "synth.perlin.threshold": "0.2",
+    "synth.perlin.min_coverage": "0.02", "synth.perlin.max_coverage": "0.35",
+    "synth.perlin.max_resample": "16",
+    "train.beta1": "0.9", "train.beta2": "0.999", "train.eps": "1e-8",
+}
+
 
 class TestParsing:
     def test_defaults_validate(self):
@@ -50,7 +62,7 @@ class TestParsing:
         apply_setting(cfg, "gen.anomaly_modes", "pc_only, joint")
         assert cfg.gen.anomaly_modes == ("pc_only", "joint")
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         # Retired keys: dropout is lspn.dropout; eval_every went with the
         # epoch snapshots; projection_dim went with the projected coreset
         # selection, whatever its value; the eval section is gone, since k is
@@ -59,6 +71,15 @@ class TestParsing:
         for key in ("train.warp_speed", "train.dropout", "train.eval_every"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 apply_setting(RunConfig(), key, "2")
+        # The generator's recipe, the augmentation's modes and Perlin masks
+        # and Adam's moment constants are fixed: each key is refused by name,
+        # from an override and from a config file, at its old default too.
+        path = tmp_path / "c.cfg"
+        for key, value in RETIRED.items():
+            path.write_text(f"{key} = {value}\n")
+            for source in ({"overrides": [f"{key}={value}"]}, {"config_file": path}):
+                with pytest.raises(ConfigError, match=f"unknown config (key|section).*'{key}'"):
+                    build_config(**source)
         for value in ("-3", "0", "abc", "2.5", "4", "none"):
             with pytest.raises(ConfigError, match="unknown config key 'bank.projection_dim'"):
                 apply_setting(RunConfig(), "bank.projection_dim", value)
@@ -108,8 +129,9 @@ class TestHash:
     def test_no_eval_section(self):
         # The evaluation protocol is fixed, so no key belongs to it, and
         # training keeps one checkpoint, so no snapshot cadence, and the
-        # coreset has one selection space, so no projection: 49 keys, the
-        # four derived ones included.
+        # coreset has one selection space, so no projection, and the data
+        # recipe and Adam's constants are fixed: 30 keys, the four derived
+        # ones included.
         def leaves(node, prefix=""):
             for name, value in node.items():
                 if isinstance(value, dict):
@@ -119,4 +141,5 @@ class TestHash:
 
         keys = list(leaves(RunConfig().to_dict()))
         assert not [k for k in keys if k.startswith("eval.")]
-        assert len(keys) == 49
+        assert len(keys) == 30
+        assert not set(keys) & set(RETIRED)

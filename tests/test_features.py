@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from g2sf.errors import FormatError, ShapeError
 from g2sf.features import (
+    ANOMALY_FRAC,
     FeatureMap,
     SamplePair,
     SynthConfig,
@@ -170,7 +171,7 @@ class TestSyntheticDataset:
                 n_anom += 1
             else:
                 assert not pair.pixel_gt.any()
-        assert n_anom == round(small_cfg.anomaly_frac * small_cfg.n_test)
+        assert n_anom == round(ANOMALY_FRAC * small_cfg.n_test)
 
     def test_manifest_roundtrip(self, tmp_path, small_cfg):
         train, _ = gen_synthetic_dataset(small_cfg, 5, tmp_path / "d")
@@ -183,13 +184,13 @@ class TestSyntheticDataset:
         assert pair.foreground.any() and not pair.foreground.all()
 
     def test_euclidean_detector_on_affected_modality(self, tmp_path):
-        # Sanity oracle: at a 6-sigma offset, a nearest-prototype detector on
-        # the corrupted modality must separate those anomalies from normals.
+        # Sanity oracle: at the 6-sigma ANOMALY_OFFSET, a nearest-prototype
+        # detector on the corrupted modality must separate those anomalies
+        # from normals.
         from g2sf.bank import build_bank, query_neighbors_batch
         from g2sf.evaluation import auroc
 
-        cfg = SynthConfig(grid=(12, 12), dims=(6, 6), n_train=16, n_test=24,
-                          anomaly_offset=6.0, gt_upscale=2)
+        cfg = SynthConfig(grid=(12, 12), dims=(6, 6), n_train=16, n_test=24, gt_upscale=2)
         train, test = gen_synthetic_dataset(cfg, 11, tmp_path / "d")
         feats = []
         for ref in train.samples:
@@ -197,7 +198,7 @@ class TestSyntheticDataset:
             feats.append(pair.pc.data[pair.foreground])
         bank = build_bank(np.concatenate(feats), "pc", 0.1)
 
-        n_anom = round(cfg.anomaly_frac * cfg.n_test)
+        n_anom = round(ANOMALY_FRAC * cfg.n_test)
         modes = [cfg.anomaly_modes[i % len(cfg.anomaly_modes)] for i in range(n_anom)]
         scores, labels = [], []
         for i, ref in enumerate(test.samples):

@@ -80,8 +80,6 @@ class TestInjectAnomaly:
         # Each mode has one name, as in features.ANOMALY_MODES.
         with pytest.raises(ConfigError, match="both"):
             inject_anomaly(target, donor, mask, "both", 1.0, np.random.default_rng(2))
-        with pytest.raises(ConfigError, match="both"):
-            SynthesisConfig(modes=("joint", "both")).validate()
 
     def test_strength_zero_same_donor_labels_follow_mask(self, two_pairs):
         target, _ = two_pairs

@@ -357,14 +357,16 @@ class TestCheckpoint:
     def test_old_format_rejected(self, desk_checkpoint, tmp_path):
         # A checkpoint in an earlier format is refused by name: v1 with its
         # top-level m0, its rng_state and its train.dropout, v2 with its
-        # train.eval_every, the cadence of the retired epoch snapshots.
+        # train.eval_every, the cadence of the retired epoch snapshots, v3
+        # with its train.beta1/beta2/eps, now Adam's fixed constants.
         import json
 
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
         old = {"g2sf-checkpoint-v1": ({"m0": ckpt.m0, "rng_state": None}, {"dropout": 0.5}),
-               "g2sf-checkpoint-v2": ({}, {"eval_every": 0})}
+               "g2sf-checkpoint-v2": ({}, {"eval_every": 0}),
+               "g2sf-checkpoint-v3": ({}, {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})}
         for fmt, (top, train_fields) in old.items():
             save_checkpoint(ckpt, tmp_path / fmt)
             path = tmp_path / fmt / "manifest.json"
