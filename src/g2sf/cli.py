@@ -9,8 +9,9 @@ without ``--force``; it runs the stage's work; and it writes the stage's
 manifest: config hash, seed, and the SHA-256 of each manifest the stage reads
 and of every file it wrote. A hash mismatch means an artifact was rebuilt or
 edited after a stage built on it, and the stage refuses with exit code 3,
-naming the stage and the file. Exit codes: 0 success, 1 I/O or runtime
-failure, 2 configuration error, 3 stale or edited upstream artifact.
+naming the stage and the file; so does a malformed stage manifest. Exit
+codes: 0 success, 1 I/O or runtime failure, 2 configuration error, 3 stale
+or edited upstream artifact.
 
 The network runs once per checkpoint: per test sample, ``score`` writes
 every map of ``scoring.sample_maps`` stacked on the grid, and the G2SF
@@ -39,6 +40,7 @@ from .bank import build_bank, load_bank, save_bank
 from .config import build_config, config_hash, derive
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
+    SamplePair,
     gen_synthetic_dataset,
     iter_samples,
     load_manifest,
@@ -101,10 +103,25 @@ def _stage_manifest_path(root: Path, stage: str) -> Path:
 
 
 def _read_stage_manifest(root, stage) -> dict:
+    """The one reader of stage manifests: a JSON object of ``STAGE_FORMAT``
+    with ``upstream`` and ``outputs`` mappings, or StaleArtifactError."""
     path = _stage_manifest_path(root, stage)
     if not path.exists():
         raise ConfigError(f"missing upstream artifact: {path} (run the {stage} stage first)")
-    return json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError:
+        doc = None
+    if not isinstance(doc, dict):
+        problem = "is not a JSON object"
+    elif doc.get("format") != STAGE_FORMAT:
+        problem = f"has format {doc.get('format')!r}, not {STAGE_FORMAT}"
+    elif not all(isinstance(doc.get(key), dict) for key in ("upstream", "outputs")):
+        problem = "lacks its upstream or outputs mapping"
+    else:
+        return doc
+    raise StaleArtifactError(f"{path} {problem}; rerun {stage} with --force and the stages "
+                             "after it")
 
 
 def _write_manifest(stage, cfg, data, run, outputs, extra):
@@ -135,10 +152,6 @@ def _check_upstream(stage, data, run):
     for name in queue:
         root = _root(name, data, run)
         doc = _read_stage_manifest(root, name)
-        if doc.get("format") != STAGE_FORMAT:
-            raise StaleArtifactError(
-                f"{_stage_manifest_path(root, name)} has format {doc.get('format')!r}, "
-                f"not {STAGE_FORMAT}; rerun {name} and the stages after it")
         recorded = [(f"{name} was built against {up}",
                      _stage_manifest_path(_root(up, data, run), up), digest)
                     for up, digest in doc["upstream"].items()]
@@ -157,8 +170,7 @@ def _check_upstream(stage, data, run):
 def _check_rerun(root, stage, cfg_hash, force):
     path = _stage_manifest_path(root, stage)
     if path.exists() and not force:
-        existing = json.loads(path.read_text()).get("config_hash")
-        if existing == cfg_hash:
+        if _read_stage_manifest(root, stage).get("config_hash") == cfg_hash:
             raise FileExistsError(f"{path} already exists for this configuration; "
                                   "pass --force to overwrite")
 
@@ -222,8 +234,7 @@ def cmd_synth(cfg, data, run):
         write_mask(labels, pool_dir / f"{stem}_labels.g2t", "labels")
         outputs.extend(f"pool/{stem}_{suffix}.g2t"
                        for suffix in ("pc", "rgb", "fg", "labels"))
-    return outputs, {"n_aug": len(samples)}, (f"synth: wrote {len(samples)} augmented "
-                                              f"samples to {pool_dir}")
+    return outputs, {}, f"synth: wrote {len(samples)} augmented samples to {pool_dir}"
 
 
 def _pool_stems(run: Path) -> list:
@@ -235,13 +246,11 @@ def _pool_stems(run: Path) -> list:
 def _load_pool_samples(run: Path):
     """Yield each augmented sample of the synth stage as (SamplePair, labels),
     read from disk when the consumer asks for it."""
-    from .features import SamplePair
-
     for stem in _pool_stems(run):
-        fg = read_mask(f"{stem}_fg.g2t")
-        pc = read_feature_map(f"{stem}_pc.g2t", foreground=fg)
-        rgb = read_feature_map(f"{stem}_rgb.g2t", foreground=fg)
-        yield SamplePair(stem.name, pc, rgb), read_mask(f"{stem}_labels.g2t")
+        pair = SamplePair(stem.name, read_feature_map(f"{stem}_pc.g2t"),
+                          read_feature_map(f"{stem}_rgb.g2t"),
+                          foreground=read_mask(f"{stem}_fg.g2t"))
+        yield pair, read_mask(f"{stem}_labels.g2t")
 
 
 def cmd_train(cfg, data, run):
@@ -257,8 +266,7 @@ def cmd_train(cfg, data, run):
 
     sized = copy.deepcopy(cfg)
     derive(sized, load_manifest(data / "train_manifest.json").dims)
-    checkpoint, log_rows, _ = train(pool, banks, normalizer, sized.lspn,
-                                    cfg.train, cfg.loss, config_hash(cfg))
+    checkpoint, log_rows, _ = train(pool, banks, normalizer, sized.lspn, cfg.train, cfg.loss)
     written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
     with open(run / "train_log.jsonl", "w") as fh:
         for row in log_rows:

@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _EIGHT = np.ones((3, 3), dtype=bool)
-MAX_CURVE_POINTS = 512  # the report keeps about this many (fpr, pro) points
 SMOOTH_SIGMA = 4.0  # Gaussian sigma of the pixel maps, in upsampled pixels
 AUPRO_LIMITS = (0.30, 0.01)  # FPR integration limits of the reported AUPROs
 
@@ -178,7 +177,6 @@ class EvalReport:
     p_auroc: float | None = None
     aupro: dict = field(default_factory=dict)
     per_sample: list = field(default_factory=list)
-    curve: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
     def to_dict(self):
@@ -187,7 +185,6 @@ class EvalReport:
             "p_auroc": self.p_auroc,
             "aupro": {str(k): v for k, v in self.aupro.items()},
             "per_sample": self.per_sample,
-            "curve": self.curve,
             "flags": self.flags,
         }
 
@@ -202,7 +199,6 @@ class EvalReport:
             p_auroc=doc.get("p_auroc"),
             aupro={float(k): v for k, v in doc.get("aupro", {}).items()},
             per_sample=doc.get("per_sample", []),
-            curve=doc.get("curve", []),
             flags=doc.get("flags", []),
         )
 
@@ -242,8 +238,6 @@ def report_from_maps(sample_ids, sample_scores, labels, pixel_maps, gt_masks) ->
     fprs, pros = aupro_curve(pixel_maps, gt_masks)
     for limit in AUPRO_LIMITS:
         report.aupro[limit] = _clip_integrate(fprs, pros, limit) / limit
-    stride = max(1, fprs.size // MAX_CURVE_POINTS)
-    report.curve = np.column_stack([fprs[::stride], pros[::stride]]).tolist()
     return report
 
 

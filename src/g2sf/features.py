@@ -2,8 +2,9 @@
 
 A sample is a pair of spatially aligned H x W grids of feature vectors, one
 per modality ("pc" for point-cloud features, "rgb" for image features), plus
-a shared foreground mask and, for test data, a pixel-level ground-truth mask
-stored at an integer multiple of the grid resolution.
+one foreground mask that both modalities are seen through and, for test
+data, a pixel-level ground-truth mask stored at an integer multiple of the
+grid resolution.
 """
 from __future__ import annotations
 
@@ -51,11 +52,11 @@ __all__ = [
 
 @dataclass
 class FeatureMap:
-    """One modality of one sample: an (H, W, D) float32 grid plus foreground mask."""
+    """One modality of one sample: an (H, W, D) float32 grid. The foreground
+    mask belongs to the sample (:class:`SamplePair`), not to a modality."""
 
     modality: str
     data: np.ndarray
-    foreground: np.ndarray | None = None
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -65,14 +66,6 @@ class FeatureMap:
             raise ShapeError(f"feature map must be (H, W, D), got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise FormatError("feature map contains non-finite values")
-        if self.foreground is None:
-            self.foreground = np.ones(self.data.shape[:2], dtype=bool)
-        else:
-            self.foreground = np.asarray(self.foreground, dtype=bool)
-            if self.foreground.shape != self.data.shape[:2]:
-                raise ShapeError(
-                    f"foreground shape {self.foreground.shape} != grid {self.data.shape[:2]}"
-                )
 
     @property
     def height(self) -> int:
@@ -89,13 +82,18 @@ class FeatureMap:
 
 @dataclass
 class SamplePair:
-    """Aligned two-modality sample with optional pixel ground truth."""
+    """Aligned two-modality sample with optional pixel ground truth.
+
+    ``foreground`` is the sample's one (H, W) mask, shared by both
+    modalities; it defaults to every cell.
+    """
 
     sample_id: str
     pc: FeatureMap
     rgb: FeatureMap
     pixel_gt: np.ndarray | None = None
     image_label: int | None = None
+    foreground: np.ndarray | None = None
 
     def __post_init__(self):
         if (self.pc.height, self.pc.width) != (self.rgb.height, self.rgb.width):
@@ -103,6 +101,12 @@ class SamplePair:
                 f"modalities disagree on grid: pc {self.pc.data.shape[:2]} "
                 f"vs rgb {self.rgb.data.shape[:2]}"
             )
+        if self.foreground is None:
+            self.foreground = np.ones(self.grid, dtype=bool)
+        else:
+            self.foreground = np.asarray(self.foreground, dtype=bool)
+            if self.foreground.shape != self.grid:
+                raise ShapeError(f"foreground shape {self.foreground.shape} != grid {self.grid}")
         if self.pixel_gt is not None:
             self.pixel_gt = np.asarray(self.pixel_gt, dtype=bool)
             gh, gw = self.pixel_gt.shape
@@ -116,28 +120,21 @@ class SamplePair:
     def grid(self):
         return (self.pc.height, self.pc.width)
 
-    @property
-    def foreground(self) -> np.ndarray:
-        return self.pc.foreground
-
 
 def write_feature_map(fmap: FeatureMap, path):
     """Persist one modality grid; the foreground mask travels separately."""
     write_tensor(path, fmap.data, {"modality": fmap.modality})
 
 
-def read_feature_map(path, modality=None, foreground=None) -> FeatureMap:
-    """Load a feature map from a container or an NPY v1.0 f32 (H, W, D) file.
-
-    ``modality`` overrides (or supplies, for NPY inputs) the modality tag.
-    """
+def read_feature_map(path) -> FeatureMap:
+    """Load a feature map written by :func:`write_feature_map`: an (H, W, D)
+    container whose header carries the modality tag."""
     array, header = read_tensor(path)
     if array.ndim != 3:
         raise FormatError(f"feature map in {path} has shape {array.shape}, expected (H, W, D)")
-    tag = modality or header.get("modality")
-    if tag is None:
-        raise FormatError(f"{path} carries no modality tag; pass modality= explicitly")
-    return FeatureMap(tag, array, foreground)
+    if "modality" not in header:
+        raise FormatError(f"{path} carries no modality tag")
+    return FeatureMap(header["modality"], array)
 
 
 def write_mask(mask: np.ndarray, path, kind: str):
@@ -220,13 +217,13 @@ def load_manifest(path) -> DatasetManifest:
 
 def load_sample(manifest: DatasetManifest, ref: SampleRef) -> SamplePair:
     root = manifest.root or Path(".")
-    fg = read_mask(root / ref.foreground) if ref.foreground else None
     pair = SamplePair(
         sample_id=ref.sample_id,
-        pc=read_feature_map(root / ref.pc, foreground=fg),
-        rgb=read_feature_map(root / ref.rgb, foreground=fg),
+        pc=read_feature_map(root / ref.pc),
+        rgb=read_feature_map(root / ref.rgb),
         pixel_gt=read_mask(root / ref.pixel_gt) if ref.pixel_gt else None,
         image_label=ref.image_label,
+        foreground=read_mask(root / ref.foreground) if ref.foreground else None,
     )
     expected = {m: manifest.dims[m] for m in MODALITIES}
     if pair.pc.dim != expected["pc"] or pair.rgb.dim != expected["rgb"]:
@@ -316,14 +313,13 @@ def _normal_sample(cfg, centers, rng):
     h, w = cfg.grid
     shared = np.stack([_smooth_field(rng, (h, w), FIELD_SMOOTHNESS) for _ in range(CLUSTERS)])
     maps = {}
-    fg = _foreground_mask(cfg)
     for modality in MODALITIES:
         own = np.stack([_smooth_field(rng, (h, w), FIELD_SMOOTHNESS) for _ in range(CLUSTERS)])
         latent = RHO * shared + np.sqrt(1.0 - RHO**2) * own
         weights = _mixture_weights(latent, MIX_SHARPNESS)
         data = np.tensordot(weights, centers[modality], axes=(0, 0))
         data += NOISE_SIGMA * rng.standard_normal(data.shape)
-        maps[modality] = FeatureMap(modality, data, fg)
+        maps[modality] = FeatureMap(modality, data)
     return maps
 
 
@@ -346,7 +342,7 @@ def _inject_offset(fmap: FeatureMap, region, offset_sigma, rng):
     direction /= np.linalg.norm(direction)
     data = fmap.data.copy()
     data[region] += (offset_sigma * direction).astype(np.float32)
-    return FeatureMap(fmap.modality, data, fmap.foreground)
+    return FeatureMap(fmap.modality, data)
 
 
 def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
@@ -367,6 +363,7 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
     n_anom = int(round(ANOMALY_FRAC * cfg.n_test))
     modes = [cfg.anomaly_modes[i % len(cfg.anomaly_modes)] for i in range(n_anom)]
 
+    fg = _foreground_mask(cfg)
     manifests = {}
     for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
         refs = []
@@ -376,7 +373,6 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
             )
             sample_id = f"{split}_{idx:04d}"
             maps = _normal_sample(cfg, centers, rng)
-            fg = maps["pc"].foreground
             label = None
             gt_grid = None
             if split == "test":

@@ -80,7 +80,6 @@ class MapEncoding:
     network reads them in that factored form.
     """
 
-    modality: str
     indices: np.ndarray
     distances: np.ndarray
     raw_distances: np.ndarray
@@ -116,7 +115,6 @@ def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceN
                                                  ranks=ranks)
     n = idx.shape[1]
     return MapEncoding(
-        modality=bank.modality,
         indices=idx.reshape(h, w, n),
         distances=normalizer.normalize(dist, bank.modality).reshape(h, w, n),
         raw_distances=dist.reshape(h, w, n),

@@ -48,7 +48,6 @@ class PerlinParams:
 @dataclass
 class PerlinMask:
     grid: np.ndarray
-    params: PerlinParams
     coverage: float
 
 
@@ -106,7 +105,7 @@ def gen_perlin_mask(h, w, params: PerlinParams, rng) -> PerlinMask:
         mask = noise > params.threshold
         cov = float(mask.mean())
         if params.min_coverage <= cov <= params.max_coverage:
-            return PerlinMask(mask, params, cov)
+            return PerlinMask(mask, cov)
     # Clamp: keep the top-k cells of the last field, k snapped into the band.
     raw_count = int((noise > params.threshold).sum())
     count = int(np.clip(raw_count, k_min, k_max))
@@ -114,7 +113,7 @@ def gen_perlin_mask(h, w, params: PerlinParams, rng) -> PerlinMask:
     mask = np.zeros(n, dtype=bool)
     mask[order[:count]] = True
     mask = mask.reshape(h, w)
-    return PerlinMask(mask, params, float(mask.mean()))
+    return PerlinMask(mask, float(mask.mean()))
 
 
 def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
@@ -149,9 +148,9 @@ def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
             direction /= np.linalg.norm(direction)
             patch = patch + (1.5 * strength * spread * np.sqrt(src.shape[2])) * direction
         dst[mask] = patch.astype(np.float32)
-        maps[modality] = FeatureMap(modality, dst, maps[modality].foreground)
-    pair = SamplePair(target.sample_id, maps["pc"], maps["rgb"],
-                      pixel_gt=target.pixel_gt, image_label=target.image_label)
+        maps[modality] = FeatureMap(modality, dst)
+    pair = SamplePair(target.sample_id, maps["pc"], maps["rgb"], target.pixel_gt,
+                      target.image_label, target.foreground)
     return pair, mask.copy()
 
 

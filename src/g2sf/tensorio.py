@@ -7,8 +7,9 @@ and ``order`` (``"C"``); producers add purpose keys such as ``modality`` or
 ``kind``. Headers are canonical JSON (sorted keys, no whitespace) so equal
 tensors serialize to byte-identical files.
 
-``read_tensor`` also accepts NPY v1.0 files holding little-endian float32
-C-order arrays, for interoperability with external feature extractors.
+This is the only array format read. Features from an external extractor go
+in through :func:`g2sf.features.write_feature_map`, which writes one
+container per modality grid in a single call.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import FormatError
 
 MAGIC = b"G2SFTNS1"
-_NPY_MAGIC = b"\x93NUMPY"
 
 __all__ = ["MAGIC", "write_tensor", "read_tensor"]
 
@@ -52,7 +52,7 @@ def write_tensor(path, array, extra=None):
 
 
 def read_tensor(path):
-    """Read a container (or NPY v1.0 f32 array) and return (array, header).
+    """Read a container and return (array, header).
 
     The payload is read straight into the returned array, which owns its
     data and is writable; no other payload-sized buffer is held.
@@ -61,8 +61,6 @@ def read_tensor(path):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(12)
-        if head[: len(_NPY_MAGIC)] == _NPY_MAGIC:
-            return _read_npy(path)
         if head[:8] != MAGIC:
             raise FormatError(f"bad magic {head[:8]!r} in {path}", offset=0)
         if len(head) < 12:
@@ -103,20 +101,4 @@ def read_tensor(path):
             f"non-finite payload value at flat index {bad[0]}",
             offset=header_end + 4 * int(bad[0]),
         )
-    return array, header
-
-
-def _read_npy(path):
-    try:
-        array = np.load(path)
-    except ValueError as exc:
-        raise FormatError(f"unreadable NPY file {path}: {exc}") from exc
-    if array.dtype != np.dtype("<f4"):
-        raise FormatError(f"NPY dtype {array.dtype} is not little-endian float32")
-    if not array.flags["C_CONTIGUOUS"]:
-        raise FormatError("NPY array is not C-order")
-    if not np.all(np.isfinite(array)):
-        bad = np.flatnonzero(~np.isfinite(array))
-        raise FormatError(f"non-finite NPY payload value at flat index {bad[0]}")
-    header = {"shape": list(array.shape), "dtype": "f32le", "order": "C", "source": "npy"}
     return array, header

@@ -54,7 +54,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = "g2sf-checkpoint-v4"
+CHECKPOINT_FORMAT = "g2sf-checkpoint-v5"
 
 
 @dataclass
@@ -85,7 +85,6 @@ class Checkpoint:
     loss_cfg: losses_mod.LossConfig  # the frozen m0 and the k of pooling and scoring
     train_cfg: TrainConfig
     epoch: int
-    config_hash: str = ""
     banks: dict | None = None  # attached at load time, never persisted here
 
     @property
@@ -266,7 +265,7 @@ def scale_factors(model, pool: TrainingPool, banks, rows) -> np.ndarray:
 
 
 def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfig,
-          loss_cfg: losses_mod.LossConfig, config_hash: str = ""):
+          loss_cfg: losses_mod.LossConfig):
     """Train the scale network on a precomputed pool.
 
     Returns (Checkpoint, log_rows, None): the final model is the only one
@@ -298,7 +297,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []
-    last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, 0, config_hash, banks)
+    last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, 0, banks)
 
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(pool.train_indices)
@@ -339,11 +338,9 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                "sigma_pc": model.sigma_pc, "sigma_rgb": model.sigma_rgb}
         row.update({f"train_{k}": float(v) / denom for k, v in sums.items()})
         log_rows.append(row)
-        last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, epoch + 1,
-                               config_hash, banks)
+        last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, epoch + 1, banks)
 
-    final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, config_hash,
-                       banks)
+    final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, banks)
     return final, log_rows, None
 
 
@@ -371,7 +368,6 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
         "epoch": ckpt.epoch,
         "normalizer": ckpt.normalizer.to_dict(),
         "log_sigma": [float(v) for v in model.log_sigma],
-        "config_hash": ckpt.config_hash,
         "loss": asdict(ckpt.loss_cfg),
         "train": asdict(ckpt.train_cfg),
         "lspn": {
@@ -391,15 +387,28 @@ def load_checkpoint(in_dir) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The model's parameter arrays are read-only; ``model.copy()`` is writable.
+    A manifest that is missing, not a JSON object of this format, or lacks a
+    key raises :class:`ConfigError` naming ``in_dir``.
     """
     in_dir = Path(in_dir)
     try:
         doc = json.loads((in_dir / "manifest.json").read_text())
     except FileNotFoundError as exc:
         raise ConfigError(f"{in_dir} holds no checkpoint manifest") from exc
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{in_dir} has checkpoint format {doc.get('format')!r}, "
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{in_dir} has a checkpoint manifest that is not JSON: {exc}") from exc
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{in_dir} has checkpoint format {fmt!r}, "
                           f"not {CHECKPOINT_FORMAT}; retrain it")
+    try:
+        return _checkpoint_from_manifest(in_dir, doc)
+    except KeyError as exc:
+        raise ConfigError(f"{in_dir} has a checkpoint manifest without key {exc}; "
+                          "retrain it") from exc
+
+
+def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
     cfg = lspn_mod.LspnConfig(
         dim_pc=doc["lspn"]["dim_pc"],
         dim_rgb=doc["lspn"]["dim_rgb"],
@@ -429,5 +438,5 @@ def load_checkpoint(in_dir) -> Checkpoint:
         param.setflags(write=False)
     return Checkpoint(model, DistanceNormalizer.from_dict(doc["normalizer"]),
                       losses_mod.LossConfig(**doc["loss"]), TrainConfig(**doc["train"]),
-                      int(doc["epoch"]), doc["config_hash"])
+                      int(doc["epoch"]))
 

@@ -118,6 +118,7 @@ class TestChain:
         doc = json.loads((run / "reports" / "eval.json").read_text())
         assert 0.0 <= doc["i_auroc"] <= 1.0
         assert set(doc["aupro"]) == {"0.3", "0.01"}
+        assert set(doc) == {"i_auroc", "p_auroc", "aupro", "per_sample", "flags"}
 
     def test_rerun_without_force_refuses(self, chain, cfg_path):
         _, data, run = chain
@@ -299,6 +300,7 @@ class TestExitCodes:
         assert main(["selftest", "--checkpoint", str(ckpt_dir)]) == 1
         out = capsys.readouterr().out
         assert "checkpoint_integrity" in out and "FAIL" in out
+        assert f"{ckpt_dir} has a checkpoint manifest that is not JSON" in out
 
 
 @pytest.fixture
@@ -377,7 +379,8 @@ class TestEditedArtifacts:
         # A checkpoint of an earlier format whose train manifest records it:
         # the chain is consistent, and the checkpoint itself is refused by
         # its format's name. A real v2 manifest still holds train.eval_every,
-        # a v3 one train.beta1/beta2/eps.
+        # a v3 one train.beta1/beta2/eps, and every one up to v4 the config
+        # hash.
         import hashlib
 
         data, run = chain_copy
@@ -386,9 +389,10 @@ class TestEditedArtifacts:
         for fmt, train_fields in (("g2sf-checkpoint-v1", {}),
                                   ("g2sf-checkpoint-v2", {"eval_every": 0}),
                                   ("g2sf-checkpoint-v3",
-                                   {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})):
+                                   {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
+                                  ("g2sf-checkpoint-v4", {})):
             doc = json.loads(original)
-            doc["format"] = fmt
+            doc.update(format=fmt, config_hash="0" * 64)
             doc["train"].update(train_fields)
             ckpt.write_text(json.dumps(doc))
             train_doc = json.loads((run / "train_manifest.json").read_text())
@@ -406,6 +410,24 @@ class TestEditedArtifacts:
         (run / "score_manifest.json").write_text(json.dumps(doc))
         self.assert_stale(capsys, "eval", cfg_path, data, run,
                           "score_manifest.json", "rerun score")
+
+    def test_malformed_upstream_manifest_exits_3(self, chain_copy, cfg_path, capsys):
+        # Truncated JSON, a manifest without its upstream and outputs
+        # mappings, and a JSON list are each a stale bank stage, named, not
+        # a traceback. The bank stage's own rerun check reads it the same way.
+        data, run = chain_copy
+        path = run / "bank_manifest.json"
+        text = path.read_text()
+        for body in (text[: len(text) // 2],
+                     json.dumps({"format": "g2sf-stage-v2", "stage": "bank"}),
+                     "[]"):
+            path.write_text(body)
+            self.assert_stale(capsys, "train", cfg_path, data, run,
+                              "bank_manifest.json", "rerun bank")
+        capsys.readouterr()
+        assert run_stage("bank", cfg_path, data, run) == 3
+        err = capsys.readouterr().err
+        assert "bank_manifest.json is not a JSON object" in err, err
 
 
 class TestAblateReadsScores:
@@ -497,6 +519,28 @@ class TestSpecialModes:
         assert all(c == 0 for c in codes_b.values())
         assert tree_bytes(data_a) == tree_bytes(data_b)
         assert tree_bytes(run_a) == tree_bytes(run_b)
+
+    def test_checkpoint_bytes_ignore_settings_training_ignores(self, tmp_path):
+        # Two desk chains that differ only in gen.n_test train the same
+        # model from the same training split: their checkpoint trees are
+        # byte-identical, and only the stage manifests record the config.
+        from pathlib import Path
+
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        trees = []
+        for name, extra in (("a", []), ("b", ["--set", "gen.n_test=24"])):
+            data, run = tmp_path / name / "data", tmp_path / name / "run"
+            assert main(["gen", "--config", str(desk), "--out", str(data), *extra]) == 0
+            for stage in ("bank", "synth", "train"):
+                assert main([stage, "--config", str(desk), "--data", str(data),
+                             "--run", str(run), *extra]) == 0
+            trees.append(tree_bytes(run / "checkpoints" / "final"))
+        assert trees[0] == trees[1]
+        manifest = json.loads(trees[0]["manifest.json"])
+        assert manifest["format"] == "g2sf-checkpoint-v5" and "config_hash" not in manifest
+        hashes = [json.loads((tmp_path / name / "run" / "train_manifest.json").read_text())
+                  ["config_hash"] for name in ("a", "b")]
+        assert hashes[0] != hashes[1]
 
     def test_threads_flag_is_a_run_argument(self, chain_copy, cfg_path):
         from g2sf.cli import _config_from_args, build_parser

@@ -1,5 +1,6 @@
 """Container format, manifest, and synthetic-dataset tests."""
 
+import dataclasses
 import json
 import struct
 
@@ -114,18 +115,20 @@ class TestContainer:
         with pytest.raises(FormatError):
             write_tensor(tmp_path / "e.g2t", np.zeros((0, 0, 3), dtype=np.float32))
 
-    def test_npy_accepted(self, tmp_path):
-        data = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+    def test_npy_refused_as_bad_magic(self, tmp_path):
+        # The container is the only array format; an NPY file is named and
+        # refused at offset 0, even a little-endian f32 (H, W, D) one.
         path = tmp_path / "x.npy"
-        np.save(path, data)
-        fmap = read_feature_map(path, modality="rgb")
-        np.testing.assert_array_equal(fmap.data, data)
+        np.save(path, np.arange(24, dtype=np.float32).reshape(2, 3, 4))
+        with pytest.raises(FormatError, match="x.npy") as err:
+            read_feature_map(path)
+        assert err.value.offset == 0
 
-    def test_npy_wrong_dtype_rejected(self, tmp_path):
-        path = tmp_path / "bad.npy"
-        np.save(path, np.ones((2, 2, 2), dtype=np.float64))
-        with pytest.raises(FormatError):
-            read_tensor(path)
+    def test_container_without_modality_refused(self, tmp_path):
+        path = tmp_path / "untagged.g2t"
+        write_tensor(path, np.ones((2, 2, 3), dtype=np.float32), {"kind": "probe"})
+        with pytest.raises(FormatError, match="untagged.g2t carries no modality tag"):
+            read_feature_map(path)
 
 
 class TestTypes:
@@ -141,6 +144,19 @@ class TestTypes:
         with pytest.raises(ShapeError):
             SamplePair("s", pc, rgb, pixel_gt=np.zeros((3, 3), dtype=bool))
         SamplePair("s", pc, rgb, pixel_gt=np.zeros((4, 4), dtype=bool))
+
+    def test_one_foreground_mask_per_sample(self):
+        # The mask belongs to the sample: a feature map has none, a pair
+        # defaults to every cell, and a mask off the grid is refused.
+        assert [f.name for f in dataclasses.fields(FeatureMap)] == ["modality", "data"]
+        pc = FeatureMap("pc", np.zeros((2, 3, 3), dtype=np.float32))
+        rgb = FeatureMap("rgb", np.zeros((2, 3, 4), dtype=np.float32))
+        assert SamplePair("s", pc, rgb).foreground.tolist() == [[True] * 3] * 2
+        mask = np.array([[1, 0, 1], [0, 0, 1]])
+        pair = SamplePair("s", pc, rgb, foreground=mask)
+        assert pair.foreground.dtype == bool and pair.foreground.sum() == 3
+        with pytest.raises(ShapeError, match="foreground shape"):
+            SamplePair("s", pc, rgb, foreground=np.ones((3, 2), dtype=bool))
 
     def test_non_finite_data_rejected(self):
         data = np.zeros((2, 2, 2), dtype=np.float32)

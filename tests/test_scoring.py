@@ -112,15 +112,11 @@ class TestScoreSample:
         assert smap.sample_score < boosted.max()
 
     def test_empty_foreground_warns_zero(self, scored_sample):
-        from g2sf.features import FeatureMap, SamplePair
+        from g2sf.features import SamplePair
 
         ckpt, banks, normalizer, pair = scored_sample
-        fg = np.zeros(pair.grid, dtype=bool)
-        empty = SamplePair(
-            "empty",
-            FeatureMap("pc", pair.pc.data, fg),
-            FeatureMap("rgb", pair.rgb.data, fg),
-        )
+        empty = SamplePair("empty", pair.pc, pair.rgb,
+                           foreground=np.zeros(pair.grid, dtype=bool))
         with pytest.warns(UserWarning):
             smap = score_sample(ckpt.model, empty, banks, normalizer, DESK_K)
         assert smap.sample_score == 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from g2sf.bank import query_neighbors_batch
 from g2sf.errors import ConfigError, EmptyBankError, ShapeError
-from g2sf.features import FeatureMap, SamplePair, iter_samples, load_sample
+from g2sf.features import SamplePair, iter_samples, load_sample
 from g2sf.synthesis import (
     PerlinParams,
     SynthesisConfig,
@@ -202,9 +202,8 @@ class TestTrainingPool:
         banks, normalizer = desk_banks
         samples = augment_dataset(train_manifest, SynthesisConfig(n_aug=2, k=DESK_K), 13)
         pair, labels = samples[1]
-        none = np.zeros(pair.grid, dtype=bool)
-        empty = SamplePair("blank_0001", FeatureMap("pc", pair.pc.data, none),
-                           FeatureMap("rgb", pair.rgb.data, none))
+        empty = SamplePair("blank_0001", pair.pc, pair.rgb,
+                           foreground=np.zeros(pair.grid, dtype=bool))
         items = [samples[0], (empty, labels)]
         cells = [int(samples[0][0].foreground.sum()), 0]
         for source, counts in ((items, None), (iter(items), cells)):

@@ -358,7 +358,9 @@ class TestCheckpoint:
         # A checkpoint in an earlier format is refused by name: v1 with its
         # top-level m0, its rng_state and its train.dropout, v2 with its
         # train.eval_every, the cadence of the retired epoch snapshots, v3
-        # with its train.beta1/beta2/eps, now Adam's fixed constants.
+        # with its train.beta1/beta2/eps, now Adam's fixed constants, v4
+        # with the config hash only the stage manifests now record. Every
+        # earlier format carried that hash.
         import json
 
         from g2sf.errors import ConfigError
@@ -366,16 +368,43 @@ class TestCheckpoint:
         ckpt, _ = desk_checkpoint
         old = {"g2sf-checkpoint-v1": ({"m0": ckpt.m0, "rng_state": None}, {"dropout": 0.5}),
                "g2sf-checkpoint-v2": ({}, {"eval_every": 0}),
-               "g2sf-checkpoint-v3": ({}, {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8})}
+               "g2sf-checkpoint-v3": ({}, {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
+               "g2sf-checkpoint-v4": ({}, {})}
         for fmt, (top, train_fields) in old.items():
             save_checkpoint(ckpt, tmp_path / fmt)
             path = tmp_path / fmt / "manifest.json"
             doc = json.loads(path.read_text())
-            doc.update(format=fmt, **top)
+            doc.update(format=fmt, config_hash="0" * 64, **top)
             doc["train"].update(train_fields)
             path.write_text(json.dumps(doc))
             with pytest.raises(ConfigError, match=fmt):
                 load_checkpoint(tmp_path / fmt)
+
+    def test_malformed_manifest_names_directory(self, desk_checkpoint, tmp_path):
+        # A truncated manifest, one that is not a JSON object and one that
+        # lacks a key are each refused as ConfigError naming the directory
+        # (and the key), not as a bare JSONDecodeError or KeyError.
+        import json
+
+        from g2sf.errors import ConfigError
+
+        ckpt, _ = desk_checkpoint
+        save_checkpoint(ckpt, tmp_path / "good")
+        text = (tmp_path / "good" / "manifest.json").read_text()
+        no_normalizer = json.loads(text)
+        del no_normalizer["normalizer"]
+        no_dim = json.loads(text)
+        del no_dim["lspn"]["dim_pc"]
+        cases = {"truncated": (text[: len(text) // 2], "not JSON"),
+                 "listed": ("[]", "checkpoint format None"),
+                 "no_normalizer": (json.dumps(no_normalizer), "without key 'normalizer'"),
+                 "no_dim": (json.dumps(no_dim), "without key 'dim_pc'")}
+        for name, (body, what) in cases.items():
+            save_checkpoint(ckpt, tmp_path / name)
+            (tmp_path / name / "manifest.json").write_text(body)
+            with pytest.raises(ConfigError) as err:
+                load_checkpoint(tmp_path / name)
+            assert str(tmp_path / name) in str(err.value) and what in str(err.value)
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
         ckpt, _ = desk_checkpoint
