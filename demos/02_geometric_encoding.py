@@ -11,25 +11,19 @@ import tempfile
 
 import numpy as np
 
-from g2sf.bank import build_bank
 from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
-from g2sf.geometry import encode_map, fit_normalizer, inverse_distances
+from g2sf.geometry import encode_map, fit_banks, inverse_distances
 
 # The dataset lives in a temporary directory that is removed when the demo ends.
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, test_manifest = gen_synthetic_dataset(
         SynthConfig(n_train=24, n_test=8), seed=3, out_dir=out)
 
-    features = {"pc": [], "rgb": []}
-    for pair in iter_samples(train_manifest):
-        for modality in ("pc", "rgb"):
-            features[modality].append(getattr(pair, modality).data[pair.foreground])
-    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
-
-    # Distances are normalized per modality by the mean nearest-prototype
-    # distance over training foreground, so both modalities score in the same
-    # units (training mean becomes 1.0).
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    # One coreset bank per modality over the training foreground. Distances
+    # are normalized per modality by the mean nearest-prototype distance over
+    # that foreground, so both modalities score in the same units (training
+    # mean becomes 1.0).
+    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
     print(f"distance normalizer: mean_pc={normalizer.mean_pc:.4f}, "
           f"mean_rgb={normalizer.mean_rgb:.4f}")
 

@@ -8,12 +8,9 @@ reported at 30% and 1% FPR.
 """
 import tempfile
 
-import numpy as np
-
-from g2sf.bank import build_bank
 from g2sf.evaluation import SMOOTH_SIGMA, eval_dataset
-from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
-from g2sf.geometry import fit_normalizer
+from g2sf.features import SynthConfig, gen_synthetic_dataset, load_sample
+from g2sf.geometry import fit_banks
 from g2sf.losses import LossConfig
 from g2sf.lspn import LspnConfig
 from g2sf.scoring import score_sample, upsample_smooth
@@ -24,12 +21,7 @@ from g2sf.trainer import TrainConfig, train
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
 
-    features = {"pc": [], "rgb": []}
-    for pair in iter_samples(train_manifest):
-        for modality in ("pc", "rgb"):
-            features[modality].append(getattr(pair, modality).data[pair.foreground])
-    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=32, k=5), seed=7)
     checkpoint, _, _ = train(

@@ -14,10 +14,9 @@ import tempfile
 
 import numpy as np
 
-from g2sf.bank import build_bank
 from g2sf.evaluation import ablation_scores, score_split
-from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
-from g2sf.geometry import fit_normalizer
+from g2sf.features import SynthConfig, gen_synthetic_dataset
+from g2sf.geometry import fit_banks
 from g2sf.losses import LossConfig
 from g2sf.lspn import LspnConfig
 from g2sf.synthesis import SynthesisConfig, build_training_pool
@@ -26,12 +25,7 @@ from g2sf.trainer import TrainConfig, scale_factors, train
 # The dataset lives in a temporary directory that is removed when the demo ends.
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
-    features = {"pc": [], "rgb": []}
-    for pair in iter_samples(train_manifest):
-        for modality in ("pc", "rgb"):
-            features[modality].append(getattr(pair, modality).data[pair.foreground])
-    banks = {m: build_bank(np.concatenate(v), m, 0.10) for m, v in features.items()}
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
     lspn_cfg = LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,))
 
     pool = build_training_pool(train_manifest, banks, normalizer,

@@ -29,7 +29,7 @@ from .features import (
     read_feature_map,
     write_feature_map,
 )
-from .geometry import DistanceNormalizer, encode_map, fit_normalizer
+from .geometry import DistanceNormalizer, encode_map, fit_banks, fit_normalizer
 from .losses import LossBatch, LossConfig, total_loss
 from .lspn import LspnConfig, LspnModel, init_model
 from .scoring import ScoreMap, score_sample, upsample_smooth

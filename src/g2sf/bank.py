@@ -133,9 +133,10 @@ def _dot_slack(dim: int):
 def build_bank(features, modality: str, fraction: float, seed: int | None = None) -> MemoryBank:
     """Greedy k-center selection of ``ceil(fraction * N)`` prototypes.
 
-    ``features`` is any iterable of D-vectors (foreground features of the
-    training split). Selection is deterministic, so ``seed`` is unused; it is
-    still accepted because callers outside this package pass it.
+    ``features`` is an (N, D) array, N >= 1 (foreground features of the
+    training split); any other shape raises ShapeError. Selection is
+    deterministic, so ``seed`` is unused; it is still accepted because
+    callers outside this package pass it.
 
     Each point's squared distance to its nearest center, ``min_sq``, is the
     one a full scan of exact float64 differences would hold. A step computes
@@ -156,9 +157,11 @@ def build_bank(features, modality: str, fraction: float, seed: int | None = None
     prototype distance, bit-equal to rank 0 of
     :func:`query_neighbors_batch`.
     """
-    points = np.ascontiguousarray(
-        list(features) if not isinstance(features, np.ndarray) else features, dtype=np.float32)
-    if points.ndim != 2 or points.shape[0] == 0:
+    points = np.ascontiguousarray(features, dtype=np.float32)
+    if points.ndim != 2:
+        raise ShapeError(f"a bank is built from an (N, D) feature array, got shape "
+                         f"{points.shape}")
+    if points.shape[0] == 0:
         raise EmptyBankError("cannot build a bank from an empty feature set")
     if not (0.0 < fraction <= 1.0):
         raise ConfigError(f"coreset fraction {fraction} outside (0, 1]")

@@ -6,12 +6,13 @@ it walks ``_READS`` breadth-first back to ``gen`` and, at every stage it
 reaches, re-hashes the upstream manifests and the output files that stage
 recorded; it refuses to overwrite the manifest of an identical configuration
 without ``--force``; it runs the stage's work; and it writes the stage's
-manifest: config hash, seed, and the SHA-256 of each manifest the stage reads
-and of every file it wrote. A hash mismatch means an artifact was rebuilt or
-edited after a stage built on it, and the stage refuses with exit code 3,
-naming the stage and the file; so does a malformed stage manifest. Exit
-codes: 0 success, 1 I/O or runtime failure, 2 configuration error, 3 stale
-or edited upstream artifact.
+manifest: config hash, seed, the SHA-256 of each manifest the stage reads
+and of every file it wrote, and ``digest``, the SHA-256 of all of that. A
+hash mismatch means an artifact was rebuilt or edited after a stage built on
+it, and the stage refuses with exit code 3, naming the stage and the file; so
+does a malformed stage manifest, or one whose keys no longer match its
+digest. Exit codes: 0 success, 1 I/O or runtime failure, 2 configuration
+error, 3 stale or edited upstream artifact.
 
 The network runs once per checkpoint: per test sample, ``score`` writes
 every map of ``scoring.sample_maps`` stacked on the grid, and the G2SF
@@ -36,20 +37,19 @@ import numpy as np
 
 from . import evaluation as eval_mod
 from . import synthesis as synth_mod
-from .bank import build_bank, load_bank, save_bank
+from .bank import load_bank, save_bank
 from .config import build_config, config_hash, derive
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
     SamplePair,
     gen_synthetic_dataset,
-    iter_samples,
     load_manifest,
     read_feature_map,
     read_mask,
     write_feature_map,
     write_mask,
 )
-from .geometry import DistanceNormalizer, normalizer_from_distances
+from .geometry import DistanceNormalizer, fit_banks
 from .scoring import G2SF_SCORE, ScoreMap, upsample_smooth
 from .selftest import run_all
 from .tensorio import read_tensor, write_tensor
@@ -60,7 +60,7 @@ EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 EXIT_STALE = 3
 
-STAGE_FORMAT = "g2sf-stage-v2"
+STAGE_FORMAT = "g2sf-stage-v3"
 
 # For each stage, the upstream stages whose artifacts it reads, in pipeline
 # order. ``gen`` lives in the dataset directory, every other stage in the run
@@ -102,9 +102,17 @@ def _stage_manifest_path(root: Path, stage: str) -> Path:
     return Path(root) / f"{stage}_manifest.json"
 
 
+def _digest(doc: dict) -> str:
+    """SHA-256 of the canonical JSON of every key of ``doc`` but ``digest``."""
+    body = {key: value for key, value in doc.items() if key != "digest"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True, default=_np_default)
+                          .encode()).hexdigest()
+
+
 def _read_stage_manifest(root, stage) -> dict:
     """The one reader of stage manifests: a JSON object of ``STAGE_FORMAT``
-    with ``upstream`` and ``outputs`` mappings, or StaleArtifactError."""
+    with ``upstream`` and ``outputs`` mappings whose ``digest`` matches its
+    other keys, or StaleArtifactError."""
     path = _stage_manifest_path(root, stage)
     if not path.exists():
         raise ConfigError(f"missing upstream artifact: {path} (run the {stage} stage first)")
@@ -118,6 +126,8 @@ def _read_stage_manifest(root, stage) -> dict:
         problem = f"has format {doc.get('format')!r}, not {STAGE_FORMAT}"
     elif not all(isinstance(doc.get(key), dict) for key in ("upstream", "outputs")):
         problem = "lacks its upstream or outputs mapping"
+    elif doc.get("digest") != _digest(doc):
+        problem = "does not match its digest (edited after its stage wrote it)"
     else:
         return doc
     raise StaleArtifactError(f"{path} {problem}; rerun {stage} with --force and the stages "
@@ -138,6 +148,7 @@ def _write_manifest(stage, cfg, data, run, outputs, extra):
         "outputs": {rel: _sha256(root / rel) for rel in outputs},
         **extra,
     }
+    doc["digest"] = _digest(doc)
     _write_json(_stage_manifest_path(root, stage), doc)
 
 
@@ -195,28 +206,14 @@ def _load_banks(run_dir: Path):
 
 
 def cmd_bank(cfg, data, run):
-    train_manifest = load_manifest(data / "train_manifest.json")
-    feats = {"pc": [], "rgb": []}
-    counts = []
-    for pair in iter_samples(train_manifest):
-        fg = pair.foreground
-        counts.append(int(fg.sum()))
-        for m in ("pc", "rgb"):
-            feats[m].append(getattr(pair, m).data[fg])
-    # The normalizer sums nearest-prototype distances sample by sample.
-    splits = np.cumsum(counts)[:-1]
-    banks, nearest, radius = {}, {}, {}
-    for m in ("pc", "rgb"):
-        points = np.concatenate(feats[m])
-        banks[m] = build_bank(points, m, cfg.bank.fraction)
-        save_bank(banks[m], run / "banks" / f"{m}.g2t")
-        dist = banks[m].coverage
-        nearest[m] = np.split(dist, splits)
-        radius[m] = float(dist.max())
-    normalizer, means = normalizer_from_distances(nearest)
-    outputs = [f"banks/{m}.g2t" for m in ("pc", "rgb")]
+    banks, normalizer, means = fit_banks(load_manifest(data / "train_manifest.json"),
+                                         cfg.bank.fraction)
+    for m, bank in banks.items():
+        save_bank(bank, run / "banks" / f"{m}.g2t")
+    outputs = [f"banks/{m}.g2t" for m in banks]
     extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks},
-             "coverage": {m: {"radius": radius[m], "mean": means[m]} for m in banks}}
+             "coverage": {m: {"radius": float(banks[m].coverage.max()), "mean": means[m]}
+                          for m in banks}}
     return outputs, extra, (f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb "
                             f"prototypes (fraction {cfg.bank.fraction})")
 

@@ -15,21 +15,23 @@ Distances are normalized per modality by the mean nearest-prototype distance
 over the training foreground, so both modalities score in comparable units.
 :func:`normalizer_from_distances` is the one place that mean is summed, and
 :meth:`DistanceNormalizer.normalize` the one place a raw distance is divided
-by it. The bank stage feeds the former the coverage its coreset build
-already computed (see :func:`g2sf.bank.build_bank`); :func:`fit_normalizer`
-feeds it rank-0 k-NN distances of samples read again, and both give the same
-bits.
+by it. :func:`fit_banks`, the one bank fit of a training split (the CLI's
+bank stage calls it), feeds the former the coverage its coreset builds
+already computed (see :func:`g2sf.bank.build_bank`), split per sample.
+:func:`fit_normalizer` feeds it rank-0 k-NN distances of samples read again
+against any banks; on the banks of :func:`fit_banks` both give the same bits.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .bank import MemoryBank, query_neighbors_batch
+from .bank import MemoryBank, build_bank, query_neighbors_batch
 from .errors import EmptyBankError, ShapeError
-from .features import FeatureMap, SamplePair
+from .features import MODALITIES, FeatureMap, SamplePair, iter_samples, read_mask
 
 DEGENERATE_EPS = 1e-12  # raw-unit distance below which the direction is undefined
 
@@ -38,6 +40,7 @@ __all__ = [
     "MapEncoding",
     "encode_map",
     "inverse_distances",
+    "fit_banks",
     "fit_normalizer",
     "normalizer_from_distances",
 ]
@@ -120,6 +123,31 @@ def encode_map(fmap: FeatureMap, bank: MemoryBank, k: int, normalizer: DistanceN
         raw_distances=dist.reshape(h, w, n),
         truncated=truncated,
     )
+
+
+def fit_banks(train_manifest, fraction: float):
+    """One coreset bank per modality over a training split's foreground, and
+    the distance normalizer of those banks.
+
+    The foreground masks size one float32 (cells, D) array per modality; each
+    sample's foreground rows then stream into them in sample order, so no
+    per-sample slice outlives its sample. The normalizer sums each bank's
+    ``coverage`` sample by sample through :func:`normalizer_from_distances`,
+    with no second k-NN pass. Returns (banks, normalizer, raw means).
+    """
+    root = train_manifest.root or Path(".")
+    cells = [int(read_mask(root / ref.foreground).sum()) if ref.foreground
+             else int(np.prod(train_manifest.grid)) for ref in train_manifest.samples]
+    bounds = np.concatenate([[0], np.cumsum(cells, dtype=np.int64)])
+    points = {m: np.empty((bounds[-1], train_manifest.dims[m]), np.float32)
+              for m in MODALITIES}
+    for i, pair in enumerate(iter_samples(train_manifest)):
+        for m in MODALITIES:
+            points[m][bounds[i] : bounds[i + 1]] = getattr(pair, m).data[pair.foreground]
+    banks = {m: build_bank(points[m], m, fraction) for m in MODALITIES}
+    nearest = {m: np.split(banks[m].coverage, bounds[1:-1]) for m in MODALITIES}
+    normalizer, means = normalizer_from_distances(nearest)
+    return banks, normalizer, means
 
 
 def fit_normalizer(train_pairs, banks: dict) -> DistanceNormalizer:

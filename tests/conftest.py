@@ -1,6 +1,5 @@
 """Shared desk-scale fixtures: dataset, banks, pool, and a short-trained model."""
 
-import numpy as np
 import pytest
 
 
@@ -20,9 +19,8 @@ def pytest_terminal_summary(terminalreporter):
         for line in lines:
             terminalreporter.write_line(line)
 
-from g2sf.bank import build_bank
-from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples
-from g2sf.geometry import fit_normalizer
+from g2sf.features import SynthConfig, gen_synthetic_dataset
+from g2sf.geometry import fit_banks
 from g2sf.losses import LossConfig
 from g2sf.lspn import LspnConfig
 from g2sf.synthesis import SynthesisConfig, build_training_pool
@@ -43,15 +41,7 @@ def desk_dataset(tmp_path_factory):
 @pytest.fixture(scope="session")
 def desk_banks(desk_dataset):
     _, train_manifest, _ = desk_dataset
-    feats = {"pc": [], "rgb": []}
-    for pair in iter_samples(train_manifest):
-        for modality in ("pc", "rgb"):
-            fmap = getattr(pair, modality)
-            feats[modality].append(fmap.data[pair.foreground])
-    banks = {
-        m: build_bank(np.concatenate(feats[m]), m, 0.10) for m in ("pc", "rgb")
-    }
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
     return banks, normalizer
 
 

@@ -15,8 +15,8 @@ import pytest
 from g2sf.bank import build_bank, covering_radius
 from g2sf.cli import main as cli_main
 from g2sf.evaluation import ablation_scores, aupro, score_split
-from g2sf.features import SynthConfig, gen_synthetic_dataset, iter_samples, load_sample
-from g2sf.geometry import fit_normalizer
+from g2sf.features import SynthConfig, gen_synthetic_dataset, load_sample
+from g2sf.geometry import fit_banks
 from g2sf.losses import (
     LossBatch,
     LossConfig,
@@ -55,12 +55,7 @@ def desk_pipeline(seed, epochs, n_aug=32, loss_cfg=None, train_overrides=None):
 
     out = Path(tempfile.mkdtemp(prefix=f"g2sf_accept_{seed}_"))
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed, out)
-    feats = {m: [] for m in ("pc", "rgb")}
-    for pair in iter_samples(train_manifest):
-        for m in ("pc", "rgb"):
-            feats[m].append(getattr(pair, m).data[pair.foreground])
-    banks = {m: build_bank(np.concatenate(feats[m]), m, 0.10) for m in ("pc", "rgb")}
-    normalizer = fit_normalizer(iter_samples(train_manifest), banks)
+    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
     loss_cfg = loss_cfg or LossConfig(k=5)
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=n_aug, k=loss_cfg.k), seed)

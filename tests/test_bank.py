@@ -1,6 +1,7 @@
 """Coreset construction and exact nearest-neighbor tests."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -82,6 +83,11 @@ class TestBuildBank:
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyBankError):
             build_bank(np.zeros((0, 3), dtype=np.float32), "pc", 0.5)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_non_matrix_input_names_its_shape(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(str(shape))):
+            build_bank(np.ones(shape, dtype=np.float32), "pc", 0.5)
 
     def test_bad_fraction(self):
         with pytest.raises(ConfigError):

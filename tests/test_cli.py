@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from g2sf.bank import covering_radius, load_bank
-from g2sf.cli import main
+from g2sf.cli import STAGE_FORMAT, _digest, main
 from g2sf.features import iter_samples, load_manifest
 from g2sf.geometry import fit_normalizer
 
@@ -398,6 +398,7 @@ class TestEditedArtifacts:
             train_doc = json.loads((run / "train_manifest.json").read_text())
             train_doc["outputs"]["checkpoints/final/manifest.json"] = \
                 hashlib.sha256(ckpt.read_bytes()).hexdigest()
+            train_doc["digest"] = _digest(train_doc)
             (run / "train_manifest.json").write_text(json.dumps(train_doc))
             capsys.readouterr()
             assert run_stage("score", cfg_path, data, run, "--force") == 2
@@ -419,7 +420,7 @@ class TestEditedArtifacts:
         path = run / "bank_manifest.json"
         text = path.read_text()
         for body in (text[: len(text) // 2],
-                     json.dumps({"format": "g2sf-stage-v2", "stage": "bank"}),
+                     json.dumps({"format": STAGE_FORMAT, "stage": "bank"}),
                      "[]"):
             path.write_text(body)
             self.assert_stale(capsys, "train", cfg_path, data, run,
@@ -428,6 +429,34 @@ class TestEditedArtifacts:
         assert run_stage("bank", cfg_path, data, run) == 3
         err = capsys.readouterr().err
         assert "bank_manifest.json is not a JSON object" in err, err
+
+    def test_edited_normalizer_exits_3(self, chain_copy, cfg_path, capsys):
+        # The normalizer train reads lives in the bank manifest itself: the
+        # manifest's digest catches the edit at train and at every stage
+        # after it, and no report is rewritten.
+        data, run = chain_copy
+        report = (run / "reports" / "eval.json").read_bytes()
+        path = run / "bank_manifest.json"
+        doc = json.loads(path.read_text())
+        doc["normalizer"]["mean_pc"] *= 3
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        self.assert_stale(capsys, "train", cfg_path, data, run,
+                          "bank_manifest.json", "does not match its digest", "rerun bank")
+        for stage in ("score", "eval"):
+            self.assert_stale(capsys, stage, cfg_path, data, run, "bank_manifest.json")
+        assert (run / "reports" / "eval.json").read_bytes() == report
+
+    @pytest.mark.parametrize("stage, upstream, key", [("train", "bank", "normalizer"),
+                                                       ("eval", "score", "samples")])
+    def test_manifest_without_a_key_exits_3(self, chain_copy, cfg_path, capsys, stage,
+                                            upstream, key):
+        data, run = chain_copy
+        path = run / f"{upstream}_manifest.json"
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1))
+        self.assert_stale(capsys, stage, cfg_path, data, run, f"{upstream}_manifest.json",
+                          "does not match its digest", f"rerun {upstream}")
 
 
 class TestAblateReadsScores:

@@ -6,8 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2sf.bank import MemoryBank, build_bank
-from g2sf.features import FeatureMap, SamplePair
-from g2sf.geometry import DistanceNormalizer, encode_map, fit_normalizer, inverse_distances
+from g2sf.features import (
+    DatasetManifest,
+    FeatureMap,
+    SamplePair,
+    SampleRef,
+    iter_samples,
+    load_manifest,
+    save_manifest,
+    write_feature_map,
+    write_mask,
+)
+from g2sf.geometry import (
+    DistanceNormalizer,
+    encode_map,
+    fit_banks,
+    fit_normalizer,
+    inverse_distances,
+)
 from tests.oracles import decode, encode, query_neighbors
 
 UNIT_NORM = DistanceNormalizer(1.0, 1.0)
@@ -158,3 +174,45 @@ class TestNormalizer:
                 enc = encode_map(getattr(pair, modality), banks[modality], 0, norm)
                 normalized.append(enc.distances[:, :, 0].reshape(-1))
             assert abs(np.concatenate(normalized).mean() - 1.0) < 1e-4
+
+
+def write_split(root, rng, cells, grid=(6, 6), dims=(4, 3)):
+    """A training split on disk with one sample per entry of ``cells``: None
+    leaves the sample without a foreground file (every cell), a count draws a
+    mask of that many cells."""
+    refs = []
+    for i, count in enumerate(cells):
+        ref = SampleRef(f"s{i}", f"s{i}_pc.g2t", f"s{i}_rgb.g2t")
+        for modality, dim in zip(("pc", "rgb"), dims):
+            data = rng.standard_normal((*grid, dim)).astype(np.float32)
+            write_feature_map(FeatureMap(modality, data), root / f"s{i}_{modality}.g2t")
+        if count is not None:
+            mask = np.zeros(grid[0] * grid[1], dtype=bool)
+            mask[rng.permutation(mask.size)[:count]] = True
+            ref.foreground = f"s{i}_fg.g2t"
+            write_mask(mask.reshape(grid), root / ref.foreground, "foreground")
+        refs.append(ref)
+    save_manifest(DatasetManifest("train", grid, {"pc": dims[0], "rgb": dims[1]}, refs),
+                  root / "train_manifest.json")
+    return load_manifest(root / "train_manifest.json")
+
+
+class TestFitBanks:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unequal_masks_match_concatenation_and_knn(self, tmp_path, seed):
+        # Samples whose foregrounds differ in size, one of them without a
+        # mask and one empty, split the coverage unevenly: the streamed fit
+        # must still give the banks of the concatenated features and the
+        # normalizer of a second k-NN pass, bit for bit.
+        manifest = write_split(tmp_path, np.random.default_rng(seed), [None, 10, 25, 0, 3])
+        banks, normalizer, means = fit_banks(manifest, 0.25)
+
+        pairs = list(iter_samples(manifest))
+        assert [int(p.foreground.sum()) for p in pairs] == [36, 10, 25, 0, 3]
+        want = {m: build_bank(np.concatenate([getattr(p, m).data[p.foreground] for p in pairs]),
+                              m, 0.25) for m in ("pc", "rgb")}
+        for m in ("pc", "rgb"):
+            np.testing.assert_array_equal(banks[m].prototypes, want[m].prototypes)
+            np.testing.assert_array_equal(banks[m].coverage, want[m].coverage)
+        assert normalizer == fit_normalizer(pairs, want)
+        assert means == {"pc": normalizer.mean_pc, "rgb": normalizer.mean_rgb}

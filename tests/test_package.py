@@ -34,6 +34,19 @@ def test_package_imports_resolve():
         assert getattr(g2sf, attr) is getattr(module, attr), (module_name, attr)
 
 
+def test_readme_quickstart_imports_resolve():
+    # The quickstart fits its banks the way the bank stage does, through the
+    # package's top-level names.
+    text = (SRC.parent / "README.md").read_text()
+    code = text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = [alias.name for node in ast.walk(ast.parse(code))
+             if isinstance(node, ast.ImportFrom) and node.module == "g2sf"
+             for alias in node.names]
+    assert "fit_banks" in names and "fit_normalizer" not in code
+    missing = [name for name in names if not hasattr(g2sf, name)]
+    assert not missing, missing
+
+
 @pytest.mark.parametrize("demo", ["01_dataset_and_banks.py", "02_geometric_encoding.py"])
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
