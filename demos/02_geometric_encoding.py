@@ -23,7 +23,7 @@ with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     # are normalized per modality by the mean nearest-prototype distance over
     # that foreground, so both modalities score in the same units (training
     # mean becomes 1.0).
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
     print(f"distance normalizer: mean_pc={normalizer.mean_pc:.4f}, "
           f"mean_rgb={normalizer.mean_rgb:.4f}")
 

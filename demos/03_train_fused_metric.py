@@ -21,7 +21,7 @@ from g2sf.trainer import TrainConfig, scale_factors, train
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, _ = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
 
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
 
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=32, k=5), seed=7)

@@ -21,14 +21,13 @@ from g2sf.trainer import TrainConfig, train
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
 
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=32, k=5), seed=7)
     checkpoint, _, _ = train(
         pool, banks, normalizer,
         LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,)),
         TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
-    checkpoint.banks = banks
 
     # One anomalous sample in detail.
     pair = load_sample(test_manifest, test_manifest.samples[0])

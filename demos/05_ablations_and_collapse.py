@@ -25,14 +25,13 @@ from g2sf.trainer import TrainConfig, scale_factors, train
 # The dataset lives in a temporary directory that is removed when the demo ends.
 with tempfile.TemporaryDirectory(prefix="g2sf_demo_") as out:
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed=7, out_dir=out)
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
     lspn_cfg = LspnConfig(dim_pc=8, dim_rgb=8, branch_widths=(32, 32), fusion_widths=(32,))
 
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=32, k=5), seed=7)
     checkpoint, _, _ = train(pool, banks, normalizer, lspn_cfg,
                              TrainConfig(epochs=20, batch_size=512, seed=7), LossConfig(k=5))
-    checkpoint.banks = banks
 
     # One network pass per test sample scores every variant; the tables are views
     # of those grid maps, each upsampled to the ground truth as it is reported.

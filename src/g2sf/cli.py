@@ -206,14 +206,12 @@ def _load_banks(run_dir: Path):
 
 
 def cmd_bank(cfg, data, run):
-    banks, normalizer, means = fit_banks(load_manifest(data / "train_manifest.json"),
-                                         cfg.bank.fraction)
+    banks, normalizer = fit_banks(load_manifest(data / "train_manifest.json"), cfg.bank.fraction)
     for m, bank in banks.items():
         save_bank(bank, run / "banks" / f"{m}.g2t")
     outputs = [f"banks/{m}.g2t" for m in banks]
     extra = {"normalizer": normalizer.to_dict(), "sizes": {m: banks[m].size for m in banks},
-             "coverage": {m: {"radius": float(banks[m].coverage.max()), "mean": means[m]}
-                          for m in banks}}
+             "coverage": {m: {"radius": float(banks[m].coverage.max())} for m in banks}}
     return outputs, extra, (f"bank: {banks['pc'].size} pc / {banks['rgb'].size} rgb "
                             f"prototypes (fraction {cfg.bank.fraction})")
 

@@ -133,7 +133,7 @@ def fit_banks(train_manifest, fraction: float):
     sample's foreground rows then stream into them in sample order, so no
     per-sample slice outlives its sample. The normalizer sums each bank's
     ``coverage`` sample by sample through :func:`normalizer_from_distances`,
-    with no second k-NN pass. Returns (banks, normalizer, raw means).
+    with no second k-NN pass. Returns (banks, normalizer).
     """
     root = train_manifest.root or Path(".")
     cells = [int(read_mask(root / ref.foreground).sum()) if ref.foreground
@@ -146,8 +146,7 @@ def fit_banks(train_manifest, fraction: float):
             points[m][bounds[i] : bounds[i + 1]] = getattr(pair, m).data[pair.foreground]
     banks = {m: build_bank(points[m], m, fraction) for m in MODALITIES}
     nearest = {m: np.split(banks[m].coverage, bounds[1:-1]) for m in MODALITIES}
-    normalizer, means = normalizer_from_distances(nearest)
-    return banks, normalizer, means
+    return banks, normalizer_from_distances(nearest)
 
 
 def fit_normalizer(train_pairs, banks: dict) -> DistanceNormalizer:
@@ -169,17 +168,16 @@ def fit_normalizer(train_pairs, banks: dict) -> DistanceNormalizer:
                 continue
             _, dist, _ = query_neighbors_batch(banks[modality], flat, 0)
             nearest[modality].append(dist[:, 0])
-    return normalizer_from_distances(nearest)[0]
+    return normalizer_from_distances(nearest)
 
 
-def normalizer_from_distances(nearest: dict):
+def normalizer_from_distances(nearest: dict) -> DistanceNormalizer:
     """Normalizer from per-sample nearest-prototype distances.
 
     ``nearest`` maps "pc" and "rgb" to sequences of 1-D distance arrays, one
     per training sample in sample order; each sample's sum is added in that
-    order. Returns (normalizer, raw means). A zero mean (all features sit in
-    the bank, e.g. fraction 1.0) is replaced by 1.0 in the normalizer, with
-    a warning, so downstream divisions stay defined; the raw means keep it.
+    order. A zero mean (all features sit in the bank, e.g. fraction 1.0) is
+    replaced by 1.0, with a warning, so downstream divisions stay defined.
     """
     means = {}
     for modality in ("pc", "rgb"):
@@ -190,7 +188,6 @@ def normalizer_from_distances(nearest: dict):
         if count == 0:
             raise EmptyBankError("no foreground features to fit the distance normalizer")
         means[modality] = total / count
-    fitted = {}
     for modality, mean in means.items():
         if mean <= 0.0:
             warnings.warn(
@@ -198,6 +195,5 @@ def normalizer_from_distances(nearest: dict):
                 "using 1.0 instead",
                 stacklevel=3,
             )
-            mean = 1.0
-        fitted[modality] = mean
-    return DistanceNormalizer(mean_pc=fitted["pc"], mean_rgb=fitted["rgb"]), means
+            means[modality] = 1.0
+    return DistanceNormalizer(mean_pc=means["pc"], mean_rgb=means["rgb"])

@@ -209,11 +209,11 @@ def cma_loss(neg_w: np.ndarray | None) -> float:
 
 
 def l1_penalty(model) -> float:
-    from .lspn import parameters, weight_flags
+    from .lspn import parameters
 
     total = 0.0
-    for param, is_weight in zip(parameters(model), weight_flags(model)):
-        if is_weight:
+    for param in parameters(model):
+        if param.ndim == 2:  # weight matrices only
             acc = np.float64 if param.dtype == np.float32 else param.dtype
             total = total + np.abs(param).sum(dtype=acc)
     return total

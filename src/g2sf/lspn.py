@@ -77,13 +77,13 @@ __all__ = [
     "Directions",
     "Sources",
     "init_model",
+    "model_from_parameters",
     "rank_rows",
     "forward_batch",
     "backward_batch",
     "metric_values",
     "parameters",
     "parameter_names",
-    "weight_flags",
 ]
 
 
@@ -115,11 +115,14 @@ class LspnConfig:
 
 @dataclass
 class LspnModel:
+    """Blocks of each stack, as :func:`_layout` lists them; build one with
+    :func:`init_model` or :func:`model_from_parameters`."""
+
     cfg: LspnConfig
-    proto_branch: list = field(default_factory=list)
-    dir_branch: list = field(default_factory=list)
-    fusion_head: list = field(default_factory=list)
-    log_sigma: np.ndarray = None  # (2,): log sigma_pc, log sigma_rgb
+    proto_branch: list
+    dir_branch: list
+    fusion_head: list
+    log_sigma: np.ndarray  # (2,): log sigma_pc, log sigma_rgb
     # First-layer prototype tables of frozen weights, (branch, modality) ->
     # _Tables; see _prototype_tables. Copies start with an empty cache.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -137,45 +140,65 @@ class LspnModel:
         return np.exp(self.log_sigma)
 
     def astype(self, dtype) -> "LspnModel":
-        return LspnModel(
-            cfg=self.cfg,
-            proto_branch=[b.astype(dtype) for b in self.proto_branch],
-            dir_branch=[b.astype(dtype) for b in self.dir_branch],
-            fusion_head=[b.astype(dtype) for b in self.fusion_head],
-            log_sigma=self.log_sigma.astype(dtype),
-        )
+        return model_from_parameters(self.cfg, [p.astype(dtype) for p in parameters(self)])
 
     def copy(self) -> "LspnModel":
-        model = self.astype(self.log_sigma.dtype)
-        return model
+        return self.astype(self.log_sigma.dtype)
 
 
-def _init_block(rng, fan_in, fan_out, dropout):
-    # Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for weight and bias: a fan-in
-    # scaled start that keeps pre-activations small enough for w ~ 1.
-    bound = 1.0 / np.sqrt(fan_in)
-    weight = rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(np.float32)
-    bias = rng.uniform(-bound, bound, size=fan_out).astype(np.float32)
-    return nn.LinearBlock(weight, bias, dropout)
+def _layout(cfg: LspnConfig):
+    """(name, fan_in, fan_out, dropout) of each linear block, in parameter
+    order: the prototype branch, the direction branch, then the fusion head,
+    whose last block emits the two scaling factors and has no dropout."""
+    cfg.validate()
+    stacks = (("proto", cfg.joint_dim, cfg.branch_widths),
+              ("dir", cfg.joint_dim, cfg.branch_widths),
+              ("fusion", 2 * cfg.branch_widths[-1], tuple(cfg.fusion_widths) + (2,)))
+    table = []
+    for prefix, fan_in, widths in stacks:
+        for i, fan_out in enumerate(widths):
+            table.append((f"{prefix}_{i}", fan_in, fan_out, cfg.dropout))
+            fan_in = fan_out
+    table[-1] = table[-1][:3] + (0.0,)
+    return table
+
+
+def model_from_parameters(cfg: LspnConfig, params) -> LspnModel:
+    """The model of ``cfg`` whose parameters, aligned with :func:`parameters`,
+    are the arrays ``params``; it wraps them without copying.
+
+    An array whose shape is not the one :func:`_layout` gives its block
+    raises :class:`~g2sf.errors.ShapeError` naming the block.
+    """
+    table = _layout(cfg)
+    if len(params) != 2 * len(table) + 1:
+        raise ShapeError(f"{len(params)} parameter arrays for a network of {2 * len(table) + 1}")
+    blocks = []
+    for (name, fan_in, fan_out, dropout), weight, bias in zip(table, params[0::2], params[1::2]):
+        if np.shape(weight) != (fan_out, fan_in) or np.shape(bias) != (fan_out,):
+            raise ShapeError(f"block {name} has weight {np.shape(weight)} and bias "
+                             f"{np.shape(bias)}, not ({fan_out}, {fan_in}) and ({fan_out},)")
+        blocks.append(nn.LinearBlock(weight, bias, dropout))
+    if np.shape(params[-1]) != (2,):
+        raise ShapeError(f"log_sigma has shape {np.shape(params[-1])}, not (2,)")
+    n = len(cfg.branch_widths)
+    return LspnModel(cfg, blocks[:n], blocks[n:2 * n], blocks[2 * n:], params[-1])
 
 
 def init_model(cfg: LspnConfig, seed: int) -> LspnModel:
-    """Fan-in scaled random init; sigma starts at 0.5 per modality."""
-    cfg.validate()
+    """Fan-in scaled random init; sigma starts at 0.5 per modality.
+
+    Each block's weight and then its bias are drawn from Uniform(-1/sqrt(fan_in),
+    1/sqrt(fan_in)), a start that keeps pre-activations small enough for w ~ 1.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x157]))
-    proto, direc, fusion = [], [], []
-    for branch in (proto, direc):
-        fan = cfg.joint_dim
-        for width in cfg.branch_widths:
-            branch.append(_init_block(rng, fan, width, cfg.dropout))
-            fan = width
-    fan = 2 * cfg.branch_widths[-1]
-    for width in cfg.fusion_widths:
-        fusion.append(_init_block(rng, fan, width, cfg.dropout))
-        fan = width
-    fusion.append(_init_block(rng, fan, 2, 0.0))  # final linear, no dropout
-    log_sigma = np.full(2, np.log(0.5), dtype=np.float32)
-    return LspnModel(cfg, proto, direc, fusion, log_sigma)
+    params = []
+    for _, fan_in, fan_out, _ in _layout(cfg):
+        bound = 1.0 / np.sqrt(fan_in)
+        params.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(np.float32))
+        params.append(rng.uniform(-bound, bound, size=fan_out).astype(np.float32))
+    params.append(np.full(2, np.log(0.5), dtype=np.float32))
+    return model_from_parameters(cfg, params)
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +565,9 @@ def parameters(model: LspnModel):
     return out
 
 
-def parameter_names(model: LspnModel):
-    names = []
-    groups = (
-        ("proto", model.proto_branch),
-        ("dir", model.dir_branch),
-        ("fusion", model.fusion_head),
-    )
-    for prefix, blocks in groups:
-        for i in range(len(blocks)):
-            names.extend((f"{prefix}_{i}_w", f"{prefix}_{i}_b"))
+def parameter_names(cfg: LspnConfig):
+    """Names of :func:`parameters` of a model of ``cfg``: ``<block>_w`` and
+    ``<block>_b`` per block, then ``log_sigma``."""
+    names = [f"{name}_{part}" for name, *_ in _layout(cfg) for part in "wb"]
     names.append("log_sigma")
     return names
-
-
-def weight_flags(model: LspnModel):
-    """True for linear weight matrices (weight-decay / L1 targets)."""
-    flags = []
-    for _ in _blocks(model):
-        flags.extend((True, False))
-    flags.append(False)
-    return flags
-

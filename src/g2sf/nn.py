@@ -13,7 +13,7 @@ it is given, so a step allocates no second gradient per block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "relu_dropout_backward",
     "exp_tanh",
     "exp_tanh_backward",
-    "AdamState",
     "Adam",
     "adam_step",
     "backprop_check",
@@ -68,9 +67,6 @@ class LinearBlock:
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
-
-    def astype(self, dtype) -> "LinearBlock":
-        return LinearBlock(self.weight.astype(dtype), self.bias.astype(dtype), self.dropout_rate)
 
 
 def linear_forward(block: LinearBlock, x: np.ndarray) -> np.ndarray:
@@ -179,15 +175,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam buffers (first/second moment) plus the step count."""
-
-    step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
 def adam_step(param, grad, m, v, step, lr, weight_decay=0.0):
     """One in-place Adam update of a single parameter array.
 
@@ -215,24 +202,26 @@ class Adam(object):
 
     ``specs`` is a list of (lr, weight_decay) pairs aligned with the
     parameter list handed to :meth:`step`. Decay should be zero for biases
-    and global scale parameters.
+    and global scale parameters. ``m`` and ``v`` are the moment buffers,
+    allocated at the first step, and ``steps`` counts the steps taken.
     """
 
     def __init__(self, specs):
         self.specs = list(specs)
-        self.state = AdamState()
+        self.steps = 0
+        self.m, self.v = [], []
 
     def step(self, params, grads):
         if len(params) != len(self.specs) or len(grads) != len(self.specs):
             raise ShapeError("params/grads do not match optimizer specs")
-        if not self.state.m:
-            self.state.m = [np.zeros_like(p) for p in params]
-            self.state.v = [np.zeros_like(p) for p in params]
-        self.state.step += 1
-        for p, g, m, v, (lr, wd) in zip(params, grads, self.state.m, self.state.v, self.specs):
+        if not self.m:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.steps += 1
+        for p, g, m, v, (lr, wd) in zip(params, grads, self.m, self.v, self.specs):
             if p.shape != g.shape:
                 raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            adam_step(p, g, m, v, self.state.step, lr, wd)
+            adam_step(p, g, m, v, self.steps, lr, wd)
 
 
 def backprop_check(loss_fn, params, analytic_grads, h=None, fd_dtype=np.float64):

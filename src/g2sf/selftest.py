@@ -149,14 +149,6 @@ def build_gradcheck_problem(batch=8, k=5, dims=(8, 8), widths=((8, 8), (8,)),
     return GradCheckProblem(lspn_cfg, loss_cfg, seed, banks, pool, neg)
 
 
-def _model_from_params(problem: GradCheckProblem, values):
-    dtype = values[0].dtype
-    model = lspn_mod.init_model(problem.lspn_cfg, problem.seed).astype(dtype)
-    for dst, src in zip(lspn_mod.parameters(model), values):
-        dst[...] = src
-    return model
-
-
 def _objective(model, problem: GradCheckProblem, want_grads: bool):
     value, _, margin, grads = batch_objective(
         model, problem.pool, problem.banks, problem.pool.train_indices, problem.neg,
@@ -165,7 +157,7 @@ def _objective(model, problem: GradCheckProblem, want_grads: bool):
 
 
 def objective_value(problem: GradCheckProblem, values):
-    return _objective(_model_from_params(problem, values), problem, False)
+    return _objective(lspn_mod.model_from_parameters(problem.lspn_cfg, values), problem, False)
 
 
 def objective_gradients(problem: GradCheckProblem, dtype):

@@ -12,7 +12,6 @@ directions (see :class:`TrainingPool`).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,8 +306,4 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int,
 def build_training_pool(train_manifest, banks, normalizer, cfg: SynthesisConfig,
                         seed: int) -> TrainingPool:
     """Augment the training split and encode it into a pool in one call."""
-    samples = augment_dataset(train_manifest, cfg, seed)
-    pool = pool_from_samples(samples, banks, normalizer, cfg.k)
-    if cfg.n_aug > 0 and pool.val_indices.size == 0:
-        warnings.warn("pool has no validation half (n_aug < 2)", stacklevel=2)
-    return pool
+    return pool_from_samples(augment_dataset(train_manifest, cfg, seed), banks, normalizer, cfg.k)

@@ -35,9 +35,9 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import lspn as lspn_mod
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .geometry import DistanceNormalizer, inverse_distances
-from .nn import Adam, LinearBlock
+from .nn import Adam
 from .synthesis import TrainingPool
 from .tensorio import read_tensor, write_tensor
 
@@ -248,9 +248,8 @@ def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
     grad_rows = np.concatenate([grad_w.reshape(n_pos, 2), dneg], axis=0)
     out = lspn_mod.backward_batch(model, cache, grad_rows.astype(dtype))
     if loss_cfg.l1_weight > 0:
-        for g, p, is_weight in zip(out, lspn_mod.parameters(model),
-                                   lspn_mod.weight_flags(model)):
-            if is_weight:
+        for g, p in zip(out, lspn_mod.parameters(model)):
+            if p.ndim == 2:  # weight matrices only
                 g += loss_cfg.l1_weight * np.sign(p)
     d_log_sigma = (dl[:, :, None] * w * s).sum(axis=(0, 1)) * sigma
     out.append(d_log_sigma.astype(dtype))
@@ -269,13 +268,15 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     """Train the scale network on a precomputed pool.
 
     Returns (Checkpoint, log_rows, None): the final model is the only one
-    kept. The third slot is always None; the benchmark harness
-    (``perfbench/``) still unpacks three items, and the slot goes with its
-    next change. m0 is computed from the full pool before the first epoch
-    when the loss config leaves it unset, then frozen. Each epoch ends with
-    a validation pass whose network forwards run in chunks of at most
-    ``train_cfg.batch_size`` cells, so however large the validation half, a
-    forward never spans more rows than a training step's. Dropout is
+    kept, and the checkpoint carries ``banks``, so it scores as it is. The
+    third slot is always None; the benchmark harness (``perfbench/``) still
+    unpacks three items, and the slot goes with its next change. m0 is
+    computed from the full pool before the first epoch when the loss config
+    leaves it unset, then frozen. Each epoch ends with a validation pass
+    whose network forwards run in chunks of at most ``train_cfg.batch_size``
+    cells, so however large the validation half, a forward never spans more
+    rows than a training step's. A validation half of fewer than two cells
+    is skipped, with a warning, and logs ``val_total`` None. Dropout is
     ``lspn_cfg.dropout``. The :class:`TrainConfig` defaults (batch 8192,
     80 epochs) are the full-scale schedule; ``configs/desk.cfg`` shortens it.
     """
@@ -287,13 +288,16 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
         raise ConfigError(f"pool was encoded for k={pool.k}, loss config has k={loss_cfg.k}")
     if loss_cfg.m0 is None:
         loss_cfg = replace(loss_cfg, m0=losses_mod.compute_m0(pool.s0()))
+    skip_val = pool.val_indices.size < 2
+    if skip_val:
+        warnings.warn(f"the pool's validation half has {pool.val_indices.size} cells; "
+                      "validation needs two, so every epoch logs val_total null",
+                      stacklevel=2)
 
     model = lspn_mod.init_model(lspn_cfg, train_cfg.seed)
-    specs = []
-    for is_weight in lspn_mod.weight_flags(model)[:-1]:
-        specs.append((train_cfg.lr, train_cfg.weight_decay if is_weight else 0.0))
-    specs.append((train_cfg.sigma_lr, 0.0))  # log-sigma group, no decay
-    adam = Adam(specs)
+    # Decay on weight matrices only; the log-sigma group has its own rate.
+    adam = Adam([(train_cfg.lr, train_cfg.weight_decay if p.ndim == 2 else 0.0)
+                 for p in lspn_mod.parameters(model)[:-1]] + [(train_cfg.sigma_lr, 0.0)])
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []
@@ -324,7 +328,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
             n_batches += 1
 
         val_total = None
-        if pool.val_indices.size >= 2:
+        if not skip_val:
             val_rng = np.random.default_rng(
                 np.random.SeedSequence([int(train_cfg.seed), 0xA1, epoch]))
             neg = make_negatives(pool.y[pool.val_indices], val_rng)
@@ -357,7 +361,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = ckpt.model
-    names = lspn_mod.parameter_names(model)[:-1]
+    names = lspn_mod.parameter_names(model.cfg)[:-1]
     params = lspn_mod.parameters(model)[:-1]
     written = [out_dir / "manifest.json"]
     for name, param in zip(names, params):
@@ -370,13 +374,7 @@ def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
         "log_sigma": [float(v) for v in model.log_sigma],
         "loss": asdict(ckpt.loss_cfg),
         "train": asdict(ckpt.train_cfg),
-        "lspn": {
-            "dim_pc": model.cfg.dim_pc,
-            "dim_rgb": model.cfg.dim_rgb,
-            "branch_widths": list(model.cfg.branch_widths),
-            "fusion_widths": list(model.cfg.fusion_widths),
-            "dropout": model.cfg.dropout,
-        },
+        "lspn": asdict(model.cfg),
         "weights": names,
     }
     written[0].write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
@@ -387,8 +385,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The model's parameter arrays are read-only; ``model.copy()`` is writable.
-    A manifest that is missing, not a JSON object of this format, or lacks a
-    key raises :class:`ConfigError` naming ``in_dir``.
+    A manifest that is missing, not a JSON object of this format, lacks a
+    key, or has an lspn section that is invalid or disagrees with the
+    weights raises :class:`ConfigError` naming ``in_dir``.
     """
     in_dir = Path(in_dir)
     try:
@@ -406,37 +405,30 @@ def load_checkpoint(in_dir) -> Checkpoint:
     except KeyError as exc:
         raise ConfigError(f"{in_dir} has a checkpoint manifest without key {exc}; "
                           "retrain it") from exc
+    except (ConfigError, ShapeError) as exc:
+        raise ConfigError(f"{in_dir}: {exc}; retrain it") from exc
 
 
 def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
-    cfg = lspn_mod.LspnConfig(
-        dim_pc=doc["lspn"]["dim_pc"],
-        dim_rgb=doc["lspn"]["dim_rgb"],
-        branch_widths=tuple(doc["lspn"]["branch_widths"]),
-        fusion_widths=tuple(doc["lspn"]["fusion_widths"]),
-        dropout=doc["lspn"]["dropout"],
-    )
-    tensors = {}
-    for name in doc["weights"]:
+    lspn = doc["lspn"]
+    cfg = lspn_mod.LspnConfig(dim_pc=lspn["dim_pc"], dim_rgb=lspn["dim_rgb"],
+                              branch_widths=tuple(lspn["branch_widths"]),
+                              fusion_widths=tuple(lspn["fusion_widths"]), dropout=lspn["dropout"])
+    names = lspn_mod.parameter_names(cfg)[:-1]
+    if doc["weights"] != names:
+        raise ConfigError(f"the manifest lists weights {doc['weights']}, but its lspn "
+                          f"section gives {names}")
+    params = []
+    for name in names:
         array, header = read_tensor(in_dir / "weights" / f"{name}.g2t")
         if header.get("kind") != "weights":
             raise ConfigError(f"checkpoint tensor {name} has kind {header.get('kind')!r}")
-        tensors[name] = array
-    model = lspn_mod.LspnModel(cfg, [], [], [],
-                               np.asarray(doc["log_sigma"], dtype=np.float32))
-    layout = (("proto", model.proto_branch, len(cfg.branch_widths)),
-              ("dir", model.dir_branch, len(cfg.branch_widths)),
-              ("fusion", model.fusion_head, len(cfg.fusion_widths) + 1))
-    for prefix, blocks, count in layout:
-        for i in range(count):
-            weight = tensors[f"{prefix}_{i}_w"]
-            bias = tensors[f"{prefix}_{i}_b"]
-            final = prefix == "fusion" and i == count - 1
-            blocks.append(LinearBlock(weight, bias, 0.0 if final else cfg.dropout))
+        params.append(array)
+    params.append(np.asarray(doc["log_sigma"], dtype=np.float32))
+    model = lspn_mod.model_from_parameters(cfg, params)
     # Frozen as banks are, so scoring builds its first-layer tables once (g2sf.lspn).
-    for param in lspn_mod.parameters(model):
+    for param in params:
         param.setflags(write=False)
     return Checkpoint(model, DistanceNormalizer.from_dict(doc["normalizer"]),
                       losses_mod.LossConfig(**doc["loss"]), TrainConfig(**doc["train"]),
                       int(doc["epoch"]))
-

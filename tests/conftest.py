@@ -41,7 +41,7 @@ def desk_dataset(tmp_path_factory):
 @pytest.fixture(scope="session")
 def desk_banks(desk_dataset):
     _, train_manifest, _ = desk_dataset
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
     return banks, normalizer
 
 

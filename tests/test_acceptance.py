@@ -55,7 +55,7 @@ def desk_pipeline(seed, epochs, n_aug=32, loss_cfg=None, train_overrides=None):
 
     out = Path(tempfile.mkdtemp(prefix=f"g2sf_accept_{seed}_"))
     train_manifest, test_manifest = gen_synthetic_dataset(SynthConfig(), seed, out)
-    banks, normalizer, _ = fit_banks(train_manifest, 0.10)
+    banks, normalizer = fit_banks(train_manifest, 0.10)
     loss_cfg = loss_cfg or LossConfig(k=5)
     pool = build_training_pool(train_manifest, banks, normalizer,
                                SynthesisConfig(n_aug=n_aug, k=loss_cfg.k), seed)

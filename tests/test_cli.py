@@ -57,8 +57,7 @@ def assert_bank_manifest_matches_knn(data, run):
     feats = {m: np.concatenate([getattr(p, m).data[p.foreground] for p in pairs])
              for m in ("pc", "rgb")}
     for m in ("pc", "rgb"):
-        assert doc["coverage"][m]["radius"] == covering_radius(banks[m], feats[m])
-        assert doc["coverage"][m]["mean"] == normalizer.mean_for(m)  # no 1.0 fallback here
+        assert doc["coverage"][m] == {"radius": covering_radius(banks[m], feats[m])}
     return doc
 
 
@@ -514,6 +513,20 @@ class TestSpecialModes:
         reference = init_model(dataclasses.replace(cfg.lspn, dim_pc=6, dim_rgb=6), cfg.seed)
         for a, b in zip(parameters(ckpt.model), parameters(reference)):
             np.testing.assert_array_equal(a, b)
+
+    def test_train_warns_when_validation_is_skipped(self, tmp_path, cfg_path):
+        # One augmented sample pools into the training half alone, so the
+        # train stage warns that it skips validation and logs val_total null.
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["gen", "--config", str(cfg_path), "--out", str(data),
+                     "--n-train", "8", "--n-test", "6"]) == 0
+        common = ["--config", str(cfg_path), "--data", str(data), "--run", str(run),
+                  "--set", "synth.n_aug=1"]
+        assert main(["bank", *common]) == 0 and main(["synth", *common]) == 0
+        with pytest.warns(UserWarning, match="validation half has 0 cells"):
+            assert main(["train", *common]) == 0
+        rows = [json.loads(line) for line in (run / "train_log.jsonl").read_text().splitlines()]
+        assert rows and all(row["val_total"] is None for row in rows)
 
     def test_eval_without_gt_flags_and_succeeds(self, chain, cfg_path, tmp_path):
         from g2sf.cli import _write_manifest

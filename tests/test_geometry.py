@@ -205,7 +205,7 @@ class TestFitBanks:
         # must still give the banks of the concatenated features and the
         # normalizer of a second k-NN pass, bit for bit.
         manifest = write_split(tmp_path, np.random.default_rng(seed), [None, 10, 25, 0, 3])
-        banks, normalizer, means = fit_banks(manifest, 0.25)
+        banks, normalizer = fit_banks(manifest, 0.25)
 
         pairs = list(iter_samples(manifest))
         assert [int(p.foreground.sum()) for p in pairs] == [36, 10, 25, 0, 3]
@@ -215,4 +215,3 @@ class TestFitBanks:
             np.testing.assert_array_equal(banks[m].prototypes, want[m].prototypes)
             np.testing.assert_array_equal(banks[m].coverage, want[m].coverage)
         assert normalizer == fit_normalizer(pairs, want)
-        assert means == {"pc": normalizer.mean_pc, "rgb": normalizer.mean_rgb}

@@ -27,10 +27,10 @@ from g2sf.lspn import (
     forward_batch,
     init_model,
     metric_values,
+    model_from_parameters,
     parameters,
     parameter_names,
     rank_rows,
-    weight_flags,
 )
 from g2sf.nn import backprop_check
 from tests.oracles import (
@@ -189,8 +189,8 @@ class TestFactoredMatchesDense:
         assert self._close(w, w_dense, tol)
 
         coeffs = np.random.default_rng(seed).standard_normal(w.shape).astype(dtype)
-        grads = dict(zip(parameter_names(model), backward_batch(model, cache, coeffs)))
-        want = dict(zip(parameter_names(model),
+        grads = dict(zip(parameter_names(model.cfg), backward_batch(model, cache, coeffs)))
+        want = dict(zip(parameter_names(model.cfg),
                         dense_backward(reference, dense_cache, coeffs.astype(np.float64))))
         for name in ("proto_0_w", "proto_0_b", "dir_0_w", "dir_0_b"):
             assert grads[name].dtype == dtype
@@ -233,7 +233,7 @@ class TestFactoredMatchesDense:
         coeffs = np.random.default_rng(5).standard_normal(w.shape)
         got = backward_batch(model, cache, coeffs)
         want = dense_backward(model, dense_cache, coeffs)
-        for name, g, ref in zip(parameter_names(model), got, want):
+        for name, g, ref in zip(parameter_names(cfg), got, want):
             assert self._close(g, ref, 1e-10), name
 
 
@@ -484,14 +484,49 @@ class TestInit:
         assert np.exp(-1) - 1e-6 <= w.min() and w.max() <= E + 1e-6
 
     def test_parameter_bookkeeping(self):
+        # The weight matrices (the weight-decay and L1 targets) are the 2-D
+        # parameters, one per block, and only the output block has no dropout.
         model = init_model(SMALL, seed=0)
-        names = parameter_names(model)
+        names = parameter_names(SMALL)
         params = parameters(model)
-        flags = weight_flags(model)
-        assert len(names) == len(params) == len(flags)
-        assert names[-1] == "log_sigma" and flags[-1] is False
-        n_blocks = len(model.proto_branch) + len(model.dir_branch) + len(model.fusion_head)
-        assert sum(flags) == n_blocks
+        assert len(names) == len(params)
+        assert names[-1] == "log_sigma" and params[-1].shape == (2,)
+        blocks = model.proto_branch + model.dir_branch + model.fusion_head
+        assert [n for n, p in zip(names, params) if p.ndim == 2] == \
+            [f"{prefix}_{i}_w" for prefix in ("proto", "dir") for i in range(2)] + \
+            [f"fusion_{i}_w" for i in range(2)]
+        assert [b.dropout_rate for b in blocks] == [0.5] * 5 + [0.0]
+
+    def test_draw_order_pinned(self):
+        # Each block draws its weight, then its bias: the prototype branch,
+        # the direction branch, then the fusion head (shapes written out here
+        # for SMALL), so a seed gives the same network it always has.
+        shapes = [(16, 7), (8, 16), (16, 7), (8, 16), (8, 16), (2, 8)]
+        rng = np.random.default_rng(np.random.SeedSequence([5, 0x157]))
+        want = []
+        for fan_out, fan_in in shapes:
+            bound = 1.0 / np.sqrt(fan_in)
+            want.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(np.float32))
+            want.append(rng.uniform(-bound, bound, size=fan_out).astype(np.float32))
+        got = parameters(init_model(SMALL, seed=5))
+        assert len(got) == len(want) + 1
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    def test_model_from_parameters_wraps_arrays(self):
+        params = parameters(init_model(SMALL, seed=3))
+        model = model_from_parameters(SMALL, params)
+        assert all(a is b for a, b in zip(parameters(model), params))
+        copy = model.copy()
+        assert not any(np.shares_memory(a, b) for a, b in zip(parameters(copy), params))
+
+    def test_model_from_parameters_names_mismatched_block(self):
+        params = parameters(init_model(SMALL, seed=3))
+        params[6] = params[6][:, :-1]  # dir_1_w
+        with pytest.raises(ShapeError, match="dir_1"):
+            model_from_parameters(SMALL, params)
+        with pytest.raises(ShapeError, match="parameter arrays"):
+            model_from_parameters(SMALL, params[:-3] + params[-1:])
 
 
 class TestFusedMetric:

@@ -47,7 +47,9 @@ def test_readme_quickstart_imports_resolve():
     assert not missing, missing
 
 
-@pytest.mark.parametrize("demo", ["01_dataset_and_banks.py", "02_geometric_encoding.py"])
+# Demo 05 trains two networks and takes about 30 s, so it is left out.
+@pytest.mark.parametrize("demo", ["01_dataset_and_banks.py", "02_geometric_encoding.py",
+                                  "03_train_fused_metric.py", "04_score_and_evaluate.py"])
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": path}

@@ -112,6 +112,25 @@ class TestTrain:
         blocks = model.proto_branch + model.dir_branch + model.fusion_head
         assert [b.dropout_rate for b in blocks] == [0.0] * len(blocks)
 
+    def test_skipped_validation_warns(self, desk_pool, desk_banks, quick_cfgs):
+        # Below two validation cells train skips validation, says so, and
+        # logs val_total None; two cells validate without the warning.
+        import warnings
+
+        banks, normalizer = desk_banks
+        lspn_cfg, loss_cfg = quick_cfgs
+        cfg = TrainConfig(epochs=1, batch_size=512, seed=4)
+        few = dataclasses.replace(desk_pool, train_indices=desk_pool.train_indices[:512])
+        with pytest.warns(UserWarning, match="validation half has 1 cells"):
+            _, log_rows, _ = train(dataclasses.replace(few, val_indices=few.val_indices[:1]),
+                                   banks, normalizer, lspn_cfg, cfg, loss_cfg)
+        assert [row["val_total"] for row in log_rows] == [None]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", message=".*validation half")
+            _, log_rows, _ = train(dataclasses.replace(few, val_indices=few.val_indices[:2]),
+                                   banks, normalizer, lspn_cfg, cfg, loss_cfg)
+        assert log_rows[0]["val_total"] is not None
+
     def test_loss_decreases(self, desk_pool, desk_banks, quick_cfgs):
         # Monotone-trend oracle with a 3-seed majority vote.
         banks, normalizer = desk_banks
@@ -405,6 +424,30 @@ class TestCheckpoint:
             with pytest.raises(ConfigError) as err:
                 load_checkpoint(tmp_path / name)
             assert str(tmp_path / name) in str(err.value) and what in str(err.value)
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("branch_widths", [16], "lists weights"),
+        ("dim_pc", 9, "block proto_0"),
+        ("branch_widths", [], "must be non-empty"),
+    ], ids=["cut_branch", "wider_pc", "empty_branch"])
+    def test_lspn_section_must_match_weights(self, desk_checkpoint, tmp_path, field, value,
+                                             what):
+        # An lspn section edited away from the weights (a branch layer cut,
+        # a wider pc input) or out of range is refused by directory, never
+        # loaded as some other network.
+        import json
+
+        from g2sf.errors import ConfigError
+
+        ckpt, _ = desk_checkpoint
+        save_checkpoint(ckpt, tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["lspn"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert str(tmp_path / "ck") in str(err.value) and what in str(err.value)
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
         ckpt, _ = desk_checkpoint
