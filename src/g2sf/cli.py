@@ -83,15 +83,7 @@ def _sha256(path: Path) -> str:
 def _write_json(path: Path, doc: dict):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1, default=_np_default) + "\n")
-
-
-def _np_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _root(stage, data: Path, run: Path) -> Path:
@@ -105,8 +97,7 @@ def _stage_manifest_path(root: Path, stage: str) -> Path:
 def _digest(doc: dict) -> str:
     """SHA-256 of the canonical JSON of every key of ``doc`` but ``digest``."""
     body = {key: value for key, value in doc.items() if key != "digest"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True, default=_np_default)
-                          .encode()).hexdigest()
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
 def _read_stage_manifest(root, stage) -> dict:
@@ -265,7 +256,7 @@ def cmd_train(cfg, data, run):
     written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
     with open(run / "train_log.jsonl", "w") as fh:
         for row in log_rows:
-            fh.write(json.dumps(row, sort_keys=True, default=_np_default) + "\n")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
     outputs = ["train_log.jsonl"] + [p.relative_to(run).as_posix() for p in written]
     return outputs, {}, (
         f"train: {cfg.train.epochs} epochs on {pool.size} pooled cells; final sigma "
@@ -370,8 +361,8 @@ def _run_stage(stage, cfg, args):
     return EXIT_OK
 
 
-def cmd_selftest(cfg, args):
-    results = run_all(checkpoint=args.checkpoint)
+def cmd_selftest(checkpoint):
+    results = run_all(checkpoint=checkpoint)
     width = max(len(name) for name, _, _ in results)
     failures = []
     for name, ok, detail in results:
@@ -390,20 +381,20 @@ def cmd_selftest(cfg, args):
 # ---------------------------------------------------------------------------
 
 
-# Per command, each dedicated flag and the config key it sets. Every command
+# Per stage, each dedicated flag and the config key it sets. Every stage
 # also takes ``_COMMON_FLAGS``. Flag values are config text, applied after
-# ``--set`` through ``apply_setting``; ``--grid`` also reads HxW.
+# ``--set`` through ``apply_setting``; ``--grid`` also reads HxW. ``selftest``
+# reads no config and takes only ``--checkpoint``.
 _COMMON_FLAGS = {"--seed": "seed"}
 _FLAGS = {
     "gen": {"--grid": "gen.grid", "--dims": "gen.dims", "--n-train": "gen.n_train",
-            "--n-test": "gen.n_test", "--anomaly-modes": "gen.anomaly_modes"},
+            "--n-test": "gen.n_test"},
     "bank": {"--fraction": "bank.fraction"},
-    "synth": {"--n-aug": "synth.n_aug", "--strength": "synth.strength"},
+    "synth": {"--n-aug": "synth.n_aug"},
     "train": {"--epochs": "train.epochs", "--batch-size": "train.batch_size"},
     "score": {},
     "eval": {},
     "ablate": {},
-    "selftest": {},
 }
 
 
@@ -414,14 +405,11 @@ def build_parser():
                     "anomaly detection on feature grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {"gen": "generate a synthetic two-modality dataset",
-             "selftest": "run the embedded invariant suite"}
     for name, flags in _FLAGS.items():
-        p = sub.add_parser(name, help=helps.get(name, f"run the {name} stage"))
+        p = sub.add_parser(name, help="generate a synthetic two-modality dataset"
+                           if name == "gen" else f"run the {name} stage")
         if name == "gen":
             p.add_argument("--out", required=True, help="dataset output directory")
-        elif name == "selftest":
-            p.add_argument("--checkpoint", help="also validate this checkpoint directory")
         else:
             p.add_argument("--data", required=True, help="dataset directory (gen output)")
             p.add_argument("--run", required=True, help="run directory for artifacts")
@@ -435,6 +423,8 @@ def build_parser():
                             "changes no result")
         p.add_argument("--force", action="store_true",
                        help="overwrite artifacts from an identical configuration")
+    p = sub.add_parser("selftest", help="run the embedded invariant suite")
+    p.add_argument("--checkpoint", help="also validate this checkpoint directory")
     return parser
 
 
@@ -454,12 +444,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.command == "selftest":
+            return cmd_selftest(args.checkpoint)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg = _config_from_args(args)
-        if args.command == "selftest":
-            return cmd_selftest(cfg, args)
-        return _run_stage(args.command, cfg, args)
+        return _run_stage(args.command, _config_from_args(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,9 +9,9 @@ declared type: ``none`` only where the key may be empty, numbers only when
 finite. The SHA-256 hash of the canonical merged configuration is stamped
 into every stage manifest so downstream stages can detect drift. Fixed, so
 not settings: the evaluation protocol (:mod:`g2sf.evaluation`), the data
-generator's recipe (:mod:`g2sf.features` constants), augmentation's modes
-and Perlin masks (:mod:`g2sf.synthesis`), Adam's constants (:mod:`g2sf.nn`)
-and the CLI's ``--threads``.
+generator's recipe and anomaly-mode cycle (:mod:`g2sf.features` constants),
+augmentation's modes, Perlin masks and strength (:mod:`g2sf.synthesis`),
+Adam's constants (:mod:`g2sf.nn`) and the CLI's ``--threads``.
 """
 from __future__ import annotations
 
@@ -79,14 +79,8 @@ class RunConfig:
 
 def config_hash(cfg: RunConfig) -> str:
     """SHA-256 of the canonical configuration."""
-    doc = json.dumps(cfg.to_dict(), sort_keys=True, default=_jsonable, separators=(",", ":"))
+    doc = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"unhashable config value {value!r}")
 
 
 def load_config_file(path) -> dict:
@@ -125,8 +119,6 @@ def _coerce(key, text, section, leaf):
 
 
 def _scalar(key, kind, text):
-    if kind is str:
-        return text
     try:
         value = kind(text)
     except ValueError:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the key check of its JSON
+readers."""
 
 
 class G2sfError(Exception):
@@ -26,19 +27,25 @@ class FormatError(G2sfError, ValueError):
         self.offset = offset
 
 
+def check_keys(what, entry, required, optional=()):
+    """``entry`` if it is a JSON object with every ``required`` key and none
+    beyond ``optional``; else :class:`FormatError` naming ``what`` and the key."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{what} is not a JSON object")
+    keys = [f"is without key {key!r}" for key in required if key not in entry]
+    keys += [f"has unknown key {key!r}" for key in sorted(entry.keys() - {*required, *optional})]
+    if keys:
+        raise FormatError(f"{what} {' and '.join(keys)}")
+    return entry
+
+
 class EmptyBankError(G2sfError, ValueError):
     """A memory bank was built from, or queried with, no usable vectors."""
 
 
 class DivergenceError(G2sfError, RuntimeError):
-    """Training produced a non-finite quantity.
-
-    ``checkpoint`` holds the last finite model state when one exists.
-    """
-
-    def __init__(self, message, checkpoint=None):
-        super().__init__(message)
-        self.checkpoint = checkpoint
+    """Training produced a non-finite quantity. The message names the epoch;
+    the error carries no model state."""
 
 
 class UndefinedMetricError(G2sfError, ValueError):

@@ -9,12 +9,12 @@ grid resolution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError, check_keys
 from .tensorio import read_tensor, write_tensor
 
 MODALITIES = ("pc", "rgb")
@@ -197,14 +197,21 @@ def save_manifest(manifest: DatasetManifest, path):
 
 
 def load_manifest(path) -> DatasetManifest:
+    """Read a manifest written by :func:`save_manifest`; a malformed one
+    raises :class:`FormatError` naming it (and the key at fault)."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if doc.get("format") != "g2sf-dataset-v1":
-        raise FormatError(f"manifest {path} has unknown format {doc.get('format')!r}")
-    samples = [SampleRef(**entry) for entry in doc["samples"]]
+    doc = check_keys(f"manifest {path}: the manifest", doc,
+                     ("format", "split", "grid", "dims", "samples"), ("gt_upscale",))
+    if doc["format"] != "g2sf-dataset-v1":
+        raise FormatError(f"manifest {path} has unknown format {doc['format']!r}")
+    samples = [SampleRef(**check_keys(f"manifest {path}: sample entry {i}", entry,
+                                      ("sample_id", "pc", "rgb"),
+                                      ("foreground", "pixel_gt", "image_label")))
+               for i, entry in enumerate(doc["samples"])]
     return DatasetManifest(
         split=doc["split"],
         grid=tuple(doc["grid"]),
@@ -255,14 +262,14 @@ class SynthConfig:
     weight ``RHO``. Test anomalies shift features of one or both modalities
     by ``ANOMALY_OFFSET`` noise standard deviations inside a smooth blob
     region. Those constants are the generator's fixed recipe; the fields
-    here set the grid, widths, sample counts, modes and ground-truth scale.
+    here set the grid, widths, sample counts and ground-truth scale; the
+    anomalous test samples cycle through ``ANOMALY_MODES``.
     """
 
     grid: tuple = (16, 16)
     dims: tuple = (8, 8)
     n_train: int = 64
     n_test: int = 48
-    anomaly_modes: tuple = ANOMALY_MODES
     gt_upscale: int = 4
 
     def validate(self):
@@ -277,10 +284,6 @@ class SynthConfig:
         for name in ("n_train", "n_test", "gt_upscale"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"gen.{name} must be >= 1")
-        bad = [m for m in self.anomaly_modes if m not in ANOMALY_MODES]
-        if bad or not self.anomaly_modes:
-            raise ConfigError(f"gen.anomaly_modes must be one or more of {ANOMALY_MODES}, "
-                              f"got {tuple(self.anomaly_modes)}")
 
 
 def _smooth_field(rng, shape, smoothness):
@@ -361,7 +364,6 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
     }
 
     n_anom = int(round(ANOMALY_FRAC * cfg.n_test))
-    modes = [cfg.anomaly_modes[i % len(cfg.anomaly_modes)] for i in range(n_anom)]
 
     fg = _foreground_mask(cfg)
     manifests = {}
@@ -380,7 +382,7 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
                 gt_grid = np.zeros(cfg.grid, dtype=bool)
                 if idx < n_anom:
                     label = 1
-                    mode = modes[idx]
+                    mode = ANOMALY_MODES[idx % len(ANOMALY_MODES)]
                     gt_grid = _anomaly_region(cfg, rng, fg)
                     offset = ANOMALY_OFFSET * NOISE_SIGMA
                     if mode in ("pc_only", "joint"):

@@ -24,7 +24,7 @@ from .geometry import fit_normalizer
 from .losses import LossBatch, LossConfig
 from .nn import backprop_check
 from .synthesis import TrainingPool, pool_from_samples
-from .trainer import NegativeBatch, _sattolo, batch_objective, scale_factors
+from .trainer import NegativeBatch, batch_objective, load_checkpoint, make_negatives, scale_factors
 
 __all__ = [
     "aupro_bruteforce",
@@ -140,9 +140,7 @@ def build_gradcheck_problem(batch=8, k=5, dims=(8, 8), widths=((8, 8), (8,)),
     y = np.arange(batch) % 2
     pool = pool_from_samples([(pair, y.reshape(1, batch).astype(bool))], banks,
                              fit_normalizer([pair], banks), k)
-    normals = np.flatnonzero(y == 0)
-    perm = _sattolo(normals.size, rng)
-    neg = NegativeBatch(normals, normals[perm], rng.integers(0, 2, normals.size))
+    neg = make_negatives(y, rng)
     lspn_cfg = lspn_mod.LspnConfig(dim_pc=dims[0], dim_rgb=dims[1], branch_widths=widths[0],
                                    fusion_widths=widths[1], dropout=0.0)
     loss_cfg = LossConfig(k=k, m0=losses_mod.compute_m0(pool.s0()))
@@ -271,12 +269,7 @@ def _check_coreset(seed=0):
 
 
 def _check_checkpoint(path):
-    from .trainer import load_checkpoint
-
-    try:
-        ckpt = load_checkpoint(path)
-    except Exception as exc:  # surfaced as a named failure, not a crash
-        return False, f"unloadable checkpoint: {exc}"
+    ckpt = load_checkpoint(path)
     cfg = ckpt.model.cfg
     probe = build_gradcheck_problem(batch=32, dims=(cfg.dim_pc, cfg.dim_rgb))
     a = scale_factors(ckpt.model, probe.pool, probe.banks, probe.pool.train_indices)
@@ -300,6 +293,8 @@ def run_all(checkpoint=None):
         ("aupro_bruteforce_agreement", _check_aupro_oracle),
         ("coreset_two_approximation", _check_coreset),
     ]
+    if checkpoint is not None:
+        checks.append(("checkpoint_integrity", lambda: _check_checkpoint(checkpoint)))
     results = []
     for name, fn in checks:
         try:
@@ -307,10 +302,4 @@ def run_all(checkpoint=None):
         except Exception as exc:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))
-    if checkpoint is not None:
-        try:
-            ok, detail = _check_checkpoint(checkpoint)
-        except Exception as exc:
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(("checkpoint_integrity", ok, detail))
     return results

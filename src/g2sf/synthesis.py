@@ -22,7 +22,7 @@ from .features import ANOMALY_MODES, FeatureMap, SamplePair, load_sample
 
 __all__ = [
     "PerlinParams",
-    "PerlinMask",
+    "STRENGTH",
     "SynthesisConfig",
     "TrainingPool",
     "perlin_noise",
@@ -44,10 +44,7 @@ class PerlinParams:
     max_resample: int = 16
 
 
-@dataclass
-class PerlinMask:
-    grid: np.ndarray
-    coverage: float
+STRENGTH = 1.0  # DRAEM-style augmentation strength, fixed (see inject_anomaly)
 
 
 def _perlin_octave(h, w, frequency, rng):
@@ -75,19 +72,19 @@ def _perlin_octave(h, w, frequency, rng):
     return top + v * (bottom - top)
 
 
-def perlin_noise(h, w, frequency, octaves, rng, persistence=0.5):
+def perlin_noise(h, w, frequency, octaves, rng):
     total = np.zeros((h, w))
     amplitude, freq = 1.0, int(frequency)
     for _ in range(max(1, octaves)):
         total += amplitude * _perlin_octave(h, w, freq, rng)
-        amplitude *= persistence
+        amplitude *= 0.5  # persistence
         freq *= 2
     return total
 
 
-def gen_perlin_mask(h, w, params: PerlinParams, rng) -> PerlinMask:
-    """Thresholded noise mask with coverage forced into the band
-    [``params.min_coverage``, ``params.max_coverage``].
+def gen_perlin_mask(h, w, params: PerlinParams, rng) -> np.ndarray:
+    """(h, w) boolean mask of thresholded noise, its coverage (``mask.mean()``)
+    forced into the band [``params.min_coverage``, ``params.max_coverage``].
 
     Out-of-band masks are resampled up to ``max_resample`` times; if the band
     is still missed, the threshold is clamped to the quantile that lands the
@@ -98,21 +95,17 @@ def gen_perlin_mask(h, w, params: PerlinParams, rng) -> PerlinMask:
     n = h * w
     k_min = max(1, int(np.ceil(params.min_coverage * n)))
     k_max = max(k_min, int(np.floor(params.max_coverage * n)))
-    noise = None
     for _ in range(params.max_resample + 1):
         noise = perlin_noise(h, w, params.frequency, params.octaves, rng)
         mask = noise > params.threshold
-        cov = float(mask.mean())
-        if params.min_coverage <= cov <= params.max_coverage:
-            return PerlinMask(mask, cov)
+        if params.min_coverage <= mask.mean() <= params.max_coverage:
+            return mask
     # Clamp: keep the top-k cells of the last field, k snapped into the band.
-    raw_count = int((noise > params.threshold).sum())
-    count = int(np.clip(raw_count, k_min, k_max))
+    count = int(np.clip(int(mask.sum()), k_min, k_max))
     order = np.argsort(noise, axis=None, kind="stable")[::-1]
     mask = np.zeros(n, dtype=bool)
     mask[order[:count]] = True
-    mask = mask.reshape(h, w)
-    return PerlinMask(mask, float(mask.mean()))
+    return mask.reshape(h, w)
 
 
 def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
@@ -155,15 +148,14 @@ def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
 
 @dataclass
 class SynthesisConfig:
-    """Augmentation count and strength. Each augmented sample draws its mode
-    from ``ANOMALY_MODES`` and its mask from ``PerlinParams()``."""
+    """Augmentation count and the pool's k. Each augmented sample draws its
+    mode from ``ANOMALY_MODES``, its mask from ``PerlinParams()``."""
 
     n_aug: int = 48
-    strength: float = 1.0
     k: int = 5
 
     def validate(self):
-        for name in ("n_aug", "strength", "k"):
+        for name in ("n_aug", "k"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"synth.{name} must be nonnegative")
 
@@ -196,9 +188,9 @@ def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):
         target = load_sample(train_manifest, refs[t_idx])
         donor = load_sample(train_manifest, refs[d_idx])
         h, w = target.grid
-        mask = gen_perlin_mask(h, w, PerlinParams(), rng).grid
+        mask = gen_perlin_mask(h, w, PerlinParams(), rng)
         mode = ANOMALY_MODES[int(rng.integers(len(ANOMALY_MODES)))]
-        pair, labels = inject_anomaly(target, donor, mask, mode, cfg.strength, rng)
+        pair, labels = inject_anomaly(target, donor, mask, mode, STRENGTH, rng)
         pair.sample_id = f"aug_{i:04d}"
         out.append((pair, labels))
     return out
@@ -217,8 +209,8 @@ class TrainingPool:
     directions took about 12 GB. :func:`pool_from_samples` writes each
     sample's rows straight into these arrays, so building the pool needs no
     second copy of them.
-    The train/validation split is by source-sample parity so both halves
-    carry mixed labels.
+    The train/validation split is by source-sample parity, even samples
+    training and odd ones validating, so both halves carry mixed labels.
     """
 
     k: int
@@ -231,7 +223,6 @@ class TrainingPool:
     idx_rgb: np.ndarray
     r_rgb: np.ndarray
     s_rgb: np.ndarray
-    sample_index: np.ndarray  # (N,) source augmented-sample index
     train_indices: np.ndarray
     val_indices: np.ndarray
 
@@ -271,7 +262,7 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int,
     if cells is None:
         cells = [int(np.count_nonzero(pair.foreground)) for pair, _ in samples_with_labels]
     bounds = np.concatenate([[0], np.cumsum(cells, dtype=np.int64)])
-    out = {"y": np.empty(bounds[-1], np.uint8), "sample_index": np.empty(bounds[-1], np.int64)}
+    out = {"y": np.empty(bounds[-1], np.uint8)}
     for m in ("pc", "rgb"):
         out[f"feat_{m}"] = np.empty((bounds[-1], banks[m].dim), np.float32)
     items = 0
@@ -284,7 +275,6 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int,
                              f"cell counts the pool was sized from")
         part = slice(bounds[sample_idx], bounds[sample_idx + 1])
         out["y"][part] = np.asarray(labels, dtype=bool).reshape(-1)[sel]
-        out["sample_index"][part] = sample_idx
         for m in ("pc", "rgb"):
             fmap = getattr(pair, m)
             if fmap.dim != banks[m].dim:
@@ -297,10 +287,9 @@ def pool_from_samples(samples_with_labels, banks, normalizer, k: int,
     for m in ("pc", "rgb"):
         out[f"idx_{m}"], out[f"r_{m}"], _ = query_neighbors_batch(banks[m], out[f"feat_{m}"], k)
         out[f"s_{m}"] = normalizer.normalize(out[f"r_{m}"], m).astype(np.float64)
-    train_mask = (out["sample_index"] % 2) == 0
+    odd = np.repeat(np.arange(len(cells)) % 2 == 1, cells)  # source-sample parity
     indices = np.arange(bounds[-1])
-    return TrainingPool(k=k, **out, train_indices=indices[train_mask],
-                        val_indices=indices[~train_mask])
+    return TrainingPool(k=k, **out, train_indices=indices[~odd], val_indices=indices[odd])
 
 
 def build_training_pool(train_manifest, banks, normalizer, cfg: SynthesisConfig,

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import losses as losses_mod
 from . import lspn as lspn_mod
-from .errors import ConfigError, DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, FormatError, ShapeError, check_keys
 from .geometry import DistanceNormalizer, inverse_distances
 from .nn import Adam
 from .synthesis import TrainingPool
@@ -268,7 +268,8 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
     """Train the scale network on a precomputed pool.
 
     Returns (Checkpoint, log_rows, None): the final model is the only one
-    kept, and the checkpoint carries ``banks``, so it scores as it is. The
+    kept, and the checkpoint carries ``banks``, so it scores as it is; a
+    non-finite loss raises :class:`DivergenceError` naming the epoch. The
     third slot is always None; the benchmark harness (``perfbench/``) still
     unpacks three items, and the slot goes with its next change. m0 is
     computed from the full pool before the first epoch when the loss config
@@ -301,7 +302,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 
     rng = np.random.default_rng(np.random.SeedSequence([int(train_cfg.seed), 0xB0]))
     log_rows = []
-    last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, 0, banks)
 
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(pool.train_indices)
@@ -317,9 +317,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                     model, pool, banks, rows, neg, loss_cfg, grads=True, rng=rng)
                 adam.step(lspn_mod.parameters(model), grads)
             except DivergenceError as exc:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}: {exc}", checkpoint=last_good
-                ) from exc
+                raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
             del grads  # the step's gradients are not kept through validation
 
             sums["total"] += value
@@ -342,7 +340,6 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                "sigma_pc": model.sigma_pc, "sigma_rgb": model.sigma_rgb}
         row.update({f"train_{k}": float(v) / denom for k, v in sums.items()})
         log_rows.append(row)
-        last_good = Checkpoint(model.copy(), normalizer, loss_cfg, train_cfg, epoch + 1, banks)
 
     final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, banks)
     return final, log_rows, None
@@ -386,8 +383,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
 
     The model's parameter arrays are read-only; ``model.copy()`` is writable.
     A manifest that is missing, not a JSON object of this format, lacks a
-    key, or has an lspn section that is invalid or disagrees with the
-    weights raises :class:`ConfigError` naming ``in_dir``.
+    key, or has a config section with an unknown or missing key or an lspn
+    section that is invalid or disagrees with the weights raises
+    :class:`ConfigError` naming ``in_dir`` (and the key).
     """
     in_dir = Path(in_dir)
     try:
@@ -405,15 +403,18 @@ def load_checkpoint(in_dir) -> Checkpoint:
     except KeyError as exc:
         raise ConfigError(f"{in_dir} has a checkpoint manifest without key {exc}; "
                           "retrain it") from exc
-    except (ConfigError, ShapeError) as exc:
+    except (ConfigError, FormatError, ShapeError) as exc:
         raise ConfigError(f"{in_dir}: {exc}; retrain it") from exc
 
 
+def _section(doc: dict, name: str, cls):
+    """``cls`` from the manifest's ``name`` section: exactly its fields, lists as tuples."""
+    part = check_keys(f"the manifest's {name} section", doc[name], [f.name for f in fields(cls)])
+    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in part.items()})
+
+
 def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
-    lspn = doc["lspn"]
-    cfg = lspn_mod.LspnConfig(dim_pc=lspn["dim_pc"], dim_rgb=lspn["dim_rgb"],
-                              branch_widths=tuple(lspn["branch_widths"]),
-                              fusion_widths=tuple(lspn["fusion_widths"]), dropout=lspn["dropout"])
+    cfg = _section(doc, "lspn", lspn_mod.LspnConfig)
     names = lspn_mod.parameter_names(cfg)[:-1]
     if doc["weights"] != names:
         raise ConfigError(f"the manifest lists weights {doc['weights']}, but its lspn "
@@ -430,5 +431,5 @@ def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
     for param in params:
         param.setflags(write=False)
     return Checkpoint(model, DistanceNormalizer.from_dict(doc["normalizer"]),
-                      losses_mod.LossConfig(**doc["loss"]), TrainConfig(**doc["train"]),
-                      int(doc["epoch"]))
+                      _section(doc, "loss", losses_mod.LossConfig),
+                      _section(doc, "train", TrainConfig), int(doc["epoch"]))

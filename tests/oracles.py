@@ -387,13 +387,18 @@ def pool_by_map_encoding(samples_with_labels, banks, normalizer, k: int) -> dict
     """The arrays :func:`g2sf.synthesis.pool_from_samples` pools, keyed by
     :class:`~g2sf.synthesis.TrainingPool` field, built as it first built
     them: every cell of each map encoded with
-    :func:`~g2sf.geometry.encode_map`, then the foreground rows kept."""
+    :func:`~g2sf.geometry.encode_map`, then the foreground rows kept. The
+    split puts each even-numbered sample's cells in ``train_indices`` and
+    each odd-numbered one's in ``val_indices``."""
     n = 2 * k + 1
     parts = {}
+    halves = ([np.empty(0, np.int64)], [np.empty(0, np.int64)])
+    start = 0
     for i, (pair, labels) in enumerate(samples_with_labels):
         sel = pair.foreground.reshape(-1)
-        found = {"y": np.asarray(labels, dtype=bool).reshape(-1)[sel].astype(np.uint8),
-                 "sample_index": np.full(sel.sum(), i, dtype=np.int64)}
+        halves[i % 2].append(np.arange(start, start + sel.sum(), dtype=np.int64))
+        start += sel.sum()
+        found = {"y": np.asarray(labels, dtype=bool).reshape(-1)[sel].astype(np.uint8)}
         for m in ("pc", "rgb"):
             fmap = getattr(pair, m)
             enc = encode_map(fmap, banks[m], k, normalizer)
@@ -403,6 +408,7 @@ def pool_by_map_encoding(samples_with_labels, banks, normalizer, k: int) -> dict
             found[f"s_{m}"] = enc.distances.reshape(-1, n)[sel].astype(np.float64)
         for key, value in found.items():
             parts.setdefault(key, []).append(value)
+    parts["train_indices"], parts["val_indices"] = halves
     return {key: np.concatenate(value) for key, value in parts.items()}
 
 

@@ -65,7 +65,6 @@ def desk_pipeline(seed, epochs, n_aug=32, loss_cfg=None, train_overrides=None):
     if train_overrides:
         train_cfg = dataclasses.replace(train_cfg, **train_overrides)
     checkpoint, log_rows, _ = train(pool, banks, normalizer, lspn_cfg, train_cfg, loss_cfg)
-    checkpoint.banks = banks
     return checkpoint, pool, train_manifest, test_manifest
 
 

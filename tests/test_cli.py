@@ -301,6 +301,37 @@ class TestExitCodes:
         assert "checkpoint_integrity" in out and "FAIL" in out
         assert f"{ckpt_dir} has a checkpoint manifest that is not JSON" in out
 
+    @pytest.mark.parametrize("argv", [["--seed", "3"], ["--threads", "2"], ["--force"],
+                                      ["--set", "train.epochs=5"], ["--config", "CFG"]],
+                             ids=["seed", "threads", "force", "set", "config"])
+    def test_selftest_takes_only_checkpoint(self, cfg_path, capsys, argv):
+        # selftest reads no config: each of these used to build and validate
+        # one, never read it, and exit 0.
+        argv = [str(cfg_path) if arg == "CFG" else arg for arg in argv]
+        assert main(["selftest", *argv]) == 2
+        assert f"unrecognized arguments: {argv[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("gen.anomaly_modes", "pc_only"),
+                                            ("synth.strength", "0.5")])
+    def test_retired_key_names_itself(self, tmp_path, capsys, key, value):
+        # The generator's mode cycle and the augmentation strength are fixed.
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {value}\n")
+        for argv in (["--set", f"{key}={value}"], ["--config", str(path)]):
+            capsys.readouterr()
+            assert main(["gen", "--out", str(tmp_path / "d"), *argv]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command, flag", [("gen", "--anomaly-modes"),
+                                               ("synth", "--strength")])
+    def test_retired_flag_is_unrecognized(self, tmp_path, capsys, command, flag):
+        where = ["--out", str(tmp_path / "d")] if command == "gen" else \
+            ["--data", str(tmp_path / "d"), "--run", str(tmp_path / "r")]
+        assert main([command, *where, flag, "1"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
 
 @pytest.fixture
 def chain_copy(chain, tmp_path):
@@ -633,6 +664,19 @@ class TestSpecialModes:
             capsys.readouterr()
             assert main([command, "--data", "d", "--run", "r", *argv]) == 2
             assert err in capsys.readouterr().err
+
+    def test_every_flag_sets_a_key(self):
+        # A retired key takes its flag with it: every dedicated flag names a
+        # settable key of a fresh config, not a section or a derived key.
+        import dataclasses
+
+        from g2sf.cli import _COMMON_FLAGS, _FLAGS
+        from g2sf.config import DERIVED, RunConfig, _resolve
+
+        for flags in (*_FLAGS.values(), _COMMON_FLAGS):
+            for flag, key in flags.items():
+                value = getattr(*_resolve(RunConfig(), key))
+                assert not dataclasses.is_dataclass(value) and key not in DERIVED, flag
 
     def test_train_frees_the_augmented_samples(self, chain_copy, cfg_path, monkeypatch):
         # Once the pool holds their cells, no augmented sample may stay alive

@@ -17,6 +17,7 @@ RETIRED = {
     "synth.perlin.min_coverage": "0.02", "synth.perlin.max_coverage": "0.35",
     "synth.perlin.max_resample": "16",
     "train.beta1": "0.9", "train.beta2": "0.999", "train.eps": "1e-8",
+    "gen.anomaly_modes": "pc_only, rgb_only, joint", "synth.strength": "1.0",
 }
 
 
@@ -59,8 +60,8 @@ class TestParsing:
         assert cfg.loss.m0 == 0.5
         apply_setting(cfg, "loss.m0", "none")
         assert cfg.loss.m0 is None
-        apply_setting(cfg, "gen.anomaly_modes", "pc_only, joint")
-        assert cfg.gen.anomaly_modes == ("pc_only", "joint")
+        apply_setting(cfg, "lspn.branch_widths", "32, 16")
+        assert cfg.lspn.branch_widths == (32, 16)
 
     def test_unknown_key_rejected(self, tmp_path):
         # Retired keys: dropout is lspn.dropout; eval_every went with the
@@ -71,9 +72,10 @@ class TestParsing:
         for key in ("train.warp_speed", "train.dropout", "train.eval_every"):
             with pytest.raises(ConfigError, match="unknown config key"):
                 apply_setting(RunConfig(), key, "2")
-        # The generator's recipe, the augmentation's modes and Perlin masks
-        # and Adam's moment constants are fixed: each key is refused by name,
-        # from an override and from a config file, at its old default too.
+        # The generator's recipe and mode cycle, the augmentation's modes,
+        # Perlin masks and strength and Adam's moment constants are fixed:
+        # each key is refused by name, from an override and from a config
+        # file, at its old default too.
         path = tmp_path / "c.cfg"
         for key, value in RETIRED.items():
             path.write_text(f"{key} = {value}\n")
@@ -130,8 +132,8 @@ class TestHash:
         # The evaluation protocol is fixed, so no key belongs to it, and
         # training keeps one checkpoint, so no snapshot cadence, and the
         # coreset has one selection space, so no projection, and the data
-        # recipe and Adam's constants are fixed: 30 keys, the four derived
-        # ones included.
+        # recipe and mode cycle, the augmentation strength and Adam's
+        # constants are fixed: 28 keys, the four derived ones included.
         def leaves(node, prefix=""):
             for name, value in node.items():
                 if isinstance(value, dict):
@@ -141,5 +143,5 @@ class TestHash:
 
         keys = list(leaves(RunConfig().to_dict()))
         assert not [k for k in keys if k.startswith("eval.")]
-        assert len(keys) == 30
+        assert len(keys) == 28
         assert not set(keys) & set(RETIRED)

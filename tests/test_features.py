@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from g2sf.errors import FormatError, ShapeError
 from g2sf.features import (
     ANOMALY_FRAC,
+    ANOMALY_MODES,
     FeatureMap,
     SamplePair,
     SynthConfig,
@@ -199,6 +200,25 @@ class TestSyntheticDataset:
         assert pair.pc.dim == small_cfg.dims[0]
         assert pair.foreground.any() and not pair.foreground.all()
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda doc: dict(doc, samples=[doc["samples"][0], {**doc["samples"][1], "extra": 1}]),
+         "sample entry 1 has unknown key 'extra'"),
+        (lambda doc: dict(doc, samples=[{k: v for k, v in doc["samples"][0].items()
+                                         if k != "pc"}]),
+         "sample entry 0 is without key 'pc'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "samples"},
+         "the manifest is without key 'samples'"),
+        (lambda doc: [doc], "the manifest is not a JSON object"),
+    ], ids=["unknown_sample_key", "sample_without_pc", "no_samples", "json_array"])
+    def test_malformed_manifest_names_the_key(self, tmp_path, small_cfg, edit, what):
+        # Each of these escaped as a TypeError, KeyError or AttributeError.
+        gen_synthetic_dataset(small_cfg, 5, tmp_path / "d")
+        path = tmp_path / "d" / "train_manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(FormatError) as err:
+            load_manifest(path)
+        assert str(err.value) == f"manifest {path}: {what}"
+
     def test_euclidean_detector_on_affected_modality(self, tmp_path):
         # Sanity oracle: at the 6-sigma ANOMALY_OFFSET, a nearest-prototype
         # detector on the corrupted modality must separate those anomalies
@@ -215,7 +235,7 @@ class TestSyntheticDataset:
         bank = build_bank(np.concatenate(feats), "pc", 0.1)
 
         n_anom = round(ANOMALY_FRAC * cfg.n_test)
-        modes = [cfg.anomaly_modes[i % len(cfg.anomaly_modes)] for i in range(n_anom)]
+        modes = [ANOMALY_MODES[i % len(ANOMALY_MODES)] for i in range(n_anom)]
         scores, labels = [], []
         for i, ref in enumerate(test.samples):
             pair = load_sample(test, ref)
