@@ -34,7 +34,6 @@ from .losses import LossBatch, LossConfig, total_loss
 from .lspn import LspnConfig, LspnModel, init_model
 from .scoring import ScoreMap, score_sample, upsample_smooth
 from .synthesis import (
-    PerlinParams,
     SynthesisConfig,
     TrainingPool,
     build_training_pool,

@@ -31,6 +31,7 @@ import copy
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +42,12 @@ from .bank import load_bank, save_bank
 from .config import build_config, config_hash, derive
 from .errors import ConfigError, G2sfError, StaleArtifactError
 from .features import (
-    SamplePair,
+    foreground_cells,
     gen_synthetic_dataset,
+    iter_samples,
     load_manifest,
-    read_feature_map,
     read_mask,
-    write_feature_map,
-    write_mask,
+    save_split,
 )
 from .geometry import DistanceNormalizer, fit_banks
 from .scoring import G2SF_SCORE, ScoreMap, upsample_smooth
@@ -69,7 +69,7 @@ _READS = {
     "gen": (),
     "bank": ("gen",),
     "synth": ("gen",),
-    "train": ("gen", "bank", "synth"),
+    "train": ("bank", "synth"),
     "score": ("gen", "train"),
     "eval": ("gen", "score"),
     "ablate": ("gen", "score"),
@@ -183,11 +183,17 @@ def _check_rerun(root, stage, cfg_hash, force):
 # ---------------------------------------------------------------------------
 
 
+def _split_outputs(manifest) -> list:
+    """A split's manifest, then every sample file it names, relative to its root."""
+    outputs = [f"{manifest.split}_manifest.json"]
+    for ref in manifest.samples:
+        outputs += [p for p in (ref.pc, ref.rgb, ref.foreground, ref.pixel_gt) if p]
+    return outputs
+
+
 def cmd_gen(cfg, data, run):
-    outputs = ["train_manifest.json", "test_manifest.json"]
-    for manifest in gen_synthetic_dataset(cfg.gen, cfg.seed, data):
-        for ref in manifest.samples:
-            outputs += [p for p in (ref.pc, ref.rgb, ref.foreground, ref.pixel_gt) if p]
+    outputs = [rel for manifest in gen_synthetic_dataset(cfg.gen, cfg.seed, data)
+               for rel in _split_outputs(manifest)]
     return outputs, {}, (f"gen: wrote dataset ({cfg.gen.n_train} train / "
                          f"{cfg.gen.n_test} test) to {data}")
 
@@ -210,48 +216,26 @@ def cmd_bank(cfg, data, run):
 def cmd_synth(cfg, data, run):
     train_manifest = load_manifest(data / "train_manifest.json")
     samples = synth_mod.augment_dataset(train_manifest, cfg.synth, cfg.seed)
-    outputs = []
-    pool_dir = run / "pool"
-    for i, (pair, labels) in enumerate(samples):
-        stem = f"aug_{i:04d}"
-        write_feature_map(pair.pc, pool_dir / f"{stem}_pc.g2t")
-        write_feature_map(pair.rgb, pool_dir / f"{stem}_rgb.g2t")
-        write_mask(pair.foreground, pool_dir / f"{stem}_fg.g2t", "foreground")
-        write_mask(labels, pool_dir / f"{stem}_labels.g2t", "labels")
-        outputs.extend(f"pool/{stem}_{suffix}.g2t"
-                       for suffix in ("pc", "rgb", "fg", "labels"))
-    return outputs, {}, f"synth: wrote {len(samples)} augmented samples to {pool_dir}"
-
-
-def _pool_stems(run: Path) -> list:
-    synth_manifest = _read_stage_manifest(run, "synth")
-    return [run / stem for stem in sorted({out.rsplit("_", 1)[0]
-                                           for out in synth_manifest["outputs"]})]
-
-
-def _load_pool_samples(run: Path):
-    """Yield each augmented sample of the synth stage as (SamplePair, labels),
-    read from disk when the consumer asks for it."""
-    for stem in _pool_stems(run):
-        pair = SamplePair(stem.name, read_feature_map(f"{stem}_pc.g2t"),
-                          read_feature_map(f"{stem}_rgb.g2t"),
-                          foreground=read_mask(f"{stem}_fg.g2t"))
-        yield pair, read_mask(f"{stem}_labels.g2t")
+    # The pool is a split whose ground truth is each sample's cell labels.
+    pool = save_split(run, "pool", (replace(pair, pixel_gt=labels) for pair, labels in samples),
+                      train_manifest.grid, train_manifest.dims, 1)
+    return _split_outputs(pool), {}, (f"synth: wrote {len(pool.samples)} augmented samples "
+                                      f"to {run / 'pool'}")
 
 
 def cmd_train(cfg, data, run):
     banks = _load_banks(run)
-    bank_manifest = _read_stage_manifest(run, "bank")
-    normalizer = DistanceNormalizer.from_dict(bank_manifest["normalizer"])
+    normalizer = DistanceNormalizer.from_dict(_read_stage_manifest(run, "bank")["normalizer"])
     # The small foreground masks size the pool; the samples then stream into
     # it one at a time, each freed once the pool has its cells, so the
     # augmented samples are never held together.
-    cells = [int(read_mask(f"{stem}_fg.g2t").sum()) for stem in _pool_stems(run)]
-    pool = synth_mod.pool_from_samples(_load_pool_samples(run), banks, normalizer, cfg.loss.k,
-                                       cells=cells)
+    pool_manifest = load_manifest(run / "pool_manifest.json")
+    pool = synth_mod.pool_from_samples(
+        ((pair, pair.pixel_gt) for pair in iter_samples(pool_manifest)), banks, normalizer,
+        cfg.loss.k, cells=foreground_cells(pool_manifest))
 
     sized = copy.deepcopy(cfg)
-    derive(sized, load_manifest(data / "train_manifest.json").dims)
+    derive(sized, pool_manifest.dims)
     checkpoint, log_rows, _ = train(pool, banks, normalizer, sized.lspn, cfg.train, cfg.loss)
     written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
     with open(run / "train_log.jsonl", "w") as fh:
@@ -321,12 +305,9 @@ def cmd_ablate(cfg, data, run):
     test_manifest, rows = _read_scored(data, run)
     scored = []
     for entry, ref, gt in rows:
-        path = run / entry["grid"]
-        grids, header = read_tensor(path)
-        names = header.get("maps")
-        if names is None or "scores" not in entry:
-            raise ConfigError(f"{path} holds one score map, not every map; rerun score")
-        maps = {name: ScoreMap(grid, entry["scores"][name]) for name, grid in zip(names, grids)}
+        grids, header = read_tensor(run / entry["grid"])
+        maps = {name: ScoreMap(grid, entry["scores"][name])
+                for name, grid in zip(header["maps"], grids)}
         scored.append(eval_mod.ScoredSample(ref.sample_id, ref.image_label, gt, maps))
     variants, aggregations = eval_mod.ablation_scores(scored, test_manifest.gt_upscale)
     outputs = ["reports/ablation_scores.csv", "reports/ablation_aggregation.csv"]

@@ -46,6 +46,9 @@ __all__ = [
     "save_manifest",
     "load_manifest",
     "load_sample",
+    "iter_samples",
+    "foreground_cells",
+    "save_split",
     "gen_synthetic_dataset",
 ]
 
@@ -168,8 +171,8 @@ class DatasetManifest:
     root: Path | None = None
 
     def __post_init__(self):
-        if self.split not in ("train", "test"):
-            raise ConfigError(f"split must be train or test, got {self.split!r}")
+        if self.split not in ("train", "test", "pool"):
+            raise ConfigError(f"split must be train, test or pool, got {self.split!r}")
 
 
 def save_manifest(manifest: DatasetManifest, path):
@@ -196,6 +199,11 @@ def save_manifest(manifest: DatasetManifest, path):
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _positive_ints(value, count) -> bool:
+    return isinstance(value, list) and len(value) == count and all(
+        type(v) is int and v > 0 for v in value)
+
+
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest written by :func:`save_manifest`; a malformed one
     raises :class:`FormatError` naming it (and the key at fault)."""
@@ -208,6 +216,15 @@ def load_manifest(path) -> DatasetManifest:
                      ("format", "split", "grid", "dims", "samples"), ("gt_upscale",))
     if doc["format"] != "g2sf-dataset-v1":
         raise FormatError(f"manifest {path} has unknown format {doc['format']!r}")
+    dims = doc["dims"]
+    for key, ok, expected in (
+            ("grid", _positive_ints(doc["grid"], 2), "two positive integers"),
+            ("dims", isinstance(dims, dict) and sorted(dims) == list(MODALITIES)
+             and _positive_ints(list(dims.values()), 2), "a positive integer per modality"),
+            ("gt_upscale", _positive_ints([doc.get("gt_upscale", 1)], 1), "a positive integer"),
+            ("samples", isinstance(doc["samples"], list), "a list")):
+        if not ok:
+            raise FormatError(f"manifest {path}: key {key!r} is {doc[key]!r}, not {expected}")
     samples = [SampleRef(**check_keys(f"manifest {path}: sample entry {i}", entry,
                                       ("sample_id", "pc", "rgb"),
                                       ("foreground", "pixel_gt", "image_label")))
@@ -215,7 +232,7 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(
         split=doc["split"],
         grid=tuple(doc["grid"]),
-        dims=doc["dims"],
+        dims=dims,
         samples=samples,
         gt_upscale=doc.get("gt_upscale", 1),
         root=path.parent,
@@ -246,6 +263,36 @@ def load_sample(manifest: DatasetManifest, ref: SampleRef) -> SamplePair:
 def iter_samples(manifest: DatasetManifest):
     for ref in manifest.samples:
         yield load_sample(manifest, ref)
+
+
+def foreground_cells(manifest: DatasetManifest) -> list:
+    """Each sample's foreground cell count, in manifest order, read from its
+    mask alone (every grid cell when it has none)."""
+    root = manifest.root or Path(".")
+    return [int(read_mask(root / ref.foreground).sum()) if ref.foreground
+            else int(np.prod(manifest.grid)) for ref in manifest.samples]
+
+
+def save_split(out_dir, split, pairs, grid, dims, gt_upscale) -> DatasetManifest:
+    """Write each :class:`SamplePair` of ``pairs`` as it arrives, to
+    ``{split}/{sample_id}_{pc,rgb,fg}.g2t`` plus ``_gt.g2t`` when it has a
+    ``pixel_gt``, then ``{split}_manifest.json``; returns that manifest.
+    ``pairs`` is consumed once, in order, so a generator streams the split."""
+    out_dir = Path(out_dir)
+    refs = []
+    for pair in pairs:
+        stem = f"{split}/{pair.sample_id}"
+        ref = SampleRef(pair.sample_id, f"{stem}_pc.g2t", f"{stem}_rgb.g2t", f"{stem}_fg.g2t",
+                        None if pair.pixel_gt is None else f"{stem}_gt.g2t", pair.image_label)
+        write_feature_map(pair.pc, out_dir / ref.pc)
+        write_feature_map(pair.rgb, out_dir / ref.rgb)
+        write_mask(pair.foreground, out_dir / ref.foreground, "foreground")
+        if ref.pixel_gt:
+            write_mask(pair.pixel_gt, out_dir / ref.pixel_gt, "pixel_gt")
+        refs.append(ref)
+    manifest = DatasetManifest(split, tuple(grid), dict(dims), refs, gt_upscale, out_dir)
+    save_manifest(manifest, out_dir / f"{split}_manifest.json")
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +395,30 @@ def _inject_offset(fmap: FeatureMap, region, offset_sigma, rng):
     return FeatureMap(fmap.modality, data)
 
 
+def _split_pairs(cfg: SynthConfig, centers, seed: int, split: str, count: int):
+    """Yield the ``count`` samples of ``split``, each drawn from its own
+    (seed, split, index) stream; test samples carry pixel ground truth."""
+    fg = _foreground_mask(cfg)
+    n_anom = int(round(ANOMALY_FRAC * cfg.n_test))
+    for idx in range(count):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(seed), 1 if split == "train" else 2, idx]))
+        maps = _normal_sample(cfg, centers, rng)
+        label = gt_pixels = None
+        if split == "test":
+            label, gt_grid = int(idx < n_anom), np.zeros(cfg.grid, dtype=bool)
+            if label:
+                mode = ANOMALY_MODES[idx % len(ANOMALY_MODES)]
+                gt_grid = _anomaly_region(cfg, rng, fg)
+                offset = ANOMALY_OFFSET * NOISE_SIGMA
+                if mode in ("pc_only", "joint"):
+                    maps["pc"] = _inject_offset(maps["pc"], gt_grid, offset, rng)
+                if mode in ("rgb_only", "joint"):
+                    maps["rgb"] = _inject_offset(maps["rgb"], gt_grid, offset, rng)
+            gt_pixels = np.repeat(np.repeat(gt_grid, cfg.gt_upscale, 0), cfg.gt_upscale, 1)
+        yield SamplePair(f"{split}_{idx:04d}", maps["pc"], maps["rgb"], gt_pixels, label, fg)
+
+
 def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
     """Generate and persist the synthetic benchmark; returns (train, test) manifests.
 
@@ -355,63 +426,9 @@ def gen_synthetic_dataset(cfg: SynthConfig, seed: int, out_dir):
     produce byte-identical trees.
     """
     cfg.validate()
-    out_dir = Path(out_dir)
-    root_seq = np.random.SeedSequence([int(seed), 0x673D])
-    center_rng = np.random.default_rng(root_seq.spawn(1)[0])
-    centers = {
-        m: center_rng.standard_normal((CLUSTERS, dim))
-        for m, dim in zip(MODALITIES, cfg.dims)
-    }
-
-    n_anom = int(round(ANOMALY_FRAC * cfg.n_test))
-
-    fg = _foreground_mask(cfg)
-    manifests = {}
-    for split, count in (("train", cfg.n_train), ("test", cfg.n_test)):
-        refs = []
-        for idx in range(count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([int(seed), 1 if split == "train" else 2, idx])
-            )
-            sample_id = f"{split}_{idx:04d}"
-            maps = _normal_sample(cfg, centers, rng)
-            label = None
-            gt_grid = None
-            if split == "test":
-                label = 0
-                gt_grid = np.zeros(cfg.grid, dtype=bool)
-                if idx < n_anom:
-                    label = 1
-                    mode = ANOMALY_MODES[idx % len(ANOMALY_MODES)]
-                    gt_grid = _anomaly_region(cfg, rng, fg)
-                    offset = ANOMALY_OFFSET * NOISE_SIGMA
-                    if mode in ("pc_only", "joint"):
-                        maps["pc"] = _inject_offset(maps["pc"], gt_grid, offset, rng)
-                    if mode in ("rgb_only", "joint"):
-                        maps["rgb"] = _inject_offset(maps["rgb"], gt_grid, offset, rng)
-            ref = SampleRef(
-                sample_id=sample_id,
-                pc=f"{split}/{sample_id}_pc.g2t",
-                rgb=f"{split}/{sample_id}_rgb.g2t",
-                foreground=f"{split}/{sample_id}_fg.g2t",
-                pixel_gt=f"{split}/{sample_id}_gt.g2t" if split == "test" else None,
-                image_label=label,
-            )
-            write_feature_map(maps["pc"], out_dir / ref.pc)
-            write_feature_map(maps["rgb"], out_dir / ref.rgb)
-            write_mask(fg, out_dir / ref.foreground, "foreground")
-            if ref.pixel_gt:
-                gt_pixels = np.repeat(np.repeat(gt_grid, cfg.gt_upscale, 0), cfg.gt_upscale, 1)
-                write_mask(gt_pixels, out_dir / ref.pixel_gt, "pixel_gt")
-            refs.append(ref)
-        manifest = DatasetManifest(
-            split=split,
-            grid=tuple(cfg.grid),
-            dims={"pc": cfg.dims[0], "rgb": cfg.dims[1]},
-            samples=refs,
-            gt_upscale=cfg.gt_upscale,
-            root=out_dir,
-        )
-        save_manifest(manifest, out_dir / f"{split}_manifest.json")
-        manifests[split] = manifest
-    return manifests["train"], manifests["test"]
+    center_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x673D]).spawn(1)[0])
+    centers = {m: center_rng.standard_normal((CLUSTERS, dim))
+               for m, dim in zip(MODALITIES, cfg.dims)}
+    return tuple(save_split(out_dir, split, _split_pairs(cfg, centers, seed, split, count),
+                            cfg.grid, dict(zip(MODALITIES, cfg.dims)), cfg.gt_upscale)
+                 for split, count in (("train", cfg.n_train), ("test", cfg.n_test)))

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .bank import MemoryBank, build_bank, query_neighbors_batch
 from .errors import EmptyBankError, ShapeError
-from .features import MODALITIES, FeatureMap, SamplePair, iter_samples, read_mask
+from .features import MODALITIES, FeatureMap, SamplePair, foreground_cells, iter_samples
 
 DEGENERATE_EPS = 1e-12  # raw-unit distance below which the direction is undefined
 
@@ -135,9 +134,7 @@ def fit_banks(train_manifest, fraction: float):
     ``coverage`` sample by sample through :func:`normalizer_from_distances`,
     with no second k-NN pass. Returns (banks, normalizer).
     """
-    root = train_manifest.root or Path(".")
-    cells = [int(read_mask(root / ref.foreground).sum()) if ref.foreground
-             else int(np.prod(train_manifest.grid)) for ref in train_manifest.samples]
+    cells = foreground_cells(train_manifest)
     bounds = np.concatenate([[0], np.cumsum(cells, dtype=np.int64)])
     points = {m: np.empty((bounds[-1], train_manifest.dims[m]), np.float32)
               for m in MODALITIES}

@@ -21,7 +21,6 @@ from .errors import ConfigError, EmptyBankError, ShapeError
 from .features import ANOMALY_MODES, FeatureMap, SamplePair, load_sample
 
 __all__ = [
-    "PerlinParams",
     "STRENGTH",
     "SynthesisConfig",
     "TrainingPool",
@@ -34,15 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass
-class PerlinParams:
-    octaves: int = 2
-    frequency: int = 4
-    threshold: float = 0.2
-    min_coverage: float = 0.02
-    max_coverage: float = 0.35
-    max_resample: int = 16
-
+# The Perlin mask's fixed recipe (see gen_perlin_mask).
+PERLIN_OCTAVES = 2
+PERLIN_FREQUENCY = 4           # gradient lattice cells per grid side, first octave
+PERLIN_THRESHOLD = 0.2         # noise above it is masked
+MIN_COVERAGE = 0.02            # band of grid fraction a mask covers
+MAX_COVERAGE = 0.35
+MAX_RESAMPLE = 16              # fresh fields drawn before the threshold is clamped
 
 STRENGTH = 1.0  # DRAEM-style augmentation strength, fixed (see inject_anomaly)
 
@@ -82,23 +79,23 @@ def perlin_noise(h, w, frequency, octaves, rng):
     return total
 
 
-def gen_perlin_mask(h, w, params: PerlinParams, rng) -> np.ndarray:
-    """(h, w) boolean mask of thresholded noise, its coverage (``mask.mean()``)
-    forced into the band [``params.min_coverage``, ``params.max_coverage``].
+def gen_perlin_mask(h, w, rng) -> np.ndarray:
+    """(h, w) boolean mask of noise above ``PERLIN_THRESHOLD``, its coverage
+    (``mask.mean()``) forced into the band [``MIN_COVERAGE``, ``MAX_COVERAGE``].
 
-    Out-of-band masks are resampled up to ``max_resample`` times; if the band
+    Out-of-band masks are resampled up to ``MAX_RESAMPLE`` times; if the band
     is still missed, the threshold is clamped to the quantile that lands the
     coverage on the nearest band edge, so the call always terminates.
     """
     if h < 2 or w < 2:
         raise ConfigError("mask grid must be at least 2x2")
     n = h * w
-    k_min = max(1, int(np.ceil(params.min_coverage * n)))
-    k_max = max(k_min, int(np.floor(params.max_coverage * n)))
-    for _ in range(params.max_resample + 1):
-        noise = perlin_noise(h, w, params.frequency, params.octaves, rng)
-        mask = noise > params.threshold
-        if params.min_coverage <= mask.mean() <= params.max_coverage:
+    k_min = max(1, int(np.ceil(MIN_COVERAGE * n)))
+    k_max = max(k_min, int(np.floor(MAX_COVERAGE * n)))
+    for _ in range(MAX_RESAMPLE + 1):
+        noise = perlin_noise(h, w, PERLIN_FREQUENCY, PERLIN_OCTAVES, rng)
+        mask = noise > PERLIN_THRESHOLD
+        if MIN_COVERAGE <= mask.mean() <= MAX_COVERAGE:
             return mask
     # Clamp: keep the top-k cells of the last field, k snapped into the band.
     count = int(np.clip(int(mask.sum()), k_min, k_max))
@@ -149,7 +146,7 @@ def inject_anomaly(target: SamplePair, donor: SamplePair, mask: np.ndarray,
 @dataclass
 class SynthesisConfig:
     """Augmentation count and the pool's k. Each augmented sample draws its
-    mode from ``ANOMALY_MODES``, its mask from ``PerlinParams()``."""
+    mode from ``ANOMALY_MODES``, its mask from :func:`gen_perlin_mask`."""
 
     n_aug: int = 48
     k: int = 5
@@ -188,7 +185,7 @@ def augment_dataset(train_manifest, cfg: SynthesisConfig, seed: int):
         target = load_sample(train_manifest, refs[t_idx])
         donor = load_sample(train_manifest, refs[d_idx])
         h, w = target.grid
-        mask = gen_perlin_mask(h, w, PerlinParams(), rng)
+        mask = gen_perlin_mask(h, w, rng)
         mode = ANOMALY_MODES[int(rng.integers(len(ANOMALY_MODES)))]
         pair, labels = inject_anomaly(target, donor, mask, mode, STRENGTH, rng)
         pair.sample_id = f"aug_{i:04d}"

@@ -317,7 +317,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                     model, pool, banks, rows, neg, loss_cfg, grads=True, rng=rng)
                 adam.step(lspn_mod.parameters(model), grads)
             except DivergenceError as exc:
-                raise DivergenceError(f"training diverged at epoch {epoch}: {exc}") from exc
+                raise DivergenceError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
             del grads  # the step's gradients are not kept through validation
 
             sums["total"] += value
@@ -383,9 +383,9 @@ def load_checkpoint(in_dir) -> Checkpoint:
 
     The model's parameter arrays are read-only; ``model.copy()`` is writable.
     A manifest that is missing, not a JSON object of this format, lacks a
-    key, or has a config section with an unknown or missing key or an lspn
-    section that is invalid or disagrees with the weights raises
-    :class:`ConfigError` naming ``in_dir`` (and the key).
+    key, has a mistyped epoch or normalizer, or has a config section with an
+    unknown or missing key or an lspn section that is invalid or disagrees
+    with the weights raises :class:`ConfigError` naming ``in_dir`` (and key).
     """
     in_dir = Path(in_dir)
     try:
@@ -414,6 +414,13 @@ def _section(doc: dict, name: str, cls):
 
 
 def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
+    means = check_keys("the manifest's normalizer", doc["normalizer"], ("mean_pc", "mean_rgb"))
+    for key, ok, expected in (
+            ("epoch", type(doc["epoch"]) is int and doc["epoch"] >= 0, "a nonnegative integer"),
+            ("normalizer", all(type(v) in (int, float) and v > 0 for v in means.values()),
+             "two positive means")):
+        if not ok:
+            raise ConfigError(f"the manifest's {key} is {doc[key]!r}, not {expected}")
     cfg = _section(doc, "lspn", lspn_mod.LspnConfig)
     names = lspn_mod.parameter_names(cfg)[:-1]
     if doc["weights"] != names:

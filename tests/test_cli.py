@@ -253,11 +253,12 @@ class TestExitCodes:
         # Regenerate the dataset after scoring: the score maps belong to the
         # old test split, so eval must not pair them with the new ground
         # truth, and neither score nor ablate may mix an old model with new
-        # data (train reads gen itself, so it is score's nearest stale link).
+        # data (train reads gen through bank, so bank is score's nearest stale
+        # link).
         assert main(["gen", "--config", str(cfg_path), "--out", str(data),
                      "--seed", "99", "--force"]) == 0
         capsys.readouterr()
-        for stage, stale in (("eval", "score"), ("score", "train"), ("ablate", "score")):
+        for stage, stale in (("eval", "score"), ("score", "bank"), ("ablate", "score")):
             assert main([stage, "--config", str(cfg_path), "--data", str(data),
                          "--run", str(run), "--force"]) == 3
             err = capsys.readouterr().err
@@ -398,6 +399,15 @@ class TestEditedArtifacts:
         self.assert_stale(capsys, "train", cfg_path, data, run,
                           "synth recorded its output", "aug_0000_pc.g2t")
 
+    def test_edited_pool_manifest_reaches_train(self, chain_copy, cfg_path, capsys):
+        data, run = chain_copy
+        path = run / "pool_manifest.json"
+        doc = json.loads(path.read_text())
+        doc["samples"] = doc["samples"][1:]
+        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        self.assert_stale(capsys, "train", cfg_path, data, run,
+                          "synth recorded its output", "pool_manifest.json")
+
     def test_edited_weights_reach_score(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
         path = next((run / "checkpoints" / "final" / "weights").iterdir())
@@ -487,6 +497,26 @@ class TestEditedArtifacts:
         path.write_text(json.dumps(doc, sort_keys=True, indent=1))
         self.assert_stale(capsys, stage, cfg_path, data, run, f"{upstream}_manifest.json",
                           "does not match its digest", f"rerun {upstream}")
+
+
+class TestEveryArtifactHashed:
+    def test_desk_chain_lists_every_file(self, tmp_path):
+        # Every file the desk chain leaves but the stage manifests is an
+        # output some stage manifest records, so the stale check re-hashes
+        # it; each stage manifest is hashed as an upstream link instead.
+        from pathlib import Path
+
+        desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+        codes, data, run = run_chain(tmp_path, desk)
+        assert all(c == 0 for c in codes.values()), codes
+        manifests, listed = set(), set()
+        for root, stage in [(data, "gen")] + [(run, s) for s in STAGES[1:]]:
+            manifests.add(root / f"{stage}_manifest.json")
+            listed |= {root / rel for rel in
+                       json.loads((root / f"{stage}_manifest.json").read_text())["outputs"]}
+        on_disk = {p for root in (data, run) for p in root.rglob("*") if p.is_file()}
+        assert on_disk - manifests == listed
+        assert run / "pool_manifest.json" in listed and len(listed) == 630
 
 
 class TestAblateReadsScores:
@@ -688,19 +718,19 @@ class TestSpecialModes:
 
         data, run = chain_copy
         loaded, alive = [], []
-        load, train = cli._load_pool_samples, cli.train
+        load, train = cli.iter_samples, cli.train
 
-        def spy_load(run_dir):
-            for pair, labels in load(run_dir):
+        def spy_load(manifest):
+            for pair in load(manifest):
                 loaded.append(weakref.ref(pair))
-                yield pair, labels
+                yield pair
 
         def spy_train(*args, **kwargs):
             gc.collect()
             alive.append(sum(ref() is not None for ref in loaded))
             return train(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_load_pool_samples", spy_load)
+        monkeypatch.setattr(cli, "iter_samples", spy_load)
         monkeypatch.setattr(cli, "train", spy_train)
         assert run_stage("train", cfg_path, data, run, "--force") == 0
         assert len(loaded) == 6  # synth.n_aug

@@ -16,10 +16,13 @@ from g2sf.features import (
     FeatureMap,
     SamplePair,
     SynthConfig,
+    foreground_cells,
     gen_synthetic_dataset,
+    iter_samples,
     load_manifest,
     load_sample,
     read_feature_map,
+    save_split,
     write_feature_map,
 )
 from g2sf.tensorio import MAGIC, read_tensor, write_tensor
@@ -166,6 +169,40 @@ class TestTypes:
             FeatureMap("pc", data)
 
 
+class TestSaveSplit:
+    def test_roundtrip_returns_the_pairs(self, tmp_path):
+        # save_split then load_manifest gives back every pair, in order: its
+        # features, foreground, pixel ground truth (when it has one) and label.
+        rng = np.random.default_rng(0)
+
+        def pair(i, gt):
+            return SamplePair(f"s_{i}", FeatureMap("pc", rng.standard_normal((3, 4, 2))),
+                              FeatureMap("rgb", rng.standard_normal((3, 4, 5))),
+                              pixel_gt=rng.random((6, 8)) > 0.5 if gt else None,
+                              image_label=i if gt else None, foreground=rng.random((3, 4)) > 0.3)
+
+        pairs = [pair(0, True), pair(1, False), pair(2, True)]
+        written = save_split(tmp_path, "pool", iter(pairs), (3, 4), {"pc": 2, "rgb": 5}, 2)
+        manifest = load_manifest(tmp_path / "pool_manifest.json")
+        assert (manifest.split, manifest.grid, manifest.dims, manifest.gt_upscale) == \
+            ("pool", (3, 4), {"pc": 2, "rgb": 5}, 2)
+        assert manifest.samples == written.samples
+        assert written.samples[1].pixel_gt is None
+        assert written.samples[0].pc == "pool/s_0_pc.g2t"
+        assert foreground_cells(manifest) == [int(p.foreground.sum()) for p in pairs]
+        back = list(iter_samples(manifest))
+        assert [p.sample_id for p in back] == ["s_0", "s_1", "s_2"]
+        for a, b in zip(pairs, back):
+            assert a.image_label == b.image_label
+            for name in ("pc", "rgb"):
+                np.testing.assert_array_equal(getattr(a, name).data, getattr(b, name).data)
+            np.testing.assert_array_equal(a.foreground, b.foreground)
+            if a.pixel_gt is None:
+                assert b.pixel_gt is None
+            else:
+                np.testing.assert_array_equal(a.pixel_gt, b.pixel_gt)
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return SynthConfig(grid=(12, 12), dims=(6, 6), n_train=10, n_test=8, gt_upscale=2)
@@ -209,9 +246,16 @@ class TestSyntheticDataset:
         (lambda doc: {k: v for k, v in doc.items() if k != "samples"},
          "the manifest is without key 'samples'"),
         (lambda doc: [doc], "the manifest is not a JSON object"),
-    ], ids=["unknown_sample_key", "sample_without_pc", "no_samples", "json_array"])
+        (lambda doc: dict(doc, samples=5), "key 'samples' is 5, not a list"),
+        (lambda doc: dict(doc, grid=5), "key 'grid' is 5, not two positive integers"),
+        (lambda doc: dict(doc, dims=[8, 8]),
+         "key 'dims' is [8, 8], not a positive integer per modality"),
+        (lambda doc: dict(doc, gt_upscale="x"), "key 'gt_upscale' is 'x', not a positive integer"),
+    ], ids=["unknown_sample_key", "sample_without_pc", "no_samples", "json_array",
+            "samples_number", "grid_number", "dims_list", "gt_upscale_text"])
     def test_malformed_manifest_names_the_key(self, tmp_path, small_cfg, edit, what):
-        # Each of these escaped as a TypeError, KeyError or AttributeError.
+        # Each of these escaped as a TypeError, KeyError or AttributeError,
+        # or loaded to fail later (dims, gt_upscale).
         gen_synthetic_dataset(small_cfg, 5, tmp_path / "d")
         path = tmp_path / "d" / "train_manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

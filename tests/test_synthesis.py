@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from g2sf import synthesis
 from g2sf.bank import query_neighbors_batch
 from g2sf.errors import ConfigError, EmptyBankError, ShapeError
 from g2sf.features import SamplePair, iter_samples, load_sample
 from g2sf.synthesis import (
-    PerlinParams,
+    MAX_COVERAGE,
+    MIN_COVERAGE,
     SynthesisConfig,
     augment_dataset,
     build_training_pool,
@@ -21,26 +23,25 @@ from tests.oracles import pool_by_map_encoding
 
 class TestPerlinMask:
     def test_deterministic(self):
-        params = PerlinParams()
-        a = gen_perlin_mask(16, 16, params, np.random.default_rng(5))
-        b = gen_perlin_mask(16, 16, params, np.random.default_rng(5))
+        a = gen_perlin_mask(16, 16, np.random.default_rng(5))
+        b = gen_perlin_mask(16, 16, np.random.default_rng(5))
         assert a.shape == (16, 16) and a.dtype == bool
         np.testing.assert_array_equal(a, b)
 
-    def test_impossible_threshold_clamps(self):
-        params = PerlinParams(threshold=np.inf, max_resample=3)
-        mask = gen_perlin_mask(16, 16, params, np.random.default_rng(0))
-        assert params.min_coverage <= mask.mean() <= params.max_coverage
+    def test_impossible_threshold_clamps(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "PERLIN_THRESHOLD", np.inf)
+        monkeypatch.setattr(synthesis, "MAX_RESAMPLE", 3)
+        mask = gen_perlin_mask(16, 16, np.random.default_rng(0))
+        assert MIN_COVERAGE <= mask.mean() <= MAX_COVERAGE
 
     def test_coverage_band_over_many_seeds(self):
-        params = PerlinParams()
         for seed in range(1000):
-            mask = gen_perlin_mask(16, 16, params, np.random.default_rng(seed))
-            assert params.min_coverage <= mask.mean() <= params.max_coverage
+            mask = gen_perlin_mask(16, 16, np.random.default_rng(seed))
+            assert MIN_COVERAGE <= mask.mean() <= MAX_COVERAGE
 
     def test_small_grid_rejected(self):
         with pytest.raises(Exception):
-            gen_perlin_mask(1, 5, PerlinParams(), np.random.default_rng(0))
+            gen_perlin_mask(1, 5, np.random.default_rng(0))
 
 
 class TestInjectAnomaly:
@@ -232,7 +233,7 @@ class TestTrainingPool:
         # One mask, two strengths: the features differ, the labels do not.
         _, train_manifest, _ = desk_dataset
         target, donor = (load_sample(train_manifest, ref) for ref in train_manifest.samples[:2])
-        mask = gen_perlin_mask(*target.grid, PerlinParams(), np.random.default_rng(5))
+        mask = gen_perlin_mask(*target.grid, np.random.default_rng(5))
         (a, la), (b, lb) = (inject_anomaly(target, donor, mask, "joint", strength,
                                            np.random.default_rng(5)) for strength in (0.5, 2.0))
         assert not np.array_equal(a.rgb.data[mask], b.rgb.data[mask])

@@ -183,7 +183,7 @@ class TestTrain:
 
         monkeypatch.setattr(trainer_mod.losses_mod, "total_loss_with_grads", poisoned)
         cfg = TrainConfig(epochs=4, batch_size=256, seed=9)
-        with pytest.raises(DivergenceError, match="diverged at epoch 0: loss term 'cns'"):
+        with pytest.raises(DivergenceError, match="diverged at epoch 1: loss term 'cns'"):
             train(desk_pool, banks, normalizer, lspn_cfg, cfg, loss_cfg)
 
     def test_collapse_without_synthesis_and_cma(self, desk_dataset, desk_banks,
@@ -422,6 +422,29 @@ class TestCheckpoint:
             with pytest.raises(ConfigError) as err:
                 load_checkpoint(tmp_path / name)
             assert str(tmp_path / name) in str(err.value) and what in str(err.value)
+
+    @pytest.mark.parametrize("key, value, what", [
+        ("normalizer", [1, 2], "the manifest's normalizer is not a JSON object"),
+        ("normalizer", {"mean_pc": "x", "mean_rgb": 1.0}, "normalizer is {'mean_pc': 'x'"),
+        ("epoch", "x", "the manifest's epoch is 'x', not a nonnegative integer"),
+        ("epoch", 2.5, "the manifest's epoch is 2.5, not a nonnegative integer"),
+    ], ids=["normalizer_list", "normalizer_text", "epoch_text", "epoch_float"])
+    def test_value_types_named(self, desk_checkpoint, tmp_path, key, value, what):
+        # A list normalizer escaped as a TypeError, a text epoch as a
+        # ValueError; a text mean or a fractional epoch loaded as it was.
+        import json
+
+        from g2sf.errors import ConfigError
+
+        ckpt, _ = desk_checkpoint
+        save_checkpoint(ckpt, tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(tmp_path / "ck")
+        assert str(err.value).startswith(f"{tmp_path / 'ck'}: ") and what in str(err.value)
 
     @pytest.mark.parametrize("section, edit, what", [
         ("train", lambda part: part.update(extra=1), "has unknown key 'extra'"),
