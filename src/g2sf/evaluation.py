@@ -44,6 +44,7 @@ __all__ = [
     "auroc",
     "aupro",
     "aupro_curve",
+    "label_regions",
     "sample_label",
     "report_from_maps",
     "score_split",
@@ -52,7 +53,6 @@ __all__ = [
     "write_ablation_csv",
 ]
 
-_EIGHT = np.ones((3, 3), dtype=bool)
 SMOOTH_SIGMA = 4.0  # Gaussian sigma of the pixel maps, in upsampled pixels
 AUPRO_LIMITS = (0.30, 0.01)  # FPR integration limits of the reported AUPROs
 
@@ -92,34 +92,69 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def label_regions(masks):
+    """8-connected regions of 2-D boolean masks, every mask in one pass.
+
+    Returns ``(regions, sizes)``: the region index of each True pixel, masks
+    in order and each in row-major order, and the pixel count of each region.
+    No region spans two masks. Regions are numbered by their first pixel.
+
+    The masks are stacked one under the other, each followed by an empty row
+    and padded with empty columns to one width plus one, so every row ends
+    empty. A run is a row's maximal stretch of True pixels; two runs in
+    adjacent rows join when their column spans overlap or touch at a
+    diagonal, and joined runs take the smallest run index among them by
+    hooking roots and jumping pointers until no join crosses two roots.
+    """
+    width = max(m.shape[1] for m in masks) + 1
+    rows = sum(m.shape[0] + 1 for m in masks)
+    flat = np.zeros(1 + rows * width, dtype=bool)  # flat[0]: empty, before the stack
+    stack = flat[1:].reshape(rows, width)
+    row = 0
+    for mask in masks:
+        stack[row:row + mask.shape[0], :mask.shape[1]] = mask
+        row += mask.shape[0] + 1
+    # Stack indices where a pixel differs from the one before: run starts and
+    # ends alternate, each end one past its run's last pixel, in its row.
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    # The runs of the row above that touch a run are those ending at or after
+    # its start and starting at or before its end; they are consecutive.
+    first = np.searchsorted(ends, starts - width, "left")
+    count = np.maximum(np.searchsorted(starts, ends - width, "right") - first, 0)
+    below = np.repeat(np.arange(starts.size), count)
+    above = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    root = np.arange(starts.size)  # root[i] <= i, so the pointers form a forest
+    while True:
+        a, b = root[above], root[below]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    run_region = np.cumsum(root == np.arange(root.size))[root] - 1  # roots, in order
+    lengths = ends - starts
+    return np.repeat(run_region, lengths), np.bincount(run_region, weights=lengths)
+
+
 def aupro_curve(score_maps, gt_masks):
     """(fpr, pro) curve points over all distinct scores, threshold descending.
 
     The curve starts at (0, 0) (threshold above every score) and ends at
     (1, 1) (threshold at the minimum score, everything predicted).
     """
-    from scipy import ndimage  # imported where used: see scoring.gaussian_smooth
-
     if len(score_maps) != len(gt_masks) or not score_maps:
         raise ConfigError("need equally many score maps and ground-truth masks")
-    scores, anomalous, region_ids, region_sizes = [], [], [], []
-    n_regions = 0
+    score_maps = [np.asarray(smap, dtype=np.float64) for smap in score_maps]
+    gt_masks = [np.asarray(gt, dtype=bool) for gt in gt_masks]
     for smap, gt in zip(score_maps, gt_masks):
-        smap = np.asarray(smap, dtype=np.float64)
-        gt = np.asarray(gt, dtype=bool)
         if smap.shape != gt.shape:
             raise ConfigError(f"score map {smap.shape} and mask {gt.shape} disagree")
-        labels, count = ndimage.label(gt, structure=_EIGHT)
-        scores.append(smap.reshape(-1))
-        anomalous.append(smap[gt])
-        region_ids.append(labels[gt] + (n_regions - 1))
-        region_sizes.append(np.bincount(labels.reshape(-1), minlength=count + 1)[1:])
-        n_regions += count
-    region_sizes = np.concatenate(region_sizes).astype(np.float64)
+    region_ids, region_sizes = label_regions(gt_masks)
     if region_sizes.size == 0:
         raise UndefinedMetricError("AUPRO needs at least one anomalous region")
-    scores = np.concatenate(scores)
-    anomalous = np.concatenate(anomalous)
+    scores = np.concatenate([smap.reshape(-1) for smap in score_maps])
+    anomalous = np.concatenate([smap[gt] for smap, gt in zip(score_maps, gt_masks)])
     n_normal = scores.size - anomalous.size
     if n_normal == 0:
         raise UndefinedMetricError("AUPRO needs normal pixels for the FPR axis")
@@ -139,7 +174,7 @@ def aupro_curve(score_maps, gt_masks):
     # PRO adds the region weights of the anomalous pixels by descending score,
     # ties by descending pixel index: the reversed stable argsort.
     region_weight = 1.0 / (region_sizes * region_sizes.size)
-    weight = region_weight[np.concatenate(region_ids)[order[::-1]]]
+    weight = region_weight[region_ids[order[::-1]]]
     pro = np.append(0.0, np.cumsum(weight))[anomalous_above]
     # The summed weights only approximate 1; PRO is exactly 1 once every
     # anomalous pixel is above the threshold.

@@ -204,6 +204,27 @@ def _positive_ints(value, count) -> bool:
         type(v) is int and v > 0 for v in value)
 
 
+# What each key of a manifest's sample entry may hold.
+_SAMPLE_VALUES = {
+    "sample_id": (lambda v: isinstance(v, str), "a string"),
+    "pc": (lambda v: isinstance(v, str), "a string"),
+    "rgb": (lambda v: isinstance(v, str), "a string"),
+    "foreground": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "pixel_gt": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "image_label": (lambda v: v is None or (type(v) is int and v in (0, 1)), "0, 1 or null"),
+}
+
+
+def _sample_ref(what, entry) -> SampleRef:
+    entry = check_keys(what, entry, ("sample_id", "pc", "rgb"),
+                       ("foreground", "pixel_gt", "image_label"))
+    for key, value in entry.items():
+        ok, expected = _SAMPLE_VALUES[key]
+        if not ok(value):
+            raise FormatError(f"{what}: key {key!r} is {value!r}, not {expected}")
+    return SampleRef(**entry)
+
+
 def load_manifest(path) -> DatasetManifest:
     """Read a manifest written by :func:`save_manifest`; a malformed one
     raises :class:`FormatError` naming it (and the key at fault)."""
@@ -225,9 +246,7 @@ def load_manifest(path) -> DatasetManifest:
             ("samples", isinstance(doc["samples"], list), "a list")):
         if not ok:
             raise FormatError(f"manifest {path}: key {key!r} is {doc[key]!r}, not {expected}")
-    samples = [SampleRef(**check_keys(f"manifest {path}: sample entry {i}", entry,
-                                      ("sample_id", "pc", "rgb"),
-                                      ("foreground", "pixel_gt", "image_label")))
+    samples = [_sample_ref(f"manifest {path}: sample entry {i}", entry)
                for i, entry in enumerate(doc["samples"])]
     return DatasetManifest(
         split=doc["split"],
@@ -334,7 +353,9 @@ class SynthConfig:
 
 
 def _smooth_field(rng, shape, smoothness):
-    from scipy.ndimage import gaussian_filter  # imported where used: see scoring.gaussian_smooth
+    # Imported where used: only gen draws latent fields, and scipy.ndimage
+    # costs a process about 22 MB of RSS and 0.3 s to load.
+    from scipy.ndimage import gaussian_filter
 
     return gaussian_filter(rng.standard_normal(shape), sigma=smoothness, mode="reflect")
 

@@ -132,20 +132,57 @@ def bilinear_upsample(grid: np.ndarray, factor: int) -> np.ndarray:
     return top * (1 - r_f)[:, None] + bottom * r_f[:, None]
 
 
+# Maps smoothed together: 32,768 float64 cells, 256 KB per array, stay in
+# cache through the 3 * radius + 1 array passes of each axis.
+_SMOOTH_BLOCK_CELLS = 32768
+
+
 def gaussian_smooth(grid: np.ndarray, sigma: float) -> np.ndarray:
     """Gaussian blur of the last two axes, so the maps of a stack stay apart;
-    kernel truncated at radius 2*sigma, reflective border."""
+    kernel truncated at radius 2*sigma, reflective border.
+
+    Plain numpy, bit for bit ``scipy.ndimage.gaussian_filter(grid, sigma,
+    mode="reflect", truncate=2.0, axes=(-2, -1))``: the same kernel, axis -2
+    before axis -1, and each output summed in scipy's order. Not importing
+    scipy keeps about 22 MB of RSS and 0.3 s off every process that scores
+    or evaluates.
+    """
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative")
-    if sigma == 0:
-        return np.asarray(grid, dtype=np.float64).copy()
-    # Imported here: scipy.ndimage costs each process that loads it about
-    # 0.4 s and 22 MB of RSS, and the bank, synth and train stages never
-    # smooth or label.
-    from scipy.ndimage import gaussian_filter
+    out = np.array(grid, dtype=np.float64, order="C")
+    if sigma == 0 or out.size == 0:
+        return out
+    radius = int(2.0 * float(sigma) + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    kernel = np.exp(-0.5 / (sigma * sigma) * taps ** 2)
+    half_kernel = (kernel / kernel.sum())[radius:]  # symmetric: w[0..radius]
+    maps = out.reshape(-1, *out.shape[-2:])
+    step = max(1, _SMOOTH_BLOCK_CELLS // maps[0].size)
+    scratch = np.empty((min(step, len(maps)),) + maps.shape[1:])
+    for start in range(0, len(maps), step):
+        block = maps[start:start + step]
+        for axis in (1, 2):
+            _smooth_axis(block, half_kernel, axis, scratch[:len(block)])
+    return out
 
-    return gaussian_filter(np.asarray(grid, dtype=np.float64), sigma=sigma,
-                           mode="reflect", truncate=2.0, axes=(-2, -1))
+
+def _smooth_axis(x: np.ndarray, half_kernel: np.ndarray, axis: int, tap: np.ndarray):
+    """Smooth ``x`` in place along ``axis`` with the kernel w[-j] = w[j], as
+    scipy's ``correlate1d`` sums a symmetric kernel: each output starts at
+    ``x[i] * w[0]`` and adds ``(x[i-j] + x[i+j]) * w[j]`` from j = radius
+    down to 1. ``tap`` is scratch of x's shape."""
+    radius, n = half_kernel.size - 1, x.shape[axis]
+    pad = [(0, 0)] * x.ndim
+    pad[axis] = (radius, radius)
+    # Mirrored d c b a | a b c d, and again on axes shorter than the radius.
+    padded = np.pad(x, pad, mode="symmetric")
+    lead = (slice(None),) * axis
+    x *= half_kernel[0]
+    for j in range(radius, 0, -1):
+        np.add(padded[lead + (slice(radius - j, radius - j + n),)],
+               padded[lead + (slice(radius + j, radius + j + n),)], out=tap)
+        tap *= half_kernel[j]
+        x += tap
 
 
 def upsample_smooth(score_map: ScoreMap, factor: int, sigma: float) -> ScoreMap:

@@ -383,9 +383,10 @@ def load_checkpoint(in_dir) -> Checkpoint:
 
     The model's parameter arrays are read-only; ``model.copy()`` is writable.
     A manifest that is missing, not a JSON object of this format, lacks a
-    key, has a mistyped epoch or normalizer, or has a config section with an
-    unknown or missing key or an lspn section that is invalid or disagrees
-    with the weights raises :class:`ConfigError` naming ``in_dir`` (and key).
+    key, has a mistyped epoch, normalizer or log_sigma, or has a config
+    section with an unknown or missing key or an lspn section that is
+    invalid or disagrees with the weights raises :class:`ConfigError`
+    naming ``in_dir`` (and key).
     """
     in_dir = Path(in_dir)
     try:
@@ -413,12 +414,18 @@ def _section(doc: dict, name: str, cls):
     return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in part.items()})
 
 
+def _finite_numbers(value, count) -> bool:
+    return isinstance(value, list) and len(value) == count and all(
+        type(v) in (int, float) and np.isfinite(v) for v in value)
+
+
 def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
     means = check_keys("the manifest's normalizer", doc["normalizer"], ("mean_pc", "mean_rgb"))
     for key, ok, expected in (
             ("epoch", type(doc["epoch"]) is int and doc["epoch"] >= 0, "a nonnegative integer"),
             ("normalizer", all(type(v) in (int, float) and v > 0 for v in means.values()),
-             "two positive means")):
+             "two positive means"),
+            ("log_sigma", _finite_numbers(doc["log_sigma"], 2), "two finite numbers")):
         if not ok:
             raise ConfigError(f"the manifest's {key} is {doc[key]!r}, not {expected}")
     cfg = _section(doc, "lspn", lspn_mod.LspnConfig)

@@ -557,6 +557,23 @@ class TestAblateReadsScores:
                 np.testing.assert_allclose([float(v) for v in line[2:]], pixel, atol=1e-5)
 
 
+class TestImportFootprint:
+    def test_score_eval_ablate_never_import_scipy(self, chain_copy, cfg_path):
+        # Only gen (its latent fields) and train (the backward's sparse
+        # product) use scipy; a fresh process that scores, evaluates and
+        # ablates never loads it.
+        data, run = chain_copy
+        code = ("import sys\n"
+                "from g2sf.cli import main\n"
+                "cfg, data, run = sys.argv[1:]\n"
+                "argv = ['--config', cfg, '--data', data, '--run', run, '--force']\n"
+                "codes = [main([stage, *argv]) for stage in ('score', 'eval', 'ablate')]\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(data), str(run)],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0] []"
+
+
 class TestSpecialModes:
     def test_train_zero_epochs_checkpoint_is_init(self, tmp_path, cfg_path):
         import dataclasses

@@ -17,10 +17,11 @@ from g2sf.evaluation import (
     aupro_curve,
     auroc,
     eval_dataset,
+    label_regions,
     score_split,
     write_ablation_csv,
 )
-from g2sf.selftest import aupro_bruteforce
+from g2sf.selftest import aupro_bruteforce, label_components_bfs
 from tests.conftest import DESK_K
 from tests.oracles import aupro_curve_argsort, auroc_argsort
 
@@ -147,6 +148,84 @@ class TestMatchesArgsortOracles:
         maps, masks = [scores.reshape(2, 3)], [labels.astype(bool).reshape(2, 3)]
         for got, want in zip(aupro_curve(maps, masks), aupro_curve_argsort(maps, masks)):
             assert got.tobytes() == want.tobytes()
+
+
+def scipy_label(mask):
+    from scipy import ndimage
+
+    return ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+
+
+def assert_labels_match(masks, oracle):
+    """``label_regions`` splits each mask as ``oracle`` does, whatever the
+    numbering; regions stay within their mask and count their pixels."""
+    regions, sizes = label_regions(masks)
+    assert regions.size == sum(int(m.sum()) for m in masks)
+    assert np.array_equal(np.bincount(regions, minlength=sizes.size), sizes)
+    offset, seen = 0, set()
+    for mask in masks:
+        want, count = oracle(mask)
+        got = regions[offset:offset + int(mask.sum())]
+        offset += got.size
+        pairs = set(zip(got.tolist(), want[mask].tolist()))
+        assert len(pairs) == len(set(got.tolist())) == count
+        assert seen.isdisjoint(got.tolist())
+        seen.update(got.tolist())
+    assert len(seen) == sizes.size
+
+
+class TestLabelRegions:
+    """One-pass 8-connected labeling against scipy and the selftest BFS."""
+
+    @pytest.mark.parametrize("oracle", [scipy_label, label_components_bfs],
+                             ids=["ndimage", "bfs"])
+    def test_random_masks_of_several_shapes(self, oracle):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            masks = [rng.random(tuple(rng.integers(1, 16, size=2))) < rng.random()
+                     for _ in range(rng.integers(1, 5))]
+            assert_labels_match(masks, oracle)
+
+    @pytest.mark.parametrize("oracle", [scipy_label, label_components_bfs],
+                             ids=["ndimage", "bfs"])
+    def test_shaped_masks(self, oracle):
+        checker = np.indices((7, 9)).sum(axis=0) % 2 == 0  # diagonal joins only: one region
+        stripes = np.zeros((8, 8), dtype=bool)
+        stripes[::2] = True  # rows two apart never join
+        zigzag = np.zeros((6, 12), dtype=bool)
+        zigzag[[0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0, 1], np.arange(12)] = True
+        cases = {
+            "diagonals": [np.eye(9, dtype=bool) | np.eye(9, dtype=bool)[::-1], checker,
+                          zigzag, np.eye(5, 8, 3, dtype=bool)],
+            "empty_and_full": [np.zeros((4, 5), dtype=bool), np.ones((4, 5), dtype=bool),
+                               np.ones((1, 1), dtype=bool), np.zeros((1, 1), dtype=bool)],
+            "rows_and_columns": [np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+                                 np.array([[1], [1], [0], [1], [0], [0], [1]], dtype=bool),
+                                 np.ones((1, 6), dtype=bool), np.ones((6, 1), dtype=bool)],
+            "stacked_shapes": [np.ones((3, 2), dtype=bool), stripes, np.ones((2, 11), dtype=bool),
+                               np.ones((5, 1), dtype=bool)],
+        }
+        for masks in cases.values():
+            assert_labels_match(masks, oracle)
+        assert label_regions(cases["diagonals"][:2])[1].tolist() == [17, 32]
+        assert label_regions(cases["stacked_shapes"])[1].tolist() == [6, 8, 8, 8, 8, 22, 5]
+
+    def test_no_regions(self):
+        regions, sizes = label_regions([np.zeros((3, 4), dtype=bool),
+                                        np.zeros((2, 2), dtype=bool)])
+        assert regions.size == 0 and sizes.size == 0
+
+    def test_aupro_curve_bytes_on_blob_masks(self):
+        # Desk-like maps and masks: 64 x 64 blobs, 24 to a call, and two more
+        # of other shapes.
+        rng = np.random.default_rng(7)
+        shapes = [(64, 64)] * 24 + [(48, 80), (17, 5)]
+        maps = [rng.random(shape) for shape in shapes]
+        masks = [np.kron(rng.random((h // 4 + 1, w // 4 + 1)) < 0.15,
+                         np.ones((4, 4), dtype=bool))[:h, :w] for h, w in shapes]
+        got, want = aupro_curve(maps, masks), aupro_curve_argsort(maps, masks)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 
 class TestNanScores:
@@ -411,9 +490,9 @@ class TestImportCost:
         assert proc.stdout.strip() == "False"
 
     def test_package_does_not_import_scipy_ndimage(self):
-        # Only gen, score, eval and ablate smooth or label; importing
-        # scipy.ndimage costs every other process, the bank and synth
-        # stages among them, about 0.4 s and 22 MB of resident memory.
+        # Only gen smooths with scipy (its latent fields); score, eval and
+        # ablate smooth and label in numpy. Importing scipy.ndimage costs
+        # every other process about 0.3 s and 22 MB of resident memory.
         code = "import sys, g2sf, g2sf.cli; print('scipy.ndimage' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)

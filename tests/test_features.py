@@ -179,7 +179,8 @@ class TestSaveSplit:
             return SamplePair(f"s_{i}", FeatureMap("pc", rng.standard_normal((3, 4, 2))),
                               FeatureMap("rgb", rng.standard_normal((3, 4, 5))),
                               pixel_gt=rng.random((6, 8)) > 0.5 if gt else None,
-                              image_label=i if gt else None, foreground=rng.random((3, 4)) > 0.3)
+                              image_label=min(i, 1) if gt else None,
+                              foreground=rng.random((3, 4)) > 0.3)
 
         pairs = [pair(0, True), pair(1, False), pair(2, True)]
         written = save_split(tmp_path, "pool", iter(pairs), (3, 4), {"pc": 2, "rgb": 5}, 2)
@@ -251,11 +252,23 @@ class TestSyntheticDataset:
         (lambda doc: dict(doc, dims=[8, 8]),
          "key 'dims' is [8, 8], not a positive integer per modality"),
         (lambda doc: dict(doc, gt_upscale="x"), "key 'gt_upscale' is 'x', not a positive integer"),
+        (lambda doc: dict(doc, samples=[{**doc["samples"][0], "pc": 5}]),
+         "sample entry 0: key 'pc' is 5, not a string"),
+        (lambda doc: dict(doc, samples=[{**doc["samples"][0], "sample_id": None}]),
+         "sample entry 0: key 'sample_id' is None, not a string"),
+        (lambda doc: dict(doc, samples=[{**doc["samples"][0], "foreground": ["a"]}]),
+         "sample entry 0: key 'foreground' is ['a'], not a string or null"),
+        (lambda doc: dict(doc, samples=[{**doc["samples"][0], "image_label": 2}]),
+         "sample entry 0: key 'image_label' is 2, not 0, 1 or null"),
+        (lambda doc: dict(doc, samples=[{**doc["samples"][0], "image_label": True}]),
+         "sample entry 0: key 'image_label' is True, not 0, 1 or null"),
     ], ids=["unknown_sample_key", "sample_without_pc", "no_samples", "json_array",
-            "samples_number", "grid_number", "dims_list", "gt_upscale_text"])
+            "samples_number", "grid_number", "dims_list", "gt_upscale_text", "sample_pc_number",
+            "sample_id_null", "sample_foreground_list", "sample_label_two",
+            "sample_label_bool"])
     def test_malformed_manifest_names_the_key(self, tmp_path, small_cfg, edit, what):
         # Each of these escaped as a TypeError, KeyError or AttributeError,
-        # or loaded to fail later (dims, gt_upscale).
+        # or loaded to fail later (dims, gt_upscale, the sample entries' values).
         gen_synthetic_dataset(small_cfg, 5, tmp_path / "d")
         path = tmp_path / "d" / "train_manifest.json"
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

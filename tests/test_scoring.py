@@ -210,3 +210,56 @@ class TestUpsampleSmooth:
 
         with pytest.raises(ConfigError):
             bilinear_upsample(np.zeros((2, 2)), 0)
+
+
+def scipy_smooth(x, sigma):
+    from scipy.ndimage import gaussian_filter
+
+    return gaussian_filter(x, sigma, mode="reflect", truncate=2.0, axes=(-2, -1))
+
+
+class TestGaussianSmoothMatchesScipy:
+    """``gaussian_smooth`` gives the bytes of scipy's reflect-mode filter."""
+
+    @pytest.mark.parametrize("shape", [(64, 64), (7, 13), (24, 64, 64), (10, 69, 69),
+                                       (2, 3, 5, 6)])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.3, 4.0])
+    def test_maps_and_stacks(self, shape, sigma):
+        # (10, 69, 69) smooths in two blocks of maps; (2, 3, 5, 6) has two
+        # leading axes.
+        rng = np.random.default_rng(int(10 * sigma) + len(shape))
+        for scale in (1e-3, 1.0, 1e6):
+            x = rng.standard_normal(shape) * scale
+            assert gaussian_smooth(x, sigma).tobytes() == scipy_smooth(x, sigma).tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 9])
+    def test_axes_shorter_than_the_radius(self, length):
+        # sigma 4 reaches 8 cells out: the mirror repeats on every short axis.
+        rng = np.random.default_rng(length)
+        for shape in ((length, 20), (20, length), (3, length, length)):
+            x = rng.random(shape)
+            assert gaussian_smooth(x, 4.0).tobytes() == scipy_smooth(x, 4.0).tobytes()
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            shape = tuple(int(n) for n in rng.integers(2, 70, size=rng.integers(2, 4)))
+            sigma = float(rng.choice([0.5, 1.0, 2.0, 3.3, 4.0]))
+            x = rng.standard_normal(shape)
+            assert gaussian_smooth(x, sigma).tobytes() == scipy_smooth(x, sigma).tobytes()
+
+    def test_zero_sigma_copies(self):
+        x = np.random.default_rng(0).random((3, 5, 4))
+        got = gaussian_smooth(x, 0.0)
+        assert got is not x and got.tobytes() == scipy_smooth(x, 0.0).tobytes() == x.tobytes()
+
+    def test_input_untouched_and_float32_promoted(self):
+        x = np.random.default_rng(1).random((2, 9, 8)).astype(np.float32)
+        before = x.copy()
+        got = gaussian_smooth(x, 2.0)
+        assert np.array_equal(x, before)
+        assert got.tobytes() == scipy_smooth(x.astype(np.float64), 2.0).tobytes()
+
+    def test_transposed_input(self):
+        x = np.random.default_rng(2).random((11, 7)).T
+        assert gaussian_smooth(x, 3.3).tobytes() == scipy_smooth(x, 3.3).tobytes()

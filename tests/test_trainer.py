@@ -428,10 +428,15 @@ class TestCheckpoint:
         ("normalizer", {"mean_pc": "x", "mean_rgb": 1.0}, "normalizer is {'mean_pc': 'x'"),
         ("epoch", "x", "the manifest's epoch is 'x', not a nonnegative integer"),
         ("epoch", 2.5, "the manifest's epoch is 2.5, not a nonnegative integer"),
-    ], ids=["normalizer_list", "normalizer_text", "epoch_text", "epoch_float"])
+        ("log_sigma", "x", "the manifest's log_sigma is 'x', not two finite numbers"),
+        ("log_sigma", ["a", "b"], "log_sigma is ['a', 'b'], not two finite numbers"),
+        ("log_sigma", [0.0], "log_sigma is [0.0], not two finite numbers"),
+        ("log_sigma", [0.0, float("nan")], "log_sigma is [0.0, nan], not two finite numbers"),
+    ], ids=["normalizer_list", "normalizer_text", "epoch_text", "epoch_float", "log_sigma_text",
+            "log_sigma_texts", "log_sigma_one", "log_sigma_nan"])
     def test_value_types_named(self, desk_checkpoint, tmp_path, key, value, what):
-        # A list normalizer escaped as a TypeError, a text epoch as a
-        # ValueError; a text mean or a fractional epoch loaded as it was.
+        # A list normalizer escaped as a TypeError, a text epoch or log_sigma
+        # as a ValueError; a text mean or a fractional epoch loaded as it was.
         import json
 
         from g2sf.errors import ConfigError
