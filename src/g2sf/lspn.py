@@ -29,12 +29,12 @@ rounding error by |f| / r (at r / |f| = 1e-6 that is a few percent of the
 pre-activation, against about 1e-10 in float64). The backward pass sums
 each row's first-layer gradient onto its cell and onto its prototype, in
 float64, and forms the weight gradient as G_cell^T F - G_proto^T M. Each
-branch takes all of its sums from one product of a transposed sparse
-(rows, ids) matrix with a float64 copy of its row gradients: the direction
-branch's matrix holds each row's cell and anchor in both modalities,
-weighted by 1/r, and the prototype branch's its two prototypes. The product
-adds each id's rows in row order, so the sums are deterministic. It never
-forms a gradient with respect to the inputs.
+branch takes all of its sums from products of one transposed sparse
+(rows, ids) matrix with float64 copies of column blocks of its row
+gradients: the direction branch's matrix holds each row's cell and anchor in
+both modalities, weighted by 1/r, and the prototype branch's its two
+prototypes. The product adds each id's rows in row order, so the sums are
+deterministic. It never forms a gradient with respect to the inputs.
 
 Prototype tables of frozen weights. T_m, and B_m with the float64 copy of
 W_m it is built from, depend only on the first-layer weight and the bank.
@@ -48,17 +48,22 @@ read a stale one. A_m depends on the sample's features and is built on every
 call.
 
 A training-mode forward caches one array per hidden block: its output
-(ReLU and dropout applied), which the next layer reads anyway. The backward
-recovers the activation's gradient from it (see :func:`g2sf.nn.relu_dropout_backward`),
+(ReLU and dropout applied), which the next layer reads anyway. Each branch's
+last output is copied into its half of the fusion head's input as soon as
+the branch finishes, so the two are never joined by a concatenation. The
+backward recovers each activation's gradient mask from the cached output,
 so no pre-activation or dropout mask is kept.
 
-The backward consumes that cache and releases memory as it goes. It drops
-each cached output, the fusion head's input and the fusion input's gradient
-once it has read them, and masks each gradient in place. It runs the fusion
-head, then both branch stacks down to their first pre-activations, and only
-then the two factored first layers, one after the other. So the two
-first-layer gradients and one float64 copy of either are all the row-sized
-memory those layers hold, rather than a second branch's whole cache as well.
+The backward runs within that cache. Each layer's backward
+(:func:`g2sf.nn.linear_backward`) reads its weight gradient from its cached
+input and then writes its masked input gradient over that input, a block of
+rows at a time; the fusion head's first layer does this on the fusion input,
+masking each half with its own branch's rate. It runs the fusion head, then
+both branch stacks down to their first pre-activations, and only then the two
+factored first layers, one after the other, whose sums read float64 copies of
+column blocks of about 8 MB. So a training step holds no row-sized array
+beyond its forward cache, and the cache shrinks as the backward frees each
+array it has consumed.
 """
 from __future__ import annotations
 
@@ -280,17 +285,26 @@ def _table_dtype(dtype):
     return np.promote_types(dtype, np.float64)
 
 
+# Elements of one float64 column block of the first layers' row gradients:
+# each sparse product reads about 8 MB, not a float64 copy of every column.
+_SUM_BLOCK = 1 << 20
+
+
 def _segment_sums(values: np.ndarray, groups) -> list:
     """Segment sums of the rows of ``values`` (R, H), one (size, H) float64
     array per ``(ids, size, scale)`` group: row i adds ``values[i]``, times
     ``scale[i]`` when the group has a scale, onto row ``ids[i]`` of its sum.
 
-    Every group is one product of a transposed (R, total size) sparse matrix
-    with ``values``: row i holds one entry per group, in that group's block
-    of columns. The CSC product walks the R rows in order, so each sum adds
-    its rows in row order (the order of a per-group CSR one-hot product, and
-    of :func:`numpy.bincount`) and is deterministic. The sums are views of
-    one (total size, H) array.
+    All groups share one transposed (R, total size) sparse matrix: row i
+    holds one entry per group, in that group's block of columns. Its product
+    runs on float64 copies of column blocks of ``values`` of at most
+    ``_SUM_BLOCK`` elements (or one column), so ``values`` is copied to
+    float64 whole only when it is that small. The CSC product walks the R
+    rows in order, so each sum adds its rows in row order (the order of a
+    per-group CSR one-hot product, and of :func:`numpy.bincount`) and is
+    deterministic; each output column reads only its own input column, so
+    the blocks change no bit. The sums are views of one (total size, H)
+    array.
     """
     # Imported here, where training needs it: in a process that has loaded
     # no other part of scipy, the import costs about 0.2 s and 16 MB of RSS,
@@ -307,7 +321,14 @@ def _segment_sums(values: np.ndarray, groups) -> list:
     indptr = np.arange(0, rows * width + 1, width)
     matrix = scipy.sparse.csc_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                                      shape=(int(bounds[-1]), rows))
-    sums = matrix @ values
+    step = max(1, _SUM_BLOCK // max(1, rows))
+    if step >= values.shape[1]:  # one block, whose product is the sums
+        sums = matrix @ np.ascontiguousarray(values, dtype=np.float64)
+    else:
+        sums = np.empty((int(bounds[-1]), values.shape[1]))
+        for lo in range(0, values.shape[1], step):
+            cols = slice(lo, lo + step)
+            sums[:, cols] = matrix @ np.ascontiguousarray(values[:, cols], dtype=np.float64)
     return [sums[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -399,8 +420,7 @@ def _proto_first_backward(model, protos, sources: Sources, g):
     block = model.proto_branch[0]
     acc = _table_dtype(block.weight.dtype)
     prototypes = sources.prototypes
-    g_proto = _segment_sums(g.astype(acc, copy=False),
-                            [(protos[:, m], prototypes[m].shape[0], None) for m in range(2)])
+    g_proto = _segment_sums(g, [(protos[:, m], prototypes[m].shape[0], None) for m in range(2)])
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
         grad_w[:, cols] = g_proto[m].T @ prototypes[m].astype(acc)
@@ -415,7 +435,7 @@ def _direction_first_backward(model, dirs: Directions, sources: Sources, g):
         inv_r = dirs.inv_r[:, m]
         groups += [(dirs.cells[:, m], sources.features[m].shape[0], inv_r),
                    (dirs.anchors[:, m], sources.prototypes[m].shape[0], inv_r)]
-    sums = _segment_sums(g.astype(acc, copy=False), groups)
+    sums = _segment_sums(g, groups)
     grad_w = np.empty_like(block.weight)
     for m, cols in enumerate(_columns(model.cfg)):
         g_cell, g_proto = sums[2 * m], sums[2 * m + 1]
@@ -443,14 +463,15 @@ def _stack_backward(blocks, outputs, g):
     """Backpropagate from the last block's pre-activation gradient ``g`` down
     to the first block's.
 
-    ``outputs`` lists the cached outputs of blocks[:-1]; each is popped once
-    read, so the list is empty on return. Returns (gradient of the first
-    pre-activation, [(grad_w, grad_b)] of blocks[1:])."""
+    ``outputs`` lists the cached outputs of blocks[:-1]; each is popped and
+    overwritten with its block's pre-activation gradient, so the list is
+    empty on return and the gradients live in the cache's memory. Returns
+    (gradient of the first pre-activation, [(grad_w, grad_b)] of blocks[1:])."""
     grads = []
     for i in range(len(blocks) - 1, 0, -1):
-        grad, gw, gb = nn.linear_backward(blocks[i], outputs[-1], g)
+        g, gw, gb = nn.linear_backward(blocks[i], outputs.pop(), g,
+                                       (blocks[i - 1].dropout_rate,))
         grads.append((gw, gb))
-        g = nn.relu_dropout_backward(outputs.pop(), grad, blocks[i - 1].dropout_rate)
     return g, grads[::-1]
 
 
@@ -481,14 +502,20 @@ def forward_batch(model: LspnModel, protos: np.ndarray, dirs: Directions, source
     _check_inputs(model, protos, dirs, sources)
     p_out, p_cache = _stack_forward(model.proto_branch, None, training, rng,
                                     pre=_proto_pre(model, protos, sources))
+    # Each branch's last output goes into its half of the fusion input as the
+    # branch ends, and a training cache holds that half in its place.
+    split = p_out.shape[1]
+    h = np.empty((p_out.shape[0], 2 * split), p_out.dtype)
+    h[:, :split] = p_out
+    if training:
+        p_cache[-1] = h[:, :split]
+    del p_out
     d_out, d_cache = _stack_forward(model.dir_branch, None, training, rng,
                                     pre=_direction_pre(model, dirs, sources))
-    h = np.concatenate([p_out, d_out], axis=1)
-    split = p_out.shape[1]
-    del p_out, d_out
+    h[:, split:] = d_out
     if training:
-        # The branch outputs live on as views of the fusion head's input.
-        p_cache[-1], d_cache[-1] = h[:, :split], h[:, split:]
+        d_cache[-1] = h[:, split:]
+    del d_out
     f_out, f_cache = _stack_forward(model.fusion_head[:-1], h, training, rng)
     pre = nn.linear_forward(model.fusion_head[-1], f_out)
     w = nn.exp_tanh(pre)
@@ -512,21 +539,16 @@ def backward_batch(model: LspnModel, cache: _Cache, grad_w: np.ndarray):
                           "as it reads; run a new training-mode forward")
     g = nn.exp_tanh_backward(final_pre, grad_w)
     g, fusion_grads = _stack_backward(model.fusion_head, cache.fusion, g)
-    grad_h, gw, gb = nn.linear_backward(model.fusion_head[0], cache.take("head_input"), g)
+    rates = (model.proto_branch[-1].dropout_rate, model.dir_branch[-1].dropout_rate)
+    _, gw, gb = nn.linear_backward(model.fusion_head[0], cache.take("head_input"), g, rates)
     del g
     fusion_grads.insert(0, (gw, gb))
-    # The branches' last outputs are all that still holds the fusion input:
-    # take both activation gradients first, so it is freed before either
-    # branch allocates its next gradient.
-    split = model.proto_branch[-1].out_dim
-    g_proto, g_dir = grad_h[:, :split], grad_h[:, split:]
-    del grad_h
-    nn.relu_dropout_backward(cache.proto.pop(), g_proto, model.proto_branch[-1].dropout_rate)
-    nn.relu_dropout_backward(cache.direc.pop(), g_dir, model.dir_branch[-1].dropout_rate)
-    g_proto, proto_grads = _stack_backward(model.proto_branch, cache.proto, g_proto)
-    g_dir, dir_grads = _stack_backward(model.dir_branch, cache.direc, g_dir)
-    # Only the two first-layer gradients are left; each first layer adds
-    # one float64 copy of its own.
+    # The fusion input now holds both branches' last pre-activation
+    # gradients, in the halves the caches view.
+    g_proto, proto_grads = _stack_backward(model.proto_branch, cache.proto, cache.proto.pop())
+    g_dir, dir_grads = _stack_backward(model.dir_branch, cache.direc, cache.direc.pop())
+    # Only the two first-layer gradients are left, in the memory of the
+    # branches' first outputs.
     protos, dirs, sources = cache.take("protos"), cache.take("dirs"), cache.take("sources")
     proto_grads.insert(0, _proto_first_backward(model, protos, sources, g_proto))
     del g_proto

@@ -5,11 +5,13 @@ for the production path; every forward/backward function is dtype-polymorphic
 so gradient checks can run the same code in float64.
 
 A hidden block's activation is ReLU followed by inverted dropout, run as one
-in-place pass (:func:`relu_dropout`). Its backward (:func:`relu_dropout_backward`)
-reads only the block's output: a kept, positive pre-activation is exactly a
-positive output, so training needs to keep neither the pre-activation nor the
-dropout mask. The backward is in place too: it masks the upstream gradient
-it is given, so a step allocates no second gradient per block.
+in-place pass (:func:`relu_dropout`). Its backward reads only the block's
+output: a kept, positive pre-activation is exactly a positive output, so
+training needs to keep neither the pre-activation nor the dropout mask. The
+next layer's backward (:func:`linear_backward`) applies that mask as it
+forms its input gradient, and writes the masked gradient over the input it
+has just read, a block of rows at a time, so a step allocates no gradient
+the size of a layer's input.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ __all__ = [
     "linear_forward",
     "linear_backward",
     "relu_dropout",
-    "relu_dropout_backward",
     "exp_tanh",
     "exp_tanh_backward",
     "Adam",
@@ -79,18 +80,54 @@ def linear_forward(block: LinearBlock, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def linear_backward(block: LinearBlock, x: np.ndarray, grad_out: np.ndarray):
-    """Gradients of a linear layer.
+# Row blocks of linear_backward's input gradient: each block's GEMM writes
+# straight into the rows of the input it replaces, and its mask stays in
+# cache. A block has at least _GRAD_ROWS rows and _GRAD_MACS multiply-adds.
+# OpenBLAS (0.3.31, AVX-512 kernels) runs products of up to 100**3
+# multiply-adds through small-matrix kernels whose sums round differently at
+# some widths (17, 33 and 50 among those tried), so blocks above that run the
+# kernel the whole product runs and give its bits; a product below the floor
+# runs whole, as one block.
+_GRAD_ROWS = 256
+_GRAD_MACS = 1 << 20
+
+
+def linear_backward(block: LinearBlock, x: np.ndarray, grad_out: np.ndarray, rates):
+    """Gradients of a linear layer whose input ``x`` (B, in) is the output of
+    ReLU-dropout blocks (:func:`relu_dropout`) with dropout ``rates``; x's
+    columns split into ``len(rates)`` equal parts, one per block, in order.
 
     Returns (grad_x, grad_weight, grad_bias) for upstream gradient
-    ``grad_out`` of the same shape as the layer output.
+    ``grad_out`` (B, out). The weight and bias gradients are read from ``x``
+    first. grad_x is then the gradient of the blocks' pre-activations:
+    ``grad_out @ W`` where x is positive, times 1/(1-rate), and 0 elsewhere
+    (the ReLU subgradient at 0 is taken as 0). It is computed a block of
+    rows at a time and written over ``x``, which must be C-contiguous and
+    which grad_x is.
     """
-    x = np.atleast_2d(np.asarray(x))
-    g = np.atleast_2d(np.asarray(grad_out))
-    grad_x = g @ block.weight
+    g = np.asarray(grad_out)
+    if not x.flags.c_contiguous or x.ndim != 2:
+        raise ShapeError("linear_backward writes over a C-contiguous (rows, in) input")
+    if x.shape[1] % len(rates):
+        raise ShapeError(f"input width {x.shape[1]} does not split into {len(rates)} rates")
     grad_w = g.T @ x
     grad_b = g.sum(axis=0)
-    return grad_x, grad_w, grad_b
+    scale = None
+    if any(rates):
+        scale = np.repeat(np.array([_dropout_scale(r, x.dtype) for r in rates], x.dtype),
+                          x.shape[1] // len(rates))
+    # The last block takes the remainder, so none is shorter than ``step``
+    # unless it is the whole (a one-row product, for one, runs as a
+    # matrix-vector product).
+    step = max(_GRAD_ROWS, -(-_GRAD_MACS // max(1, g.shape[1] * x.shape[1])))
+    bounds = [i * step for i in range(max(1, len(x) // step))] + [len(x)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keep = x[lo:hi] > 0
+        np.matmul(g[lo:hi], block.weight, out=x[lo:hi])
+        x[lo:hi] *= keep
+        if scale is not None:
+            x[lo:hi] *= scale
+    return x, grad_w, grad_b
 
 
 def exp_tanh(x: np.ndarray) -> np.ndarray:
@@ -103,9 +140,9 @@ def exp_tanh_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * np.exp(t) * (1.0 - t * t)
 
 
-# Entries per block of dropout draws and backward masks: the float64 draws and
-# the mask of a block stay in cache (256 KB), where whole-array temporaries
-# would cost a fresh allocation of up to 8 bytes per activation.
+# Entries per block of dropout draws: the float64 draws and the mask of a
+# block stay in cache (256 KB), where whole-array temporaries would cost a
+# fresh allocation of up to 8 bytes per activation.
 _DRAW_BLOCK = 1 << 15
 
 
@@ -148,25 +185,6 @@ def relu_dropout(pre: np.ndarray, rate: float, rng=None, training: bool = False)
         part *= scale
         part *= keep[:n]
     return out
-
-
-def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) -> np.ndarray:
-    """Gradient through :func:`relu_dropout` from the block's output ``out``,
-    in place on ``grad_out``; returns it.
-
-    An entry passes (times 1/(1-rate)) iff its output is positive: dropped
-    entries and non-positive pre-activations both give 0 there. The ReLU
-    subgradient at 0 is taken as 0. ``grad_out`` is overwritten: pass an
-    upstream gradient nothing else reads; it may be a strided view.
-    """
-    scale = _dropout_scale(rate, out.dtype)
-    step = max(1, _DRAW_BLOCK // max(1, out[:1].size))  # rows per block
-    for start in range(0, len(out), step):
-        grad = grad_out[start:start + step]
-        grad *= out[start:start + step] > 0
-        if rate:
-            grad *= scale
-    return grad_out
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).

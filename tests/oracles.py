@@ -20,8 +20,10 @@ production path against them.
 
 The dense network runs ReLU and dropout as separate passes that keep the
 pre-activation and a float mask (:func:`relu`, :func:`dropout_forward` and
-their backwards), so it stays independent of the fused
-:func:`g2sf.nn.relu_dropout` it checks.
+their backwards) and its linear layers as whole new products
+(:func:`linear_backward`), so it stays independent of the fused
+:func:`g2sf.nn.relu_dropout` and the in-place :func:`g2sf.nn.linear_backward`
+it checks.
 
 The rank metrics :func:`auroc_argsort` and :func:`aupro_curve_argsort` are
 :func:`g2sf.evaluation.auroc` and :func:`g2sf.evaluation.aupro_curve` as
@@ -150,6 +152,30 @@ def dropout_backward(mask, grad_out: np.ndarray) -> np.ndarray:
     return grad_out if mask is None else grad_out * mask
 
 
+def relu_dropout_backward(out: np.ndarray, grad_out: np.ndarray, rate: float) -> np.ndarray:
+    """Gradient through :func:`g2sf.nn.relu_dropout` from the block's output
+    ``out``, in place on ``grad_out``; returns it.
+
+    An entry passes (times 1/(1-rate)) iff its output is positive: dropped
+    entries and non-positive pre-activations both give 0 there. This is the
+    mask :func:`g2sf.nn.linear_backward` applies as it writes its input
+    gradient, in the same two products, so the two agree bit for bit.
+    """
+    scale = out.dtype.type(1) / out.dtype.type(1.0 - rate)
+    grad_out *= out > 0
+    if rate:
+        grad_out *= scale
+    return grad_out
+
+
+def linear_backward(block, x, grad_out):
+    """(grad_x, grad_weight, grad_bias) of ``y = W x + b``, each a whole new
+    array, with nothing written over ``x`` and no activation applied."""
+    x = np.atleast_2d(np.asarray(x))
+    g = np.atleast_2d(np.asarray(grad_out))
+    return g @ block.weight, g.T @ x, g.sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Dense network
 # ---------------------------------------------------------------------------
@@ -180,7 +206,7 @@ def _stack_backward(blocks, caches, grad):
     for i in range(len(blocks) - 1, -1, -1):
         x, pre, mask = caches[i]
         g = relu_backward(pre, dropout_backward(mask, grad))
-        grad, gw, gb = nn.linear_backward(blocks[i], x, g)
+        grad, gw, gb = linear_backward(blocks[i], x, g)
         grads[i] = (gw, gb)
     return grad, grads
 
@@ -205,7 +231,7 @@ def dense_forward(model, protos, dirs, training=False, rng=None):
 def dense_backward(model, cache: DenseCache, grad_w):
     """Gradients aligned with :func:`g2sf.lspn.parameters` (without log sigma)."""
     g = nn.exp_tanh_backward(cache.final_pre, grad_w)
-    grad_h, gw_final, gb_final = nn.linear_backward(model.fusion_head[-1], cache.final_input, g)
+    grad_h, gw_final, gb_final = linear_backward(model.fusion_head[-1], cache.final_input, g)
     grad_h, fusion_grads = _stack_backward(model.fusion_head[:-1], cache.fusion, grad_h)
     split = model.proto_branch[-1].out_dim
     _, proto_grads = _stack_backward(model.proto_branch, cache.proto, grad_h[:, :split])

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from g2sf.bank import MemoryBank, query_neighbors_batch
 from g2sf.errors import ConfigError, ShapeError
 from g2sf.geometry import inverse_distances
-from g2sf import lspn
+from g2sf import lspn, nn
 from g2sf.lspn import (
     Directions,
     LspnConfig,
@@ -313,6 +314,140 @@ class TestTrainingCache:
             assert value is None or (isinstance(value, list) and not value), f.name
         with pytest.raises(ConfigError, match="already run on this cache"):
             backward_batch(model, cache, np.ones_like(w))
+
+
+def ranked_inputs(rng, cfg, cells, ranks, negatives, n_protos=12):
+    """Factored inputs of ``cells`` cells at ``ranks`` neighbor ranks each, as
+    :func:`rank_rows` lays them out, then ``negatives`` rank-0 rows whose rgb
+    half (cell, anchor, prototype) comes from another cell, as the trainer's
+    cross-modal negatives do."""
+    dims = (cfg.dim_pc, cfg.dim_rgb)
+    prototypes = tuple(rng.standard_normal((n_protos, d)).astype(np.float32) for d in dims)
+    features = tuple(rng.standard_normal((cells, d)).astype(np.float32) for d in dims)
+    ids = rng.integers(0, n_protos, size=(cells, ranks, 2))
+    inv_r = np.stack([inverse_distances(np.linalg.norm(
+        features[m][:, None, :].astype(np.float64) - prototypes[m][ids[..., m]], axis=2))
+        for m in range(2)], axis=2)
+    protos, dirs = rank_rows(ids, inv_r)
+    own = rng.integers(0, cells, size=negatives)
+    partner = (own + rng.integers(1, cells, size=negatives)) % cells
+    neg_cells = np.stack([own, partner], axis=1)
+    neg_ids = np.stack([ids[own, 0, 0], ids[partner, 0, 1]], axis=1)
+    neg_inv_r = np.stack([inv_r[own, 0, 0], inv_r[partner, 0, 1]], axis=1)
+    dirs = Directions(np.concatenate([dirs.cells, neg_cells]),
+                      np.concatenate([dirs.anchors, neg_ids]),
+                      np.concatenate([dirs.inv_r, neg_inv_r]))
+    return np.concatenate([protos, neg_ids]), dirs, Sources(prototypes, features)
+
+
+def _cache_bytes(cache):
+    """Bytes of the distinct buffers a training cache holds, the caller's
+    inputs aside."""
+    buffers = {}
+    for f in dataclasses.fields(cache):
+        if f.name in ("protos", "dirs", "sources"):
+            continue
+        value = getattr(cache, f.name)
+        for arr in value if isinstance(value, list) else [value]:
+            while arr.base is not None:
+                arr = arr.base
+            buffers[id(arr)] = arr
+    return sum(a.nbytes for a in buffers.values())
+
+
+class TestStepMemory:
+    """A training step holds no row-sized array beyond its forward cache:
+    the forward never joins the branch outputs by a concatenation, and the
+    backward writes each input gradient over the input it consumes."""
+
+    # The branches end wider than the fusion head, as at the paper's widths
+    # (256 against 128), and each cell has 11 ranks.
+    CFG = LspnConfig(dim_pc=12, dim_rgb=8, branch_widths=(128, 128), fusion_widths=(64,),
+                     dropout=0.5)
+
+    def _step_inputs(self):
+        rng = np.random.default_rng(8)
+        model = init_model(self.CFG, seed=3)
+        protos, dirs, sources = ranked_inputs(rng, self.CFG, cells=256, ranks=11,
+                                              negatives=256)
+        return model, protos, dirs, sources
+
+    def _traced(self, call):
+        """(result, peak traced bytes above the start) of ``call()``."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    def _step(self, model, protos, dirs, sources):
+        w, cache = forward_batch(model, protos, dirs, sources, training=True,
+                                 rng=np.random.default_rng(1))
+        coeffs = np.random.default_rng(2).standard_normal(w.shape).astype(np.float32)
+        return cache, coeffs
+
+    def test_forward_peak_below_cache_plus_one_branch_output(self):
+        model, protos, dirs, sources = self._step_inputs()
+        backward_batch(model, *self._step(model, protos, dirs, sources))  # warm-up
+        (w, cache), peak = self._traced(lambda: forward_batch(
+            model, protos, dirs, sources, training=True, rng=np.random.default_rng(1)))
+        branch_output = len(protos) * self.CFG.branch_widths[-1] * 4
+        assert peak < _cache_bytes(cache) + w.nbytes + branch_output
+
+    def test_backward_peak_within_its_starting_memory(self, monkeypatch):
+        # The default column block (about 8 MB of float64) is sized for
+        # batches of paper rows; at these 3,072 rows it would hold every
+        # column of a first-layer gradient, so blocks of 8 columns stand in.
+        model, protos, dirs, sources = self._step_inputs()
+        monkeypatch.setattr(lspn, "_SUM_BLOCK", 8 * len(protos), raising=False)
+        # A warm-up step loads scipy.sparse, whose import the tracer counts.
+        backward_batch(model, *self._step(model, protos, dirs, sources))
+        cache, coeffs = self._step(model, protos, dirs, sources)
+        start_bytes = _cache_bytes(cache)
+        grads, peak = self._traced(lambda: backward_batch(model, cache, coeffs))
+        weight_grads = sum(g.nbytes for g in grads)
+        # Beyond the weight gradients, the backward holds the first layers'
+        # segment sums and sparse matrix and one column block: about 1 MB
+        # here, against a 7.1 MB cache, of which one branch output is 1.6 MB.
+        branch_output = len(protos) * self.CFG.branch_widths[-1] * 4
+        assert start_bytes > 4 * branch_output
+        assert peak - weight_grads < branch_output
+
+
+class TestBlockedBackwardBits:
+    """Row blocks of the input gradients and column blocks of the first-layer
+    sums change no bit of a training step."""
+
+    CFG = LspnConfig(dim_pc=6, dim_rgb=5, branch_widths=(16, 12), fusion_widths=(8,),
+                     dropout=0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("columns", [1, 5])
+    def test_small_blocks_give_the_default_bits(self, monkeypatch, columns, dtype):
+        rng = np.random.default_rng(columns)
+        model = init_model(self.CFG, seed=5).astype(dtype)
+        protos, dirs, sources = ranked_inputs(rng, self.CFG, cells=30, ranks=5, negatives=19)
+        coeffs = rng.standard_normal((len(protos), 2)).astype(dtype)
+
+        def step():
+            w, cache = forward_batch(model, protos, dirs, sources, training=True,
+                                     rng=np.random.default_rng(6))
+            return w, backward_batch(model, cache, coeffs)
+
+        want_w, want = step()  # one row block and one column block at 169 rows
+        # Blocks of 3 rows fall below OpenBLAS's small-matrix cutoff, which
+        # the default blocks never do; at these widths (multiples of 8) its
+        # small kernels sum as the large ones do, so the bits hold anyway.
+        monkeypatch.setattr(nn, "_GRAD_ROWS", 3)
+        monkeypatch.setattr(nn, "_GRAD_MACS", 0)
+        monkeypatch.setattr(lspn, "_SUM_BLOCK", columns * len(protos))
+        got_w, got = step()
+        assert got_w.tobytes() == want_w.tobytes()
+        for name, g, ref in zip(parameter_names(self.CFG), got, want):
+            assert g.dtype == dtype, name
+            assert g.tobytes() == ref.tobytes(), name
 
 
 def frozen(model):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2sf import nn as nn_mod
 from g2sf.errors import ConfigError, DivergenceError, ShapeError
 from g2sf.nn import (
     Adam,
@@ -16,7 +17,6 @@ from g2sf.nn import (
     linear_backward,
     linear_forward,
     relu_dropout,
-    relu_dropout_backward,
 )
 from tests import oracles
 
@@ -75,10 +75,11 @@ class TestActivations:
         np.testing.assert_array_equal(pre, [0.0, 0.5])
 
     def test_relu_backward_tie_at_zero(self):
-        upstream = np.ones(3)
-        grad = relu_dropout_backward(np.array([0.0, 0.0, 2.0]), upstream, 0.0)
-        assert grad is upstream
-        np.testing.assert_array_equal(grad, [0.0, 0.0, 1.0])
+        x = np.array([[0.0, 0.0, 2.0]])
+        grad, _, _ = linear_backward(LinearBlock(np.eye(3), np.zeros(3)), x, np.ones((1, 3)),
+                                     (0.0,))
+        assert grad is x
+        np.testing.assert_array_equal(grad, [[0.0, 0.0, 1.0]])
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
     @settings(max_examples=50, deadline=None)
@@ -183,7 +184,7 @@ class TestReluDropoutMatchesOracle:
             assert mask is None
             return
         want_grad = oracles.relu_backward(pre, oracles.dropout_backward(mask, grad))
-        got_grad = relu_dropout_backward(got, grad, rate)
+        got_grad = oracles.relu_dropout_backward(got, grad, rate)
         assert got_grad.dtype == want_grad.dtype
         # Equal bits up to the sign of zero: the product writes -0.0 where a
         # negative gradient is blocked, the oracle's np.where writes 0.0.
@@ -191,8 +192,10 @@ class TestReluDropoutMatchesOracle:
 
 
 class TestReluDropoutBackwardInPlace:
-    """The backward writes into the gradient it is given, as the branches
-    pass it column views of the fusion input's gradient."""
+    """The ReLU-dropout backward runs inside the next layer's
+    :func:`linear_backward`, which writes the masked input gradient over the
+    block output it reads; its upstream gradient may be a column view, as
+    the branches' halves of the fusion input are."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.5])
@@ -202,26 +205,58 @@ class TestReluDropoutBackwardInPlace:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.5])
     def test_several_mask_blocks(self, rate, dtype):
-        self._check(3000, rate, dtype)  # four blocks of rows, the last one partial
+        # Eleven blocks of 256 rows, the last one longer, at an odd width.
+        self._check(3000, rate, dtype, width=65, upstream_width=64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows_per_block", [3, 256])
+    def test_fused_input_gradient_is_linear_then_mask(self, monkeypatch, rows_per_block,
+                                                      dtype):
+        # The fusion head's first layer: two halves of the input, each the
+        # output of a branch with its own rate.
+        monkeypatch.setattr(nn_mod, "_GRAD_ROWS", rows_per_block)
+        monkeypatch.setattr(nn_mod, "_GRAD_MACS", 0)
+        rng = np.random.default_rng(rows_per_block)
+        rates = (0.5, 0.25)
+        halves = [relu_dropout(rng.standard_normal((700, 12)).astype(dtype), rate, rng, True)
+                  for rate in rates]
+        x = np.concatenate(halves, axis=1)
+        block = LinearBlock(rng.standard_normal((9, 24)).astype(dtype),
+                            rng.standard_normal(9).astype(dtype))
+        upstream = rng.standard_normal((700, 9)).astype(dtype)
+        want_x, want_w, want_b = oracles.linear_backward(block, x, upstream)
+        for half, cols, rate in zip(halves, (slice(0, 12), slice(12, 24)), rates):
+            oracles.relu_dropout_backward(half, want_x[:, cols], rate)
+        given = x.copy()
+        got_x, got_w, got_b = linear_backward(block, given, upstream, rates)
+        assert got_x is given
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_b.tobytes() == want_b.tobytes()
 
     @staticmethod
-    def _check(rows, rate, dtype):
+    def _check(rows, rate, dtype, width=33, upstream_width=17):
         rng = np.random.default_rng(int(rate * 10))
-        pre = _pre_activations(rng, (rows, 33), dtype)
+        pre = _pre_activations(rng, (rows, width), dtype)
         want_out, mask = oracles.dropout_forward(oracles.relu(pre), rate,
                                                  np.random.default_rng(4), True)
         out = relu_dropout(pre.copy(), rate, np.random.default_rng(4), True)
         assert out.tobytes() == want_out.tobytes()
-        wide = rng.standard_normal((rows, 50)).astype(dtype)
-        untouched = wide[:, 33:].copy()
-        upstream = wide[:, :33]  # a strided view, as the branches pass
-        want = oracles.relu_backward(pre, oracles.dropout_backward(mask, upstream.copy()))
-        got = relu_dropout_backward(out, upstream, rate)
-        assert got is upstream
+        wide = rng.standard_normal((rows, upstream_width + 33)).astype(dtype)
+        untouched = wide.copy()
+        upstream = wide[:, :upstream_width]  # a strided view, as the branches pass
+        block = LinearBlock(rng.standard_normal((upstream_width, width)).astype(dtype),
+                            np.zeros(upstream_width, dtype))
+        want = oracles.relu_backward(pre, oracles.dropout_backward(mask, upstream @ block.weight))
+        want_w = upstream.T @ out
+        got, got_w, got_b = linear_backward(block, out, upstream, (rate,))
+        assert got is out
         assert got.dtype == want.dtype
         # Equal bits up to the sign of zero (see TestReluDropoutMatchesOracle).
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-        assert wide[:, 33:].tobytes() == untouched.tobytes()
+        assert got_w.tobytes() == want_w.tobytes()
+        assert got_b.tobytes() == upstream.sum(axis=0).tobytes()
+        assert wide.tobytes() == untouched.tobytes()
 
 
 class TestAdam:
@@ -279,7 +314,7 @@ class TestBackpropCheck:
 
         out = w.astype(np.float64) @ x + b
         grad_out = 2.0 * (out - target)
-        _, gw, gb = linear_backward(LinearBlock(w, b), x, grad_out)
+        _, gw, gb = oracles.linear_backward(LinearBlock(w, b), x, grad_out)
         err = backprop_check(loss_fn, [w, b], [gw, gb])
         assert err < 1e-5
 
