@@ -237,18 +237,17 @@ def cmd_train(cfg, data, run):
     sized = copy.deepcopy(cfg)
     derive(sized, pool_manifest.dims)
     checkpoint, log_rows, _ = train(pool, banks, normalizer, sized.lspn, cfg.train, cfg.loss)
-    written = save_checkpoint(checkpoint, run / "checkpoints" / "final")
+    save_checkpoint(checkpoint, run / "checkpoint.g2t")
     with open(run / "train_log.jsonl", "w") as fh:
         for row in log_rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-    outputs = ["train_log.jsonl"] + [p.relative_to(run).as_posix() for p in written]
-    return outputs, {}, (
+    return ["train_log.jsonl", "checkpoint.g2t"], {}, (
         f"train: {cfg.train.epochs} epochs on {pool.size} pooled cells; final sigma "
         f"({checkpoint.model.sigma_pc:.4f}, {checkpoint.model.sigma_rgb:.4f})")
 
 
 def cmd_score(cfg, data, run, threads):
-    checkpoint = load_checkpoint(run / "checkpoints" / "final")
+    checkpoint = load_checkpoint(run / "checkpoint.g2t")
     checkpoint.banks = _load_banks(run)
     test_manifest = load_manifest(data / "test_manifest.json")
     outputs = []
@@ -333,6 +332,9 @@ def _run_stage(stage, cfg, args):
     """Check the chain upstream of ``stage``, run its work, stamp its manifest."""
     data = Path(args.out if stage == "gen" else args.data)
     run = None if stage == "gen" else Path(args.run)
+    if run is not None and run.resolve() == data.resolve():
+        raise ConfigError(f"--run {run} is the dataset directory --data {data}; "
+                          "give the run its own directory")
     _check_upstream(stage, data, run)
     _check_rerun(_root(stage, data, run), stage, config_hash(cfg), args.force)
     options = {"threads": args.threads} if stage == "score" else {}
@@ -405,7 +407,7 @@ def build_parser():
         p.add_argument("--force", action="store_true",
                        help="overwrite artifacts from an identical configuration")
     p = sub.add_parser("selftest", help="run the embedded invariant suite")
-    p.add_argument("--checkpoint", help="also validate this checkpoint directory")
+    p.add_argument("--checkpoint", help="also validate this checkpoint file")
     return parser
 
 

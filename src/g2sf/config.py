@@ -128,15 +128,22 @@ def _scalar(key, kind, text):
     return value
 
 
+def _is_field(target, name) -> bool:
+    """True when ``name`` is a dataclass field of ``target``: not a method, a
+    property, or an attribute of a value such as ``int.real``."""
+    return dataclasses.is_dataclass(target) and any(
+        f.name == name for f in dataclasses.fields(target))
+
+
 def _resolve(cfg: RunConfig, key: str):
     """(owning section, leaf name) of a dotted key."""
     *sections, leaf = key.split(".")
     target = cfg
     for attr in sections:
-        if not hasattr(target, attr):
+        if not _is_field(target, attr):
             raise ConfigError(f"unknown config section {attr!r} in {key!r}")
         target = getattr(target, attr)
-    if not hasattr(target, leaf):
+    if not _is_field(target, leaf):
         raise ConfigError(f"unknown config key {key!r}")
     return target, leaf
 

@@ -38,14 +38,14 @@ deterministic. It never forms a gradient with respect to the inputs.
 
 Prototype tables of frozen weights. T_m, and B_m with the float64 copy of
 W_m it is built from, depend only on the first-layer weight and the bank.
-When both arrays are read-only (a checkpoint from
-:func:`g2sf.trainer.load_checkpoint` and every :class:`g2sf.bank.MemoryBank`
-are), the tables are built once and kept on the model, keyed by those two
-arrays, so scoring a test split pays for them once per checkpoint and bank
-rather than once per sample. Weights that are being trained are writable,
-so training and validation rebuild the tables on every forward and can never
-read a stale one. A_m depends on the sample's features and is built on every
-call.
+When both arrays are read-only (every :class:`g2sf.bank.MemoryBank` is, and
+so is a checkpoint from :func:`g2sf.trainer.load_checkpoint`, whose
+parameters are views of its one read-only payload array), the tables are
+built once and kept on the model, keyed by those two arrays, so scoring a
+test split pays for them once per checkpoint and bank rather than once per
+sample. Weights that are being trained are writable, so training and
+validation rebuild the tables on every forward and can never read a stale
+one. A_m depends on the sample's features and is built on every call.
 
 A training-mode forward caches one array per hidden block: its output
 (ReLU and dropout applied), which the next layer reads anyway. Each branch's

@@ -280,8 +280,7 @@ def _check_checkpoint(path):
         return False, "scale outputs escape [1/e, e]"
     if not (ckpt.m0 > 0 and ckpt.normalizer.mean_pc > 0 and ckpt.normalizer.mean_rgb > 0):
         return False, "non-positive m0 or normalizer means"
-    return True, f"epoch {ckpt.epoch}, sigma ({ckpt.model.sigma_pc:.3f}, " \
-                 f"{ckpt.model.sigma_rgb:.3f})"
+    return True, f"sigma ({ckpt.model.sigma_pc:.3f}, {ckpt.model.sigma_rgb:.3f})"
 
 
 def run_all(checkpoint=None):

@@ -31,12 +31,19 @@ def _canonical_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _all_finite(array) -> bool:
+    """True when no value of ``array`` is NaN or infinite. Its min and max are
+    whenever one is, and they need no array-sized temporary, as
+    ``np.isfinite(array)`` would."""
+    return bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
 def write_tensor(path, array, extra=None):
     """Write ``array`` (any float shape, cast to f32) to ``path``."""
     array = np.ascontiguousarray(array, dtype=np.float32)
     if array.size == 0:
         raise FormatError(f"refusing to write empty tensor of shape {array.shape}")
-    if not np.all(np.isfinite(array)):
+    if not _all_finite(array):
         raise FormatError("refusing to write non-finite tensor payload")
     header = {"shape": list(array.shape), "dtype": "f32le", "order": "C"}
     if extra:
@@ -48,7 +55,7 @@ def write_tensor(path, array, extra=None):
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(array.tobytes(order="C"))
+        fh.write(memoryview(array).cast("B"))  # the array's own bytes, not a copy
 
 
 def read_tensor(path):
@@ -73,15 +80,19 @@ def read_tensor(path):
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"undecodable header in {path}: {exc}", offset=12) from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"header of {path} is not a JSON object", offset=12)
         for key in ("shape", "dtype", "order"):
             if key not in header:
                 raise FormatError(f"header missing {key!r} in {path}", offset=12)
         if header["dtype"] != "f32le" or header["order"] != "C":
             raise FormatError(f"unsupported dtype/order {header['dtype']}/{header['order']}",
                               offset=12)
-        shape = tuple(int(d) for d in header["shape"])
-        if any(d <= 0 for d in shape):
-            raise FormatError(f"non-positive dimension in shape {shape}", offset=12)
+        shape = header["shape"]
+        if not (isinstance(shape, list) and all(type(d) is int and d > 0 for d in shape)):
+            raise FormatError(f"shape {shape!r} in {path} is not a list of positive integers",
+                              offset=12)
+        shape = tuple(shape)
         count = int(np.prod(shape))
         payload_len = size - header_end
         if payload_len != 4 * count:
@@ -94,9 +105,8 @@ def read_tensor(path):
     if got != array.nbytes:
         raise FormatError(f"payload is {got} bytes, expected {array.nbytes} for shape {shape}",
                           offset=header_end + got)
-    finite = np.isfinite(array)
-    if not finite.all():
-        bad = np.flatnonzero(~finite)
+    if not _all_finite(array):
+        bad = np.flatnonzero(~np.isfinite(array))
         raise FormatError(
             f"non-finite payload value at flat index {bad[0]}",
             offset=header_end + 4 * int(bad[0]),

@@ -26,7 +26,6 @@ the size of the half, and its bits are those of one forward over the half.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 
 from . import losses as losses_mod
 from . import lspn as lspn_mod
-from .errors import ConfigError, DivergenceError, FormatError, ShapeError, check_keys
+from .errors import ConfigError, DivergenceError, FormatError, check_keys
 from .geometry import DistanceNormalizer, inverse_distances
 from .nn import Adam
 from .synthesis import TrainingPool
@@ -54,7 +53,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_FORMAT = "g2sf-checkpoint-v5"
+CHECKPOINT_FORMAT = "g2sf-checkpoint-v6"
 
 
 @dataclass
@@ -83,8 +82,6 @@ class Checkpoint:
     model: lspn_mod.LspnModel
     normalizer: DistanceNormalizer
     loss_cfg: losses_mod.LossConfig  # the frozen m0 and the k of pooling and scoring
-    train_cfg: TrainConfig
-    epoch: int
     banks: dict | None = None  # attached at load time, never persisted here
 
     @property
@@ -341,8 +338,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
         row.update({f"train_{k}": float(v) / denom for k, v in sums.items()})
         log_rows.append(row)
 
-    final = Checkpoint(model, normalizer, loss_cfg, train_cfg, train_cfg.epochs, banks)
-    return final, log_rows, None
+    return Checkpoint(model, normalizer, loss_cfg, banks), log_rows, None
 
 
 # ---------------------------------------------------------------------------
@@ -350,100 +346,70 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 # ---------------------------------------------------------------------------
 
 
-def save_checkpoint(ckpt: Checkpoint, out_dir) -> list:
-    """Persist a checkpoint as a JSON manifest plus one container per tensor.
+def save_checkpoint(ckpt: Checkpoint, path):
+    """Persist a checkpoint as one tensor container at ``path``, as a bank is.
 
-    Returns the paths written, the manifest first.
+    The payload is :func:`g2sf.lspn.parameters` flattened in order, log sigma
+    last. The header holds ``kind`` ``"checkpoint"``, ``format``, and what
+    scoring reads besides the banks: the ``lspn``, ``loss`` and
+    ``normalizer`` sections.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = ckpt.model
-    names = lspn_mod.parameter_names(model.cfg)[:-1]
-    params = lspn_mod.parameters(model)[:-1]
-    written = [out_dir / "manifest.json"]
-    for name, param in zip(names, params):
-        written.append(out_dir / "weights" / f"{name}.g2t")
-        write_tensor(written[-1], param, {"kind": "weights"})
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "epoch": ckpt.epoch,
-        "normalizer": ckpt.normalizer.to_dict(),
-        "log_sigma": [float(v) for v in model.log_sigma],
-        "loss": asdict(ckpt.loss_cfg),
-        "train": asdict(ckpt.train_cfg),
-        "lspn": asdict(model.cfg),
-        "weights": names,
-    }
-    written[0].write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-    return written
+    write_tensor(path, np.concatenate([p.ravel() for p in lspn_mod.parameters(model)]),
+                 {"kind": "checkpoint", "format": CHECKPOINT_FORMAT, "lspn": asdict(model.cfg),
+                  "loss": asdict(ckpt.loss_cfg), "normalizer": ckpt.normalizer.to_dict()})
 
 
-def load_checkpoint(in_dir) -> Checkpoint:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint container written by :func:`save_checkpoint`.
 
-    The model's parameter arrays are read-only; ``model.copy()`` is writable.
-    A manifest that is missing, not a JSON object of this format, lacks a
-    key, has a mistyped epoch, normalizer or log_sigma, or has a config
-    section with an unknown or missing key or an lspn section that is
-    invalid or disagrees with the weights raises :class:`ConfigError`
-    naming ``in_dir`` (and key).
+    The payload is split by the block shapes of the header's lspn section.
+    The model's parameters are read-only views of it, so scoring builds its
+    first-layer tables once (:mod:`g2sf.lspn`); ``model.copy()`` is
+    writable. A path that is not a file (a directory is a checkpoint format
+    before v6), a container that is malformed or of another kind or format, a
+    header section with an unknown or missing key, an invalid lspn section, a
+    normalizer that is not two positive means, or a payload whose size is not
+    that network's raises :class:`ConfigError` naming ``path``.
     """
-    in_dir = Path(in_dir)
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{path} is not a checkpoint file (checkpoints before "
+                          f"{CHECKPOINT_FORMAT} are directories, checkpoints/final in a run); "
+                          "retrain it")
     try:
-        doc = json.loads((in_dir / "manifest.json").read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{in_dir} holds no checkpoint manifest") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{in_dir} has a checkpoint manifest that is not JSON: {exc}") from exc
-    fmt = doc.get("format") if isinstance(doc, dict) else None
-    if fmt != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{in_dir} has checkpoint format {fmt!r}, "
-                          f"not {CHECKPOINT_FORMAT}; retrain it")
-    try:
-        return _checkpoint_from_manifest(in_dir, doc)
+        return _checkpoint_from_container(*read_tensor(path))
     except KeyError as exc:
-        raise ConfigError(f"{in_dir} has a checkpoint manifest without key {exc}; "
+        raise ConfigError(f"{path} has a checkpoint header without key {exc}; "
                           "retrain it") from exc
-    except (ConfigError, FormatError, ShapeError) as exc:
-        raise ConfigError(f"{in_dir}: {exc}; retrain it") from exc
+    except (ConfigError, FormatError) as exc:
+        raise ConfigError(f"{path}: {exc}; retrain it") from exc
 
 
-def _section(doc: dict, name: str, cls):
-    """``cls`` from the manifest's ``name`` section: exactly its fields, lists as tuples."""
-    part = check_keys(f"the manifest's {name} section", doc[name], [f.name for f in fields(cls)])
+def _section(header: dict, name: str, cls):
+    """``cls`` from the header's ``name`` section: exactly its fields, lists as tuples."""
+    part = check_keys(f"the header's {name} section", header[name], [f.name for f in fields(cls)])
     return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in part.items()})
 
 
-def _finite_numbers(value, count) -> bool:
-    return isinstance(value, list) and len(value) == count and all(
-        type(v) in (int, float) and np.isfinite(v) for v in value)
-
-
-def _checkpoint_from_manifest(in_dir: Path, doc: dict) -> Checkpoint:
-    means = check_keys("the manifest's normalizer", doc["normalizer"], ("mean_pc", "mean_rgb"))
-    for key, ok, expected in (
-            ("epoch", type(doc["epoch"]) is int and doc["epoch"] >= 0, "a nonnegative integer"),
-            ("normalizer", all(type(v) in (int, float) and v > 0 for v in means.values()),
-             "two positive means"),
-            ("log_sigma", _finite_numbers(doc["log_sigma"], 2), "two finite numbers")):
-        if not ok:
-            raise ConfigError(f"the manifest's {key} is {doc[key]!r}, not {expected}")
-    cfg = _section(doc, "lspn", lspn_mod.LspnConfig)
-    names = lspn_mod.parameter_names(cfg)[:-1]
-    if doc["weights"] != names:
-        raise ConfigError(f"the manifest lists weights {doc['weights']}, but its lspn "
-                          f"section gives {names}")
-    params = []
-    for name in names:
-        array, header = read_tensor(in_dir / "weights" / f"{name}.g2t")
-        if header.get("kind") != "weights":
-            raise ConfigError(f"checkpoint tensor {name} has kind {header.get('kind')!r}")
-        params.append(array)
-    params.append(np.asarray(doc["log_sigma"], dtype=np.float32))
-    model = lspn_mod.model_from_parameters(cfg, params)
-    # Frozen as banks are, so scoring builds its first-layer tables once (g2sf.lspn).
-    for param in params:
-        param.setflags(write=False)
-    return Checkpoint(model, DistanceNormalizer.from_dict(doc["normalizer"]),
-                      _section(doc, "loss", losses_mod.LossConfig),
-                      _section(doc, "train", TrainConfig), int(doc["epoch"]))
+def _checkpoint_from_container(flat: np.ndarray, header: dict) -> Checkpoint:
+    kind, fmt = header.get("kind"), header.get("format")
+    if kind != "checkpoint" or fmt != CHECKPOINT_FORMAT:
+        raise ConfigError(f"the container has kind {kind!r} and format {fmt!r}, "
+                          f"not a {CHECKPOINT_FORMAT} checkpoint")
+    means = check_keys("the header's normalizer", header["normalizer"], ("mean_pc", "mean_rgb"))
+    if not all(type(v) in (int, float) and v > 0 for v in means.values()):
+        raise ConfigError(f"the header's normalizer is {means!r}, not two positive means")
+    cfg = _section(header, "lspn", lspn_mod.LspnConfig)
+    shapes = [shape for _, fan_in, fan_out, _ in lspn_mod._layout(cfg)
+              for shape in ((fan_out, fan_in), (fan_out,))] + [(2,)]
+    ends = np.cumsum([np.prod(shape) for shape in shapes])
+    if flat.shape != (ends[-1],):
+        raise ConfigError(f"the payload has shape {flat.shape}; the header's lspn section "
+                          f"gives a network of {ends[-1]} values")
+    # Read-only before slicing, so every parameter view is frozen (g2sf.lspn).
+    flat.setflags(write=False)
+    params = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    return Checkpoint(lspn_mod.model_from_parameters(cfg, params),
+                      DistanceNormalizer.from_dict(means),
+                      _section(header, "loss", losses_mod.LossConfig))

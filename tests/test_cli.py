@@ -97,7 +97,7 @@ class TestChain:
         bank_doc = json.loads((run / "bank_manifest.json").read_text())
         assert sorted(bank_doc["outputs"]) == ["banks/pc.g2t", "banks/rgb.g2t"]
         assert (run / "pool").is_dir()
-        assert (run / "checkpoints" / "final" / "manifest.json").exists()
+        assert (run / "checkpoint.g2t").is_file() and not (run / "checkpoints").exists()
         assert (run / "scores").is_dir()
         assert (run / "reports" / "eval.json").exists()
         assert (run / "reports" / "ablation_scores.csv").exists()
@@ -227,6 +227,33 @@ class TestExitCodes:
         assert main(["gen", "--out", str(tmp_path / "d"),
                      "--set", "gen.bogus=1"]) == 2
 
+    @pytest.mark.parametrize("key", ["train.validate", "lspn.joint_dim", "seed.real",
+                                     "loss.k.numerator"])
+    def test_attribute_that_is_not_a_field_is_unknown(self, tmp_path, capsys, key):
+        # A method, a property and an attribute of a value crashed with a
+        # KeyError traceback and exit 1, from --set and from a config file.
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = 2\n")
+        for argv in (["--set", f"{key}=2"], ["--config", str(path)]):
+            capsys.readouterr()
+            assert main(["gen", "--out", str(tmp_path / "d"), *argv]) == 2
+            assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("stage", STAGES[1:])
+    def test_run_equal_to_data_refused(self, chain_copy, cfg_path, capsys, stage):
+        # With --run equal to --data, the train stage's manifest is the
+        # dataset's train_manifest.json, which --force would overwrite. Every
+        # stage after gen refuses, naming both, and the dataset keeps its bytes.
+        data, _ = chain_copy
+        before = tree_bytes(data)
+        capsys.readouterr()
+        same = data / ".." / data.name
+        assert run_stage(stage, cfg_path, data, same, "--force") == 2
+        err = capsys.readouterr().err
+        assert f"--run {same}" in err and f"--data {data}" in err
+        assert tree_bytes(data) == before
+
     def test_missing_upstream_is_config_error(self, tmp_path, cfg_path):
         assert main(["bank", "--config", str(cfg_path), "--data", str(tmp_path / "no"),
                      "--run", str(tmp_path / "r")]) == 2
@@ -294,13 +321,12 @@ class TestExitCodes:
         assert "all" in out and "invariants hold" in out
 
     def test_selftest_corrupted_checkpoint_named_failure(self, tmp_path, capsys):
-        ckpt_dir = tmp_path / "ck"
-        ckpt_dir.mkdir()
-        (ckpt_dir / "manifest.json").write_text("{notjson")
-        assert main(["selftest", "--checkpoint", str(ckpt_dir)]) == 1
+        ckpt = tmp_path / "ck.g2t"
+        ckpt.write_text("{notjson")
+        assert main(["selftest", "--checkpoint", str(ckpt)]) == 1
         out = capsys.readouterr().out
         assert "checkpoint_integrity" in out and "FAIL" in out
-        assert f"{ckpt_dir} has a checkpoint manifest that is not JSON" in out
+        assert f"{ckpt}: bad magic" in out
 
     @pytest.mark.parametrize("argv", [["--seed", "3"], ["--threads", "2"], ["--force"],
                                       ["--set", "train.epochs=5"], ["--config", "CFG"]],
@@ -410,39 +436,46 @@ class TestEditedArtifacts:
 
     def test_edited_weights_reach_score(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
-        path = next((run / "checkpoints" / "final" / "weights").iterdir())
+        path = run / "checkpoint.g2t"
         path.write_bytes(path.read_bytes()[:-4] + b"\0\0\0\0")
         self.assert_stale(capsys, "score", cfg_path, data, run,
                           "train recorded its output", path.name)
 
     def test_old_checkpoint_format_exits_2(self, chain_copy, cfg_path, capsys):
-        # A checkpoint of an earlier format whose train manifest records it:
-        # the chain is consistent, and the checkpoint itself is refused by
-        # its format's name. A real v2 manifest still holds train.eval_every,
-        # a v3 one train.beta1/beta2/eps, and every one up to v4 the config
-        # hash.
+        # A checkpoint that names an earlier format, recorded by its train
+        # manifest: the chain is consistent, and the checkpoint itself is
+        # refused by its path and its format's name. A run trained before
+        # checkpoints were one file holds checkpoints/final/ instead, which
+        # its train manifest records: score refuses it too, saying to retrain.
         import hashlib
 
+        from g2sf.tensorio import read_tensor, write_tensor
+
         data, run = chain_copy
-        ckpt = run / "checkpoints" / "final" / "manifest.json"
-        original = ckpt.read_text()
-        for fmt, train_fields in (("g2sf-checkpoint-v1", {}),
-                                  ("g2sf-checkpoint-v2", {"eval_every": 0}),
-                                  ("g2sf-checkpoint-v3",
-                                   {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
-                                  ("g2sf-checkpoint-v4", {})):
-            doc = json.loads(original)
-            doc.update(format=fmt, config_hash="0" * 64)
-            doc["train"].update(train_fields)
-            ckpt.write_text(json.dumps(doc))
+        ckpt = run / "checkpoint.g2t"
+        flat, header = read_tensor(ckpt)
+
+        def record(outputs):
             train_doc = json.loads((run / "train_manifest.json").read_text())
-            train_doc["outputs"]["checkpoints/final/manifest.json"] = \
-                hashlib.sha256(ckpt.read_bytes()).hexdigest()
+            train_doc["outputs"] = {rel: hashlib.sha256((run / rel).read_bytes()).hexdigest()
+                                    for rel in outputs}
             train_doc["digest"] = _digest(train_doc)
             (run / "train_manifest.json").write_text(json.dumps(train_doc))
             capsys.readouterr()
             assert run_stage("score", cfg_path, data, run, "--force") == 2
-            assert fmt in capsys.readouterr().err
+            return capsys.readouterr().err
+
+        for version in range(1, 6):
+            fmt = f"g2sf-checkpoint-v{version}"
+            write_tensor(ckpt, flat, {**header, "format": fmt})
+            err = record(["train_log.jsonl", "checkpoint.g2t"])
+            assert f"{ckpt}: " in err and fmt in err
+        old = run / "checkpoints" / "final" / "manifest.json"
+        old.parent.mkdir(parents=True)
+        old.write_text(json.dumps({"format": "g2sf-checkpoint-v5"}))
+        ckpt.unlink()
+        err = record(["train_log.jsonl", "checkpoints/final/manifest.json"])
+        assert f"{ckpt} is not a checkpoint file" in err and "retrain it" in err
 
     def test_old_format_manifest_exits_3(self, chain_copy, cfg_path, capsys):
         data, run = chain_copy
@@ -516,7 +549,7 @@ class TestEveryArtifactHashed:
                        json.loads((root / f"{stage}_manifest.json").read_text())["outputs"]}
         on_disk = {p for root in (data, run) for p in root.rglob("*") if p.is_file()}
         assert on_disk - manifests == listed
-        assert run / "pool_manifest.json" in listed and len(listed) == 630
+        assert run / "pool_manifest.json" in listed and len(listed) == 618
 
 
 class TestAblateReadsScores:
@@ -529,7 +562,7 @@ class TestAblateReadsScores:
         from g2sf import cli, evaluation, lspn, trainer
 
         data, run = chain_copy
-        checkpoint = trainer.load_checkpoint(run / "checkpoints" / "final")
+        checkpoint = trainer.load_checkpoint(run / "checkpoint.g2t")
         checkpoint.banks = cli._load_banks(run)
         test_manifest = load_manifest(data / "test_manifest.json")
         scored = evaluation.score_split(checkpoint, test_manifest)
@@ -586,7 +619,7 @@ class TestSpecialModes:
         assert all(c == 0 for c in codes.values())
         assert main(["train", "--config", str(cfg_path), "--data", str(data),
                      "--run", str(run), "--epochs", "0"]) == 0
-        ckpt = load_checkpoint(run / "checkpoints" / "final")
+        ckpt = load_checkpoint(run / "checkpoint.g2t")
         cfg = build_config(cfg_path)
         reference = init_model(dataclasses.replace(cfg.lspn, dim_pc=6, dim_rgb=6), cfg.seed)
         for a, b in zip(parameters(ckpt.model), parameters(reference)):
@@ -640,24 +673,31 @@ class TestSpecialModes:
         assert tree_bytes(data_a) == tree_bytes(data_b)
         assert tree_bytes(run_a) == tree_bytes(run_b)
 
-    def test_checkpoint_bytes_ignore_settings_training_ignores(self, tmp_path):
+    def test_checkpoint_bytes_ignore_settings_training_ignores(self, tmp_path, capsys):
         # Two desk chains that differ only in gen.n_test train the same
-        # model from the same training split: their checkpoint trees are
+        # model from the same training split: their checkpoints are
         # byte-identical, and only the stage manifests record the config.
+        # The embedded suite passes on the trained checkpoint.
         from pathlib import Path
 
+        from g2sf.tensorio import read_tensor
+
         desk = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
-        trees = []
+        checkpoints = []
         for name, extra in (("a", []), ("b", ["--set", "gen.n_test=24"])):
             data, run = tmp_path / name / "data", tmp_path / name / "run"
             assert main(["gen", "--config", str(desk), "--out", str(data), *extra]) == 0
             for stage in ("bank", "synth", "train"):
                 assert main([stage, "--config", str(desk), "--data", str(data),
                              "--run", str(run), *extra]) == 0
-            trees.append(tree_bytes(run / "checkpoints" / "final"))
-        assert trees[0] == trees[1]
-        manifest = json.loads(trees[0]["manifest.json"])
-        assert manifest["format"] == "g2sf-checkpoint-v5" and "config_hash" not in manifest
+            checkpoints.append(run / "checkpoint.g2t")
+        assert checkpoints[0].read_bytes() == checkpoints[1].read_bytes()
+        _, header = read_tensor(checkpoints[0])
+        assert header["format"] == "g2sf-checkpoint-v6" and "config_hash" not in header
+        capsys.readouterr()
+        assert main(["selftest", "--checkpoint", str(checkpoints[0])]) == 0
+        out = capsys.readouterr().out
+        assert any(line.startswith("PASS checkpoint_integrity") for line in out.splitlines())
         hashes = [json.loads((tmp_path / name / "run" / "train_manifest.json").read_text())
                   ["config_hash"] for name in ("a", "b")]
         assert hashes[0] != hashes[1]

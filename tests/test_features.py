@@ -102,6 +102,19 @@ class TestContainer:
             read_feature_map(path)
         assert err.value.offset == len(raw) - 8
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_payload_offset(self, tmp_path, value):
+        # Finiteness is read from the payload's min and max: an infinity of
+        # either sign is found and placed as a NaN is.
+        path = tmp_path / "inf.g2t"
+        write_tensor(path, np.ones(5, dtype=np.float32))
+        raw = bytearray(path.read_bytes())
+        raw[-12:-8] = struct.pack("<f", value)  # flat element 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="flat index 2") as err:
+            read_tensor(path)
+        assert err.value.offset == len(raw) - 12
+
     def test_read_returns_owned_writable_array(self, tmp_path):
         # The payload is read into the returned array itself: no view of a
         # file-sized buffer, and callers may write to it.
@@ -114,6 +127,29 @@ class TestContainer:
         assert array.dtype == np.dtype("<f4") and header["kind"] == "probe"
         np.testing.assert_array_equal(array, data)
         array[0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("header", [
+        b"3", b"null", b'"text"', b"[]",
+        b'{"dtype":"f32le","order":"C","shape":2}',
+        b'{"dtype":"f32le","order":"C","shape":"2"}',
+        b'{"dtype":"f32le","order":"C","shape":null}',
+        b'{"dtype":"f32le","order":"C","shape":[2.5]}',
+        b'{"dtype":"f32le","order":"C","shape":[true]}',
+        b'{"dtype":"f32le","order":"C","shape":[2,0]}',
+        b'{"dtype":"f32le","order":"C","shape":[-1]}',
+    ], ids=["number", "null", "string", "list", "shape_number", "shape_string", "shape_null",
+            "shape_float", "shape_bool", "shape_zero", "shape_negative"])
+    def test_header_types_checked(self, tmp_path, header):
+        # A header that is not a JSON object raised a bare TypeError, a shape
+        # that is not a list a TypeError or ValueError; [2.5] loaded as (2,)
+        # and [true] as (1,). Each is now refused naming the file, at the
+        # header's offset.
+        path = tmp_path / "h.g2t"
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header
+                         + np.ones(2, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="h.g2t") as err:
+            read_tensor(path)
+        assert err.value.offset == 12
 
     def test_empty_map_rejected(self, tmp_path):
         with pytest.raises(FormatError):

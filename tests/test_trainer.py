@@ -356,155 +356,202 @@ class TestChunkedObjective:
         assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
+def _rewrite(path, edit):
+    """Rewrite the container at ``path`` with the header and payload that
+    ``edit(header, payload)`` leaves: the header as edited in place, the
+    payload as returned when it returns an array. Nothing is checked, so the
+    payload may hold what ``write_tensor`` refuses."""
+    import json
+    import struct
+
+    from g2sf.tensorio import MAGIC, read_tensor
+
+    payload, header = read_tensor(path)
+    edited = edit(header, payload)
+    payload = edited if isinstance(edited, np.ndarray) else payload
+    header["shape"] = list(payload.shape)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                     + np.ascontiguousarray(payload, dtype="<f4").tobytes())
+
+
 class TestCheckpoint:
     def test_roundtrip_bitexact_forward(self, desk_checkpoint, desk_banks, tmp_path,
                                         desk_pool):
         banks, _ = desk_banks
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "ck")
-        back = load_checkpoint(tmp_path / "ck")
-        assert back.epoch == ckpt.epoch
-        assert back.m0 == ckpt.m0
+        save_checkpoint(ckpt, tmp_path / "ck.g2t")
+        back = load_checkpoint(tmp_path / "ck.g2t")
+        assert back.loss_cfg == ckpt.loss_cfg and back.model.cfg == ckpt.model.cfg
         assert back.normalizer.to_dict() == ckpt.normalizer.to_dict()
         rows = np.arange(64)
         w_a = scale_factors(ckpt.model, desk_pool, banks, rows)
         w_b = scale_factors(back.model, desk_pool, banks, rows)
         assert w_a.tobytes() == w_b.tobytes()
 
+    def test_one_container(self, desk_checkpoint, tmp_path):
+        # The payload is every parameter in order, log sigma last; the header
+        # holds what scoring reads, and nothing of training's schedule.
+        from g2sf.tensorio import read_tensor
+
+        ckpt, _ = desk_checkpoint
+        save_checkpoint(ckpt, tmp_path / "ck.g2t")
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.g2t"]
+        flat, header = read_tensor(tmp_path / "ck.g2t")
+        want = np.concatenate([p.ravel() for p in parameters(ckpt.model)])
+        assert flat.tobytes() == want.astype(np.float32).tobytes()
+        assert set(header) == {"shape", "dtype", "order", "kind", "format", "lspn", "loss",
+                               "normalizer"}
+        assert header["kind"] == "checkpoint" and header["format"] == "g2sf-checkpoint-v6"
+        assert header["lspn"]["branch_widths"] == list(ckpt.model.cfg.branch_widths)
+        assert header["loss"]["m0"] == ckpt.m0
+        assert header["normalizer"] == ckpt.normalizer.to_dict()
+
     def test_old_format_rejected(self, desk_checkpoint, tmp_path):
-        # A checkpoint in an earlier format is refused by name: v1 with its
-        # top-level m0, its rng_state and its train.dropout, v2 with its
-        # train.eval_every, the cadence of the retired epoch snapshots, v3
-        # with its train.beta1/beta2/eps, now Adam's fixed constants, v4
-        # with the config hash only the stage manifests now record. Every
-        # earlier format carried that hash.
+        # Formats v1 to v5 were directories: a JSON manifest (v1 with its
+        # top-level m0 and rng_state, v2 with the snapshot cadence, v3 with
+        # Adam's constants, v4 with the config hash) beside one container per
+        # weight. Each is refused by path, with the advice to retrain, and so
+        # is a container that names an earlier format.
         import json
 
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
-        old = {"g2sf-checkpoint-v1": ({"m0": ckpt.m0, "rng_state": None}, {"dropout": 0.5}),
-               "g2sf-checkpoint-v2": ({}, {"eval_every": 0}),
-               "g2sf-checkpoint-v3": ({}, {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
-               "g2sf-checkpoint-v4": ({}, {})}
-        for fmt, (top, train_fields) in old.items():
-            save_checkpoint(ckpt, tmp_path / fmt)
-            path = tmp_path / fmt / "manifest.json"
-            doc = json.loads(path.read_text())
-            doc.update(format=fmt, config_hash="0" * 64, **top)
-            doc["train"].update(train_fields)
-            path.write_text(json.dumps(doc))
-            with pytest.raises(ConfigError, match=fmt):
-                load_checkpoint(tmp_path / fmt)
+        for version in range(1, 6):
+            old = tmp_path / f"v{version}"
+            (old / "weights").mkdir(parents=True)
+            (old / "manifest.json").write_text(
+                json.dumps({"format": f"g2sf-checkpoint-v{version}"}))
+            with pytest.raises(ConfigError) as err:
+                load_checkpoint(old)
+            assert str(err.value).startswith(f"{old} is not a checkpoint file")
+            assert str(err.value).endswith("retrain it")
+        path = tmp_path / "v5.g2t"
+        save_checkpoint(ckpt, path)
+        _rewrite(path, lambda header, _: header.update(format="g2sf-checkpoint-v5"))
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ") and "'g2sf-checkpoint-v5'" in str(err.value)
 
     def test_malformed_manifest_names_directory(self, desk_checkpoint, tmp_path):
-        # A truncated manifest, one that is not a JSON object and one that
-        # lacks a key are each refused as ConfigError naming the directory
-        # (and the key), not as a bare JSONDecodeError or KeyError.
-        import json
+        # The manifest is now the container's header. One that is not a JSON
+        # object, or lacks a key, is refused as ConfigError naming the
+        # checkpoint's path (and the key), not as a bare TypeError or
+        # KeyError.
+        import struct
 
         from g2sf.errors import ConfigError
+        from g2sf.tensorio import MAGIC
 
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "good")
-        text = (tmp_path / "good" / "manifest.json").read_text()
-        no_normalizer = json.loads(text)
-        del no_normalizer["normalizer"]
-        no_dim = json.loads(text)
-        del no_dim["lspn"]["dim_pc"]
-        cases = {"truncated": (text[: len(text) // 2], "not JSON"),
-                 "listed": ("[]", "checkpoint format None"),
-                 "no_normalizer": (json.dumps(no_normalizer), "without key 'normalizer'"),
-                 "no_dim": (json.dumps(no_dim), "without key 'dim_pc'")}
-        for name, (body, what) in cases.items():
-            save_checkpoint(ckpt, tmp_path / name)
-            (tmp_path / name / "manifest.json").write_text(body)
+        listed = tmp_path / "listed.g2t"
+        listed.write_bytes(MAGIC + struct.pack("<I", 2) + b"[]")
+        no_normalizer, no_dim = tmp_path / "no_normalizer.g2t", tmp_path / "no_dim.g2t"
+        for path in (no_normalizer, no_dim):
+            save_checkpoint(ckpt, path)
+        _rewrite(no_normalizer, lambda header, _: header.pop("normalizer"))
+        _rewrite(no_dim, lambda header, _: header["lspn"].pop("dim_pc"))
+        for path, what in ((listed, "is not a JSON object"),
+                           (no_normalizer, "without key 'normalizer'"),
+                           (no_dim, "without key 'dim_pc'")):
             with pytest.raises(ConfigError) as err:
-                load_checkpoint(tmp_path / name)
-            assert str(tmp_path / name) in str(err.value) and what in str(err.value)
+                load_checkpoint(path)
+            assert str(path) in str(err.value) and what in str(err.value)
 
-    @pytest.mark.parametrize("key, value, what", [
-        ("normalizer", [1, 2], "the manifest's normalizer is not a JSON object"),
-        ("normalizer", {"mean_pc": "x", "mean_rgb": 1.0}, "normalizer is {'mean_pc': 'x'"),
-        ("epoch", "x", "the manifest's epoch is 'x', not a nonnegative integer"),
-        ("epoch", 2.5, "the manifest's epoch is 2.5, not a nonnegative integer"),
-        ("log_sigma", "x", "the manifest's log_sigma is 'x', not two finite numbers"),
-        ("log_sigma", ["a", "b"], "log_sigma is ['a', 'b'], not two finite numbers"),
-        ("log_sigma", [0.0], "log_sigma is [0.0], not two finite numbers"),
-        ("log_sigma", [0.0, float("nan")], "log_sigma is [0.0, nan], not two finite numbers"),
-    ], ids=["normalizer_list", "normalizer_text", "epoch_text", "epoch_float", "log_sigma_text",
-            "log_sigma_texts", "log_sigma_one", "log_sigma_nan"])
-    def test_value_types_named(self, desk_checkpoint, tmp_path, key, value, what):
-        # A list normalizer escaped as a TypeError, a text epoch or log_sigma
-        # as a ValueError; a text mean or a fractional epoch loaded as it was.
-        import json
-
+    @pytest.mark.parametrize("edit, what", [
+        (lambda header, _: header.update(normalizer=[1, 2]),
+         "the header's normalizer is not a JSON object"),
+        (lambda header, _: header.update(normalizer={"mean_pc": "x", "mean_rgb": 1.0}),
+         "normalizer is {'mean_pc': 'x'"),
+        (lambda _, flat: flat[:-1], "the payload has shape"),
+        (lambda _, flat: np.append(flat[:-1], np.nan), "non-finite payload value"),
+    ], ids=["normalizer_list", "normalizer_text", "log_sigma_one", "log_sigma_nan"])
+    def test_value_types_named(self, desk_checkpoint, tmp_path, edit, what):
+        # A list normalizer escaped as a TypeError, a text mean loaded as it
+        # was. Log sigma is the payload's last two values: a payload one
+        # value short, so without a second log sigma, or one whose last value
+        # is NaN is refused by path like any other bad payload.
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "ck")
-        path = tmp_path / "ck" / "manifest.json"
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "ck.g2t"
+        save_checkpoint(ckpt, path)
+        _rewrite(path, edit)
         with pytest.raises(ConfigError) as err:
-            load_checkpoint(tmp_path / "ck")
-        assert str(err.value).startswith(f"{tmp_path / 'ck'}: ") and what in str(err.value)
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ") and what in str(err.value)
 
     @pytest.mark.parametrize("section, edit, what", [
-        ("train", lambda part: part.update(extra=1), "has unknown key 'extra'"),
-        ("train", lambda part: part.pop("epochs"), "is without key 'epochs'"),
         ("loss", lambda part: part.update(extra=1), "has unknown key 'extra'"),
         ("loss", lambda part: part.pop("eta0"), "is without key 'eta0'"),
         ("lspn", lambda part: part.update(extra=1), "has unknown key 'extra'"),
-    ], ids=["train_extra", "train_missing", "loss_extra", "loss_missing", "lspn_extra"])
+    ], ids=["loss_extra", "loss_missing", "lspn_extra"])
     def test_config_section_keys_named(self, desk_checkpoint, tmp_path, section, edit, what):
-        # An unknown key escaped as a TypeError (train, loss) or was ignored
-        # (lspn); a missing train or loss key silently took its default.
-        import json
-
+        # An unknown key escaped as a TypeError (loss) or was ignored (lspn);
+        # a missing loss key silently took its default.
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "ck")
-        path = tmp_path / "ck" / "manifest.json"
-        doc = json.loads(path.read_text())
-        edit(doc[section])
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "ck.g2t"
+        save_checkpoint(ckpt, path)
+        _rewrite(path, lambda header, _: edit(header[section]))
         with pytest.raises(ConfigError) as err:
-            load_checkpoint(tmp_path / "ck")
-        assert str(err.value).startswith(f"{tmp_path / 'ck'}: ")
-        assert f"the manifest's {section} section {what}" in str(err.value)
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert f"the header's {section} section {what}" in str(err.value)
 
     @pytest.mark.parametrize("field, value, what", [
-        ("branch_widths", [16], "lists weights"),
-        ("dim_pc", 9, "block proto_0"),
+        ("branch_widths", [16], "gives a network of"),
+        ("dim_pc", 9, "gives a network of"),
         ("branch_widths", [], "must be non-empty"),
     ], ids=["cut_branch", "wider_pc", "empty_branch"])
     def test_lspn_section_must_match_weights(self, desk_checkpoint, tmp_path, field, value,
                                              what):
-        # An lspn section edited away from the weights (a branch layer cut,
-        # a wider pc input) or out of range is refused by directory, never
-        # loaded as some other network.
-        import json
-
+        # An lspn section edited away from the payload (a branch layer cut,
+        # a wider pc input) or out of range is refused by path, never loaded
+        # as some other network.
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "ck")
-        path = tmp_path / "ck" / "manifest.json"
-        doc = json.loads(path.read_text())
-        doc["lspn"][field] = value
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "ck.g2t"
+        save_checkpoint(ckpt, path)
+        _rewrite(path, lambda header, _: header["lspn"].update({field: value}))
         with pytest.raises(ConfigError) as err:
-            load_checkpoint(tmp_path / "ck")
-        assert str(tmp_path / "ck") in str(err.value) and what in str(err.value)
+            load_checkpoint(path)
+        assert str(path) in str(err.value) and what in str(err.value)
+
+    @pytest.mark.parametrize("case", ["truncated", "wrong_kind", "bank"])
+    def test_refused_naming_the_path(self, desk_checkpoint, desk_banks, tmp_path, case):
+        # A truncated container, a checkpoint whose header names another
+        # kind, and a bank's container are each a ConfigError that names the
+        # checkpoint's path.
+        from g2sf.bank import save_bank
+        from g2sf.errors import ConfigError
+
+        ckpt, _ = desk_checkpoint
+        path = tmp_path / "ck.g2t"
+        save_checkpoint(ckpt, path)
+        if case == "truncated":
+            path.write_bytes(path.read_bytes()[:-3])
+            what = "payload is"
+        elif case == "wrong_kind":
+            _rewrite(path, lambda header, _: header.update(kind="weights"))
+            what = "kind 'weights'"
+        else:
+            save_bank(desk_banks[0]["pc"], path)
+            what = "kind 'memory_bank'"
+        with pytest.raises(ConfigError) as err:
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: ") and what in str(err.value)
 
     def test_double_save_identical_bytes(self, desk_checkpoint, tmp_path):
+        # Two saves write the same bytes, and so does a save of what a load
+        # of them reads.
         ckpt, _ = desk_checkpoint
-        save_checkpoint(ckpt, tmp_path / "a")
-        save_checkpoint(ckpt, tmp_path / "b")
-        files_a = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
-                         if p.is_file())
-        for rel in files_a:
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        save_checkpoint(ckpt, tmp_path / "a.g2t")
+        save_checkpoint(ckpt, tmp_path / "b.g2t")
+        save_checkpoint(load_checkpoint(tmp_path / "a.g2t"), tmp_path / "c.g2t")
+        first = (tmp_path / "a.g2t").read_bytes()
+        assert (tmp_path / "b.g2t").read_bytes() == first
+        assert (tmp_path / "c.g2t").read_bytes() == first
