@@ -161,6 +161,9 @@ class SampleRef:
     image_label: int | None = None
 
 
+SPLITS = ("train", "test", "pool")
+
+
 @dataclass
 class DatasetManifest:
     split: str
@@ -171,7 +174,7 @@ class DatasetManifest:
     root: Path | None = None
 
     def __post_init__(self):
-        if self.split not in ("train", "test", "pool"):
+        if self.split not in SPLITS:
             raise ConfigError(f"split must be train, test or pool, got {self.split!r}")
 
 
@@ -239,6 +242,7 @@ def load_manifest(path) -> DatasetManifest:
         raise FormatError(f"manifest {path} has unknown format {doc['format']!r}")
     dims = doc["dims"]
     for key, ok, expected in (
+            ("split", doc["split"] in SPLITS, "train, test or pool"),
             ("grid", _positive_ints(doc["grid"], 2), "two positive integers"),
             ("dims", isinstance(dims, dict) and sorted(dims) == list(MODALITIES)
              and _positive_ints(list(dims.values()), 2), "a positive integer per modality"),

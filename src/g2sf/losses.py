@@ -5,11 +5,17 @@ metric values down and anomalous ones up, a batch-wise margin term against
 class overlap, a neighborhood consistency term bounding the metric across
 the 2k+1 local spaces, an asymmetric scaling term anchoring the factors
 themselves, and a cross-modal alignment term driving permuted (mismatched)
-modality pairings toward the anomalous limit e.
+modality pairings toward the anomalous limit e. L1 on the network's weight
+matrices rides along.
 
-All sums run over batch items, not means; hinges (x)_+ take subgradient 0 on
-the inactive side and at the kink. The batch-wise margin bounds m_l / m_u
-are treated as constants (no gradient through the min/max selection).
+Each term function evaluates its term once and returns (value, subgradient
+with respect to its input: l_0, l, w0, the negatives' w, or the weights). A
+hinge (x)_+ forms x once, sums max(x, 0) into the value and reads the mask
+x > 0 for the subgradient, which is 0 on the inactive side and at the kink.
+:func:`total_loss_with_grads` is the one pass that weighs and collects every
+term; :func:`total_loss` reads the same pass. All sums run over batch items,
+not means. The batch-wise margin bounds m_l / m_u are treated as constants
+(no gradient through the min/max selection).
 """
 from __future__ import annotations
 
@@ -99,23 +105,17 @@ def _hinge(x):
     return np.maximum(x, 0.0)
 
 
-def sep_loss(batch: LossBatch, m0: float) -> float:
+def sep_loss(batch: LossBatch, m0: float):
     """Normal items pay l_0; anomalous items pay (1/l_0 - 1/m0)_+ (l clamped)."""
     if m0 <= 0:
         raise ShapeError("m0 must be positive")
     l0 = batch.l[:, 0]
     safe = np.maximum(l0, _SAFE_INV)
-    terms = (1.0 - batch.y) * l0 + batch.y * _hinge(1.0 / safe - 1.0 / m0)
-    return terms.sum()
-
-
-def _sep_grad(batch: LossBatch, m0: float) -> np.ndarray:
-    l0 = batch.l[:, 0]
-    safe = np.maximum(l0, _SAFE_INV)
-    active = (1.0 / safe - 1.0 / m0) > 0
+    excess = 1.0 / safe - 1.0 / m0
+    value = ((1.0 - batch.y) * l0 + batch.y * _hinge(excess)).sum()
     grad = (1.0 - batch.y).astype(np.float64)
-    grad += batch.y * np.where(active & (l0 > _SAFE_INV), -1.0 / (safe * safe), 0.0)
-    return grad
+    grad += batch.y * np.where((excess > 0) & (l0 > _SAFE_INV), -1.0 / (safe * safe), 0.0)
+    return value, grad
 
 
 def margin_bounds(batch: LossBatch):
@@ -135,26 +135,19 @@ def margin_bounds(batch: LossBatch):
 
 
 def margin_loss(batch: LossBatch, bounds=None):
-    """Overlap penalty scaled by 1/m_u; returns (value, skipped)."""
+    """Overlap penalty scaled by 1/m_u; skipped (0.0, zeros) without bounds."""
     if bounds is None:
         bounds = margin_bounds(batch)
-    if bounds is None:
-        return 0.0, True
-    m_l, m_u = bounds
-    l0 = batch.l[:, 0]
-    terms = (1.0 - batch.y) * _hinge(l0 - m_l) + batch.y * _hinge(m_u - l0)
-    return terms.sum() / m_u, False
-
-
-def _margin_grad(batch: LossBatch, bounds) -> np.ndarray:
     grad = np.zeros(batch.y.shape[0])
     if bounds is None:
-        return grad
+        return 0.0, grad
     m_l, m_u = bounds
     l0 = batch.l[:, 0]
-    grad += (1.0 - batch.y) * (l0 > m_l) / m_u
-    grad -= batch.y * (m_u > l0) / m_u
-    return grad
+    over, under = l0 - m_l, m_u - l0
+    value = ((1.0 - batch.y) * _hinge(over) + batch.y * _hinge(under)).sum() / m_u
+    grad += (1.0 - batch.y) * (over > 0) / m_u
+    grad -= batch.y * (under > 0) / m_u
+    return value, grad
 
 
 def eta_coefficients(batch: LossBatch, eta0: float) -> np.ndarray:
@@ -164,59 +157,53 @@ def eta_coefficients(batch: LossBatch, eta0: float) -> np.ndarray:
     return eta0 * s_total / denom
 
 
-def consistency_loss(batch: LossBatch, eta0: float, k: int) -> float:
+def consistency_loss(batch: LossBatch, eta0: float, k: int):
     """Proximal ranks bounded above by eta_j * l_0, distal ranks below by l_0."""
     if batch.l.shape[1] != 2 * k + 1:
         raise ShapeError(f"consistency loss needs 2k+1={2 * k + 1} ranks, got {batch.l.shape[1]}")
     eta = eta_coefficients(batch, eta0)
     l0 = batch.l[:, :1]
-    proximal = _hinge(batch.l[:, 1 : k + 1] - eta[:, 1 : k + 1] * l0)
-    distal = _hinge(l0 - batch.l[:, k + 1 :])
-    return (proximal.sum() + distal.sum()) / k
-
-
-def _consistency_grad(batch: LossBatch, eta0: float, k: int) -> np.ndarray:
-    eta = eta_coefficients(batch, eta0)
-    l0 = batch.l[:, :1]
+    proximal = batch.l[:, 1 : k + 1] - eta[:, 1 : k + 1] * l0
+    distal = l0 - batch.l[:, k + 1 :]
+    value = (_hinge(proximal).sum() + _hinge(distal).sum()) / k
+    prox_active = (proximal > 0).astype(np.float64)
+    dist_active = (distal > 0).astype(np.float64)
     grad = np.zeros_like(batch.l, dtype=np.float64)
-    prox_active = ((batch.l[:, 1 : k + 1] - eta[:, 1 : k + 1] * l0) > 0).astype(np.float64)
-    dist_active = ((l0 - batch.l[:, k + 1 :]) > 0).astype(np.float64)
     grad[:, 1 : k + 1] += prox_active / k
     grad[:, :1] += -(prox_active * eta[:, 1 : k + 1] / k).sum(axis=1, keepdims=True)
     grad[:, k + 1 :] += -dist_active / k
     grad[:, :1] += dist_active.sum(axis=1, keepdims=True) / k
-    return grad
+    return value, grad
 
 
-def scaling_loss(batch: LossBatch) -> float:
+def scaling_loss(batch: LossBatch):
     """Normals pay (w - 1)_+ per modality; anomalies pay (e - w)."""
     y = batch.y[:, None]
-    terms = (1.0 - y) * _hinge(batch.w0 - 1.0) + y * (E - batch.w0)
-    return terms.sum()
+    over = batch.w0 - 1.0
+    value = ((1.0 - y) * _hinge(over) + y * (E - batch.w0)).sum()
+    return value, (1.0 - y) * (over > 0) - y
 
 
-def _scaling_grad(batch: LossBatch) -> np.ndarray:
-    y = batch.y[:, None]
-    return (1.0 - y) * (batch.w0 > 1.0) - y
-
-
-def cma_loss(neg_w: np.ndarray | None) -> float:
+def cma_loss(neg_w: np.ndarray | None):
     """Sum of (e - w) over permuted-pair scaling factors; 0 for an empty batch."""
     if neg_w is None or len(neg_w) == 0:
-        return 0.0
+        return 0.0, np.zeros((0, 2))
     neg_w = np.atleast_2d(neg_w)
-    return (E - neg_w).sum()
+    return (E - neg_w).sum(), np.full(neg_w.shape, -1.0)
 
 
-def l1_penalty(model) -> float:
+def l1_penalty(model):
+    """Sum of |w| over the weight matrices. The subgradient yields (index in
+    :func:`g2sf.lspn.parameters`, sign(w)) per weight matrix, lazily, so no
+    more than one matrix's sign is held beside the network's gradients."""
     from .lspn import parameters
 
+    weights = [(i, p) for i, p in enumerate(parameters(model)) if p.ndim == 2]  # matrices only
     total = 0.0
-    for param in parameters(model):
-        if param.ndim == 2:  # weight matrices only
-            acc = np.float64 if param.dtype == np.float32 else param.dtype
-            total = total + np.abs(param).sum(dtype=acc)
-    return total
+    for _, param in weights:
+        acc = np.float64 if param.dtype == np.float32 else param.dtype
+        total = total + np.abs(param).sum(dtype=acc)
+    return total, ((i, np.sign(param)) for i, param in weights)
 
 
 def compute_m0(s0: np.ndarray) -> float:
@@ -225,9 +212,6 @@ def compute_m0(s0: np.ndarray) -> float:
     if s0.size == 0:
         raise ShapeError("cannot compute m0 from an empty pool")
     return float(2.0 * s0.max())
-
-
-_TERMS = ("sep", "mar", "cns", "sc", "cma", "l1")
 
 
 def combine_terms(parts: dict, cfg: LossConfig):
@@ -242,47 +226,49 @@ def combine_terms(parts: dict, cfg: LossConfig):
     )
 
 
+def _evaluate(batch: LossBatch, neg_w, cfg: LossConfig, model, margin):
+    """The one pass: every term evaluated once, weighed and collected. Both
+    public views call it, not each other, so a traced run (``perfbench``)
+    never nests one view's span in the other's."""
+    if cfg.m0 is None:
+        raise ShapeError("LossConfig.m0 must be set before computing losses")
+    terms = {
+        "sep": sep_loss(batch, cfg.m0),
+        "mar": margin_loss(batch, margin),
+        "cns": consistency_loss(batch, cfg.eta0, cfg.k),
+        "sc": scaling_loss(batch),
+        "cma": cma_loss(neg_w),
+        "l1": l1_penalty(model) if (model is not None and cfg.l1_weight > 0) else (0.0, ()),
+    }
+    parts = {name: value for name, (value, _) in terms.items()}
+    for name, value in parts.items():
+        if not np.isfinite(value):
+            raise DivergenceError(f"loss term {name!r} is non-finite")
+    dl = np.zeros_like(batch.l, dtype=np.float64)
+    dl[:, 0] += terms["sep"][1]
+    dl[:, 0] += cfg.alpha * terms["mar"][1]
+    dl += cfg.beta * terms["cns"][1]
+    dparams = ((i, cfg.l1_weight * sign) for i, sign in terms["l1"][1])
+    return (combine_terms(parts, cfg), parts, dl, cfg.gamma * terms["sc"][1],
+            cfg.mu * terms["cma"][1], dparams)
+
+
 def total_loss(batch: LossBatch, neg_w, cfg: LossConfig, model=None, margin=None):
-    """Weighted sum of all terms; returns (value, per-term breakdown).
+    """Weighted sum of all terms; returns (value, per-term breakdown), the
+    first two items of :func:`total_loss_with_grads`'s pass.
 
     The breakdown holds the *unweighted* term values. ``model`` may be None
     when ``cfg.l1_weight`` is 0.
     """
-    if cfg.m0 is None:
-        raise ShapeError("LossConfig.m0 must be set before computing losses")
-    mar, _ = margin_loss(batch, margin)
-    parts = {
-        "sep": sep_loss(batch, cfg.m0),
-        "mar": mar,
-        "cns": consistency_loss(batch, cfg.eta0, cfg.k),
-        "sc": scaling_loss(batch),
-        "cma": cma_loss(neg_w),
-        "l1": l1_penalty(model) if (model is not None and cfg.l1_weight > 0) else 0.0,
-    }
-    for name in _TERMS:
-        if not np.isfinite(parts[name]):
-            raise DivergenceError(f"loss term {name!r} is non-finite")
-    return combine_terms(parts, cfg), parts
+    return _evaluate(batch, neg_w, cfg, model, margin)[:2]
 
 
 def total_loss_with_grads(batch: LossBatch, neg_w, cfg: LossConfig, model=None, margin=None):
-    """Loss value, breakdown, and gradients w.r.t. the network outputs.
+    """Loss value, breakdown, and gradients, each term evaluated once.
 
-    Returns (value, parts, dl, dw0, dneg) where dl is dLoss/dl (B, 2k+1),
-    dw0 is the direct dLoss/dw0 (B, 2) from the scaling term, and dneg is
-    dLoss/dw~ (Bn, 2). All three already carry the loss weights. Gradients
-    of the L1 term are applied by the optimizer wiring, not here.
+    Returns (value, parts, dl, dw0, dneg, dparams): dl is dLoss/dl (B, 2k+1),
+    dw0 the direct dLoss/dw0 (B, 2) of the scaling term, dneg dLoss/dw~
+    (Bn, 2), and dparams the L1 term's (parameter index, dLoss/dW) pairs
+    (none when it is off). All carry the loss weights.
     """
-    if margin is None:
-        margin = margin_bounds(batch)
-    value, parts = total_loss(batch, neg_w, cfg, model, margin)
-    dl = np.zeros_like(batch.l, dtype=np.float64)
-    dl[:, 0] += _sep_grad(batch, cfg.m0)
-    dl[:, 0] += cfg.alpha * _margin_grad(batch, margin)
-    dl += cfg.beta * _consistency_grad(batch, cfg.eta0, cfg.k)
-    dw0 = cfg.gamma * _scaling_grad(batch)
-    if neg_w is None or len(neg_w) == 0:
-        dneg = np.zeros((0, 2))
-    else:
-        dneg = np.full(np.atleast_2d(neg_w).shape, -cfg.mu)
-    return value, parts, dl, dw0, dneg
+    return _evaluate(batch, neg_w, cfg, model, margin)

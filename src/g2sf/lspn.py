@@ -88,7 +88,6 @@ __all__ = [
     "backward_batch",
     "metric_values",
     "parameters",
-    "parameter_names",
 ]
 
 
@@ -585,11 +584,3 @@ def parameters(model: LspnModel):
         out.extend((block.weight, block.bias))
     out.append(model.log_sigma)
     return out
-
-
-def parameter_names(cfg: LspnConfig):
-    """Names of :func:`parameters` of a model of ``cfg``: ``<block>_w`` and
-    ``<block>_b`` per block, then ``log_sigma``."""
-    names = [f"{name}_{part}" for name, *_ in _layout(cfg) for part in "wb"]
-    names.append("log_sigma")
-    return names

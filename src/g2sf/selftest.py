@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,6 @@ __all__ = [
     "label_components_bfs",
     "GradCheckProblem",
     "build_gradcheck_problem",
-    "objective_value",
-    "objective_gradients",
     "full_gradient_check",
     "run_all",
 ]
@@ -111,8 +109,8 @@ def aupro_bruteforce(score_maps, gt_masks, limit):
 @dataclass
 class GradCheckProblem:
     """A frozen batch in the trainer's own form: random banks, a one-sample
-    pool of cell features with their neighbor ids and raw distances, fixed
-    negatives, and margin bounds once frozen."""
+    pool of cell features with their neighbor ids and raw distances, and
+    fixed negatives."""
 
     lspn_cfg: lspn_mod.LspnConfig
     loss_cfg: LossConfig
@@ -120,7 +118,6 @@ class GradCheckProblem:
     banks: dict
     pool: TrainingPool
     neg: NegativeBatch
-    margin: tuple | None = None
 
 
 def build_gradcheck_problem(batch=8, k=5, dims=(8, 8), widths=((8, 8), (8,)),
@@ -147,23 +144,6 @@ def build_gradcheck_problem(batch=8, k=5, dims=(8, 8), widths=((8, 8), (8,)),
     return GradCheckProblem(lspn_cfg, loss_cfg, seed, banks, pool, neg)
 
 
-def _objective(model, problem: GradCheckProblem, want_grads: bool):
-    value, _, margin, grads = batch_objective(
-        model, problem.pool, problem.banks, problem.pool.train_indices, problem.neg,
-        problem.loss_cfg, margin=problem.margin, grads=want_grads)
-    return (value, grads, margin) if want_grads else value
-
-
-def objective_value(problem: GradCheckProblem, values):
-    return _objective(lspn_mod.model_from_parameters(problem.lspn_cfg, values), problem, False)
-
-
-def objective_gradients(problem: GradCheckProblem, dtype):
-    model = lspn_mod.init_model(problem.lspn_cfg, problem.seed).astype(dtype)
-    value, grads, margin = _objective(model, problem, True)
-    return model, value, grads, margin
-
-
 def full_gradient_check(dtype=np.float32, batch=8, seed=0, h=1e-6,
                         widths=((8, 8), (8,)), k=5):
     """Max relative error of the full-objective gradients at ``dtype``.
@@ -174,11 +154,18 @@ def full_gradient_check(dtype=np.float32, batch=8, seed=0, h=1e-6,
     against float64 gradients.
     """
     problem = build_gradcheck_problem(batch=batch, seed=seed, widths=widths, k=k)
-    model, _, grads, margin = objective_gradients(problem, dtype)
-    problem = replace(problem, margin=margin)
+    args = (problem.pool, problem.banks, problem.pool.train_indices, problem.neg,
+            problem.loss_cfg)
+    model = lspn_mod.init_model(problem.lspn_cfg, problem.seed).astype(dtype)
+    _, _, margin, grads = batch_objective(model, *args, grads=True)
+
+    def objective(values):
+        model = lspn_mod.model_from_parameters(problem.lspn_cfg, values)
+        return batch_objective(model, *args, margin=margin)[0]
+
     fd_dtype = np.float64 if dtype == np.float32 else np.longdouble
-    return backprop_check(lambda vals: objective_value(problem, vals),
-                          lspn_mod.parameters(model), grads, h=h, fd_dtype=fd_dtype)
+    return backprop_check(objective, lspn_mod.parameters(model), grads, h=h,
+                          fd_dtype=fd_dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +199,15 @@ def _check_loss_oracles():
         l = np.tile(np.asarray(l0, float)[:, None], (1, 3))
         return LossBatch(y=y, l=l, s=np.ones((y.size, 3, 2)), w0=np.ones((y.size, 2)))
 
-    expect("sep normal", losses_mod.sep_loss(batch([0], [0.3]), 2.0), 0.3)
+    expect("sep normal", losses_mod.sep_loss(batch([0], [0.3]), 2.0)[0], 0.3)
     expect("sep anomalous half-threshold",
-           losses_mod.sep_loss(batch([1], [1.0]), 2.0), 0.5)
+           losses_mod.sep_loss(batch([1], [1.0]), 2.0)[0], 0.5)
     expect("margin interleaved",
            losses_mod.margin_loss(batch([0, 0, 1, 1], [1.0, 3.0, 2.0, 4.0]))[0], 2 / 3)
     cns_batch = LossBatch(y=[0], l=np.array([[1.0, 1.5, 0.8]]), s=np.ones((1, 3, 2)),
                           w0=np.ones((1, 2)))
-    expect("consistency", losses_mod.consistency_loss(cns_batch, 1.2, 1), 0.5)
-    expect("cma at unity", losses_mod.cma_loss(np.array([[1.0, 1.0]])),
+    expect("consistency", losses_mod.consistency_loss(cns_batch, 1.2, 1)[0], 0.5)
+    expect("cma at unity", losses_mod.cma_loss(np.array([[1.0, 1.0]]))[0],
            2 * (math.e - 1))
     cfg = LossConfig(m0=1.0, l1_weight=0.0)
     expect("weighted sum", losses_mod.combine_terms(

@@ -11,9 +11,11 @@ A batch is a set of pooled cells. :func:`batch_rows` turns it into the
 network's factored inputs (every neighbor rank of each cell, then the
 cross-modal negatives, which swap the rgb (cell, prototype) pair rather than
 copying feature rows), and :func:`batch_objective` is the one objective:
-forward, the five losses, and the chain rule down to every parameter. The
-training step, validation and the gradient check in :mod:`g2sf.selftest` all
-call it. A step's cache and gradients are released before validation, and
+forward, one pass of :mod:`g2sf.losses` (every term's value and gradient,
+the L1 term's included), and the chain rule from the metric down to every
+parameter. The training step, validation and the gradient check in
+:mod:`g2sf.selftest` all call it. Each epoch's log sums the terms the loss
+pass names. A step's cache and gradients are released before validation, and
 validation keeps no training state.
 
 Validation runs the network in chunks: cells in near-equal chunks of at most
@@ -26,6 +28,8 @@ the size of the half, and its bits are those of one forward over the half.
 """
 from __future__ import annotations
 
+import math
+import typing
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -203,10 +207,11 @@ def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
 
     Returns (value, parts, margin, gradients). With ``grads`` the forward runs
     in training mode (dropout from ``rng`` when the model has any) and the
-    gradients are aligned with :func:`g2sf.lspn.parameters`: network
-    gradients from the loss, the L1 sign term on weight matrices, and
-    dLoss/dlog sigma last. Without ``grads`` the last item is None. The loss
-    runs in float64 or wider; ``margin`` None takes the batch's own bounds.
+    gradients are aligned with :func:`g2sf.lspn.parameters`: the loss
+    gradients chained through the metric and the network, plus the loss's
+    own parameter gradients (L1), and dLoss/dlog sigma last. Without
+    ``grads`` the last item is None. The loss runs in float64 or wider;
+    ``margin`` None takes the batch's own bounds.
 
     ``chunk`` caps the cells of one network forward (see
     :func:`_forward_plan`); rows of at most ``chunk`` cells run as one
@@ -238,16 +243,14 @@ def batch_objective(model, pool: TrainingPool, banks, rows, neg, loss_cfg,
     if not grads:
         value, parts = losses_mod.total_loss(batch, w_neg, loss_cfg, model, margin)
         return value, parts, margin, None
-    value, parts, dl, dw0, dneg = losses_mod.total_loss_with_grads(
+    value, parts, dl, dw0, dneg, dparams = losses_mod.total_loss_with_grads(
         batch, w_neg, loss_cfg, model, margin)
     grad_w = dl[:, :, None] * s * sigma
     grad_w[:, 0, :] += dw0
     grad_rows = np.concatenate([grad_w.reshape(n_pos, 2), dneg], axis=0)
     out = lspn_mod.backward_batch(model, cache, grad_rows.astype(dtype))
-    if loss_cfg.l1_weight > 0:
-        for g, p in zip(out, lspn_mod.parameters(model)):
-            if p.ndim == 2:  # weight matrices only
-                g += loss_cfg.l1_weight * np.sign(p)
+    for i, grad in dparams:
+        out[i] += grad
     d_log_sigma = (dl[:, :, None] * w * s).sum(axis=(0, 1)) * sigma
     out.append(d_log_sigma.astype(dtype))
     return value, parts, margin, out
@@ -302,7 +305,7 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
 
     for epoch in range(train_cfg.epochs):
         order = rng.permutation(pool.train_indices)
-        sums = {name: 0.0 for name in ("total", "sep", "mar", "cns", "sc", "cma", "l1")}
+        sums = {}
         n_batches = 0
         for start in range(0, order.size, train_cfg.batch_size):
             rows = order[start : start + train_cfg.batch_size]
@@ -317,9 +320,8 @@ def train(pool: TrainingPool, banks, normalizer, lspn_cfg, train_cfg: TrainConfi
                 raise DivergenceError(f"training diverged at epoch {epoch + 1}: {exc}") from exc
             del grads  # the step's gradients are not kept through validation
 
-            sums["total"] += value
-            for name in ("sep", "mar", "cns", "sc", "cma", "l1"):
-                sums[name] += parts[name]
+            for name, term in (("total", value), *parts.items()):
+                sums[name] = sums.get(name, 0.0) + term
             n_batches += 1
 
         val_total = None
@@ -368,9 +370,10 @@ def load_checkpoint(path) -> Checkpoint:
     first-layer tables once (:mod:`g2sf.lspn`); ``model.copy()`` is
     writable. A path that is not a file (a directory is a checkpoint format
     before v6), a container that is malformed or of another kind or format, a
-    header section with an unknown or missing key, an invalid lspn section, a
-    normalizer that is not two positive means, or a payload whose size is not
-    that network's raises :class:`ConfigError` naming ``path``.
+    header section with an unknown or missing key, a value not of its field's
+    type or one its section's ``validate`` refuses, a normalizer that is not
+    two finite positive means, or a payload whose size is not that network's
+    raises :class:`ConfigError` naming ``path``.
     """
     path = Path(path)
     if not path.is_file():
@@ -386,10 +389,31 @@ def load_checkpoint(path) -> Checkpoint:
         raise ConfigError(f"{path}: {exc}; retrain it") from exc
 
 
+def _typed(value, hint) -> bool:
+    """True when the JSON ``value`` is of the declared type ``hint``: a tuple
+    is a list of ints, an int no bool, and a float (an int will do) finite."""
+    kinds = typing.get_args(hint) or (hint,)
+    if tuple in kinds:
+        return isinstance(value, list) and all(_typed(v, int) for v in value)
+    if type(value) is int:
+        return int in kinds or float in kinds
+    if type(value) is float:
+        return float in kinds and math.isfinite(value)
+    return value is None and type(None) in kinds
+
+
 def _section(header: dict, name: str, cls):
-    """``cls`` from the header's ``name`` section: exactly its fields, lists as tuples."""
-    part = check_keys(f"the header's {name} section", header[name], [f.name for f in fields(cls)])
-    return cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in part.items()})
+    """``cls`` from the header's ``name`` section: exactly its fields, each of
+    its declared type (lists as tuples), validated."""
+    what = f"the header's {name} section"
+    part = check_keys(what, header[name], [f.name for f in fields(cls)])
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if not _typed(part[f.name], hints[f.name]):
+            raise ConfigError(f"{what} has {f.name} {part[f.name]!r}, not {f.type}")
+    section = cls(**{key: tuple(v) if isinstance(v, list) else v for key, v in part.items()})
+    section.validate()
+    return section
 
 
 def _checkpoint_from_container(flat: np.ndarray, header: dict) -> Checkpoint:
@@ -398,8 +422,8 @@ def _checkpoint_from_container(flat: np.ndarray, header: dict) -> Checkpoint:
         raise ConfigError(f"the container has kind {kind!r} and format {fmt!r}, "
                           f"not a {CHECKPOINT_FORMAT} checkpoint")
     means = check_keys("the header's normalizer", header["normalizer"], ("mean_pc", "mean_rgb"))
-    if not all(type(v) in (int, float) and v > 0 for v in means.values()):
-        raise ConfigError(f"the header's normalizer is {means!r}, not two positive means")
+    if not all(_typed(v, float) and v > 0 for v in means.values()):
+        raise ConfigError(f"the header's normalizer is {means!r}, not two finite positive means")
     cfg = _section(header, "lspn", lspn_mod.LspnConfig)
     shapes = [shape for _, fan_in, fan_out, _ in lspn_mod._layout(cfg)
               for shape in ((fan_out, fan_in), (fan_out,))] + [(2,)]

@@ -113,10 +113,10 @@ class TestCriterion2LossOracles:
             ("consistency 0.5",
              consistency_loss(LossBatch(y=[0], l=np.array([[1.0, 1.5, 0.8]]),
                                         s=np.ones((1, 3, 2)), w0=np.ones((1, 2))),
-                              1.2, 1), 0.5),
-            ("cma 2(e-1)", cma_loss(np.array([[1.0, 1.0]])), 2 * (E - 1)),
-            ("sep normal", sep_loss(batch([0], [0.3]), 2.0), 0.3),
-            ("sep anomalous", sep_loss(batch([1], [1.0]), 2.0), 0.5),
+                              1.2, 1)[0], 0.5),
+            ("cma 2(e-1)", cma_loss(np.array([[1.0, 1.0]]))[0], 2 * (E - 1)),
+            ("sep normal", sep_loss(batch([0], [0.3]), 2.0)[0], 0.3),
+            ("sep anomalous", sep_loss(batch([1], [1.0]), 2.0)[0], 0.5),
             ("weighted sum 23.9",
              combine_terms({"sep": 0.5, "mar": 0.1, "cns": 0.2, "sc": 0.3,
                             "cma": 0.4, "l1": 0.0}, LossConfig(m0=1.0, l1_weight=0.0)),

@@ -284,6 +284,8 @@ class TestSyntheticDataset:
          "the manifest is without key 'samples'"),
         (lambda doc: [doc], "the manifest is not a JSON object"),
         (lambda doc: dict(doc, samples=5), "key 'samples' is 5, not a list"),
+        (lambda doc: dict(doc, split="foo"), "key 'split' is 'foo', not train, test or pool"),
+        (lambda doc: dict(doc, split=5), "key 'split' is 5, not train, test or pool"),
         (lambda doc: dict(doc, grid=5), "key 'grid' is 5, not two positive integers"),
         (lambda doc: dict(doc, dims=[8, 8]),
          "key 'dims' is [8, 8], not a positive integer per modality"),
@@ -299,7 +301,7 @@ class TestSyntheticDataset:
         (lambda doc: dict(doc, samples=[{**doc["samples"][0], "image_label": True}]),
          "sample entry 0: key 'image_label' is True, not 0, 1 or null"),
     ], ids=["unknown_sample_key", "sample_without_pc", "no_samples", "json_array",
-            "samples_number", "grid_number", "dims_list", "gt_upscale_text", "sample_pc_number",
+            "samples_number", "split_text", "split_number", "grid_number", "dims_list", "gt_upscale_text", "sample_pc_number",
             "sample_id_null", "sample_foreground_list", "sample_label_two",
             "sample_label_bool"])
     def test_malformed_manifest_names_the_key(self, tmp_path, small_cfg, edit, what):

@@ -16,6 +16,7 @@ from g2sf.losses import (
     compute_m0,
     consistency_loss,
     eta_coefficients,
+    margin_bounds,
     margin_loss,
     scaling_loss,
     sep_loss,
@@ -39,39 +40,42 @@ def batch_from_l0(y, l0, k=1):
 
 class TestSepLoss:
     def test_normal_pays_metric(self):
-        assert sep_loss(batch_from_l0([0], [0.3]), m0=2.0) == pytest.approx(0.3)
+        assert sep_loss(batch_from_l0([0], [0.3]), m0=2.0)[0] == pytest.approx(0.3)
 
     def test_anomalous_at_threshold_is_zero(self):
-        assert sep_loss(batch_from_l0([1], [2.0]), m0=2.0) == 0.0
+        assert sep_loss(batch_from_l0([1], [2.0]), m0=2.0)[0] == 0.0
 
     def test_anomalous_half_threshold(self):
         m0 = 2.0
-        got = sep_loss(batch_from_l0([1], [m0 / 2]), m0=m0)
+        got, _ = sep_loss(batch_from_l0([1], [m0 / 2]), m0=m0)
         assert got == pytest.approx(1.0 / m0)
 
     def test_anomalous_monotone_nonincreasing(self):
         m0 = 3.0
-        values = [sep_loss(batch_from_l0([1], [l]), m0) for l in np.linspace(0.05, 4.0, 40)]
+        values = [sep_loss(batch_from_l0([1], [l]), m0)[0] for l in np.linspace(0.05, 4.0, 40)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_tiny_metric_safeguarded(self):
-        got = sep_loss(batch_from_l0([1], [0.0]), m0=2.0)
+        got, _ = sep_loss(batch_from_l0([1], [0.0]), m0=2.0)
         assert np.isfinite(got) and got == pytest.approx(1e8 - 0.5)
 
 
 class TestMarginLoss:
     def test_fully_separated(self):
-        value, skipped = margin_loss(batch_from_l0([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0]))
-        assert value == 0.0 and not skipped
+        value, grad = margin_loss(batch_from_l0([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0]))
+        assert value == 0.0 and not grad.any()
 
     def test_interleaved_hand_value(self):
-        value, skipped = margin_loss(batch_from_l0([0, 0, 1, 1], [1.0, 3.0, 2.0, 4.0]))
-        assert not skipped
+        value, grad = margin_loss(batch_from_l0([0, 0, 1, 1], [1.0, 3.0, 2.0, 4.0]))
         assert value == pytest.approx(2.0 / 3.0)
+        # m_l = 2, m_u = 3: the normal at 3 and the anomaly at 2 overlap.
+        assert grad.tolist() == pytest.approx([0.0, 1 / 3, -1 / 3, 0.0])
 
     def test_single_class_skips(self):
-        value, skipped = margin_loss(batch_from_l0([0, 0], [1.0, 2.0]))
-        assert value == 0.0 and skipped
+        batch = batch_from_l0([0, 0], [1.0, 2.0])
+        value, grad = margin_loss(batch)
+        assert margin_bounds(batch) is None
+        assert value == 0.0 and grad.tolist() == [0.0, 0.0]
 
     def test_zero_iff_separated(self):
         rng = np.random.default_rng(0)
@@ -91,7 +95,7 @@ class TestConsistencyLoss:
         s = np.ones((1, 3, 2))
         batch = LossBatch(y=[0], l=l, s=s, w0=np.ones((1, 2)))
         # eta_1 must be 1.2: ratios of equal distances are 1, eta0 = 1.2.
-        got = consistency_loss(batch, eta0=1.2, k=1)
+        got, _ = consistency_loss(batch, eta0=1.2, k=1)
         assert got == pytest.approx(0.5)
 
     def test_exact_slack_is_free(self):
@@ -101,12 +105,12 @@ class TestConsistencyLoss:
         ratios = s.sum(axis=2) / s.sum(axis=2)[:, :1]
         l = 1.3 * ratios  # l_j exactly eta_j/eta0 * l_0 and nondecreasing
         batch = LossBatch(y=np.zeros(4), l=l, s=s, w0=np.ones((4, 2)))
-        assert consistency_loss(batch, eta0=1.2, k=2) == pytest.approx(0.0, abs=1e-12)
+        assert consistency_loss(batch, eta0=1.2, k=2)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_all_equal_metrics_zero(self):
         batch = LossBatch(y=[0], l=np.full((1, 5), 0.7), s=np.ones((1, 5, 2)),
                           w0=np.ones((1, 2)))
-        assert consistency_loss(batch, eta0=1.2, k=2) == 0.0
+        assert consistency_loss(batch, eta0=1.2, k=2)[0] == 0.0
 
     def test_eta_exceeds_one(self):
         rng = np.random.default_rng(2)
@@ -120,29 +124,29 @@ class TestScalingLoss:
     def test_normal_below_one_free(self):
         batch = batch_from_l0([0], [1.0])
         batch.w0 = np.array([[0.9, 0.9]])
-        assert scaling_loss(batch) == 0.0
+        assert scaling_loss(batch)[0] == 0.0
 
     def test_normal_above_one_linear(self):
         batch = batch_from_l0([0], [1.0])
         batch.w0 = np.array([[1.3, 1.3]])
-        assert scaling_loss(batch) == pytest.approx(0.6)
+        assert scaling_loss(batch)[0] == pytest.approx(0.6)
 
     def test_anomalous_at_e_free(self):
         batch = batch_from_l0([1], [1.0])
         batch.w0 = np.array([[E, E]])
-        assert scaling_loss(batch) == pytest.approx(0.0, abs=1e-12)
+        assert scaling_loss(batch)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCmaLoss:
     def test_at_upper_anchor(self):
-        assert cma_loss(np.array([[E, E]])) == pytest.approx(0.0, abs=1e-12)
+        assert cma_loss(np.array([[E, E]]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_at_unity(self):
-        assert cma_loss(np.array([[1.0, 1.0]])) == pytest.approx(2 * (E - 1))
+        assert cma_loss(np.array([[1.0, 1.0]]))[0] == pytest.approx(2 * (E - 1))
 
     def test_empty(self):
-        assert cma_loss(None) == 0.0
-        assert cma_loss(np.zeros((0, 2))) == 0.0
+        assert cma_loss(None)[0] == 0.0
+        assert cma_loss(np.zeros((0, 2)))[0] == 0.0
 
 
 class TestTotalLoss:
@@ -172,11 +176,11 @@ class TestTotalLoss:
         neg = rng.uniform(1 / E, E, size=(4, 2))
         value, parts = total_loss(batch, neg, cfg)
         manual = (
-            sep_loss(batch, cfg.m0)
+            sep_loss(batch, cfg.m0)[0]
             + cfg.alpha * margin_loss(batch)[0]
-            + cfg.beta * consistency_loss(batch, cfg.eta0, cfg.k)
-            + cfg.gamma * scaling_loss(batch)
-            + cfg.mu * cma_loss(neg)
+            + cfg.beta * consistency_loss(batch, cfg.eta0, cfg.k)[0]
+            + cfg.gamma * scaling_loss(batch)[0]
+            + cfg.mu * cma_loss(neg)[0]
         )
         assert value == pytest.approx(manual, rel=1e-6)
         assert all(v >= 0 for v in parts.values())
@@ -213,8 +217,6 @@ class TestInvariants:
         assert all(v >= 0.0 for v in parts.values())
 
     def test_subgradient_zero_at_hinge_kinks(self):
-        from g2sf.losses import total_loss_with_grads, margin_bounds
-
         # Items sitting exactly on the margin bounds and at w0 == 1 must get
         # zero gradient from the inactive hinge side.
         cfg = LossConfig(m0=4.0, k=1, l1_weight=0.0, beta=0.0)
@@ -222,7 +224,7 @@ class TestInvariants:
         batch = LossBatch(y=[0, 1], l=l, s=np.ones((2, 3, 2)),
                           w0=np.ones((2, 2)))
         bounds = margin_bounds(batch)
-        _, _, dl, dw0, _ = total_loss_with_grads(batch, None, cfg, margin=bounds)
+        _, _, dl, dw0, _, _ = total_loss_with_grads(batch, None, cfg, margin=bounds)
         # normal l0=2 < m_l=3: margin hinge inactive, only the sep slope of 1
         assert dl[0, 0] == pytest.approx(1.0)
         # anomalous l0=3 > m_u=2: margin hinge inactive; sep active (-1/l^2)
@@ -243,10 +245,8 @@ class TestLossGradients:
         w0 = rng.uniform(1 / E + 0.05, E - 0.05, size=(5, 2))
         neg = rng.uniform(1 / E + 0.05, E - 0.05, size=(3, 2))
         batch = LossBatch(y=y, l=l, s=s, w0=w0)
-        from g2sf.losses import margin_bounds
-
         frozen = margin_bounds(batch)
-        value, parts, dl, dw0, dneg = total_loss_with_grads(batch, neg, cfg, margin=frozen)
+        value, parts, dl, dw0, dneg, _ = total_loss_with_grads(batch, neg, cfg, margin=frozen)
 
         h = 1e-6
 
@@ -272,3 +272,25 @@ class TestLossGradients:
             nm[idx] -= h
             fd = (loss_at(l, w0, np_) - loss_at(l, w0, nm)) / (2 * h)
             assert dneg[idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+
+    def test_l1_subgradient_on_weight_matrices_only(self):
+        # The L1 term's gradient is l1_weight * sign(W), at the weights' own
+        # dtype, for each weight matrix and for no bias or log sigma.
+        from g2sf.lspn import LspnConfig, init_model, parameters
+
+        model = init_model(LspnConfig(dim_pc=3, dim_rgb=2, branch_widths=(4,),
+                                      fusion_widths=(3,)), seed=0)
+        cfg = LossConfig(m0=3.0, k=1, l1_weight=0.5)
+        batch = batch_from_l0([0, 1], [1.0, 2.0])
+        value, parts, *_, dparams = total_loss_with_grads(batch, None, cfg, model=model)
+        params = parameters(model)
+        dparams = list(dparams)
+        assert [i for i, _ in dparams] == [i for i, p in enumerate(params) if p.ndim == 2]
+        for i, grad in dparams:
+            assert grad.dtype == params[i].dtype
+            assert grad.tobytes() == (0.5 * np.sign(params[i])).tobytes()
+        assert parts["l1"] == sum(np.abs(params[i]).sum(dtype=np.float64) for i, _ in dparams)
+        assert (value, parts) == total_loss(batch, None, cfg, model=model)
+        off = total_loss_with_grads(batch, None, LossConfig(m0=3.0, k=1, l1_weight=0.0),
+                                    model=model)
+        assert off[1]["l1"] == 0.0 and list(off[-1]) == []

@@ -22,6 +22,7 @@ from g2sf.lspn import (
     LspnConfig,
     Sources,
     _direction_pre,
+    _layout,
     _proto_pre,
     _segment_sums,
     backward_batch,
@@ -30,7 +31,6 @@ from g2sf.lspn import (
     metric_values,
     model_from_parameters,
     parameters,
-    parameter_names,
     rank_rows,
 )
 from g2sf.nn import backprop_check
@@ -43,6 +43,13 @@ from tests.oracles import (
     fused_metric,
     random_inputs,
 )
+
+
+def parameter_names(cfg: LspnConfig):
+    """Labels of :func:`parameters` of a model of ``cfg``, in order:
+    ``<block>_w`` and ``<block>_b`` per block of its layout, then ``log_sigma``."""
+    return [f"{name}_{part}" for name, *_ in _layout(cfg) for part in "wb"] + ["log_sigma"]
+
 
 E = math.e
 

@@ -1,6 +1,7 @@
 """Negative construction, training loop, and checkpoint tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -464,14 +465,31 @@ class TestCheckpoint:
          "the header's normalizer is not a JSON object"),
         (lambda header, _: header.update(normalizer={"mean_pc": "x", "mean_rgb": 1.0}),
          "normalizer is {'mean_pc': 'x'"),
+        (lambda header, _: header.update(normalizer={"mean_pc": math.inf, "mean_rgb": 1.0}),
+         "normalizer is {'mean_pc': inf"),
         (lambda _, flat: flat[:-1], "the payload has shape"),
         (lambda _, flat: np.append(flat[:-1], np.nan), "non-finite payload value"),
-    ], ids=["normalizer_list", "normalizer_text", "log_sigma_one", "log_sigma_nan"])
+        (lambda header, _: header["lspn"].update(dim_pc="4"),
+         "the header's lspn section has dim_pc '4', not int"),
+        (lambda header, _: header["lspn"].update(branch_widths=["8"]),
+         "the header's lspn section has branch_widths ['8'], not tuple"),
+        (lambda header, _: header["loss"].update(k="2"),
+         "the header's loss section has k '2', not int"),
+        (lambda header, _: header["loss"].update(alpha=math.inf),
+         "the header's loss section has alpha inf, not float"),
+        (lambda header, _: header["loss"].update(k=0), "loss.k must be >= 1"),
+        (lambda header, _: header["loss"].update(m0=-1), "loss.m0 must be positive"),
+    ], ids=["normalizer_list", "normalizer_text", "normalizer_inf", "log_sigma_one",
+            "log_sigma_nan", "lspn_dim_text", "lspn_width_text", "loss_k_text", "loss_alpha_inf",
+            "loss_k_zero", "loss_m0_negative"])
     def test_value_types_named(self, desk_checkpoint, tmp_path, edit, what):
         # A list normalizer escaped as a TypeError, a text mean loaded as it
-        # was. Log sigma is the payload's last two values: a payload one
-        # value short, so without a second log sigma, or one whose last value
-        # is NaN is refused by path like any other bad payload.
+        # was, an infinite one (JSON's Infinity) loaded too. Log sigma is the
+        # payload's last two values: a payload one value short, so without a
+        # second log sigma, or one whose last value is NaN is refused by path
+        # like any other bad payload. A section value of another type than
+        # its field's escaped as a TypeError (lspn) or loaded (loss), and the
+        # loss section loaded values its validate refuses.
         from g2sf.errors import ConfigError
 
         ckpt, _ = desk_checkpoint
